@@ -3,12 +3,10 @@
 from .allometry import (
     DbhModel,
     SpeciesRegistry,
-    TariffModel,
     agb_jucker,
     enrich_crowns,
     estimate_dbh,
     volume_double_entry,
-    volume_tariff,
 )
 from .chm import PitfreeParams, normalize_heights, pitfree_chm
 from .classify import (

@@ -60,20 +60,6 @@ class VolumeParams:
 
 
 @dataclass(frozen=True)
-class TariffModel:
-    """Stand-level tariff volume regression coefficients and indices."""
-
-    b0: float = 0.0
-    b1: float = 0.0
-    b2: float = 0.0
-    b3: float = 0.0
-    b4: float = 0.0
-    ps: float = 0.0   # stereometric potential index
-    it: float = 0.0   # tariff index
-    bd: float = 0.0   # barycentric dimensional index
-
-
-@dataclass(frozen=True)
 class SpeciesEntry:
     code: str
     name: str
@@ -198,16 +184,6 @@ def volume_double_entry(dbh: float, height: float,
     if dbh <= params.d0:
         return 0.0, True
     return params.a * (dbh - params.d0) ** params.b * height ** params.c, False
-
-
-def volume_tariff(basal_area: float, model: TariffModel) -> float:
-    """Tariff stem volume from basal area per hectare (m^2/ha)."""
-    if basal_area < 0:
-        raise ValueError("basal area must be >= 0")
-    g = basal_area
-    return (model.b0 + model.b1 * g + model.b2 * g * model.ps
-            + model.b3 * g * model.ps * model.it
-            + model.b4 * g * model.ps * model.bd)
 
 
 def enrich_crowns(crowns, registry: SpeciesRegistry,

@@ -236,13 +236,15 @@ def predict_svm(model: SvmModel, pixels: np.ndarray):
         margin[:, ia] += f
         margin[:, ib] -= f
 
-    # species are sorted, so index order doubles as the lexicographic rule
-    best = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        best[i] = max(range(len(model.species)),
-                      key=lambda s: (votes[i, s], margin[i, s], -s))
-    out = np.array([model.species[i] for i in best])
+    out = np.array([model.species[i] for i in _vote_winner(votes, margin)])
     return out[0] if single else out
+
+
+def _vote_winner(votes: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """Per row: most votes, then largest margin, then first sorted species."""
+    top = votes == votes.max(axis=1, keepdims=True)
+    top_margin = np.where(top, margin, -np.inf).max(axis=1, keepdims=True)
+    return np.argmax(top & (margin == top_margin), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,29 +286,26 @@ def classify_image(cube: HyperCube, band_subset, model, mask: Grid | None = None
     return grid, legend
 
 
-def label_crowns_majority(label_grid: Grid, legend: dict[int, str], crowns):
+def label_crowns_majority(label_grid: Grid, legend: dict[int, str], crowns,
+                          owner: np.ndarray):
     """Most frequent classified species inside each crown.
 
-    Ties go to the lexicographically smallest species; crowns whose
-    pixels are all nodata stay unset and are reported. Mutates
-    crown.species_code in place and returns the ids left unlabeled.
+    Ties go to the lexicographically smallest species; crowns of the
+    `owner` raster (from grow_crowns) with no legend pixel stay unset and
+    are reported. Mutates species_code in place; returns unlabeled ids.
     """
-    unlabeled = []
+    species = sorted(set(legend.values()))
+    rank = np.full(owner.shape, -1)
+    for code, sp in legend.items():
+        rank[label_grid.values == code] = species.index(sp)
+    sel = (rank >= 0) & (owner > 0) & label_grid.valid_mask()
+    n_ids, n = int(owner.max()) + 1, len(species)
+    counts = np.bincount(owner[sel].astype(np.intp) * n + rank[sel],
+                         minlength=n_ids * n).reshape(n_ids, n)
     for crown in crowns:
-        counts: dict[str, int] = {}
-        for r, c in crown.cell_set:
-            v = label_grid.values[r, c]
-            if v == label_grid.nodata or np.isnan(v):
-                continue
-            sp = legend.get(int(v))
-            if sp is not None:
-                counts[sp] = counts.get(sp, 0) + 1
-        if not counts:
-            crown.species_code = None
-            unlabeled.append(crown.crown_id)
-            continue
-        crown.species_code = min(counts, key=lambda sp: (-counts[sp], sp))
-    return unlabeled
+        row = counts[crown.crown_id]
+        crown.species_code = species[int(np.argmax(row))] if row.any() else None
+    return [crown.crown_id for crown in crowns if crown.species_code is None]
 
 
 def write_legend(legend: dict[int, str], path) -> None:

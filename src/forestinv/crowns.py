@@ -61,7 +61,6 @@ class CrownRecord:
     tree_height: float
     crown_area: float
     crown_diameter: float
-    cell_set: frozenset
     species_code: str | None = None
     dbh: float | None = None
     volume: float | None = None
@@ -78,18 +77,6 @@ class Apex:
     height: float
 
 
-def _window_side(height: float, params: ItcParams) -> int:
-    lo, hi = params.win_low_height, params.win_high_height
-    frac = (height - lo) / (hi - lo)
-    frac = min(1.0, max(0.0, frac))
-    side = params.min_search_win + frac * (params.max_search_win
-                                           - params.min_search_win)
-    side_int = int(round(side))
-    if side_int % 2 == 0:
-        side_int += 1
-    return min(params.max_search_win, max(params.min_search_win, side_int))
-
-
 def detect_treetops(chm: Grid, params: ItcParams) -> list[Apex]:
     """Strict variable-window local maxima, thinned by min_dist.
 
@@ -99,23 +86,28 @@ def detect_treetops(chm: Grid, params: ItcParams) -> list[Apex]:
     """
     values = _prepared_heights(chm, params)
 
-    # strict local max per window size: taller than every other cell in
-    # the window (footprint excludes the center)
-    strict_by_side = {}
+    rows, cols = np.nonzero(values >= params.height_threshold)
+    heights = values[rows, cols]
+
+    # window side grows linearly with height, rounded half-to-even to
+    # an odd integer inside [min_search_win, max_search_win]
+    lo, hi = params.win_low_height, params.win_high_height
+    frac = np.clip((heights - lo) / (hi - lo), 0.0, 1.0)
+    sides = np.rint(params.min_search_win + frac * (
+        params.max_search_win - params.min_search_win)).astype(np.int64)
+    sides += sides % 2 == 0
+    sides = np.clip(sides, params.min_search_win, params.max_search_win)
+
+    # strict local max: taller than every other cell in its window
+    # (footprint excludes the center)
+    is_strict = np.zeros(len(rows), dtype=bool)
     for side in range(params.min_search_win, params.max_search_win + 1, 2):
         footprint = np.ones((side, side), dtype=bool)
         footprint[side // 2, side // 2] = False
         neighborhood_max = ndimage.maximum_filter(
             values, footprint=footprint, mode="constant", cval=-np.inf)
-        strict_by_side[side] = values > neighborhood_max
-
-    candidate = values >= params.height_threshold
-    rows, cols = np.nonzero(candidate)
-    heights = values[rows, cols]
-    is_strict = np.zeros(len(rows), dtype=bool)
-    for i in range(len(rows)):
-        side = _window_side(heights[i], params)
-        is_strict[i] = strict_by_side[side][rows[i], cols[i]]
+        sel = sides == side
+        is_strict[sel] = heights[sel] > neighborhood_max[rows[sel], cols[sel]]
     rows, cols, heights = rows[is_strict], cols[is_strict], heights[is_strict]
 
     order = np.lexsort((cols, rows, -heights))
@@ -150,7 +142,8 @@ def _prepared_heights(chm: Grid, params: ItcParams) -> np.ndarray:
     return values
 
 
-def grow_crowns(chm: Grid, apexes: list[Apex], params: ItcParams) -> list[CrownRecord]:
+def grow_crowns(chm: Grid, apexes: list[Apex],
+                params: ItcParams) -> tuple[list[CrownRecord], np.ndarray]:
     """Region growing from each apex over 4-connected neighbors.
 
     A cell joins crown k when its height is >= thresh_seed * apex
@@ -158,6 +151,10 @@ def grow_crowns(chm: Grid, apexes: list[Apex], params: ItcParams) -> list[CrownR
     center lies within max_dist/2 of the apex, and no other crown has
     claimed it. The frontier is processed in descending cell height;
     equal-height contests go to the crown with the taller apex.
+
+    Returns (crowns, owner). `owner` is an int32 raster on the CHM grid
+    holding each cell's crown_id (k for the k-th apex, 0 = no crown);
+    it is the only record of crown membership.
     """
     values = _prepared_heights(chm, params)
     nrows, ncols = values.shape
@@ -202,10 +199,9 @@ def grow_crowns(chm: Grid, apexes: list[Apex], params: ItcParams) -> list[CrownR
 
     crowns = []
     cell_area = cs * cs
+    n_cells = np.bincount(owner.ravel(), minlength=len(apexes) + 1)
     for k, apex in enumerate(apexes, start=1):
-        rows, cols = np.nonzero(owner == k)
-        cells = frozenset(zip(rows.tolist(), cols.tolist()))
-        area = len(cells) * cell_area
+        area = int(n_cells[k]) * cell_area
         crowns.append(CrownRecord(
             crown_id=k,
             apex_row=apex.row, apex_col=apex.col,
@@ -213,9 +209,8 @@ def grow_crowns(chm: Grid, apexes: list[Apex], params: ItcParams) -> list[CrownR
             tree_height=apex.height,
             crown_area=area,
             crown_diameter=2.0 * math.sqrt(area / math.pi),
-            cell_set=cells,
         ))
-    return crowns
+    return crowns, owner
 
 
 def _push_neighbors(heap, values, owner, r, c, k, apex_height, heap_push=False):
@@ -232,36 +227,27 @@ def _push_neighbors(heap, values, owner, r, c, k, apex_height, heap_push=False):
                 heap.append(entry)
 
 
-def crown_label_grid(chm: Grid, crowns: list[CrownRecord]) -> Grid:
+def crown_label_grid(chm: Grid, owner: np.ndarray) -> Grid:
     """Grid of crown ids; background is nodata."""
-    out = np.full(chm.values.shape, chm.nodata)
-    for crown in crowns:
-        for r, c in crown.cell_set:
-            out[r, c] = crown.crown_id
-    return chm.with_values(out)
+    return chm.with_values(np.where(owner > 0, owner, chm.nodata))
 
 
 def spatial_join(points: list[GroundTruthPoint], crowns: list[CrownRecord],
-                 grid: Grid):
+                 owner: np.ndarray, grid: Grid):
     """Assign ground-truth species to the crowns containing the points.
 
-    When a crown contains points of more than one species, the point
-    nearest the apex wins. Returns (species_by_crown_id, unmatched
-    points).
+    `owner` is the crown id raster from grow_crowns on `grid`. When a
+    crown contains points of more than one species, the point nearest
+    the apex wins, then the lowest point index. Returns
+    (species_by_crown_id, unmatched points).
     """
-    cell_to_crown = {}
-    by_id = {}
-    for crown in crowns:
-        by_id[crown.crown_id] = crown
-        for cell in crown.cell_set:
-            cell_to_crown[cell] = crown.crown_id
-
+    by_id = {crown.crown_id: crown for crown in crowns}
     hits: dict[int, list[tuple[float, int, str]]] = {}
     unmatched = []
     for i, p in enumerate(points):
-        cell = grid.cell_of(p.x, p.y)
-        cid = cell_to_crown.get(cell)
-        if cid is None:
+        r, c = grid.cell_of(p.x, p.y)
+        cid = int(owner[r, c]) if grid.contains_cell(r, c) else 0
+        if cid == 0:
             unmatched.append(p)
             continue
         crown = by_id[cid]

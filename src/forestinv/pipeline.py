@@ -189,13 +189,13 @@ def _stage_chm(ctx, out):
 def _stage_crowns(ctx, out):
     config = ctx["config"]
     apexes = crowns_mod.detect_treetops(ctx["chm"], config.itc)
-    crowns = crowns_mod.grow_crowns(ctx["chm"], apexes, config.itc)
+    crowns, owner = crowns_mod.grow_crowns(ctx["chm"], apexes, config.itc)
     if not crowns:
         raise DataError("no treetops detected; nothing to inventory")
-    label_grid = crowns_mod.crown_label_grid(ctx["chm"], crowns)
+    label_grid = crowns_mod.crown_label_grid(ctx["chm"], owner)
     write_ascii_grid(label_grid, os.path.join(out, "crown_labels.asc"))
     crowns_mod.write_crown_table(crowns, os.path.join(out, "crowns.csv"))
-    ctx["crowns"] = crowns
+    ctx["crowns"], ctx["owner"] = crowns, owner
 
 
 def _stage_spectral(ctx, out):
@@ -219,7 +219,7 @@ def _stage_join(ctx, out):
     config.require_paths("ground_truth")
     points = read_ground_truth(config.paths["ground_truth"])
     species, unmatched = crowns_mod.spatial_join(points, ctx["crowns"],
-                                                 ctx["chm"])
+                                                 ctx["owner"], ctx["chm"])
     if not species:
         raise DataError("no ground-truth point fell inside any crown")
     ctx["truth_species"] = species
@@ -247,20 +247,20 @@ def _stage_split(ctx, out):
 
 
 def _training_pixels(ctx):
-    """(row, col) arrays per species over the training crowns, capped
-    per species with a seed-derived subsample for tractability."""
+    """(row, col) arrays per species over the training crowns, ordered by
+    crown_id and row-major within a crown, capped per species with a
+    seed-derived subsample for tractability."""
     config = ctx["config"]
-    crowns_by_id = {c.crown_id: c for c in ctx["crowns"]}
+    owner = ctx["owner"]
     truth = ctx["truth_species"]
-    cells: dict[str, list] = {}
-    for cid in ctx["split"].train_ids:
-        crown = crowns_by_id[cid]
-        cells.setdefault(truth[cid], []).extend(sorted(crown.cell_set))
+    train_ids = ctx["split"].train_ids
     rng = np.random.default_rng(config.seed + 1)
     cap = config.spectral.max_training_pixels_per_species
     out = {}
-    for sp in sorted(cells):
-        arr = np.array(cells[sp], dtype=np.intp)
+    for sp in sorted({truth[cid] for cid in train_ids}):
+        ids = [cid for cid in train_ids if truth[cid] == sp]
+        arr = np.argwhere(np.isin(owner, ids))
+        arr = arr[np.argsort(owner[arr[:, 0], arr[:, 1]], kind="stable")]
         if len(arr) > cap:
             arr = arr[rng.choice(len(arr), size=cap, replace=False)]
             arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
@@ -269,7 +269,7 @@ def _training_pixels(ctx):
 
 
 def _stage_statistics(ctx, out):
-    pixels = _training_pixels(ctx)
+    ctx["training_pixels"] = pixels = _training_pixels(ctx)
     stats, skipped = spectral_mod.class_statistics(ctx["cube"], pixels)
     if len(stats) < 2:
         raise DataError("fewer than two species have enough training pixels")
@@ -295,7 +295,7 @@ def _stage_select(ctx, out):
 
 def _stage_train(ctx, out):
     config = ctx["config"]
-    pixels = _training_pixels(ctx)
+    pixels = ctx["training_pixels"]
     bands = np.asarray(ctx["bands"], dtype=np.intp)
     data = ctx["cube"].samples[bands]
     xs, labels = [], []
@@ -339,9 +339,8 @@ def _stage_classify(ctx, out):
 
 
 def _stage_label(ctx, out):
-    unlabeled = classify_mod.label_crowns_majority(ctx["label_grid"],
-                                                   ctx["legend"],
-                                                   ctx["crowns"])
+    unlabeled = classify_mod.label_crowns_majority(
+        ctx["label_grid"], ctx["legend"], ctx["crowns"], ctx["owner"])
     ctx["unlabeled"] = unlabeled
     with open(os.path.join(out, "label_report.txt"), "w") as f:
         f.write(f"unlabeled_crowns {len(unlabeled)}\n")

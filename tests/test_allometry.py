@@ -9,13 +9,11 @@ from forestinv.allometry import (
     DbhModel,
     SpeciesEntry,
     SpeciesRegistry,
-    TariffModel,
     VolumeParams,
     agb_jucker,
     enrich_crowns,
     estimate_dbh,
     volume_double_entry,
-    volume_tariff,
 )
 from forestinv.crowns import CrownRecord
 from forestinv.errors import DataError
@@ -141,31 +139,10 @@ class TestVolume:
                                  self.PIAB.d0), rel=1e-9)
 
 
-class TestTariff:
-    def test_constant_term(self):
-        assert volume_tariff(123.0, TariffModel(b0=5.0)) == 5.0
-
-    def test_linear_term(self):
-        assert volume_tariff(30.0, TariffModel(b1=1.0)) == 30.0
-
-    def test_hand_example(self):
-        model = TariffModel(b0=0.0, b1=1.0, b2=0.1, ps=2.0)
-        assert volume_tariff(10.0, model) == pytest.approx(12.0)
-
-    def test_full_expansion(self):
-        model = TariffModel(b0=1.0, b1=2.0, b2=3.0, b3=4.0, b4=5.0,
-                            ps=0.5, it=0.25, bd=0.125)
-        g = 7.0
-        expected = (1.0 + 2.0 * g + 3.0 * g * 0.5 + 4.0 * g * 0.5 * 0.25
-                    + 5.0 * g * 0.5 * 0.125)
-        assert volume_tariff(g, model) == pytest.approx(expected, rel=1e-12)
-
-
 def make_crown(cid, species, height=25.0, diameter=5.0):
     return CrownRecord(crown_id=cid, apex_row=0, apex_col=0, apex_x=0.0,
                        apex_y=0.0, tree_height=height, crown_area=1.0,
-                       crown_diameter=diameter, cell_set=frozenset({(0, 0)}),
-                       species_code=species)
+                       crown_diameter=diameter, species_code=species)
 
 
 class TestEnrichment:

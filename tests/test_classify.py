@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forestinv.classify import (
     CentroidModel,
+    _vote_winner,
     classify_image,
     label_crowns_majority,
     load_model,
@@ -246,12 +248,28 @@ class TestClassifyImage:
         np.testing.assert_array_equal(full.values, small_chunks.values)
 
 
-def make_crown(cid, cells):
-    cells = frozenset(cells)
-    r, c = next(iter(cells))
-    return CrownRecord(crown_id=cid, apex_row=r, apex_col=c, apex_x=0.0,
-                       apex_y=0.0, tree_height=10.0, crown_area=len(cells),
-                       crown_diameter=1.0, cell_set=cells)
+def make_crown(cid):
+    return CrownRecord(crown_id=cid, apex_row=0, apex_col=0, apex_x=0.0,
+                       apex_y=0.0, tree_height=10.0, crown_area=1.0,
+                       crown_diameter=1.0)
+
+
+def reference_majority(label_grid, legend, crowns, owner):
+    """The per-cell loop the bincount replaced: species by crown id, or
+    None when the crown has no classified pixel in the legend."""
+    out = {}
+    for crown in crowns:
+        counts = {}
+        for r, c in zip(*np.nonzero(owner == crown.crown_id)):
+            v = label_grid.values[r, c]
+            if v == label_grid.nodata or np.isnan(v):
+                continue
+            sp = legend.get(int(v))
+            if sp is not None:
+                counts[sp] = counts.get(sp, 0) + 1
+        out[crown.crown_id] = (min(counts, key=lambda sp: (-counts[sp], sp))
+                               if counts else None)
+    return out
 
 
 class TestMajorityLabel:
@@ -264,9 +282,9 @@ class TestMajorityLabel:
         vals[0, :5] = 1  # A x5
         vals[1, :3] = 2  # B x3
         grid = self._label_grid(vals)
-        crown = make_crown(1, [(0, i) for i in range(8)]
-                           + [(1, i) for i in range(8)])
-        unlabeled = label_crowns_majority(grid, {1: "A", 2: "B"}, [crown])
+        crown = make_crown(1)
+        unlabeled = label_crowns_majority(grid, {1: "A", 2: "B"}, [crown],
+                                          np.ones((2, 8), dtype=np.int32))
         assert crown.species_code == "A"
         assert unlabeled == []
 
@@ -275,16 +293,68 @@ class TestMajorityLabel:
         vals[0, :4] = 2
         vals[0, 4:] = 1
         grid = self._label_grid(vals)
-        crown = make_crown(1, [(0, i) for i in range(8)])
-        label_crowns_majority(grid, {1: "A", 2: "B"}, [crown])
+        crown = make_crown(1)
+        label_crowns_majority(grid, {1: "A", 2: "B"}, [crown],
+                              np.ones((1, 8), dtype=np.int32))
         assert crown.species_code == "A"
 
     def test_all_nodata_reported(self):
         grid = self._label_grid(-9999.0 * np.ones((1, 4)))
-        crown = make_crown(7, [(0, i) for i in range(4)])
-        unlabeled = label_crowns_majority(grid, {1: "A"}, [crown])
+        crown = make_crown(7)
+        unlabeled = label_crowns_majority(grid, {1: "A"}, [crown],
+                                          np.full((1, 4), 7, dtype=np.int32))
         assert crown.species_code is None
         assert unlabeled == [7]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9),
+           st.integers(1, 6))
+    def test_matches_per_cell_reference(self, seed, nrows, ncols, n_crowns):
+        rng = np.random.default_rng(seed)
+        # non-contiguous crown ids, each owning at least one cell (as its
+        # apex does); legend codes with gaps, some codes on the grid
+        # missing from the legend, several codes per species
+        n_crowns = min(n_crowns, nrows * ncols)
+        ids = np.sort(rng.choice(np.arange(1, 40), n_crowns, replace=False))
+        cells = rng.choice(np.concatenate(([0], ids)), nrows * ncols)
+        cells[:n_crowns] = ids
+        owner = rng.permutation(cells).reshape(nrows, ncols).astype(np.int32)
+        legend = {int(code): str(rng.choice(["PIAB", "FASY", "ABAL"]))
+                  for code in rng.choice([1, 2, 4, 7, 9], rng.integers(0, 5),
+                                         replace=False)}
+        values = rng.choice([-9999.0, np.nan, 1, 2, 3, 4, 5, 7, 9],
+                            (nrows, ncols))
+        grid = self._label_grid(values)
+        crowns = [make_crown(int(cid)) for cid in ids]
+        expected = reference_majority(grid, legend, crowns, owner)
+        unlabeled = label_crowns_majority(grid, legend, crowns, owner)
+        assert {c.crown_id: c.species_code for c in crowns} == expected
+        assert unlabeled == [cid for cid in expected if expected[cid] is None]
+
+
+def reference_vote_winner(votes, margin):
+    """The per-pixel loop the vectorized tie-break replaced."""
+    n, n_species = votes.shape
+    return np.array([max(range(n_species),
+                         key=lambda s: (votes[i, s], margin[i, s], -s))
+                     for i in range(n)], dtype=np.int64)
+
+
+class TestVoteWinner:
+    def test_ties_break_on_margin_then_index(self):
+        votes = np.array([[2, 2, 1], [1, 2, 2], [1, 1, 1]])
+        margin = np.array([[0.5, 0.9, 3.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(_vote_winner(votes, margin), [1, 1, 0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(2, 6))
+    def test_matches_per_pixel_reference(self, seed, n, n_species):
+        rng = np.random.default_rng(seed)
+        # few distinct values force vote ties and margin ties
+        votes = rng.integers(0, 3, (n, n_species))
+        margin = rng.integers(-2, 3, (n, n_species)).astype(float)
+        np.testing.assert_array_equal(_vote_winner(votes, margin),
+                                      reference_vote_winner(votes, margin))
 
 
 class TestSerialization:

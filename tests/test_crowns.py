@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from forestinv.crowns import (
+    CrownRecord,
     ItcParams,
     crown_label_grid,
     detect_treetops,
@@ -124,7 +125,7 @@ class TestGrowCrowns:
         params = ItcParams()
         apexes = detect_treetops(chm, params)
         assert len(apexes) == 1
-        crowns = grow_crowns(chm, apexes, params)
+        crowns, _ = grow_crowns(chm, apexes, params)
         analytic = math.pi * (0.45 * 8.0) ** 2
         assert crowns[0].crown_area == pytest.approx(analytic, rel=0.10)
         assert crowns[0].tree_height == pytest.approx(20.0, abs=1e-12)
@@ -134,9 +135,11 @@ class TestGrowCrowns:
         v[10, 10] = 20.0
         chm = grid_from(v)
         apexes = detect_treetops(chm, ItcParams())
-        crowns = grow_crowns(chm, apexes, ItcParams())
+        crowns, owner = grow_crowns(chm, apexes, ItcParams())
         assert len(crowns) == 1
-        assert crowns[0].cell_set == frozenset({(10, 10)})
+        expected = np.zeros((20, 20), dtype=np.int32)
+        expected[10, 10] = crowns[0].crown_id
+        np.testing.assert_array_equal(owner, expected)
         assert crowns[0].crown_area == pytest.approx(CS * CS)
 
     def test_mirrored_scene_symmetric_union(self):
@@ -147,32 +150,34 @@ class TestGrowCrowns:
         params = ItcParams()
         apexes = detect_treetops(chm, params)
         assert len(apexes) == 2
-        crowns = grow_crowns(chm, apexes, params)
-        cells_a, cells_b = crowns[0].cell_set, crowns[1].cell_set
-        assert not (cells_a & cells_b)
-        union = cells_a | cells_b
-        mirrored = {(r, ncols - 1 - c) for r, c in union}
-        assert union == mirrored
+        crowns, owner = grow_crowns(chm, apexes, params)
+        assert owner.dtype == np.int32 and owner.shape == (nrows, ncols)
+        assert set(np.unique(owner)) == {0, 1, 2}
+        union = owner > 0
+        np.testing.assert_array_equal(union, union[:, ::-1])
 
     def test_no_cell_below_seed_threshold(self):
         chm = cone_chm((60, 60), [(30, 30, 18.0, 9.0)])
         params = ItcParams()
-        crowns = grow_crowns(chm, detect_treetops(chm, params), params)
+        crowns, owner = grow_crowns(chm, detect_treetops(chm, params), params)
         for crown in crowns:
-            for r, c in crown.cell_set:
-                assert chm.values[r, c] >= params.thresh_seed * crown.tree_height
+            inside = chm.values[owner == crown.crown_id]
+            assert inside.size > 0
+            assert (inside >= params.thresh_seed * crown.tree_height).all()
 
     def test_scale_invariance_of_memberships(self):
         # heights kept above win_high_height so the search window size is
         # constant; both growth thresholds are relative
         chm = cone_chm((60, 60), [(30, 30, 40.0, 9.0), (30, 52, 35.0, 6.0)])
         params = ItcParams()
-        base = grow_crowns(chm, detect_treetops(chm, params), params)
+        base, base_owner = grow_crowns(chm, detect_treetops(chm, params),
+                                       params)
         for factor in (1.5, 3.0):
             scaled_grid = chm.with_values(chm.values * factor)
-            scaled = grow_crowns(scaled_grid,
-                                 detect_treetops(scaled_grid, params), params)
-            assert [c.cell_set for c in scaled] == [c.cell_set for c in base]
+            scaled, scaled_owner = grow_crowns(
+                scaled_grid, detect_treetops(scaled_grid, params), params)
+            assert len(scaled) == len(base)
+            np.testing.assert_array_equal(scaled_owner, base_owner)
             for s, b in zip(scaled, base):
                 assert s.tree_height == pytest.approx(b.tree_height * factor,
                                                       rel=1e-12)
@@ -180,42 +185,63 @@ class TestGrowCrowns:
     def test_crown_record_invariants(self):
         chm = cone_chm((60, 60), [(30, 30, 20.0, 8.0)])
         params = ItcParams()
-        crowns = grow_crowns(chm, detect_treetops(chm, params), params)
+        crowns, owner = grow_crowns(chm, detect_treetops(chm, params), params)
         crown = crowns[0]
-        assert crown.crown_area == pytest.approx(len(crown.cell_set) * CS * CS)
+        n_cells = int((owner == crown.crown_id).sum())
+        assert crown.crown_area == pytest.approx(n_cells * CS * CS)
         assert crown.crown_diameter == pytest.approx(
             2 * math.sqrt(crown.crown_area / math.pi))
-        assert (crown.apex_row, crown.apex_col) in crown.cell_set
+        assert owner[crown.apex_row, crown.apex_col] == crown.crown_id
 
 
 class TestSpatialJoin:
     def _one_crown_setup(self):
         chm = cone_chm((60, 60), [(30, 30, 20.0, 8.0)])
         params = ItcParams()
-        crowns = grow_crowns(chm, detect_treetops(chm, params), params)
-        return chm, crowns
+        crowns, owner = grow_crowns(chm, detect_treetops(chm, params), params)
+        return chm, crowns, owner
 
     def test_point_at_apex(self):
-        chm, crowns = self._one_crown_setup()
+        chm, crowns, owner = self._one_crown_setup()
         p = GroundTruthPoint(crowns[0].apex_x, crowns[0].apex_y, "PIAB")
-        species, unmatched = spatial_join([p], crowns, chm)
+        species, unmatched = spatial_join([p], crowns, owner, chm)
         assert species == {crowns[0].crown_id: "PIAB"}
         assert unmatched == []
 
     def test_point_on_background_unmatched(self):
-        chm, crowns = self._one_crown_setup()
+        chm, crowns, owner = self._one_crown_setup()
         p = GroundTruthPoint(1.0, 1.0, "PIAB")
-        species, unmatched = spatial_join([p], crowns, chm)
+        species, unmatched = spatial_join([p], crowns, owner, chm)
         assert species == {}
         assert unmatched == [p]
 
     def test_conflict_nearest_to_apex_wins(self):
-        chm, crowns = self._one_crown_setup()
+        chm, crowns, owner = self._one_crown_setup()
         apex_x, apex_y = crowns[0].apex_x, crowns[0].apex_y
         near = GroundTruthPoint(apex_x + 1.0, apex_y, "AAAA")
         far = GroundTruthPoint(apex_x + 3.0, apex_y, "BBBB")
-        species, _ = spatial_join([far, near], crowns, chm)
+        species, _ = spatial_join([far, near], crowns, owner, chm)
         assert species[crowns[0].crown_id] == "AAAA"
+
+    def test_point_outside_the_grid_unmatched(self):
+        # a crown covering every cell: an index wrapping around the
+        # raster edge would wrongly find it
+        chm = grid_from(np.full((6, 8), 10.0))
+        owner = np.ones((6, 8), dtype=np.int32)
+        x, y = chm.cell_center(2, 3)
+        crown = CrownRecord(crown_id=1, apex_row=2, apex_col=3,
+                            apex_x=float(x), apex_y=float(y), tree_height=10.0,
+                            crown_area=48 * CS * CS, crown_diameter=1.0)
+        width, height = 8 * CS, 6 * CS
+        outside = [GroundTruthPoint(-0.1, 1.0, "WEST"),
+                   GroundTruthPoint(width + 0.1, 1.0, "EAST"),
+                   GroundTruthPoint(1.0, height + 0.1, "NORTH"),
+                   GroundTruthPoint(1.0, -0.1, "SOUTH")]
+        inside = GroundTruthPoint(1.0, 1.0, "IN")
+        species, unmatched = spatial_join(outside + [inside], [crown], owner,
+                                          chm)
+        assert unmatched == outside
+        assert species == {1: "IN"}
 
 
 class TestSplit:
@@ -257,10 +283,11 @@ class TestSplit:
 def test_crown_label_grid_and_table(tmp_path):
     chm = cone_chm((40, 40), [(20, 20, 20.0, 6.0)])
     params = ItcParams()
-    crowns = grow_crowns(chm, detect_treetops(chm, params), params)
-    labels = crown_label_grid(chm, crowns)
+    crowns, owner = grow_crowns(chm, detect_treetops(chm, params), params)
+    labels = crown_label_grid(chm, owner)
     assert labels.values[20, 20] == crowns[0].crown_id
     assert labels.values[0, 0] == labels.nodata
+    np.testing.assert_array_equal(labels.values != labels.nodata, owner > 0)
     path = tmp_path / "crowns.csv"
     write_crown_table(crowns, path)
     lines = path.read_text().splitlines()

@@ -33,8 +33,8 @@ REF_AGB_PR = [1.07, 1.45, 37.01, 8.99, 9.19, 2.68, 5.39, 9.53, 7.43,
 def crown_at(cid, x, y, species=None, dbh=None, volume=None, agb=None):
     return CrownRecord(crown_id=cid, apex_row=0, apex_col=0, apex_x=x,
                        apex_y=y, tree_height=20.0, crown_area=10.0,
-                       crown_diameter=3.0, cell_set=frozenset({(0, 0)}),
-                       species_code=species, dbh=dbh, volume=volume, agb=agb)
+                       crown_diameter=3.0, species_code=species, dbh=dbh,
+                       volume=volume, agb=agb)
 
 
 class TestScore:

@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forestinv.cli import main
 from forestinv.config import load_config
 from forestinv.errors import ConfigError
-from forestinv.pipeline import run_pipeline
+from forestinv.pipeline import _training_pixels, run_pipeline
 
 SCENE_INI = """\
 [scene]
@@ -162,6 +166,52 @@ class TestPipeline:
         after = {p.name: p.read_bytes() for p in scene_dir.iterdir()
                  if p.is_file()}
         assert before == after
+
+
+def reference_training_pixels(owner, truth, train_ids, seed, cap):
+    """The per-cell loop over crown cell sets that the raster replaced."""
+    cells = {}
+    for cid in train_ids:
+        crown_cells = set(zip(*np.nonzero(owner == cid)))
+        cells.setdefault(truth[cid], []).extend(sorted(crown_cells))
+    rng = np.random.default_rng(seed + 1)
+    out = {}
+    for sp in sorted(cells):
+        arr = np.array(cells[sp], dtype=np.intp)
+        if len(arr) > cap:
+            arr = arr[rng.choice(len(arr), size=cap, replace=False)]
+            arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+        out[sp] = arr
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
+       st.integers(1, 8), st.integers(1, 30))
+def test_training_pixels_match_per_cell_reference(seed, nrows, ncols,
+                                                  n_crowns, cap):
+    rng = np.random.default_rng(seed)
+    # non-contiguous crown ids scattered over the raster, so that global
+    # row-major order differs from crown-by-crown order
+    n_crowns = min(n_crowns, nrows * ncols)
+    ids = np.sort(rng.choice(np.arange(1, 50), n_crowns, replace=False))
+    cells = rng.choice(np.concatenate(([0], ids)), nrows * ncols)
+    cells[:n_crowns] = ids
+    owner = rng.permutation(cells).reshape(nrows, ncols).astype(np.int32)
+    truth = {int(cid): str(rng.choice(["ABAL", "FASY", "PIAB"]))
+             for cid in ids}
+    train_ids = tuple(int(cid) for cid in ids if rng.random() < 0.7)
+    ctx = {"config": SimpleNamespace(
+               seed=seed,
+               spectral=SimpleNamespace(max_training_pixels_per_species=cap)),
+           "owner": owner, "truth_species": truth,
+           "split": SimpleNamespace(train_ids=train_ids)}
+    got = _training_pixels(ctx)
+    expected = reference_training_pixels(owner, truth, train_ids, seed, cap)
+    assert list(got) == list(expected)
+    for sp in expected:
+        assert got[sp].dtype == expected[sp].dtype
+        np.testing.assert_array_equal(got[sp], expected[sp])
 
 
 class TestCli:
