@@ -83,23 +83,26 @@ def _cmd_synth(args) -> int:
                          out_override=args.out,
                          threads_override=args.threads)
     sc = config.scene
-    spec = random_scene(
-        seed=config.seed, n_trees=sc.n_trees, species=list(sc.species),
-        nbands=sc.nbands, pitch=sc.pitch, margin=sc.margin,
-        height_range=(sc.height_min, sc.height_max),
-        radius_range=(sc.radius_min, sc.radius_max), n_plots=sc.n_plots,
-        plot_radius=sc.plot_radius,
-        signature_amplitude=sc.signature_amplitude,
-        noise_sigma=sc.noise_sigma, junk_head=sc.junk_head,
-        junk_tail=sc.junk_tail, shape=sc.shape, terrain=sc.terrain,
-        point_density=sc.point_density,
-        chm_resolution=config.pitfree.resolution)
-    data = generate_scene(spec)
-    paths = write_scene(data, config.output_dir)
+    try:
+        spec = random_scene(
+            seed=config.run.seed, n_trees=sc.n_trees,
+            species=list(sc.species), nbands=sc.nbands, pitch=sc.pitch,
+            margin=sc.margin, height_range=(sc.height_min, sc.height_max),
+            radius_range=(sc.radius_min, sc.radius_max),
+            n_plots=sc.n_plots, plot_radius=sc.plot_radius,
+            signature_amplitude=sc.signature_amplitude,
+            noise_sigma=sc.noise_sigma, junk_head=sc.junk_head,
+            junk_tail=sc.junk_tail, shape=sc.shape, terrain=sc.terrain,
+            point_density=sc.point_density,
+            chm_resolution=config.pitfree.resolution)
+        data = generate_scene(spec)
+    except ValueError as exc:
+        raise ConfigError(f"[scene]: {exc}") from None
+    paths = write_scene(data, config.run.output_dir)
     _write_pipeline_config(config, paths,
-                           os.path.join(config.output_dir, "pipeline.ini"))
+                           os.path.join(config.run.output_dir, "pipeline.ini"))
     print(f"scene with {len(spec.trees)} trees written to "
-          f"{config.output_dir}")
+          f"{config.run.output_dir}")
     return 0
 
 
@@ -121,7 +124,7 @@ def _write_pipeline_config(config, paths, out_path) -> None:
         cp["paths"][key] = os.path.basename(paths[name])
     if not cp.has_section("run"):
         cp.add_section("run")
-    cp["run"]["seed"] = str(config.seed)
+    cp["run"]["seed"] = str(config.run.seed)
     cp["run"]["output_dir"] = "run_out"
     with open(out_path, "w") as f:
         cp.write(f)

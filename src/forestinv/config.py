@@ -1,10 +1,16 @@
-"""Plain-text configuration (INI sections, one per pipeline module)."""
+"""Plain-text configuration (INI sections, one per pipeline module).
+
+Each section is read into one dataclass: a field's name is its key, its
+annotation the cast and its value the default; `__post_init__` checks
+the values.
+"""
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 from .allometry import (
     ANGIOSPERM,
@@ -28,12 +34,44 @@ class SpectralConfig:
     criterion_aggregate: str = "mean"
     max_training_pixels_per_species: int = 2000
 
+    def __post_init__(self):
+        if self.drop_head < 0 or self.drop_tail < 0:
+            raise ValueError("drop_head and drop_tail must be >= 0")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.criterion_aggregate not in ("mean", "min"):
+            raise ValueError("criterion_aggregate must be mean or min")
+
 
 @dataclass
 class ClassifyConfig:
     classifier: str = "svm"          # svm | centroid
     c: float = 10.0
     gamma: float | None = None       # None -> 1 / n_bands
+
+    def __post_init__(self):
+        if self.classifier not in ("svm", "centroid"):
+            raise ValueError("classifier must be svm or centroid")
+        if not self.c > 0:
+            raise ValueError("c must be > 0")
+        if self.gamma is not None and not self.gamma > 0:
+            raise ValueError("gamma must be > 0")
+
+
+@dataclass
+class RunConfig:
+    seed: int = 42
+    train_fraction: float = 0.65
+    output_dir: str = "out"
+    threads: int = 1
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not 0 < self.train_fraction < 1:
+            raise ValueError("train_fraction must lie in (0, 1)")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -67,10 +105,7 @@ class PipelineConfig:
     classify: ClassifyConfig
     dbh_model: DbhModel
     registry: SpeciesRegistry
-    seed: int
-    train_fraction: float
-    output_dir: str
-    threads: int
+    run: RunConfig
     scene: SceneConfig
     raw_text: str = ""
 
@@ -85,33 +120,64 @@ class PipelineConfig:
             raise ConfigError("input file(s) not found: " + ", ".join(absent))
 
 
-def _section(cp, name):
-    return cp[name] if cp.has_section(name) else {}
-
-
-def _get(sec, key, cast, default):
-    raw = sec.get(key)
-    if raw is None or raw == "":
-        return default
+def _items(cp, section) -> dict[str, str]:
+    """The section's key -> value pairs, [DEFAULT] keys included; {} when
+    the section is absent."""
+    if not cp.has_section(section):
+        return {}
     try:
-        if cast is bool:
-            return str(raw).strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+        return dict(cp[section].items())
+    except configparser.InterpolationError as exc:
+        raise ConfigError(f"[{section}] {exc.option}: {exc}") from None
 
 
-def _get_list(sec, key, cast, default):
-    raw = sec.get(key)
-    if raw is None:
-        return default
-    raw = raw.strip()
-    if not raw:
-        return ()
+def _parse(tp, raw: str):
+    """`raw` cast to the field type `tp`: int, float, str, bool,
+    `X | None` or a comma list `tuple[X, ...]`."""
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        return tuple(item(t.strip()) for t in raw.split(",") if t.strip())
+    args = [t for t in typing.get_args(tp) if t is not type(None)]
+    if args:  # X | None
+        tp = args[0]
+    if tp is bool:
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if raw.lower() not in states:
+            raise ValueError(raw)
+        return states[raw.lower()]
+    return tp(raw)
+
+
+def _read(cp, section, cls, prefix="", **overrides):
+    """Build `cls` from one INI section.
+
+    Each dataclass field is the key `prefix + name`, cast by the field's
+    annotation. An absent or empty key keeps the field's default (an
+    empty list is `()`); a key that is no field is an error unless it
+    comes from [DEFAULT]. `overrides` that are not None replace file
+    values, and every value passes the constructor's checks.
+    """
+    hints = typing.get_type_hints(cls)
+    names = {prefix + f.name: f.name for f in fields(cls)}
+    kwargs = {}
+    for key, raw in _items(cp, section).items():
+        if key not in names:
+            if key in cp.defaults():
+                continue
+            raise ConfigError(f"[{section}] unknown key {key!r}")
+        tp = hints[names[key]]
+        if not raw and typing.get_origin(tp) is not tuple:
+            continue
+        try:
+            kwargs[names[key]] = _parse(tp, raw)
+        except ValueError:
+            raise ConfigError(f"[{section}] bad value for {key!r}: "
+                              f"{raw!r}") from None
+    kwargs.update((k, v) for k, v in overrides.items() if v is not None)
     try:
-        return tuple(cast(t.strip()) for t in raw.split(",") if t.strip())
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad list value for {key!r}: {raw!r}") from None
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from None
 
 
 def load_config(path, seed_override=None, out_override=None,
@@ -131,131 +197,23 @@ def load_config(path, seed_override=None, out_override=None,
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
-    paths_sec = _section(cp, "paths")
-    paths = {key: resolve(value) for key, value in paths_sec.items() if value}
+    registry = SpeciesRegistry().with_overrides(
+        [_parse_registry_entry(code, value)
+         for code, value in _items(cp, "registry").items()])
+    run = _read(cp, "run", RunConfig, seed=seed_override,
+                output_dir=out_override, threads=threads_override)
+    run.output_dir = resolve(run.output_dir)
 
-    chm_sec = _section(cp, "chm")
-    try:
-        pitfree = PitfreeParams(
-            resolution=_get(chm_sec, "resolution", float, 0.5),
-            height_thresholds=_get_list(chm_sec, "height_thresholds", float,
-                                        (0.0, 2.0, 5.0, 10.0, 15.0)),
-            max_edge=_get(chm_sec, "max_edge", float, 1.5),
-            subcircle_radius=_get(chm_sec, "subcircle_radius", float, 0.0),
-            first_returns_only=_get(chm_sec, "first_returns_only", bool, True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[chm]: {exc}") from None
-
-    itc_sec = _section(cp, "crowns")
-    try:
-        itc = ItcParams(
-            min_search_win=_get(itc_sec, "min_search_win", int, 3),
-            max_search_win=_get(itc_sec, "max_search_win", int, 7),
-            thresh_seed=_get(itc_sec, "thresh_seed", float, 0.55),
-            thresh_crown=_get(itc_sec, "thresh_crown", float, 0.6),
-            min_dist=_get(itc_sec, "min_dist", float, 5.0),
-            max_dist=_get(itc_sec, "max_dist", float, 40.0),
-            height_threshold=_get(itc_sec, "height_threshold", float, 2.0),
-            win_low_height=_get(itc_sec, "win_low_height", float, 2.0),
-            win_high_height=_get(itc_sec, "win_high_height", float, 30.0),
-            smooth_chm=_get(itc_sec, "smooth_chm", bool, False),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[crowns]: {exc}") from None
-
-    sp_sec = _section(cp, "spectral")
-    spectral = SpectralConfig(
-        drop_head=_get(sp_sec, "drop_head", int, 7),
-        drop_tail=_get(sp_sec, "drop_tail", int, 8),
-        exclude_bands=_get_list(sp_sec, "exclude_bands", int, ()),
-        k=_get(sp_sec, "k", int, 35),
-        criterion_aggregate=_get(sp_sec, "criterion_aggregate", str, "mean"),
-        max_training_pixels_per_species=_get(
-            sp_sec, "max_training_pixels_per_species", int, 2000),
-    )
-    if spectral.criterion_aggregate not in ("mean", "min"):
-        raise ConfigError("[spectral] criterion_aggregate must be mean or min")
-    if spectral.k < 1:
-        raise ConfigError("[spectral] k must be >= 1")
-
-    cl_sec = _section(cp, "classify")
-    classify = ClassifyConfig(
-        classifier=_get(cl_sec, "classifier", str, "svm"),
-        c=_get(cl_sec, "c", float, 10.0),
-        gamma=_get(cl_sec, "gamma", float, None),
-    )
-    if classify.classifier not in ("svm", "centroid"):
-        raise ConfigError("[classify] classifier must be svm or centroid")
-    if classify.c <= 0:
-        raise ConfigError("[classify] c must be > 0")
-    if classify.gamma is not None and classify.gamma <= 0:
-        raise ConfigError("[classify] gamma must be > 0")
-
-    al_sec = _section(cp, "allometry")
-    try:
-        dbh_model = DbhModel(
-            coeff_a=_get(al_sec, "dbh_coeff_a", float, 0.557),
-            coeff_b=_get(al_sec, "dbh_coeff_b", float, 0.809),
-            sigma=_get(al_sec, "dbh_sigma", float, 0.056),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[allometry]: {exc}") from None
-
-    registry = SpeciesRegistry()
-    if cp.has_section("registry"):
-        registry = registry.with_overrides(
-            [_parse_registry_entry(code, value)
-             for code, value in cp["registry"].items()])
-
-    run_sec = _section(cp, "run")
-    seed = _get(run_sec, "seed", int, 42)
-    train_fraction = _get(run_sec, "train_fraction", float, 0.65)
-    output_dir = run_sec.get("output_dir", "out") or "out"
-    threads = _get(run_sec, "threads", int, 1)
-    if not (0 < train_fraction < 1):
-        raise ConfigError("[run] train_fraction must lie in (0, 1)")
-    if threads < 1:
-        raise ConfigError("[run] threads must be >= 1")
-
-    sc_sec = _section(cp, "scene")
-    scene = SceneConfig(
-        n_trees=_get(sc_sec, "n_trees", int, 200),
-        species=_get_list(sc_sec, "species", str,
-                          ("PIAB", "ABAL", "LADE", "FASY", "QUPU")),
-        nbands=_get(sc_sec, "nbands", int, 16),
-        pitch=_get(sc_sec, "pitch", float, 13.0),
-        margin=_get(sc_sec, "margin", float, 9.0),
-        height_min=_get(sc_sec, "height_min", float, 14.0),
-        height_max=_get(sc_sec, "height_max", float, 24.0),
-        radius_min=_get(sc_sec, "radius_min", float, 2.5),
-        radius_max=_get(sc_sec, "radius_max", float, 4.5),
-        n_plots=_get(sc_sec, "n_plots", int, 10),
-        plot_radius=_get(sc_sec, "plot_radius", float, 15.0),
-        noise_sigma=_get(sc_sec, "noise_sigma", float, 0.02),
-        signature_amplitude=_get(sc_sec, "signature_amplitude", float, 0.6),
-        junk_head=_get(sc_sec, "junk_head", int, 7),
-        junk_tail=_get(sc_sec, "junk_tail", int, 8),
-        shape=_get(sc_sec, "shape", str, "tapered_cone"),
-        terrain=_get(sc_sec, "terrain", str, "flat"),
-        point_density=_get(sc_sec, "point_density", float, 10.0),
-    )
-
-    if seed_override is not None:
-        seed = seed_override
-    if out_override is not None:
-        output_dir = out_override
-    if threads_override is not None:
-        threads = threads_override
-    if not os.path.isabs(output_dir):
-        output_dir = os.path.join(base_dir, output_dir)
-
-    return PipelineConfig(paths=paths, pitfree=pitfree, itc=itc,
-                          spectral=spectral, classify=classify,
-                          dbh_model=dbh_model, registry=registry, seed=seed,
-                          train_fraction=train_fraction,
-                          output_dir=output_dir, threads=threads,
-                          scene=scene, raw_text=text)
+    return PipelineConfig(
+        paths={key: resolve(value)
+               for key, value in _items(cp, "paths").items() if value},
+        pitfree=_read(cp, "chm", PitfreeParams),
+        itc=_read(cp, "crowns", ItcParams),
+        spectral=_read(cp, "spectral", SpectralConfig),
+        classify=_read(cp, "classify", ClassifyConfig),
+        dbh_model=_read(cp, "allometry", DbhModel, prefix="dbh_"),
+        registry=registry, run=run,
+        scene=_read(cp, "scene", SceneConfig), raw_text=text)
 
 
 def _parse_registry_entry(code: str, value: str) -> SpeciesEntry:

@@ -176,7 +176,6 @@ def grow_crowns(chm: Grid, apexes: list[Apex],
     heap: list[tuple] = []
     for k, apex in enumerate(apexes, start=1):
         _push_neighbors(heap, values, owner, apex.row, apex.col, k, apex_h[k])
-    heapq.heapify(heap)
 
     while heap:
         neg_h, neg_apex_h, k, r, c = heapq.heappop(heap)
@@ -195,7 +194,7 @@ def grow_crowns(chm: Grid, apexes: list[Apex],
         owner[r, c] = k
         sum_h[k] += h
         count[k] += 1
-        _push_neighbors(heap, values, owner, r, c, k, apex_h[k], heap_push=True)
+        _push_neighbors(heap, values, owner, r, c, k, apex_h[k])
 
     crowns = []
     cell_area = cs * cs
@@ -213,18 +212,13 @@ def grow_crowns(chm: Grid, apexes: list[Apex],
     return crowns, owner
 
 
-def _push_neighbors(heap, values, owner, r, c, k, apex_height, heap_push=False):
+def _push_neighbors(heap, values, owner, r, c, k, apex_height):
     nrows, ncols = values.shape
     for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
         if 0 <= rr < nrows and 0 <= cc < ncols and owner[rr, cc] == 0:
             h = values[rr, cc]
-            if not np.isfinite(h):
-                continue
-            entry = (-h, -apex_height, k, rr, cc)
-            if heap_push:
-                heapq.heappush(heap, entry)
-            else:
-                heap.append(entry)
+            if np.isfinite(h):
+                heapq.heappush(heap, (-h, -apex_height, k, rr, cc))
 
 
 def crown_label_grid(chm: Grid, owner: np.ndarray) -> Grid:

@@ -313,9 +313,10 @@ def write_ascii_grid(grid: Grid, path) -> None:
         f.write(f"YLLCORNER {_fmt(grid.yll)}\n")
         f.write(f"CELLSIZE {_fmt(grid.cellsize)}\n")
         f.write(f"NODATA_VALUE {_fmt(grid.nodata)}\n")
-        for row in grid.values:
-            f.write(" ".join(_fmt(v) for v in row))
-            f.write("\n")
+        # "%.10g" % v is byte-identical to _fmt(v)
+        line = " ".join(["%.10g"] * grid.ncols) + "\n"
+        for row in grid.values.tolist():
+            f.write(line % tuple(row))
 
 
 def _fmt(v: float) -> str:
@@ -363,6 +364,13 @@ def read_point_cloud(path) -> PointCloud:
     if data.shape[1] != len(names):
         _locate_bad_cloud_line(path, len(names))
 
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        point, col = bad[0]
+        raise PointCloudFormatError(
+            f"{path}: non-finite value in column {names[col]!r} at point "
+            f"{point}")
+
     ncol = data.shape[1]
     return PointCloud.from_xyz(
         data[:, 0], data[:, 1], data[:, 2],
@@ -393,9 +401,11 @@ def _locate_bad_cloud_line(path, ncols_expected):
 def write_point_cloud(cloud: PointCloud, path) -> None:
     with open(path, "w") as f:
         f.write("x,y,z,return_number,is_ground\n")
-        for i in range(len(cloud)):
-            f.write(f"{_fmt(cloud.x[i])},{_fmt(cloud.y[i])},{_fmt(cloud.z[i])},"
-                    f"{cloud.return_number[i]},{int(cloud.is_ground[i])}\n")
+        rows = zip(cloud.x.tolist(), cloud.y.tolist(), cloud.z.tolist(),
+                   cloud.return_number.tolist(),
+                   cloud.is_ground.astype(int).tolist())
+        for row in rows:
+            f.write("%.10g,%.10g,%.10g,%d,%d\n" % row)
 
 
 def read_ground_truth(path) -> list[GroundTruthPoint]:

@@ -76,7 +76,7 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Pipel
               if first in planned]
     config.require_paths(*needed)
 
-    out = config.output_dir
+    out = config.run.output_dir
     os.makedirs(out, exist_ok=True)
 
     result = PipelineResult(out_dir=out)
@@ -117,8 +117,8 @@ def _write_manifest(config, completed, failure, out):
                          f"sha256 {_sha256(path)}")
         else:
             lines.append(f"input {name} {os.path.basename(path)} missing")
-    lines.append(f"seed {config.seed}")
-    lines.append(f"threads {config.threads}")
+    lines.append(f"seed {config.run.seed}")
+    lines.append(f"threads {config.run.threads}")
     for stage in STAGES:
         if failure is not None and stage == failure[0]:
             lines.append(f"stage {stage} failed: {failure[1]}")
@@ -236,7 +236,8 @@ def _stage_join(ctx, out):
 def _stage_split(ctx, out):
     config = ctx["config"]
     split = crowns_mod.split_train_test(ctx["truth_species"],
-                                        config.train_fraction, config.seed)
+                                        config.run.train_fraction,
+                                        config.run.seed)
     ctx["split"] = split
     with open(os.path.join(out, "split.csv"), "w") as f:
         f.write("crown_id,role\n")
@@ -254,7 +255,7 @@ def _training_pixels(ctx):
     owner = ctx["owner"]
     truth = ctx["truth_species"]
     train_ids = ctx["split"].train_ids
-    rng = np.random.default_rng(config.seed + 1)
+    rng = np.random.default_rng(config.run.seed + 1)
     cap = config.spectral.max_training_pixels_per_species
     out = {}
     for sp in sorted({truth[cid] for cid in train_ids}):
@@ -282,6 +283,10 @@ def _stage_select(ctx, out):
     config = ctx["config"]
     nbands = ctx["cube"].nbands
     excluded = set(config.spectral.exclude_bands)
+    outside = sorted(b for b in excluded if not 0 <= b < nbands)
+    if outside:
+        raise ConfigError(f"[spectral] exclude_bands index {outside[0]} is "
+                          f"outside the {nbands} bands of the trimmed cube")
     candidates = [b for b in range(nbands) if b not in excluded]
     if not candidates:
         raise ConfigError("[spectral] exclude_bands removed every band")

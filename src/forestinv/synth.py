@@ -226,6 +226,12 @@ def random_scene(seed: int, n_trees: int, species: list[str],
     """Jittered-grid scene: pairwise apex spacing stays above
     pitch - 2*jitter - cell diagonal, and apexes snap to CHM cell
     centers so detection oracles are exact."""
+    if n_trees < 1:
+        raise ValueError("n_trees must be >= 1")
+    if not species:
+        raise ValueError("species list is empty")
+    if nbands < 1:
+        raise ValueError("nbands must be >= 1")
     rng = np.random.default_rng(seed)
     res = overrides.get("chm_resolution", 0.5)
 
@@ -437,10 +443,14 @@ def read_truth_plots(path) -> list[PlotTruth]:
         header = f.readline()
         if not header.lower().startswith("plot_id"):
             raise DataError(f"{path}: malformed truth plot table")
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             tokens = line.strip().split(",")
-            out.append(PlotTruth(int(tokens[0]), float(tokens[1]),
-                                 float(tokens[2]), int(tokens[3])))
+            try:
+                out.append(PlotTruth(int(tokens[0]), float(tokens[1]),
+                                     float(tokens[2]), int(tokens[3])))
+            except (IndexError, ValueError):
+                raise DataError(f"{path}: line {lineno}: malformed truth "
+                                f"plot row {line.strip()!r}") from None
     return out

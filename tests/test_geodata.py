@@ -171,6 +171,36 @@ class TestPointCloud:
         assert elapsed < 2.0
 
 
+# Values whose text form is easy to get wrong; the writers must print each
+# exactly as format(v, ".10g") does.
+AWKWARD_VALUES = [-0.0, 0.0, 1e-300, 5e-324, -9999.0, 0.1, 1 / 3, 1e16,
+                  123456789.0123, -2.5e-7]
+
+
+def test_writers_match_per_value_format(tmp_path):
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal(200) * 10.0 ** rng.integers(-12, 13, 200)
+    finite = np.concatenate([AWKWARD_VALUES, noise])
+
+    values = np.concatenate([finite, [math.inf, -math.inf, math.nan]])
+    values = values.reshape(3, -1)
+    write_ascii_grid(make_grid(values), tmp_path / "g.asc")
+    rows = (tmp_path / "g.asc").read_text().splitlines()[6:]
+    assert rows == [" ".join(format(float(v), ".10g") for v in row)
+                    for row in values]
+
+    x, y, z = finite, finite[::-1], np.roll(finite, 1)
+    returns = rng.integers(1, 5, len(finite))
+    ground = rng.random(len(finite)) < 0.5
+    cloud = PointCloud.from_xyz(x, y, z, return_number=returns,
+                                is_ground=ground)
+    write_point_cloud(cloud, tmp_path / "p.csv")
+    lines = (tmp_path / "p.csv").read_text().splitlines()[1:]
+    assert lines == [",".join([format(float(a), ".10g") for a in xyz]
+                              + [str(r), str(int(g))])
+                     for *xyz, r, g in zip(x, y, z, returns, ground)]
+
+
 # ---------------------------------------------------------------------------
 # ENVI cube I/O
 # ---------------------------------------------------------------------------

@@ -1,11 +1,24 @@
+import dataclasses
+import re
+from configparser import ConfigParser
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forestinv.allometry import DbhModel
+from forestinv.chm import PitfreeParams
 from forestinv.cli import main
-from forestinv.config import load_config
+from forestinv.config import (
+    ClassifyConfig,
+    RunConfig,
+    SceneConfig,
+    SpectralConfig,
+    load_config,
+)
+from forestinv.crowns import ItcParams
 from forestinv.errors import ConfigError
 from forestinv.pipeline import _training_pixels, run_pipeline
 
@@ -41,12 +54,43 @@ def make_scene(tmp_path, classifier="centroid", seed=11):
     return tmp_path / "scene" / "pipeline.ini"
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+# (INI section, PipelineConfig attribute, dataclass, key prefix)
+SECTIONS = [
+    ("chm", "pitfree", PitfreeParams, ""),
+    ("crowns", "itc", ItcParams, ""),
+    ("spectral", "spectral", SpectralConfig, ""),
+    ("classify", "classify", ClassifyConfig, ""),
+    ("allometry", "dbh_model", DbhModel, "dbh_"),
+    ("run", "run", RunConfig, ""),
+    ("scene", "scene", SceneConfig, ""),
+]
+
+
+def ini_value(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    return str(value)
+
+
+def readme_config():
+    """The INI block of README's Configuration section."""
+    text = (ROOT / "README.md").read_text()
+    return re.search(r"## Configuration.*?```ini\n(.*?)```", text,
+                     re.S).group(1)
+
+
 class TestConfig:
     def test_defaults(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[run]\nseed = 5\n")
         config = load_config(cfg)
-        assert config.seed == 5
+        assert config.run.seed == 5
         assert config.pitfree.resolution == 0.5
         assert config.itc.thresh_seed == 0.55
         assert config.itc.min_dist == 5.0
@@ -54,14 +98,14 @@ class TestConfig:
         assert config.spectral.drop_tail == 8
         assert config.spectral.k == 35
         assert config.classify.c == 10.0
-        assert config.train_fraction == 0.65
+        assert config.run.train_fraction == 0.65
 
     def test_overrides(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[run]\nseed = 5\noutput_dir = x\n")
         config = load_config(cfg, seed_override=9, out_override="/tmp/y")
-        assert config.seed == 9
-        assert config.output_dir == "/tmp/y"
+        assert config.run.seed == 9
+        assert config.run.output_dir == "/tmp/y"
 
     def test_bad_value(self, tmp_path):
         cfg = tmp_path / "c.ini"
@@ -86,6 +130,45 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
+
+    @pytest.mark.parametrize("section, attr, cls, prefix", SECTIONS)
+    def test_defaults_written_out_load_back(self, tmp_path, section, attr,
+                                            cls, prefix):
+        lines = [f"[{section}]"]
+        for f in dataclasses.fields(cls):
+            lines.append(f"{prefix}{f.name} = {ini_value(f.default)}")
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("\n".join(lines) + "\n")
+        expected = cls()
+        if cls is RunConfig:  # output_dir resolves against the file
+            expected.output_dir = str(tmp_path / expected.output_dir)
+        assert getattr(load_config(cfg), attr) == expected
+
+    def test_default_section_keys_apply_where_they_are_fields(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[DEFAULT]\nk = 5\n[spectral]\n[chm]\n")
+        config = load_config(cfg)
+        assert config.spectral.k == 5
+        assert config.pitfree == PitfreeParams()
+
+    def test_benchmark_and_readme_configs_load(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        for w in workloads.WORKLOADS.values():
+            cfg = tmp_path / f"{w.name}.ini"
+            cfg.write_text(workloads.scene_ini(w, seed=2024))
+            load_config(cfg)
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(readme_config())
+        load_config(cfg)
+
+    def test_readme_lists_every_key(self):
+        cp = ConfigParser(inline_comment_prefixes=(";",))
+        cp.read_string(readme_config())
+        for section, _, cls, prefix in SECTIONS:
+            assert set(cp[section]) == {prefix + f.name
+                                        for f in dataclasses.fields(cls)}
 
 
 class TestPipeline:
@@ -156,6 +239,15 @@ class TestPipeline:
                 continue
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_exclude_band_outside_the_cube(self, tmp_path):
+        pipeline_ini = make_scene(tmp_path)
+        text = pipeline_ini.read_text().replace(
+            "[spectral]\n", "[spectral]\nexclude_bands = 1, 999\n")
+        pipeline_ini.write_text(text)
+        config = load_config(pipeline_ini, out_override=str(tmp_path / "o"))
+        with pytest.raises(ConfigError, match="index 999 .* 10 bands"):
+            run_pipeline(config, stop_after="select")
+
     def test_inputs_never_mutated(self, tmp_path):
         pipeline_ini = make_scene(tmp_path)
         scene_dir = pipeline_ini.parent
@@ -202,7 +294,7 @@ def test_training_pixels_match_per_cell_reference(seed, nrows, ncols,
              for cid in ids}
     train_ids = tuple(int(cid) for cid in ids if rng.random() < 0.7)
     ctx = {"config": SimpleNamespace(
-               seed=seed,
+               run=SimpleNamespace(seed=seed),
                spectral=SimpleNamespace(max_training_pixels_per_species=cap)),
            "owner": owner, "truth_species": truth,
            "split": SimpleNamespace(train_ids=train_ids)}
@@ -227,6 +319,61 @@ class TestCli:
                      "--out", str(tmp_path / "bad_out")])
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("points.csv", "x,y,z\n1,2,nan\n", "column 'z'"),
+        ("points.csv", "x,y,z,return_number,is_ground\n1,2,3,1,0\n"
+                       "-inf,2,3,1,0\n", "column 'x' at point 1"),
+        ("truth_plots.csv", "plot_id,volume_m3,agb_mg,n_trees\n"
+                            "1,2.5,abc,3\n", "line 2"),
+        ("truth_plots.csv", "plot_id,volume_m3,agb_mg,n_trees\n"
+                            "1,2.5,1.0,3\n2,2.5\n", "line 3"),
+    ])
+    def test_bad_input_file_exits_3(self, tmp_path, capsys, name, text,
+                                    where):
+        pipeline_ini = make_scene(tmp_path)
+        (pipeline_ini.parent / name).write_text(text)
+        out = tmp_path / "bad_out"
+        assert main(["run", "--config", str(pipeline_ini),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and name in err and where in err
+        stage = "normalize" if name == "points.csv" else "report"
+        manifest = (out / "manifest.txt").read_text()
+        assert f"stage {stage} failed" in manifest
+        assert "status failed" in manifest
+
+    @pytest.mark.parametrize("text, flags, names", [
+        ("[crowns]\nmin_dsit = 4\n", [], ("[crowns]", "min_dsit")),
+        ("[chm]\nfirst_returns_only = ture\n", [],
+         ("[chm]", "first_returns_only")),
+        ("[run]\noutput_dir = a%b\n", [], ("[run]", "output_dir")),
+        ("[spectral]\ndrop_head = -1\n", [], ("[spectral]", "drop_head")),
+        ("", ["--threads", "0"], ("[run]", "threads")),
+        ("", ["--seed", "-1"], ("[run]", "seed")),
+    ])
+    def test_bad_config_exits_2(self, tmp_path, capsys, text, flags, names):
+        cfg = tmp_path / "scene.ini"
+        cfg.write_text("[scene]\nn_trees = 1\nnbands = 4\n" + text)
+        assert main(["synth", "--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert all(n in err for n in names), err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("key, value", [
+        ("shape", "bogus"), ("terrain", "mars"), ("point_density", "0"),
+        ("radius_min", "-1"), ("n_trees", "0"), ("species", ""),
+        ("nbands", "0"),
+    ])
+    def test_bad_scene_exits_2(self, tmp_path, capsys, key, value):
+        scene = {"n_trees": "4", "nbands": "4", key: value}
+        cfg = tmp_path / "scene.ini"
+        cfg.write_text("[scene]\n"
+                       + "".join(f"{k} = {v}\n" for k, v in scene.items())
+                       + "[run]\noutput_dir = scene\n")
+        assert main(["synth", "--config", str(cfg)]) == 2
+        assert "[scene]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_stage_subcommand(self, tmp_path):
         pipeline_ini = make_scene(tmp_path)
