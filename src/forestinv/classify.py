@@ -95,7 +95,11 @@ class SvmModel:
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||u - v||^2) for all row pairs."""
+    """exp(-gamma * ||u - v||^2) for all row pairs.
+
+    `rbf_kernel(x, x, gamma)` is exactly symmetric: numpy computes
+    x @ x.T with one triangle mirrored, and the other terms commute.
+    """
     aa = (a * a).sum(axis=1)[:, None]
     bb = (b * b).sum(axis=1)[None, :]
     d2 = np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
@@ -106,6 +110,10 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
               max_iter: int = 200_000, raise_on_limit: bool = True):
     """Solve the soft-margin SVM dual by SMO on the maximal
     KKT-violating pair, maintaining the dual gradient.
+
+    K must be exactly symmetric, as `rbf_kernel(x, x, gamma)` is: the
+    gradient update reads kernel rows, which are contiguous, in place of
+    the columns the formula names.
 
     Returns (alpha, bias). Stops when the violation gap drops to tol;
     hitting max_iter raises unless raise_on_limit is off, in which case
@@ -140,7 +148,7 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
         # guard drift at the box boundary
         alpha[i] = min(max(alpha[i], 0.0), C)
         alpha[j] = min(max(alpha[j], 0.0), C)
-        grad += step * y * (K[:, i] - K[:, j])
+        grad += step * y * (K[i] - K[j])
     else:
         if raise_on_limit:
             raise NumericalError("SMO did not converge; raise max_iter or tol")

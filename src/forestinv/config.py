@@ -180,6 +180,10 @@ def _read(cp, section, cls, prefix="", **overrides):
         raise ConfigError(f"[{section}]: {exc}") from None
 
 
+_SECTIONS = {"paths", "registry", "run", "chm", "crowns", "spectral",
+             "classify", "allometry", "scene"}
+
+
 def load_config(path, seed_override=None, out_override=None,
                 threads_override=None) -> PipelineConfig:
     if not os.path.exists(path):
@@ -191,6 +195,11 @@ def load_config(path, seed_override=None, out_override=None,
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+    unknown = sorted(set(cp.sections()) - _SECTIONS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown section(s) "
+                          + ", ".join(f"[{name}]" for name in unknown))
 
     base_dir = os.path.dirname(os.path.abspath(path))
 

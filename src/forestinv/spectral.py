@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -47,13 +48,6 @@ class GaussianClassStats:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-    def marginal(self, indices) -> "GaussianClassStats":
-        """Statistics restricted to a band subset (Gaussian marginal)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return GaussianClassStats(self.species_code, self.n_samples,
-                                  self.mean[idx],
-                                  self.covariance[np.ix_(idx, idx)])
 
 
 @dataclass(frozen=True)
@@ -143,33 +137,40 @@ def ridge_regularize(cov: np.ndarray) -> np.ndarray:
     return cov + eps * np.eye(dim)
 
 
-def jm_distance(a: GaussianClassStats, b: GaussianClassStats) -> float:
-    """Jeffries-Matusita distance, 2 * (1 - exp(-B)).
-
-    B is the Bhattacharyya distance between the two Gaussians:
-    one eighth of the Mahalanobis term under the averaged covariance
-    plus half the log-ratio of the averaged determinant to the
-    geometric mean of the individual determinants.
+def _pairwise_jm(means: np.ndarray, covs: np.ndarray) -> list[float]:
+    """Jeffries-Matusita distance 2 * (1 - exp(-B)) of every class pair
+    i < j, from stacked (S, k) means and (S, k, k) covariances. B, the
+    Bhattacharyya distance, is one eighth of the Mahalanobis term under
+    the averaged covariance plus half the log-ratio of the averaged
+    determinant to the geometric mean of the two determinants. Only the
+    LAPACK calls are batched, so each value is bit-identical per pair.
     """
-    if a.dim != b.dim:
-        raise ValueError("class statistics have mismatched dimensions")
-    diff = a.mean - b.mean
-    mid = 0.5 * (a.covariance + b.covariance)
+    first, second = map(list, zip(*combinations(range(len(means)), 2)))
+    diffs = means[first] - means[second]
+    mids = 0.5 * (covs[first] + covs[second])
     try:
-        solved = np.linalg.solve(mid, diff)
+        solved = np.linalg.solve(mids, diffs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise NumericalError("singular mid-covariance in JM distance") from None
-    quad = 0.125 * float(diff @ solved)
-
-    sign_mid, logdet_mid = np.linalg.slogdet(mid)
-    sign_a, logdet_a = np.linalg.slogdet(a.covariance)
-    sign_b, logdet_b = np.linalg.slogdet(b.covariance)
-    if sign_mid <= 0 or sign_a <= 0 or sign_b <= 0:
+    sign_mid, logdet_mid = np.linalg.slogdet(mids)
+    sign_cov, logdet_cov = np.linalg.slogdet(covs)
+    if (sign_mid <= 0).any() or (sign_cov <= 0).any():
         raise NumericalError("non-positive-definite covariance in JM distance")
-    logterm = 0.5 * (logdet_mid - 0.5 * (logdet_a + logdet_b))
+    values = []
+    for p, (i, j) in enumerate(zip(first, second)):
+        quad = 0.125 * float(diffs[p] @ solved[p])
+        logterm = 0.5 * (logdet_mid[p] - 0.5 * (logdet_cov[i] + logdet_cov[j]))
+        bhatt = max(0.0, quad + logterm)
+        values.append(min(2.0, 2.0 * (1.0 - math.exp(-bhatt))))
+    return values
 
-    bhatt = max(0.0, quad + logterm)
-    return min(2.0, 2.0 * (1.0 - math.exp(-bhatt)))
+
+def jm_distance(a: GaussianClassStats, b: GaussianClassStats) -> float:
+    """Jeffries-Matusita distance between two classes on all their bands."""
+    if a.dim != b.dim:
+        raise ValueError("class statistics have mismatched dimensions")
+    return _pairwise_jm(np.stack([a.mean, b.mean]),
+                        np.stack([a.covariance, b.covariance]))[0]
 
 
 def jm_criterion(stats, indices, aggregate: str = "mean") -> float:
@@ -177,10 +178,9 @@ def jm_criterion(stats, indices, aggregate: str = "mean") -> float:
     if len(stats) < 2:
         raise DataError("need at least two species")
     idx = np.asarray(sorted(indices), dtype=np.intp)
-    marginals = [s.marginal(idx) for s in stats]
-    values = [jm_distance(marginals[i], marginals[j])
-              for i in range(len(marginals))
-              for j in range(i + 1, len(marginals))]
+    values = _pairwise_jm(
+        np.stack([s.mean[idx] for s in stats]),
+        np.stack([s.covariance[idx[:, None], idx] for s in stats]))
     if aggregate == "mean":
         return float(np.mean(values))
     if aggregate == "min":

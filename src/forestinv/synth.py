@@ -232,6 +232,14 @@ def random_scene(seed: int, n_trees: int, species: list[str],
         raise ValueError("species list is empty")
     if nbands < 1:
         raise ValueError("nbands must be >= 1")
+    if not pitch > 0:
+        raise ValueError("pitch must be > 0")
+    if not margin >= 0:
+        raise ValueError("margin must be >= 0")
+    if not 0 < height_range[0] <= height_range[1]:
+        raise ValueError("need 0 < height_min <= height_max")
+    if not 0 < radius_range[0] <= radius_range[1]:
+        raise ValueError("need 0 < radius_min <= radius_max")
     rng = np.random.default_rng(seed)
     res = overrides.get("chm_resolution", 0.5)
 
@@ -241,6 +249,9 @@ def random_scene(seed: int, n_trees: int, species: list[str],
     height = 2 * margin + (ny - 1) * pitch
     width = math.ceil(width / res) * res
     height = math.ceil(height / res) * res
+    if n_plots > 0 and not 0 < 2 * plot_radius <= min(width, height):
+        raise ValueError(f"plot_radius {plot_radius:g} does not fit in the "
+                         f"{width:g} x {height:g} m scene")
     xll, yll = 0.0, 0.0
 
     slots = [(xll + margin + i * pitch, yll + margin + j * pitch)

@@ -60,6 +60,74 @@ def duality_gap(K, y, alpha, C):
     return primal - dual, primal
 
 
+def reference_smo_solve(K, y, C, tol=1e-3, max_iter=200_000):
+    """SMO as first written: the gradient update reads kernel columns."""
+    n = len(y)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    pos = y > 0
+    for _ in range(max_iter):
+        yg = -y * grad
+        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
+        low = (pos & (alpha > 0)) | (~pos & (alpha < C))
+        up_scores = np.where(up, yg, -np.inf)
+        low_scores = np.where(low, yg, np.inf)
+        i = int(np.argmax(up_scores))
+        j = int(np.argmin(low_scores))
+        m_up = up_scores[i]
+        m_low = low_scores[j]
+        if m_up - m_low <= tol:
+            break
+        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        step = (m_up - m_low) / eta
+        step = min(step,
+                   (C - alpha[i]) if y[i] > 0 else alpha[i],
+                   alpha[j] if y[j] > 0 else (C - alpha[j]))
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        alpha[i] = min(max(alpha[i], 0.0), C)
+        alpha[j] = min(max(alpha[j], 0.0), C)
+        grad += step * y * (K[:, i] - K[:, j])
+    free = (alpha > 1e-10 * C) & (alpha < C * (1.0 - 1e-10))
+    yg = -y * grad
+    if free.any():
+        bias = float(yg[free].mean())
+    else:
+        bias = float((m_up + m_low) / 2.0) if np.isfinite(m_up + m_low) else 0.0
+    return alpha, bias
+
+
+def overlapping_pair(seed):
+    """Two labelled Gaussian clouds whose overlap varies with the seed."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 120)), int(rng.integers(1, 9))
+    x = rng.normal(0, 1, (n, d))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[0], y[-1] = 1.0, -1.0
+    x += y[:, None] * rng.uniform(0, 2)
+    return x, y, rng
+
+
+class TestSmoRowAccess:
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_of_a_set_with_itself_is_symmetric(self, seed):
+        x, _, rng = overlapping_pair(seed)
+        K = rbf_kernel(x, x, gamma=float(rng.uniform(0.01, 5.0)))
+        assert np.array_equal(K, K.T)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_column_access_reference(self, seed):
+        x, y, rng = overlapping_pair(seed)
+        K = rbf_kernel(x, x, gamma=float(rng.uniform(0.01, 5.0)))
+        C = float(10.0 ** rng.uniform(-1, 2))
+        alpha, bias = smo_solve(K, y, C, tol=1e-3)
+        ref_alpha, ref_bias = reference_smo_solve(K, y, C, tol=1e-3)
+        assert np.array_equal(alpha, ref_alpha)
+        assert bias == ref_bias
+
+
 class TestSmo:
     def test_separable_blobs_kkt_and_gap(self):
         x, labels = blobs()

@@ -360,10 +360,19 @@ class TestCli:
         assert all(n in err for n in names), err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_unknown_section_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.ini"
+        cfg.write_text("[DEFAULT]\nseed = 3\n[scene]\nn_trees = 1\n"
+                       "nbands = 4\n[crown]\nmin_dist = 4\n")
+        assert main(["synth", "--config", str(cfg)]) == 2
+        assert "unknown section(s) [crown]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("key, value", [
         ("shape", "bogus"), ("terrain", "mars"), ("point_density", "0"),
         ("radius_min", "-1"), ("n_trees", "0"), ("species", ""),
-        ("nbands", "0"),
+        ("nbands", "0"), ("pitch", "0"), ("height_min", "30"),
+        ("margin", "-50"), ("plot_radius", "1000"),
     ])
     def test_bad_scene_exits_2(self, tmp_path, capsys, key, value):
         scene = {"n_trees": "4", "nbands": "4", key: value}
@@ -372,7 +381,8 @@ class TestCli:
                        + "".join(f"{k} = {v}\n" for k, v in scene.items())
                        + "[run]\noutput_dir = scene\n")
         assert main(["synth", "--config", str(cfg)]) == 2
-        assert "[scene]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "[scene]" in err and key in err, err
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_stage_subcommand(self, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forestinv.errors import DataError
+from forestinv.errors import DataError, NumericalError
 from forestinv.geodata import HyperCube
 from forestinv.spectral import (
     BandSelection,
@@ -263,3 +263,94 @@ def test_band_selection_round_trip(tmp_path):
     back = read_band_selection(path)
     assert back.indices == sel.indices
     assert back.criterion_value == pytest.approx(sel.criterion_value, rel=1e-9)
+
+
+def reference_jm_distance(a, b):
+    """The per-pair JM definition the batched criterion must match."""
+    diff = a.mean - b.mean
+    mid = 0.5 * (a.covariance + b.covariance)
+    solved = np.linalg.solve(mid, diff)
+    quad = 0.125 * float(diff @ solved)
+    _, logdet_mid = np.linalg.slogdet(mid)
+    _, logdet_a = np.linalg.slogdet(a.covariance)
+    _, logdet_b = np.linalg.slogdet(b.covariance)
+    logterm = 0.5 * (logdet_mid - 0.5 * (logdet_a + logdet_b))
+    bhatt = max(0.0, quad + logterm)
+    return min(2.0, 2.0 * (1.0 - math.exp(-bhatt)))
+
+
+def reference_jm_criterion(stats, indices, aggregate):
+    """Marginalize every class, then loop over the pairs one by one."""
+    idx = np.asarray(sorted(indices), dtype=np.intp)
+    marginals = [GaussianClassStats(s.species_code, s.n_samples, s.mean[idx],
+                                    s.covariance[np.ix_(idx, idx)])
+                 for s in stats]
+    values = [reference_jm_distance(marginals[i], marginals[j])
+              for i in range(len(marginals))
+              for j in range(i + 1, len(marginals))]
+    return float(np.mean(values) if aggregate == "mean" else np.min(values))
+
+
+def random_spd_stats(rng, n_classes, dim):
+    """Classes with random SPD covariances; now and then a class repeats
+    an earlier one, so the zero clamp of the Bhattacharyya term is hit."""
+    stats = []
+    for c in range(n_classes):
+        if c and rng.random() < 0.2:
+            prev = stats[rng.integers(c)]
+            stats.append(GaussianClassStats(f"C{c}", prev.n_samples,
+                                            prev.mean, prev.covariance))
+            continue
+        scale = 10.0 ** rng.uniform(-3, 1)
+        factor = rng.normal(0, 1, (dim, dim + int(rng.integers(0, 5))))
+        cov = ridge_regularize(factor @ factor.T / factor.shape[1] * scale)
+        cov = 0.5 * (cov + cov.T)
+        mean = rng.normal(0, 10.0 ** rng.uniform(-2, 1), dim)
+        stats.append(GaussianClassStats(f"C{c}", 50, mean, cov))
+    return stats
+
+
+class TestBatchedCriterion:
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["mean", "min"]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_pair_reference(self, seed, aggregate):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 41))
+        stats = random_spd_stats(rng, int(rng.integers(2, 7)), dim)
+        size = int(rng.integers(1, min(dim, 35) + 1))
+        subset = rng.choice(dim, size=size, replace=False).tolist()
+        assert (jm_criterion(stats, subset, aggregate)
+                == reference_jm_criterion(stats, subset, aggregate))
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_distance_is_the_two_class_criterion(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 41))
+        a, b = random_spd_stats(rng, 2, dim)
+        assert jm_distance(a, b) == reference_jm_distance(a, b)
+        assert jm_distance(a, b) == jm_criterion([a, b], range(dim))
+
+    def test_singular_mid_covariance(self):
+        a = GaussianClassStats("A", 5, np.zeros(2), np.diag([1.0, -1.0]))
+        b = GaussianClassStats("B", 5, np.ones(2), np.eye(2))
+        c = GaussianClassStats("C", 5, np.ones(2), 2.0 * np.eye(2))
+        with pytest.raises(NumericalError, match="singular mid-covariance"):
+            jm_distance(a, b)
+        with pytest.raises(NumericalError, match="singular mid-covariance"):
+            jm_criterion([a, b, c], [0, 1])
+
+    def test_non_positive_definite_covariance(self):
+        a = GaussianClassStats("A", 5, np.zeros(2), np.diag([1.0, -1.0]))
+        b = GaussianClassStats("B", 5, np.ones(2), np.diag([1.0, 3.0]))
+        c = GaussianClassStats("C", 5, np.ones(2), 2.0 * np.eye(2))
+        with pytest.raises(NumericalError, match="non-positive-definite"):
+            jm_distance(a, b)
+        with pytest.raises(NumericalError, match="non-positive-definite"):
+            jm_criterion([c, b, a], [0, 1])
+
+    def test_mismatched_dimensions(self):
+        a = GaussianClassStats("A", 5, np.zeros(2), np.eye(2))
+        b = GaussianClassStats("B", 5, np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="mismatched dimensions"):
+            jm_distance(a, b)
