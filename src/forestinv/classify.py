@@ -323,18 +323,6 @@ def write_legend(legend: dict[int, str], path) -> None:
             f.write(f"{code},{legend[code]}\n")
 
 
-def read_legend(path) -> dict[int, str]:
-    legend = {}
-    with open(path, "r") as f:
-        header = f.readline()
-        for line in f:
-            if not line.strip():
-                continue
-            code, sp = line.strip().split(",")
-            legend[int(code)] = sp
-    return legend
-
-
 # ---------------------------------------------------------------------------
 # Model serialization (versioned text format)
 # ---------------------------------------------------------------------------
@@ -370,49 +358,3 @@ def save_model(model, path) -> None:
                     f.write(f"sv {coef:.17g} {_vec(sv)}\n")
         else:
             raise ValueError(f"cannot serialize {type(model).__name__}")
-
-
-def load_model(path):
-    with open(path, "r") as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if not lines or lines[0] != _MODEL_MAGIC:
-        raise DataError(f"{path}: not a {_MODEL_MAGIC} file")
-
-    fields = {}
-    pairs = []
-    centroids = []
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        i += 1
-        if not line.strip():
-            continue
-        key, _, rest = line.partition(" ")
-        if key == "pair":
-            pos, neg, bias, nsv = rest.split()
-            coefs, svs = [], []
-            for _ in range(int(nsv)):
-                tokens = lines[i].split()
-                i += 1
-                coefs.append(float(tokens[1]))
-                svs.append([float(t) for t in tokens[2:]])
-            pairs.append(BinarySvm(pos, neg,
-                                   np.array(svs, dtype=np.float64).reshape(
-                                       int(nsv), -1),
-                                   np.array(coefs), float(bias)))
-        elif key == "centroid":
-            sp, _, vec = rest.partition(" ")
-            centroids.append((sp, [float(t) for t in vec.split()]))
-        else:
-            fields[key] = rest
-
-    bands = tuple(int(t) for t in fields.get("bands", "").split(",") if t)
-    species = tuple(fields["species"].split(","))
-    if fields["type"] == "centroid":
-        return CentroidModel(species, np.array([c for _, c in centroids]), bands)
-    if fields["type"] == "svm":
-        return SvmModel(species, bands,
-                        np.array([float(t) for t in fields["scale_mean"].split()]),
-                        np.array([float(t) for t in fields["scale_std"].split()]),
-                        float(fields["gamma"]), float(fields["cost"]), pairs)
-    raise DataError(f"{path}: unknown model type {fields['type']!r}")

@@ -211,7 +211,8 @@ def load_config(path, seed_override=None, out_override=None,
          for code, value in _items(cp, "registry").items()])
     run = _read(cp, "run", RunConfig, seed=seed_override,
                 output_dir=out_override, threads=threads_override)
-    run.output_dir = resolve(run.output_dir)
+    if out_override is None:  # an --out path is relative to the cwd
+        run.output_dir = resolve(run.output_dir)
 
     return PipelineConfig(
         paths={key: resolve(value)

@@ -108,6 +108,9 @@ class PlotDefinition:
     dbh_min: float = 7.5
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.center_x, self.center_y,
+                                       self.radius, self.dbh_min))):
+            raise ValueError("center, radius and dbh_min must be finite")
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
         if self.dbh_min < 0:
@@ -230,14 +233,17 @@ def read_plot_definitions(path) -> list[PlotDefinition]:
             if not line.strip():
                 continue
             tokens = [t.strip() for t in line.split(",")]
+            if len(tokens) != len(header):
+                raise DataError(f"{path}: line {lineno}: expected "
+                                f"{len(header)} fields, got {len(tokens)}")
             try:
                 plots.append(PlotDefinition(
                     int(tokens[0]), float(tokens[1]), float(tokens[2]),
                     float(tokens[3]) if len(tokens) > 3 else 15.0,
                     float(tokens[4]) if len(tokens) > 4 else 7.5))
-            except (ValueError, IndexError):
-                raise DataError(f"{path}: line {lineno}: malformed plot row") \
-                    from None
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: malformed plot row "
+                                f"({exc})") from None
     return plots
 
 

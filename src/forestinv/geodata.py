@@ -12,6 +12,7 @@ nine significant digits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,11 +254,11 @@ def read_ascii_grid(path) -> Grid:
             if len(tokens) != 2:
                 raise GridFormatError(f"{path}: line {lineno}: header key "
                                       f"{tokens[0]!r} needs exactly one value")
-            try:
-                header[key] = float(tokens[1])
-            except ValueError:
-                raise GridFormatError(f"{path}: line {lineno}: non-numeric header "
-                                      f"value {tokens[1]!r}") from None
+            value = float(tokens[1]) if _is_number(tokens[1]) else math.nan
+            if not math.isfinite(value):
+                raise GridFormatError(f"{path}: line {lineno}: header value "
+                                      f"{tokens[1]!r} is not a finite number")
+            header[key] = value
         elif _is_number(tokens[0]):
             data_start = lineno
             break
@@ -296,12 +297,18 @@ def read_ascii_grid(path) -> Grid:
             bad = next(t for t in tokens if not _is_number(t))
             raise GridFormatError(f"{path}: row {row + 1} (line {lineno}): "
                                   f"non-numeric token {bad!r}") from None
+        if not np.isfinite(values[row]).all():
+            raise GridFormatError(f"{path}: row {row + 1} (line {lineno}): "
+                                  f"non-finite value")
         row += 1
     if row != nrows:
         raise GridFormatError(f"{path}: found {row} data rows, expected {nrows}")
 
-    return Grid(values, header["xllcorner"], header["yllcorner"],
-                header["cellsize"], nodata)
+    try:
+        return Grid(values, header["xllcorner"], header["yllcorner"],
+                    header["cellsize"], nodata)
+    except ValueError as exc:
+        raise GridFormatError(f"{path}: {exc}") from None
 
 
 def write_ascii_grid(grid: Grid, path) -> None:
@@ -408,8 +415,12 @@ def write_point_cloud(cloud: PointCloud, path) -> None:
             f.write("%.10g,%.10g,%.10g,%d,%d\n" % row)
 
 
-def read_ground_truth(path) -> list[GroundTruthPoint]:
-    """Read ground-truth tree points: header ``x,y,species[,role]``."""
+def read_ground_truth(path, known_species) -> list[GroundTruthPoint]:
+    """Read ground-truth tree points: header ``x,y,species[,role]``.
+
+    Every row has the header's fields, finite coordinates and a species
+    code in `known_species`.
+    """
 
     def bad(lineno, msg):
         return DataError(f"{path}: line {lineno}: {msg}")
@@ -427,13 +438,22 @@ def read_ground_truth(path) -> list[GroundTruthPoint]:
             if not line.strip():
                 continue
             tokens = [t.strip() for t in line.split(",")]
-            if len(tokens) < 3:
-                raise bad(lineno, "expected at least 3 fields")
-            if not (_is_number(tokens[0]) and _is_number(tokens[1])):
-                raise bad(lineno, "non-numeric coordinate")
+            if len(tokens) != len(names):
+                raise bad(lineno, f"expected {len(names)} fields, "
+                                  f"got {len(tokens)}")
+            if not all(_is_number(t) and math.isfinite(float(t))
+                       for t in tokens[:2]):
+                raise bad(lineno, "coordinate is not a finite number")
+            if tokens[2] not in known_species:
+                raise bad(lineno, f"unknown species {tokens[2]!r}; add it to "
+                                  f"[registry]")
             role = tokens[3] if len(tokens) > 3 and tokens[3] else "unassigned"
-            points.append(GroundTruthPoint(float(tokens[0]), float(tokens[1]),
-                                           tokens[2], role))
+            try:
+                points.append(GroundTruthPoint(float(tokens[0]),
+                                               float(tokens[1]), tokens[2],
+                                               role))
+            except ValueError as exc:
+                raise bad(lineno, str(exc)) from None
     return points
 
 
@@ -501,6 +521,8 @@ def read_envi_cube(header_path, data_path) -> HyperCube:
             wavelengths = np.array([float(t) for t in fields["wavelength"].split(",")])
         except ValueError:
             raise CubeFormatError(f"{header_path}: non-numeric wavelength entry") from None
+        if not np.isfinite(wavelengths).all():
+            raise CubeFormatError(f"{header_path}: non-finite wavelength entry")
 
     xll, yll, cellsize = 0.0, 0.0, 1.0
     if "map info" in fields:
@@ -512,13 +534,18 @@ def read_envi_cube(header_path, data_path) -> HyperCube:
             xres, yres = float(parts[5]), float(parts[6])
         except ValueError:
             raise CubeFormatError(f"{header_path}: non-numeric map info entry") from None
+        if not all(map(math.isfinite, (ulx, uly, xres))):
+            raise CubeFormatError(f"{header_path}: non-finite map info entry")
         if xres != yres:
             raise CubeFormatError(f"{header_path}: non-square pixels unsupported")
         cellsize = xres
         xll = ulx
         yll = uly - nrows * cellsize
 
-    return HyperCube(samples, xll, yll, cellsize, wavelengths)
+    try:
+        return HyperCube(samples, xll, yll, cellsize, wavelengths)
+    except ValueError as exc:
+        raise CubeFormatError(f"{header_path}: {exc}") from None
 
 
 def _parse_envi_header(path) -> dict[str, str]:

@@ -1,10 +1,10 @@
 """Stage-sequential pipeline orchestration.
 
 Every stage writes its artifacts as it completes; a deterministic
-manifest records input hashes, the effective configuration and stage
-completion, so interrupted runs leave a readable trail. Wall-clock
-timings go to a separate file to keep the manifest byte-stable across
-reruns.
+manifest records input hashes, the effective configuration, stage
+completion and each completed stage's counters, so interrupted runs
+leave a readable trail. Wall-clock timings go to a separate file to
+keep the manifest byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -83,13 +83,14 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Pipel
     ctx = result.context
     ctx["config"] = config
     timings = []
+    counts = {}
     failure = None
 
     try:
         for stage in planned:
             t0 = time.perf_counter()
             try:
-                _STAGE_FUNCS[stage](ctx, out)
+                counts[stage] = _STAGE_FUNCS[stage](ctx, out) or {}
             except ForestInvError as exc:
                 failure = (stage, str(exc))
                 raise type(exc)(f"stage {stage}: {exc}") from exc
@@ -99,14 +100,14 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Pipel
             timings.append((stage, time.perf_counter() - t0))
             result.completed.append(stage)
     finally:
-        _write_manifest(config, result.completed, failure, out)
+        _write_manifest(config, result.completed, counts, failure, out)
         with open(os.path.join(out, "timings.txt"), "w") as f:
             for name, dt in timings:
                 f.write(f"{name} {dt:.3f}s\n")
     return result
 
 
-def _write_manifest(config, completed, failure, out):
+def _write_manifest(config, completed, counts, failure, out):
     lines = ["forestinv run manifest"]
     lines.append("config sha256 "
                  + hashlib.sha256(config.raw_text.encode()).hexdigest())
@@ -124,6 +125,8 @@ def _write_manifest(config, completed, failure, out):
             lines.append(f"stage {stage} failed: {failure[1]}")
         elif stage in completed:
             lines.append(f"stage {stage} complete")
+            lines.extend(f"count {stage} {name} {value}"
+                         for name, value in counts[stage].items())
         else:
             lines.append(f"stage {stage} not-run")
     lines.append("status " + ("failed" if failure else "ok"))
@@ -207,17 +210,14 @@ def _stage_spectral(ctx, out):
     if (prepared.nrows, prepared.ncols) != (ctx["chm"].nrows, ctx["chm"].ncols):
         raise DataError("cube and CHM grids are not aligned")
     ctx["cube"] = prepared
-    ctx["n_zero_mean_pixels"] = n_bad
-    with open(os.path.join(out, "spectral_report.txt"), "w") as f:
-        f.write(f"bands_in {cube.nbands}\n")
-        f.write(f"bands_after_trim {prepared.nbands}\n")
-        f.write(f"zero_mean_pixels {n_bad}\n")
+    return {"bands_in": cube.nbands, "bands_after_trim": prepared.nbands,
+            "zero_mean_pixels": n_bad}
 
 
 def _stage_join(ctx, out):
     config = ctx["config"]
     config.require_paths("ground_truth")
-    points = read_ground_truth(config.paths["ground_truth"])
+    points = read_ground_truth(config.paths["ground_truth"], config.registry)
     species, unmatched = crowns_mod.spatial_join(points, ctx["crowns"],
                                                  ctx["owner"], ctx["chm"])
     if not species:
@@ -228,9 +228,8 @@ def _stage_join(ctx, out):
         f.write("crown_id,species\n")
         for cid in sorted(species):
             f.write(f"{cid},{species[cid]}\n")
-    with open(os.path.join(out, "join_report.txt"), "w") as f:
-        f.write(f"matched_crowns {len(species)}\n")
-        f.write(f"unmatched_points {len(unmatched)}\n")
+    return {"matched_crowns": len(species),
+            "unmatched_points": len(unmatched)}
 
 
 def _stage_split(ctx, out):
@@ -275,8 +274,9 @@ def _stage_statistics(ctx, out):
     if len(stats) < 2:
         raise DataError("fewer than two species have enough training pixels")
     ctx["class_stats"] = stats
-    spectral_mod.write_stats_report(stats, skipped,
-                                    os.path.join(out, "stats_report.txt"))
+    counts = {f"valid_pixels.{s.species_code}": s.n_samples for s in stats}
+    counts.update((f"skipped.{sp}", 1) for sp in skipped)
+    return counts
 
 
 def _stage_select(ctx, out):
@@ -320,12 +320,8 @@ def _stage_train(ctx, out):
     else:
         model = classify_mod.train_centroid(x, labels, bands=ctx["bands"])
     classify_mod.save_model(model, os.path.join(out, "model.txt"))
-    with open(os.path.join(out, "train_report.txt"), "w") as f:
-        f.write(f"classifier {config.classify.classifier}\n")
-        f.write(f"training_pixels {len(x)}\n")
-        for w in warnings:
-            f.write(w + "\n")
     ctx["model"] = model
+    return {"training_pixels": len(x), "skipped_pairs": len(warnings)}
 
 
 def _stage_classify(ctx, out):
@@ -346,23 +342,22 @@ def _stage_classify(ctx, out):
 def _stage_label(ctx, out):
     unlabeled = classify_mod.label_crowns_majority(
         ctx["label_grid"], ctx["legend"], ctx["crowns"], ctx["owner"])
-    ctx["unlabeled"] = unlabeled
-    with open(os.path.join(out, "label_report.txt"), "w") as f:
-        f.write(f"unlabeled_crowns {len(unlabeled)}\n")
-        for cid in unlabeled:
-            f.write(f"crown {cid} has no classified pixels\n")
+    return {"unlabeled_crowns": len(unlabeled)}
 
 
 def _stage_enrich(ctx, out):
     from .allometry import enrich_crowns
 
     config = ctx["config"]
-    report = enrich_crowns(ctx["crowns"], config.registry, config.dbh_model)
-    crowns_mod.write_crown_table(ctx["crowns"],
-                                 os.path.join(out, "inventory.csv"))
-    with open(os.path.join(out, "enrich_report.txt"), "w") as f:
-        for line in report:
-            f.write(line + "\n")
+    crowns = ctx["crowns"]
+    enrich_crowns(crowns, config.registry, config.dbh_model)
+    crowns_mod.write_crown_table(crowns, os.path.join(out, "inventory.csv"))
+    return {
+        "skipped_unlabeled": sum(c.species_code is None for c in crowns),
+        "borrowed_volume_params": sum(c.fallback_used is not None
+                                      for c in crowns),
+        "zero_volume_below_d0": sum(c.volume == 0.0 for c in crowns),
+    }
 
 
 def _stage_score(ctx, out):

@@ -273,28 +273,3 @@ def write_band_selection(selection: BandSelection, path) -> None:
     with open(path, "w") as f:
         f.write("indices," + ",".join(str(i) for i in selection.indices) + "\n")
         f.write(f"criterion,{selection.criterion_value:.10g}\n")
-
-
-def read_band_selection(path) -> BandSelection:
-    with open(path, "r") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    try:
-        idx_line = next(ln for ln in lines if ln.startswith("indices"))
-        crit_line = next(ln for ln in lines if ln.startswith("criterion"))
-        indices = tuple(int(t) for t in idx_line.split(",")[1:] if t)
-        criterion = float(crit_line.split(",")[1])
-    except (StopIteration, ValueError, IndexError):
-        raise DataError(f"{path}: malformed band selection file") from None
-    return BandSelection(indices, criterion)
-
-
-def write_stats_report(stats, skipped, path) -> None:
-    """Plain-text audit dump of the per-species statistics."""
-    with open(path, "w") as f:
-        for s in stats:
-            f.write(f"species {s.species_code} n={s.n_samples} dim={s.dim}\n")
-            f.write("mean " + " ".join(format(v, ".10g") for v in s.mean) + "\n")
-            f.write("cov_diag " + " ".join(format(v, ".10g")
-                                           for v in np.diag(s.covariance)) + "\n")
-        for sp in skipped:
-            f.write(f"skipped {sp} (fewer than 2 valid pixels)\n")

@@ -106,6 +106,10 @@ class PlotTruth:
     agb_mg: float
     n_trees: int
 
+    def __post_init__(self):
+        if not (math.isfinite(self.volume_m3) and math.isfinite(self.agb_mg)):
+            raise ValueError("volume and agb must be finite")
+
 
 @dataclass
 class SceneData:
@@ -451,17 +455,18 @@ def write_scene(data: SceneData, outdir) -> dict[str, str]:
 def read_truth_plots(path) -> list[PlotTruth]:
     out = []
     with open(path, "r") as f:
-        header = f.readline()
-        if not header.lower().startswith("plot_id"):
-            raise DataError(f"{path}: malformed truth plot table")
+        header = [t.strip().lower() for t in f.readline().split(",")]
+        if header != ["plot_id", "volume_m3", "agb_mg", "n_trees"]:
+            raise DataError(f"{path}: header must be "
+                            f"plot_id,volume_m3,agb_mg,n_trees")
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            tokens = line.strip().split(",")
             try:
-                out.append(PlotTruth(int(tokens[0]), float(tokens[1]),
-                                     float(tokens[2]), int(tokens[3])))
-            except (IndexError, ValueError):
+                plot_id, volume, agb, n_trees = line.strip().split(",")
+                out.append(PlotTruth(int(plot_id), float(volume), float(agb),
+                                     int(n_trees)))
+            except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: malformed truth "
-                                f"plot row {line.strip()!r}") from None
+                                f"plot row {line.strip()!r} ({exc})") from None
     return out

@@ -7,17 +7,13 @@ from forestinv.classify import (
     _vote_winner,
     classify_image,
     label_crowns_majority,
-    load_model,
     predict_centroid,
     predict_svm,
     rbf_kernel,
-    save_model,
     smo_solve,
     svm_decision,
     train_centroid,
     train_svm,
-    write_legend,
-    read_legend,
 )
 from forestinv.crowns import CrownRecord
 from forestinv.errors import DataError
@@ -425,38 +421,3 @@ class TestVoteWinner:
                                       reference_vote_winner(votes, margin))
 
 
-class TestSerialization:
-    def test_svm_round_trip(self, tmp_path):
-        x, labels = blobs(seed=13, centers=((0, 0), (5, 5), (5, 0)))
-        model, _ = train_svm(x, labels, C=10.0, bands=(3, 5, 9)[:2])
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.species == model.species
-        assert back.bands == model.bands
-        rng = np.random.default_rng(14)
-        probe = rng.uniform(-1, 6, (30, 2))
-        assert (predict_svm(back, probe) == predict_svm(model, probe)).all()
-
-    def test_centroid_round_trip(self, tmp_path):
-        x, labels = blobs(seed=15)
-        model = train_centroid(x, labels, bands=(1, 2))
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        back = load_model(path)
-        probe = np.array([[0.3, 0.1], [4.9, 5.2]])
-        assert (predict_centroid(back, probe)
-                == predict_centroid(model, probe)).all()
-        assert back.bands == (1, 2)
-
-    def test_legend_round_trip(self, tmp_path):
-        legend = {1: "PIAB", 2: "FASY"}
-        path = tmp_path / "legend.csv"
-        write_legend(legend, path)
-        assert read_legend(path) == legend
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("something else\n")
-        with pytest.raises(DataError):
-            load_model(path)

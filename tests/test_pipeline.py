@@ -1,5 +1,8 @@
+import csv
 import dataclasses
 import re
+import shutil
+import tempfile
 from configparser import ConfigParser
 from pathlib import Path
 from types import SimpleNamespace
@@ -53,6 +56,17 @@ def make_scene(tmp_path, classifier="centroid", seed=11):
     assert main(["synth", "--config", str(cfg)]) == 0
     return tmp_path / "scene" / "pipeline.ini"
 
+
+# each scene input and the stage that reads it first
+FIRST_STAGE = {
+    "dtm.asc": "terrain",
+    "points.csv": "normalize",
+    "cube.hdr": "chm",
+    "cube.dat": "chm",
+    "ground_truth.csv": "join",
+    "plots.csv": "plots",
+    "truth_plots.csv": "report",
+}
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -199,6 +213,38 @@ class TestPipeline:
         assert "status ok" in manifest
         assert "stage report complete" in manifest
 
+    def test_manifest_counts_match_the_tables(self, tmp_path):
+        pipeline_ini = make_scene(tmp_path)
+        out = tmp_path / "out"
+        run_pipeline(load_config(pipeline_ini, out_override=str(out)))
+        lines = (out / "manifest.txt").read_text().splitlines()
+        counts = {}
+        stage = None
+        for line in lines:
+            words = line.split()
+            if words[0] == "stage":
+                stage = words[1]
+            elif words[0] == "count":
+                assert words[1] == stage, line  # right after its stage
+                counts[words[1], words[2]] = int(words[3])
+        joined = (out / "joined_species.csv").read_text().splitlines()
+        assert counts["join", "matched_crowns"] == len(joined) - 1
+        pixels = [v for (st_, name), v in counts.items()
+                  if st_ == "statistics" and name.startswith("valid_pixels.")]
+        assert len(pixels) == 2
+        assert sum(pixels) == counts["train", "training_pixels"]
+        with open(out / "inventory.csv", newline="") as f:
+            inventory = list(csv.DictReader(f))
+        unlabeled = sum(row["species_code"] == "" for row in inventory)
+        assert counts["enrich", "skipped_unlabeled"] == unlabeled
+        assert counts["label", "unlabeled_crowns"] == unlabeled
+        assert counts["enrich", "zero_volume_below_d0"] == sum(
+            row["volume"] != "" and float(row["volume"]) == 0
+            for row in inventory)
+        assert {st_ for st_, _ in counts} == {
+            "spectral", "join", "statistics", "train", "label", "enrich"}
+        assert list(out.glob("*_report.txt")) == []
+
     def test_stop_after_stage(self, tmp_path):
         pipeline_ini = make_scene(tmp_path)
         out = tmp_path / "out2"
@@ -223,6 +269,9 @@ class TestPipeline:
         assert "stage chm complete" in manifest
         assert "stage join failed" in manifest
         assert "status failed" in manifest
+        # counters of the stages that finished, none of the failed one
+        assert "count spectral bands_after_trim 10\n" in manifest
+        assert "count join " not in manifest
         assert (out / "chm.asc").exists()
 
     def test_deterministic_reruns(self, tmp_path):
@@ -328,6 +377,12 @@ class TestCli:
                             "1,2.5,abc,3\n", "line 2"),
         ("truth_plots.csv", "plot_id,volume_m3,agb_mg,n_trees\n"
                             "1,2.5,1.0,3\n2,2.5\n", "line 3"),
+        ("dtm.asc", "NCOLS 1\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\n"
+                    "CELLSIZE 0\n500\n", "cellsize must be > 0"),
+        ("plots.csv", "plot_id,center_x,center_y,radius,dbh_min\n"
+                      "1,20,20,nan,7.5\n", "line 2"),
+        ("ground_truth.csv", "x,y,species,role\nnan,9.75,PIAB,train\n",
+         "line 2"),
     ])
     def test_bad_input_file_exits_3(self, tmp_path, capsys, name, text,
                                     where):
@@ -338,10 +393,60 @@ class TestCli:
                      "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and name in err and where in err
-        stage = "normalize" if name == "points.csv" else "report"
         manifest = (out / "manifest.txt").read_text()
-        assert f"stage {stage} failed" in manifest
+        assert f"stage {FIRST_STAGE[name]} failed" in manifest
         assert "status failed" in manifest
+
+    @pytest.mark.parametrize("old, new, where", [
+        # one wavelength more than there are bands
+        ("wavelength = {", "wavelength = {0.001, ", "one wavelength per band"),
+        # map info pixel size 0
+        (", 0.5, 0.5}", ", 0, 0}", "cellsize must be > 0"),
+    ])
+    def test_bad_cube_header_exits_3(self, tmp_path, capsys, old, new, where):
+        pipeline_ini = make_scene(tmp_path)
+        path = pipeline_ini.parent / "cube.hdr"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        out = tmp_path / "bad_out"
+        assert main(["run", "--config", str(pipeline_ini),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "cube.hdr" in err and where in err
+        assert "stage chm failed" in (out / "manifest.txt").read_text()
+
+    def test_unknown_truth_species_exits_3(self, tmp_path, capsys):
+        pipeline_ini = make_scene(tmp_path)
+        path = pipeline_ini.parent / "ground_truth.csv"
+        lines = path.read_text().splitlines()
+        for i in range(7, len(lines), 7):  # every 7th data row
+            lines[i] = lines[i].replace(",PIAB,", ",ZZZZ,").replace(
+                ",FASY,", ",ZZZZ,")
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(pipeline_ini),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "ground_truth.csv: line 8: unknown species 'ZZZZ'" in err, err
+        assert "stage join failed" in (out / "manifest.txt").read_text()
+        # the registry is the defaults plus [registry]
+        with open(pipeline_ini, "a") as f:
+            f.write("\n[registry]\nzzzz = gymnosperm, fallback=PIAB\n")
+        assert main(["run", "--config", str(pipeline_ini), "--stage", "join",
+                     "--out", str(out)]) == 0
+        assert ",ZZZZ" in (out / "joined_species.csv").read_text()
+
+    def test_relative_out_resolves_against_the_cwd(self, tmp_path,
+                                                   monkeypatch):
+        pipeline_ini = make_scene(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["chm", "--config", str(pipeline_ini),
+                     "--out", "run1"]) == 0
+        assert (work / "run1" / "chm.asc").exists()
+        assert not (pipeline_ini.parent / "run1").exists()
 
     @pytest.mark.parametrize("text, flags, names", [
         ("[crowns]\nmin_dsit = 4\n", [], ("[crowns]", "min_dsit")),
@@ -417,3 +522,101 @@ class TestCli:
                      str(out_b), "--seed", "101"]) == 0
         assert ((out_a / "split.csv").read_text()
                 != (out_b / "split.csv").read_text())
+
+
+FUZZ_INI = """\
+[scene]
+n_trees = 9
+species = PIAB, FASY
+nbands = 8
+n_plots = 2
+plot_radius = 8
+point_density = 4
+junk_head = 1
+junk_tail = 1
+
+[spectral]
+drop_head = 1
+drop_tail = 1
+k = 3
+max_training_pixels_per_species = 100
+
+[classify]
+classifier = centroid
+
+[run]
+seed = 11
+output_dir = scene
+"""
+
+
+@pytest.fixture(scope="module")
+def fuzz_scene(tmp_path_factory):
+    """A small valid scene that runs to the end."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "scene.ini").write_text(FUZZ_INI)
+    assert main(["synth", "--config", str(root / "scene.ini")]) == 0
+    scene = root / "scene"
+    assert main(["run", "--config", str(scene / "pipeline.ini"),
+                 "--out", str(root / "clean")]) == 0
+    return scene
+
+
+def mutate(draw, name, raw):
+    """`raw` with one change that no reader may accept: the file cut
+    inside the first field of a line, a data row one field short or
+    long, one value replaced by nan/inf/text, or a broken header."""
+    if name == "cube.dat":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    lines = raw.decode().splitlines(keepends=True)
+    if name == "cube.hdr":
+        rows = [i for i, ln in enumerate(lines) if "=" in ln]
+        ops = ("truncate", "inject", "header")
+    else:
+        rows = [i for i, ln in enumerate(lines)
+                if not ln[0].isalpha()]  # not a header line
+        ops = ("truncate", "drop", "add", "inject", "header")
+    op = draw(st.sampled_from(ops))
+    if op == "header":
+        return b"?" + raw[1:]
+    if op == "truncate":
+        i = draw(st.integers(0, len(lines) - 1))
+        first = re.match(r"[^,\s=]+", lines[i]).group()
+        return ("".join(lines[:i])
+                + lines[i][:draw(st.integers(1, len(first)))]).encode()
+    token = draw(st.sampled_from(["nan", "inf", "-inf", "abc"]))
+    if op == "inject" and name == "cube.hdr":
+        i = draw(st.sampled_from(rows))
+        lines[i] = lines[i].split("=")[0] + f"= {token}\n"
+        return "".join(lines).encode()
+    i = draw(st.sampled_from(rows))
+    sep = "," if name.endswith(".csv") else " "
+    fields = lines[i].rstrip("\n").split(sep)
+    if op == "drop":
+        fields.pop()
+    elif op == "add":
+        fields.append("0")
+    else:
+        fields[draw(st.integers(0, len(fields) - 1))] = token
+    lines[i] = sep.join(fields) + "\n"
+    return "".join(lines).encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_scene_file_fails_in_its_stage(fuzz_scene, data):
+    name = data.draw(st.sampled_from(sorted(FIRST_STAGE)))
+    with tempfile.TemporaryDirectory(dir=fuzz_scene.parent) as tmp:
+        scene = Path(tmp) / "scene"
+        shutil.copytree(fuzz_scene, scene)
+        path = scene / name
+        path.write_bytes(mutate(data.draw, name, path.read_bytes()))
+        out = Path(tmp) / "out"
+        code = main(["run", "--config", str(scene / "pipeline.ini"),
+                     "--out", str(out)])
+        assert code in (2, 3, 4)
+        manifest = (out / "manifest.txt").read_text().splitlines()
+    assert manifest[-1] == "status failed"
+    failed = [ln.split()[1] for ln in manifest
+              if ln.startswith("stage ") and ln.split()[2] == "failed:"]
+    assert failed == [FIRST_STAGE[name]]

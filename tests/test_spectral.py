@@ -8,18 +8,15 @@ from hypothesis import given, settings, strategies as st
 from forestinv.errors import DataError, NumericalError
 from forestinv.geodata import HyperCube
 from forestinv.spectral import (
-    BandSelection,
     GaussianClassStats,
     class_statistics,
     forward_select,
     jm_criterion,
     jm_distance,
     normalize_spectrum,
-    read_band_selection,
     ridge_regularize,
     sffs_select,
     trim_bands,
-    write_band_selection,
 )
 
 
@@ -254,15 +251,6 @@ class TestSffs:
         pool = [b for b in range(10) if b != informative[0]]
         sel = sffs_select(stats, 3, candidates=pool)
         assert informative[0] not in sel.indices
-
-
-def test_band_selection_round_trip(tmp_path):
-    sel = BandSelection((2, 5, 9), 1.2345678901)
-    path = tmp_path / "bands.txt"
-    write_band_selection(sel, path)
-    back = read_band_selection(path)
-    assert back.indices == sel.indices
-    assert back.criterion_value == pytest.approx(sel.criterion_value, rel=1e-9)
 
 
 def reference_jm_distance(a, b):
