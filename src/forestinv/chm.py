@@ -3,20 +3,44 @@
 The pit-free CHM triangulates the normalized cloud at several height
 thresholds, rasterizes each TIN at the cell centers after discarding
 long-edged triangles, and keeps the cell-wise maximum across layers.
+
+A large layer is triangulated in tiles with a halo of max_edge. Every
+kept triangle of a tile is certified to be a triangle of the whole
+layer's Delaunay triangulation, or dropped, or the layer falls back to
+one triangulation of all its points; so the raster equals the untiled
+one bit for bit. Worker threads may run Qhull on the next tiles while
+the calling thread certifies and rasterizes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, QhullError
+from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from .errors import DataError
 from .geodata import Grid, PointCloud, bilinear_sample
 
 _TRI_CHUNK = 32768
+# points per tile; a layer with fewer than twice this many is one tile
+_TILE_POINTS = 10_000
+# A point counts as off a triangle's circumcircle only if its power
+# (squared distance from the center minus squared radius) clears both
+# this fraction of the circle's scale and Qhull's rounding, which grows
+# with the squared distance of the points from the origin.
+_CIRCLE_TOL = 1e-9
+_QHULL_ROUNDOFF = 100 * 2.0 ** -52   # 100 double-precision epsilons
+
+_INF = math.inf
+_WHOLE = (-_INF, _INF, -_INF, _INF)   # the core of a one-tile layer
+_FAILED = "qhull failed"
 
 
 @dataclass(frozen=True)
@@ -50,6 +74,19 @@ class PitfreeParams:
         object.__setattr__(self, "height_thresholds", th)
 
 
+@dataclass(frozen=True)
+class ChmGrid(Grid):
+    """A pit-free CHM and the work counts of its triangulation.
+
+    Per layer i: `layer<i>.points`, `.triangles` (kept), `.tiles` and
+    `.dropped` (tile triangles that are not in the layer's Delaunay
+    triangulation); then `fallback_layers`. They do not depend on the
+    number of threads.
+    """
+
+    counts: dict = field(default_factory=dict, compare=False)
+
+
 def normalize_heights(cloud: PointCloud, dtm: Grid) -> PointCloud:
     """Height above ground = z - bilinear DTM elevation, clamped at 0.
 
@@ -80,12 +117,15 @@ def normalize_heights(cloud: PointCloud, dtm: Grid) -> PointCloud:
 def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
                 xll: float | None = None, yll: float | None = None,
                 ncols: int | None = None, nrows: int | None = None,
-                nodata: float = -9999.0) -> Grid:
+                nodata: float = -9999.0, threads: int = 1) -> ChmGrid:
     """Rasterize a pit-free CHM from a height-normalized cloud.
 
     The raster extent defaults to the cloud's bounding box snapped to
     the resolution. Cells covered by no surviving triangle are 0 inside
     the convex hull of the threshold-0 points and nodata outside it.
+    With threads > 1, threads - 1 worker threads triangulate the next
+    tiles while this thread certifies and rasterizes; the result does
+    not depend on `threads`.
     """
     if len(cloud) == 0:
         raise DataError("empty point cloud")
@@ -120,31 +160,272 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     cx = xll + (cols + 0.5) * res
     cy = yll + (nrows - rows - 0.5) * res
 
+    # every layer keeps the (x, y) order of the deduplicated points
+    layers = [_Layer(x[sel], y[sel], h[sel])
+              for sel in (h >= t for t in params.height_thresholds)]
     acc = np.full((nrows, ncols), -np.inf)
     hull_mask = np.zeros((nrows, ncols), dtype=bool)
-
-    for layer_idx, threshold in enumerate(params.height_thresholds):
-        sel = h >= threshold
-        if sel.sum() < 3:
-            continue
-        px, py, ph = x[sel], y[sel], h[sel]
+    if layers[0].n >= 3:
         try:
-            tri = Delaunay(np.column_stack([px, py]))
+            hull_mask = _inside_hull(layers[0].x, layers[0].y, cx, cy)
         except QhullError:
-            if layer_idx == 0:
-                raise DataError("degenerate (collinear) point set at "
-                                "threshold 0") from None
-            continue
-        if layer_idx == 0:
-            hull_mask = _inside_hull(px, py, cx, cy)
-        simplices = _prune_long_edges(tri.simplices, px, py, params.max_edge)
-        if simplices.size:
-            _rasterize_tin(px, py, ph, simplices, xll, yll, res, nrows, acc)
+            raise DataError("degenerate (collinear) point set at "
+                            "threshold 0") from None
+
+    # a halo of max_edge holds every vertex of a kept triangle whose
+    # centroid lies in the tile's core
+    halo = max_edge = params.max_edge
+    cores = [_tile_cores(layer.x, layer.y) if layer.n >= 3 else []
+             for layer in layers]
+    tins = _lookahead(_triangulate, [(layer.x, layer.y, core, halo)
+                                     for layer, cs in zip(layers, cores)
+                                     for core in cs], threads)
+    part = np.empty_like(acc)   # the TIN of the current layer
+    with closing(tins):
+        for i, layer in enumerate(layers):
+            part.fill(-np.inf)
+            layer.tiles = len(cores[i])
+            for core, (idx, tin) in zip(cores[i], tins):
+                if layer.fallback:
+                    continue
+                if core == _WHOLE:
+                    kept = _whole(layer, i, idx, tin, max_edge)
+                else:
+                    kept = _certify(layer, idx, tin, core, halo, max_edge)
+                if kept is None:
+                    # start the layer again from one triangulation of
+                    # all its points
+                    part.fill(-np.inf)
+                    layer.fallback, layer.tiles = True, 1
+                    layer.triangles = layer.dropped = 0
+                    kept = _whole(layer, i, *_triangulate(
+                        layer.x, layer.y, _WHOLE, 0.0), max_edge)
+                layer.triangles += len(kept)
+                if len(kept):
+                    _rasterize_tin(layer.x, layer.y, layer.h, kept, xll, yll,
+                                   res, nrows, part)
+            np.maximum(acc, part, out=acc)
 
     covered = acc > -np.inf
     out = np.where(covered, acc, np.where(hull_mask, 0.0, nodata))
     out[covered] = np.maximum(out[covered], 0.0)
-    return Grid(out, xll, yll, res, nodata)
+    counts = {}
+    for i, layer in enumerate(layers):
+        counts.update({f"layer{i}.points": layer.n,
+                       f"layer{i}.triangles": layer.triangles,
+                       f"layer{i}.tiles": layer.tiles,
+                       f"layer{i}.dropped": layer.dropped})
+    counts["fallback_layers"] = sum(layer.fallback for layer in layers)
+    return ChmGrid(out, xll, yll, res, nodata, counts)
+
+
+@dataclass(eq=False)
+class _Layer:
+    """The points of one height layer and its work counts."""
+
+    x: np.ndarray
+    y: np.ndarray
+    h: np.ndarray
+    tiles: int = 0
+    triangles: int = 0
+    dropped: int = 0
+    fallback: bool = False
+
+    @property
+    def n(self) -> int:
+        return len(self.x)
+
+    @cached_property
+    def roundoff(self) -> float:
+        """Qhull's rounding of a power, in squared map units."""
+        return _QHULL_ROUNDOFF * float(np.max(self.x ** 2 + self.y ** 2))
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        return cKDTree(np.column_stack([self.x, self.y]))
+
+
+def _tile_cores(px, py):
+    """Half-open core boxes (x0, x1, y0, y1) of a layer's tiles, about
+    n / _TILE_POINTS of them over the bounding box; the outer sides are
+    infinite. px is sorted."""
+    want = len(px) / _TILE_POINTS
+    w = px[-1] - px[0]
+    d = py.max() - py.min()
+    if want < 2 or not w * d > 0:
+        return [_WHOLE]
+    side = math.sqrt(w * d / want)
+    nx = min(max(1, round(w / side)), math.ceil(want))
+    ny = math.ceil(want / nx)
+    xc = [-_INF] + [px[0] + w * k / nx for k in range(1, nx)] + [_INF]
+    yc = [-_INF] + [py.min() + d * k / ny for k in range(1, ny)] + [_INF]
+    return [(xc[i], xc[i + 1], yc[j], yc[j + 1])
+            for i in range(nx) for j in range(ny)]
+
+
+def _triangulate(px, py, core, halo):
+    """Layer indices of the points in the core box widened by the halo,
+    and their Delaunay triangulation as (simplices, neighbors, number of
+    coplanar points); None for fewer than 3 points, _FAILED if Qhull
+    fails. Runs on worker threads: it touches no shared state."""
+    x0, x1, y0, y1 = core
+    lo = np.searchsorted(px, x0 - halo, "left")
+    hi = np.searchsorted(px, x1 + halo, "right")
+    ys = py[lo:hi]
+    idx = lo + np.flatnonzero((ys >= y0 - halo) & (ys <= y1 + halo))
+    if len(idx) < 3:
+        return idx, None
+    try:
+        tri = Delaunay(np.column_stack([px[idx], py[idx]]))
+    except QhullError:
+        return idx, _FAILED
+    return idx, (tri.simplices, tri.neighbors, len(tri.coplanar))
+
+
+def _lookahead(fn, jobs, threads):
+    """Yield fn(*job) for each job, in order. With threads > 1, up to
+    threads - 1 worker threads each run one job ahead of the consumer;
+    with 1, every job runs inline when its result is taken."""
+    if threads <= 1 or len(jobs) < 2:
+        for job in jobs:
+            yield fn(*job)
+        return
+    todo = iter(jobs)
+    with ThreadPoolExecutor(min(threads - 1, len(jobs))) as pool:
+        ahead = deque(pool.submit(fn, *job)
+                      for job in islice(todo, threads - 1))
+        while ahead:
+            result = ahead.popleft().result()
+            ahead.extend(pool.submit(fn, *job) for job in islice(todo, 1))
+            yield result
+
+
+def _whole(layer, index, idx, tin, max_edge):
+    """Kept triangles of one triangulation of all the layer's points, as
+    layer indices in canonical order."""
+    if tin is _FAILED:
+        if index == 0:
+            raise DataError("degenerate (collinear) point set at "
+                            "threshold 0")
+        return np.empty((0, 3), dtype=np.intp)
+    return _canonical(_prune_long_edges(idx[tin[0]], layer.x, layer.y,
+                                        max_edge))
+
+
+def _canonical(simplices):
+    """Rotate each triangle so that its smallest point index comes
+    first. Rotation keeps the orientation, and it makes the barycentric
+    arithmetic of a triangle the same whichever tile found it."""
+    first = simplices.argmin(axis=1)
+    return np.take_along_axis(
+        simplices, (first[:, None] + np.arange(3)) % 3, axis=1)
+
+
+def _certify(layer, idx, tin, core, halo, max_edge):
+    """The kept triangles a tile owns that are triangles of the whole
+    layer's Delaunay triangulation, or None if that cannot be proven.
+
+    A tile owns the kept triangles whose centroid lies in its core. A
+    kept triangle's vertices lie within 2/3 max_edge of its centroid,
+    so every owned Delaunay triangle of the layer has its vertices among
+    the tile's points; its empty circumcircle makes it a Delaunay
+    triangle of the tile too. The tile's other owned triangles have a
+    layer point outside the tile inside their circle and are dropped.
+    Near-cocircular points make the triangulation not unique: None.
+    """
+    if tin is None:
+        return np.empty((0, 3), dtype=np.intp)
+    if tin is _FAILED:
+        return None
+    simplices, neighbors, n_coplanar = tin
+    if n_coplanar:
+        return None
+    px, py = layer.x, layer.y
+    x0, x1, y0, y1 = core
+    s = idx[simplices]
+
+    # every neighbour of a triangle near the core has its opposite
+    # vertex clearly outside that triangle's circle; an edge between two
+    # such triangles is tested once, from its lower-numbered side
+    corners = s.T.copy()   # C order: fast reductions over axis 0
+    tx, ty = px[corners], py[corners]
+    near = ((tx.max(axis=0) >= x0) & (tx.min(axis=0) <= x1)
+            & (ty.max(axis=0) >= y0) & (ty.min(axis=0) <= y1))
+    lower = neighbors > np.arange(len(s))[:, None]
+    t, k = np.nonzero(near[:, None] & (neighbors >= 0)
+                      & (lower | ~near[neighbors]))
+    nb = neighbors[t, k]
+    across = s[nb, np.argmax(neighbors[nb] == t[:, None], axis=1)]
+    det, perm, area2 = _incircle(px, py, s[t], across)
+    roundoff = layer.roundoff
+    if np.any(det >= -np.maximum(_CIRCLE_TOL * perm, roundoff * area2)):
+        return None
+
+    kept = _canonical(_prune_long_edges(s, px, py, max_edge))
+    a, b, c = kept.T
+    gx = (px[a] + px[b] + px[c]) / 3
+    gy = (py[a] + py[b] + py[c]) / 3
+    kept = kept[(gx >= x0) & (gx < x1) & (gy >= y0) & (gy < y1)]
+    if not len(kept):
+        return kept
+
+    # circumcircles that stay inside the tile's box hold no layer point;
+    # the others are checked against their nearest layer points
+    a, b, c = kept.T
+    bx, by = px[b] - px[a], py[b] - py[a]
+    qx, qy = px[c] - px[a], py[c] - py[a]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = 2.0 * (bx * qy - by * qx)
+        b2, q2 = bx * bx + by * by, qx * qx + qy * qy
+        ux = (qy * b2 - by * q2) / den   # circumcenter - vertex a
+        uy = (bx * q2 - qx * b2) / den
+    r2 = ux * ux + uy * uy
+    if not np.all(np.isfinite(r2)):
+        return None
+    ox, oy, r = px[a] + ux, py[a] + uy, np.sqrt(r2)
+    reach = r + _CIRCLE_TOL * (r + np.abs(ox) + np.abs(oy))
+    inside = ((ox - reach > x0 - halo) & (ox + reach < x1 + halo)
+              & (oy - reach > y0 - halo) & (oy + reach < y1 + halo))
+    check = np.flatnonzero(~inside)
+    if not len(check):
+        return kept
+    tri = kept[check]
+    _, near4 = layer.tree.query(np.column_stack([ox[check], oy[check]]), k=4)
+    other = ((near4 < layer.n) & (near4 != tri[:, :1])
+             & (near4 != tri[:, 1:2]) & (near4 != tri[:, 2:]))
+    rows, cols = np.nonzero(other)
+    d, va, j = near4[rows, cols], tri[rows, 0], check[rows]
+    # squared distance from the circumcenter, taken relative to vertex a
+    d2 = (px[d] - px[va] - ux[j]) ** 2 + (py[d] - py[va] - uy[j]) ** 2
+    tol = np.maximum(_CIRCLE_TOL * r2[j], roundoff)
+    inner = np.zeros(len(check), dtype=bool)
+    inner[rows[d2 < r2[j] - tol]] = True
+    tied = np.zeros(len(check), dtype=bool)
+    tied[rows[np.abs(d2 - r2[j]) <= tol]] = True
+    if np.any(tied & ~inner):
+        return None
+    layer.dropped += int(inner.sum())
+    keep = np.ones(len(kept), dtype=bool)
+    keep[check[inner]] = False
+    return kept[keep]
+
+
+def _incircle(px, py, tri, d):
+    """In-circle determinant of point d against each triangle, positive
+    when d lies inside its circumcircle; the determinant's permanent,
+    which bounds its rounding error; and twice the triangle's area. The
+    determinant is minus the power of d times twice the area."""
+    ax, ay = px[tri[:, 0]] - px[d], py[tri[:, 0]] - py[d]
+    bx, by = px[tri[:, 1]] - px[d], py[tri[:, 1]] - py[d]
+    cx, cy = px[tri[:, 2]] - px[d], py[tri[:, 2]] - py[d]
+    al, bl, cl = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    bc, cb, ca = bx * cy, cx * by, cx * ay
+    ac, ab, ba = ax * cy, ax * by, bx * ay
+    det = al * (bc - cb) + bl * (ca - ac) + cl * (ab - ba)
+    perm = (al * (np.abs(bc) + np.abs(cb)) + bl * (np.abs(ca) + np.abs(ac))
+            + cl * (np.abs(ab) + np.abs(ba)))
+    orient = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return det * np.sign(orient), perm, np.abs(orient)
 
 
 def _subcircle(x, y, h, radius):
@@ -171,12 +452,11 @@ def _dedup_lexicographic(x, y, h):
 
 
 def _prune_long_edges(simplices, px, py, max_edge):
-    p = np.column_stack([px, py])
     t = simplices
     lengths = np.stack([
-        np.hypot(p[t[:, 0], 0] - p[t[:, 1], 0], p[t[:, 0], 1] - p[t[:, 1], 1]),
-        np.hypot(p[t[:, 1], 0] - p[t[:, 2], 0], p[t[:, 1], 1] - p[t[:, 2], 1]),
-        np.hypot(p[t[:, 2], 0] - p[t[:, 0], 0], p[t[:, 2], 1] - p[t[:, 0], 1]),
+        np.hypot(px[t[:, 0]] - px[t[:, 1]], py[t[:, 0]] - py[t[:, 1]]),
+        np.hypot(px[t[:, 1]] - px[t[:, 2]], py[t[:, 1]] - py[t[:, 2]]),
+        np.hypot(px[t[:, 2]] - px[t[:, 0]], py[t[:, 2]] - py[t[:, 0]]),
     ])
     return t[lengths.max(axis=0) <= max_edge]
 
@@ -196,55 +476,62 @@ def _rasterize_tin(px, py, ph, simplices, xll, yll, res, nrows, acc):
     """Scatter barycentric interpolation of each triangle into acc (max).
 
     Every triangle has edges <= max_edge, so its bounding box spans a
-    small, bounded number of cells; triangles are processed in chunks
-    with fully vectorized barycentric tests. Overlapping coverage (only
-    possible on shared edges) resolves by maximum, which is
-    order-independent.
+    small, bounded number of cells. Triangles are grouped by the shape
+    of that box and processed in chunks of one shape with fully
+    vectorized barycentric tests, so each triangle tests only its own
+    box. Overlapping coverage (only possible on shared edges) resolves
+    by maximum, which is order-independent.
     """
     ncols = acc.shape[1]
-    for start in range(0, len(simplices), _TRI_CHUNK):
-        t = simplices[start:start + _TRI_CHUNK]
-        x0, y0, z0 = px[t[:, 0]], py[t[:, 0]], ph[t[:, 0]]
-        x1, y1, z1 = px[t[:, 1]], py[t[:, 1]], ph[t[:, 1]]
-        x2, y2, z2 = px[t[:, 2]], py[t[:, 2]], ph[t[:, 2]]
+    corners = simplices.T.copy()   # C order: fast reductions over axis 0
+    xs, ys = px[corners], py[corners]
+    # candidate cell ranges, widened by one cell each side; the exact
+    # barycentric test below rejects the false candidates
+    c_lo = np.floor((xs.min(axis=0) - xll) / res - 0.5).astype(np.int64)
+    c_hi = np.floor((xs.max(axis=0) - xll) / res - 0.5).astype(np.int64) + 1
+    s_lo = np.floor((ys.min(axis=0) - yll) / res - 0.5).astype(np.int64)
+    s_hi = np.floor((ys.max(axis=0) - yll) / res - 0.5).astype(np.int64) + 1
+    shape = (s_hi - s_lo) * (int((c_hi - c_lo).max()) + 1) + (c_hi - c_lo)
+    order = np.argsort(shape, kind="stable")
+    cuts = np.flatnonzero(np.diff(shape[order])) + 1
+    for group in np.split(order, cuts):
+        for start in range(0, len(group), _TRI_CHUNK):
+            g = group[start:start + _TRI_CHUNK]
+            _rasterize_group(px, py, ph, simplices[g], c_lo[g], s_lo[g],
+                             int(c_hi[g[0]] - c_lo[g[0]] + 1),
+                             int(s_hi[g[0]] - s_lo[g[0]] + 1),
+                             xll, yll, res, nrows, ncols, acc)
 
-        xmin = np.minimum(np.minimum(x0, x1), x2)
-        xmax = np.maximum(np.maximum(x0, x1), x2)
-        ymin = np.minimum(np.minimum(y0, y1), y2)
-        ymax = np.maximum(np.maximum(y0, y1), y2)
 
-        # candidate cell ranges, widened by one cell each side; the exact
-        # barycentric test below rejects the false candidates
-        c_lo = np.floor((xmin - xll) / res - 0.5).astype(np.int64)
-        c_hi = np.floor((xmax - xll) / res - 0.5).astype(np.int64) + 1
-        s_lo = np.floor((ymin - yll) / res - 0.5).astype(np.int64)
-        s_hi = np.floor((ymax - yll) / res - 0.5).astype(np.int64) + 1
-        span_c = int((c_hi - c_lo).max() + 1)
-        span_s = int((s_hi - s_lo).max() + 1)
+def _rasterize_group(px, py, ph, t, c_lo, s_lo, span_c, span_s,
+                     xll, yll, res, nrows, ncols, acc):
+    x0, y0, z0 = px[t[:, 0]], py[t[:, 0]], ph[t[:, 0]]
+    x1, y1, z1 = px[t[:, 1]], py[t[:, 1]], ph[t[:, 1]]
+    x2, y2, z2 = px[t[:, 2]], py[t[:, 2]], ph[t[:, 2]]
 
-        cc = c_lo[:, None, None] + np.arange(span_c)[None, None, :]
-        ss = s_lo[:, None, None] + np.arange(span_s)[None, :, None]
-        qx = xll + (cc + 0.5) * res
-        qy = yll + (ss + 0.5) * res
+    cc = c_lo[:, None, None] + np.arange(span_c)[None, None, :]
+    ss = s_lo[:, None, None] + np.arange(span_s)[None, :, None]
+    qx = xll + (cc + 0.5) * res
+    qy = yll + (ss + 0.5) * res
 
-        det = ((y1 - y2) * (x0 - x2) + (x2 - x1) * (y0 - y2))
-        ok_tri = np.abs(det) > 1e-300
-        det = np.where(ok_tri, det, 1.0)
-        w0 = (((y1 - y2)[:, None, None] * (qx - x2[:, None, None])
-               + (x2 - x1)[:, None, None] * (qy - y2[:, None, None]))
-              / det[:, None, None])
-        w1 = (((y2 - y0)[:, None, None] * (qx - x2[:, None, None])
-               + (x0 - x2)[:, None, None] * (qy - y2[:, None, None]))
-              / det[:, None, None])
-        w2 = 1.0 - w0 - w1
+    det = ((y1 - y2) * (x0 - x2) + (x2 - x1) * (y0 - y2))
+    ok_tri = np.abs(det) > 1e-300
+    det = np.where(ok_tri, det, 1.0)
+    w0 = (((y1 - y2)[:, None, None] * (qx - x2[:, None, None])
+           + (x2 - x1)[:, None, None] * (qy - y2[:, None, None]))
+          / det[:, None, None])
+    w1 = (((y2 - y0)[:, None, None] * (qx - x2[:, None, None])
+           + (x0 - x2)[:, None, None] * (qy - y2[:, None, None]))
+          / det[:, None, None])
+    w2 = 1.0 - w0 - w1
 
-        eps = -1e-12
-        inside = ((w0 >= eps) & (w1 >= eps) & (w2 >= eps)
-                  & ok_tri[:, None, None]
-                  & (cc >= 0) & (cc < ncols) & (ss >= 0) & (ss < nrows))
+    eps = -1e-12
+    inside = ((w0 >= eps) & (w1 >= eps) & (w2 >= eps)
+              & ok_tri[:, None, None]
+              & (cc >= 0) & (cc < ncols) & (ss >= 0) & (ss < nrows))
 
-        vals = (w0 * z0[:, None, None] + w1 * z1[:, None, None]
-                + w2 * z2[:, None, None])
-        rr = nrows - 1 - ss
-        flat = (rr * ncols + cc)[inside]
-        np.maximum.at(acc.reshape(-1), flat, vals[inside])
+    vals = (w0 * z0[:, None, None] + w1 * z1[:, None, None]
+            + w2 * z2[:, None, None])
+    rr = nrows - 1 - ss
+    flat = (rr * ncols + cc)[inside]
+    np.maximum.at(acc.reshape(-1), flat, vals[inside])

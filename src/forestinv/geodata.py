@@ -344,12 +344,14 @@ def _is_number(token: str) -> bool:
 # ---------------------------------------------------------------------------
 
 _CLOUD_COLUMNS = ("x", "y", "z", "return_number", "is_ground")
+_MAX_RETURN_NUMBER = 15   # the LAS 1.4 limit
 
 
 def read_point_cloud(path) -> PointCloud:
     """Read a delimited point cloud: header ``x,y,z[,return_number][,is_ground]``.
 
     Missing optional columns default to return_number=1, is_ground=0.
+    A return number is an integer from 1 to 15 and is_ground is 0 or 1.
     """
     with open(path, "r") as f:
         header_line = f.readline()
@@ -379,11 +381,26 @@ def read_point_cloud(path) -> PointCloud:
             f"{point}")
 
     ncol = data.shape[1]
+    if ncol > 3:
+        rn = data[:, 3]
+        _reject_first(path, "return_number", (rn != np.floor(rn))
+                      | (rn < 1) | (rn > _MAX_RETURN_NUMBER),
+                      f"must be an integer from 1 to {_MAX_RETURN_NUMBER}")
+    if ncol > 4:
+        _reject_first(path, "is_ground", (data[:, 4] != 0) & (data[:, 4] != 1),
+                      "must be 0 or 1")
     return PointCloud.from_xyz(
         data[:, 0], data[:, 1], data[:, 2],
         return_number=data[:, 3].astype(np.int32) if ncol > 3 else None,
-        is_ground=data[:, 4] != 0 if ncol > 4 else None,
+        is_ground=data[:, 4] == 1 if ncol > 4 else None,
     )
+
+
+def _reject_first(path, column, bad, rule):
+    if np.any(bad):
+        point = int(np.argmax(bad))
+        raise PointCloudFormatError(
+            f"{path}: column {column!r} at point {point} {rule}")
 
 
 def _locate_bad_cloud_line(path, ncols_expected):

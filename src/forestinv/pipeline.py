@@ -3,14 +3,16 @@
 Every stage writes its artifacts as it completes; a deterministic
 manifest records input hashes, the effective configuration, stage
 completion and each completed stage's counters, so interrupted runs
-leave a readable trail. Wall-clock timings go to a separate file to
-keep the manifest byte-stable across reruns.
+leave a readable trail. Wall-clock timings and the peak resident set
+size after each stage go to a separate file to keep the manifest
+byte-stable across reruns.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -97,13 +99,16 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Pipel
             except Exception as exc:
                 failure = (stage, f"{type(exc).__name__}: {exc}")
                 raise
-            timings.append((stage, time.perf_counter() - t0))
+            # peak RSS of the process so far; ru_maxrss is in KiB on Linux
+            timings.append((stage, time.perf_counter() - t0,
+                            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                            / 1024.0))
             result.completed.append(stage)
     finally:
         _write_manifest(config, result.completed, counts, failure, out)
         with open(os.path.join(out, "timings.txt"), "w") as f:
-            for name, dt in timings:
-                f.write(f"{name} {dt:.3f}s\n")
+            for name, dt, rss in timings:
+                f.write(f"{name} {dt:.3f}s peak_rss {rss:.1f}MiB\n")
     return result
 
 
@@ -184,9 +189,11 @@ def _stage_chm(ctx, out):
                 f"share one grid")
         kwargs = dict(xll=cube.xll, yll=cube.yll, ncols=cube.ncols,
                       nrows=cube.nrows)
-    grid = chm_mod.pitfree_chm(ctx["cloud"], config.pitfree, **kwargs)
+    grid = chm_mod.pitfree_chm(ctx["cloud"], config.pitfree,
+                               threads=config.run.threads, **kwargs)
     write_ascii_grid(grid, os.path.join(out, "chm.asc"))
     ctx["chm"] = grid
+    return grid.counts
 
 
 def _stage_crowns(ctx, out):

@@ -1,6 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from forestinv import chm as chm_mod
 from forestinv.chm import PitfreeParams, normalize_heights, pitfree_chm
 from forestinv.errors import DataError
 from forestinv.geodata import Grid, PointCloud
@@ -182,3 +186,168 @@ def test_params_validation():
         PitfreeParams(height_thresholds=(0.0, 2.0, 2.0))
     with pytest.raises(ValueError):
         PitfreeParams(max_edge=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# Tiled triangulation: equal to one tile per layer, bit for bit
+# ---------------------------------------------------------------------------
+
+ONE_TILE = 10**9
+
+
+def chm_with_tiles(monkeypatch, cloud, params, tile_points, threads=1):
+    monkeypatch.setattr(chm_mod, "_TILE_POINTS", tile_points)
+    return pitfree_chm(cloud, params, threads=threads)
+
+
+def tile_cuts(x, y, tile_points, monkeypatch):
+    """The finite x and y cuts of the threshold-0 layer's tiles."""
+    monkeypatch.setattr(chm_mod, "_TILE_POINTS", tile_points)
+    order = np.lexsort((y, x))
+    cores = chm_mod._tile_cores(x[order], y[order])
+    xs = {v for c in cores for v in c[:2] if np.isfinite(v)}
+    ys = {v for c in cores for v in c[2:] if np.isfinite(v)}
+    return sorted(xs), sorted(ys)
+
+
+def make_cloud(kind, seed, tile_points, monkeypatch):
+    """(cloud, params) of one family of test clouds."""
+    rng = np.random.default_rng(seed)
+    params = PitfreeParams(resolution=0.5)
+    if kind == "clusters":
+        # dense clumps with wide gaps: sparse, patchy upper layers
+        k = rng.integers(2, 7)
+        centers = rng.uniform(0, 30, (k, 2))
+        sizes = rng.integers(20, 100, k)
+        pts = np.vstack([c + rng.normal(0, rng.uniform(0.5, 3), (s, 2))
+                         for c, s in zip(centers, sizes)])
+        x, y = pts[:, 0], pts[:, 1]
+        h = rng.uniform(0, 20, len(x))
+    elif kind in ("jittered", "grid", "on_cuts"):
+        spacing = rng.uniform(0.25, 0.8)
+        gx, gy = np.meshgrid(np.arange(rng.integers(6, 22)) * spacing,
+                             np.arange(rng.integers(6, 22)) * spacing)
+        x, y = gx.ravel(), gy.ravel()
+        if kind != "grid":
+            # slivers: some triangles' circles reach past the halo
+            jitter = spacing * rng.uniform(0.05, 0.45)
+            x = x + rng.uniform(-jitter, jitter, x.size)
+            y = y + rng.uniform(-jitter, jitter, y.size)
+        # clear a band so that an upper layer's triangles span the gap
+        band = rng.uniform(x.min(), x.max())
+        keep = np.abs(x - band) > rng.uniform(0, 0.2) * (x.max() - x.min())
+        x, y = x[keep], y[keep]
+        h = rng.choice([0.5, 3.0, 7.0, 12.0, 18.0], x.size)
+    elif kind == "subcircle":
+        # octagons around the returns of a grid: the facing points of
+        # four neighbouring octagons are cocircular
+        spacing = rng.uniform(0.9, 1.4)
+        gx, gy = np.meshgrid(np.arange(rng.integers(4, 12)) * spacing,
+                             np.arange(rng.integers(4, 12)) * spacing)
+        x, y = gx.ravel(), gy.ravel()
+        h = rng.choice([0.5, 6.0, 12.0], x.size)
+        params = PitfreeParams(resolution=0.5,
+                               subcircle_radius=rng.uniform(0.2, 0.4))
+    else:  # sparse: most tiles hold fewer than 3 points
+        x = rng.uniform(0, 40, rng.integers(10, 80))
+        y = rng.uniform(0, 40, x.size)
+        h = rng.uniform(0, 20, x.size)
+        params = PitfreeParams(resolution=0.5,
+                               max_edge=rng.uniform(1.5, 6.0))
+    if kind == "on_cuts":
+        # interior points moved onto the threshold-0 tile cuts
+        xs, ys = tile_cuts(x, y, tile_points, monkeypatch)
+        inner = np.flatnonzero((x > x.min()) & (x < x.max())
+                               & (y > y.min()) & (y < y.max()))
+        pick = rng.choice(inner, min(len(inner), 40), replace=False)
+        if xs:
+            x[pick[::2]] = rng.choice(xs, len(pick[::2]))
+        if ys:
+            y[pick[1::2]] = rng.choice(ys, len(pick[1::2]))
+    cloud = PointCloud.from_xyz(x, y, np.zeros_like(x), height=h)
+    return cloud, params
+
+
+KINDS = ("clusters", "jittered", "grid", "on_cuts", "subcircle", "sparse")
+
+
+def test_tiled_chm_equals_one_tile(monkeypatch):
+    branches = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(KINDS), st.integers(0, 2**32 - 1),
+           st.integers(4, 40))
+    def check(kind, seed, tile_points):
+        cloud, params = make_cloud(kind, seed, tile_points, monkeypatch)
+        try:
+            whole = chm_with_tiles(monkeypatch, cloud, params, ONE_TILE)
+        except DataError:
+            with pytest.raises(DataError):
+                chm_with_tiles(monkeypatch, cloud, params, tile_points)
+            return
+        tiled = chm_with_tiles(monkeypatch, cloud, params, tile_points)
+        assert np.array_equal(tiled.values, whole.values)
+        n_layers = len(params.height_thresholds)
+        for i in range(n_layers):
+            assert (tiled.counts[f"layer{i}.triangles"]
+                    == whole.counts[f"layer{i}.triangles"])
+            assert whole.counts[f"layer{i}.tiles"] <= 1
+        tiles = [tiled.counts[f"layer{i}.tiles"] for i in range(n_layers)]
+        if tiled.counts["fallback_layers"]:
+            branches.add("fall back")
+        if any(tiled.counts[f"layer{i}.dropped"] for i in range(n_layers)):
+            branches.add("drop")
+        if max(tiles) > 1:
+            branches.add("certify")
+
+    check()
+    assert branches >= {"certify", "drop", "fall back"}
+
+
+@pytest.mark.parametrize("kind", ["grid", "subcircle"])
+def test_cocircular_clouds_fall_back(monkeypatch, kind):
+    cloud, params = make_cloud(kind, 7, 10, monkeypatch)
+    whole = chm_with_tiles(monkeypatch, cloud, params, ONE_TILE)
+    tiled = chm_with_tiles(monkeypatch, cloud, params, 10)
+    assert tiled.counts["fallback_layers"] >= 1
+    assert whole.counts["fallback_layers"] == 0
+    assert np.array_equal(tiled.values, whole.values)
+
+
+@pytest.mark.parametrize("kind, seed, tile_points", [
+    ("jittered", 4, 3), ("jittered", 18, 8), ("sparse", 7, 8),
+    ("clusters", 37, 3)])
+def test_far_from_origin_equals_one_tile(monkeypatch, kind, seed,
+                                         tile_points):
+    # at UTM-like coordinates Qhull rounds powers by ~5e-3 m^2; these
+    # clouds differ from one tile with a tie band of 1e-9 of the circle
+    # alone, so they must fall back instead
+    cloud, params = make_cloud(kind, seed, tile_points, monkeypatch)
+    far = PointCloud.from_xyz(cloud.x + 5e5, cloud.y + 5e6, cloud.z,
+                              height=cloud.height)
+    whole = chm_with_tiles(monkeypatch, far, params, ONE_TILE)
+    tiled = chm_with_tiles(monkeypatch, far, params, tile_points)
+    assert tiled.counts["fallback_layers"] >= 1
+    assert np.array_equal(tiled.values, whole.values)
+
+
+def test_threads_do_not_change_the_chm(monkeypatch):
+    cloud, params = make_cloud("jittered", 3, 25, monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # interleave the threads finely
+    try:
+        grids = [chm_with_tiles(monkeypatch, cloud, params, 25, threads=t)
+                 for t in (1, 2, 3, 5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(grids[0].counts[k] for k in grids[0].counts
+               if k.endswith(".tiles")) > 1
+    for g in grids[1:]:
+        assert np.array_equal(g.values, grids[0].values)
+        assert g.counts == grids[0].counts
+
+
+def test_canonical_rotation_keeps_orientation():
+    s = np.array([[5, 2, 9], [1, 7, 3], [8, 6, 4]])
+    out = chm_mod._canonical(s)
+    assert out.tolist() == [[2, 9, 5], [1, 7, 3], [4, 8, 6]]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forestinv.allometry import DbhModel
+from forestinv import chm as chm_mod
 from forestinv.chm import PitfreeParams
 from forestinv.cli import main
 from forestinv.config import (
@@ -242,8 +243,55 @@ class TestPipeline:
             row["volume"] != "" and float(row["volume"]) == 0
             for row in inventory)
         assert {st_ for st_, _ in counts} == {
-            "spectral", "join", "statistics", "train", "label", "enrich"}
+            "chm", "spectral", "join", "statistics", "train", "label",
+            "enrich"}
         assert list(out.glob("*_report.txt")) == []
+        layers = len(PitfreeParams().height_thresholds)
+        assert [name for st_, name in counts if st_ == "chm"] == [
+            f"layer{i}.{what}" for i in range(layers)
+            for what in ("points", "triangles", "tiles", "dropped")
+        ] + ["fallback_layers"]
+        points = [counts["chm", f"layer{i}.points"] for i in range(layers)]
+        assert points == sorted(points, reverse=True) and points[0] > 0
+
+    def test_threads_change_only_the_manifest_threads_line(self, tmp_path,
+                                                           monkeypatch):
+        # tiles of ~300 points, so that several tiles are in flight
+        monkeypatch.setattr(chm_mod, "_TILE_POINTS", 300)
+        pipeline_ini = make_scene(tmp_path)
+        outs = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"t{threads}"
+            assert main(["run", "--config", str(pipeline_ini), "--out",
+                         str(out), "--threads", str(threads)]) == 0
+            outs.append(out)
+        manifests = [(o / "manifest.txt").read_text().splitlines()
+                     for o in outs]
+        assert "count chm layer0.tiles 1" not in manifests[0]
+        for threads, lines in zip((1, 2, 3), manifests):
+            assert lines.count(f"threads {threads}") == 1
+            assert ([ln for ln in lines if not ln.startswith("threads ")]
+                    == [ln for ln in manifests[0]
+                        if not ln.startswith("threads ")])
+        names = sorted(p.name for p in outs[0].iterdir())
+        for out in outs[1:]:
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                if name not in ("timings.txt", "manifest.txt"):
+                    assert ((out / name).read_bytes()
+                            == (outs[0] / name).read_bytes()), name
+
+    def test_timings_record_peak_rss_per_stage(self, tmp_path):
+        pipeline_ini = make_scene(tmp_path)
+        out = tmp_path / "out"
+        run_pipeline(load_config(pipeline_ini, out_override=str(out)),
+                     stop_after="crowns")
+        lines = (out / "timings.txt").read_text().splitlines()
+        assert [ln.split()[0] for ln in lines] == [
+            "terrain", "normalize", "chm", "crowns"]
+        rss = [float(re.fullmatch(r"\S+ [0-9.]+s peak_rss ([0-9.]+)MiB",
+                                  ln).group(1)) for ln in lines]
+        assert rss == sorted(rss) and rss[0] > 0
 
     def test_stop_after_stage(self, tmp_path):
         pipeline_ini = make_scene(tmp_path)
@@ -373,6 +421,16 @@ class TestCli:
         ("points.csv", "x,y,z\n1,2,nan\n", "column 'z'"),
         ("points.csv", "x,y,z,return_number,is_ground\n1,2,3,1,0\n"
                        "-inf,2,3,1,0\n", "column 'x' at point 1"),
+        ("points.csv", "x,y,z,return_number,is_ground\n1,2,3,1,0\n"
+                       "1,2,3,1.9,0\n", "column 'return_number' at point 1"),
+        ("points.csv", "x,y,z,return_number,is_ground\n1,2,3,1,0\n"
+                       "1,2,3,4294967297,0\n",
+         "column 'return_number' at point 1"),
+        ("points.csv", "x,y,z,return_number,is_ground\n1,2,3,0,0\n",
+         "column 'return_number' at point 0"),
+        ("points.csv", "x,y,z,return_number,is_ground\n1,2,3,1,0\n"
+                       "2,2,3,1,0\n1,3,3,2,0.5\n",
+         "column 'is_ground' at point 2"),
         ("truth_plots.csv", "plot_id,volume_m3,agb_mg,n_trees\n"
                             "1,2.5,abc,3\n", "line 2"),
         ("truth_plots.csv", "plot_id,volume_m3,agb_mg,n_trees\n"
