@@ -10,6 +10,10 @@ layer's Delaunay triangulation, or dropped, or the layer falls back to
 one triangulation of all its points; so the raster equals the untiled
 one bit for bit. Worker threads may run Qhull on the next tiles while
 the calling thread certifies and rasterizes.
+
+Qhull and the certificate see the points moved next to the origin
+whenever that move is exact, since their rounding grows with the
+distance from the origin; the rasterizer keeps the map coordinates.
 """
 
 from __future__ import annotations
@@ -144,6 +148,7 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
         x, y, h = _subcircle(x, y, h, params.subcircle_radius)
 
     x, y, h = _dedup_lexicographic(x, y, h)
+    shift = (_exact_shift(x), _exact_shift(y))
 
     res = params.resolution
     if xll is None:
@@ -161,7 +166,7 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     cy = yll + (nrows - rows - 0.5) * res
 
     # every layer keeps the (x, y) order of the deduplicated points
-    layers = [_Layer(x[sel], y[sel], h[sel])
+    layers = [_Layer(x[sel], y[sel], h[sel], shift)
               for sel in (h >= t for t in params.height_thresholds)]
     acc = np.full((nrows, ncols), -np.inf)
     hull_mask = np.zeros((nrows, ncols), dtype=bool)
@@ -175,11 +180,23 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     # a halo of max_edge holds every vertex of a kept triangle whose
     # centroid lies in the tile's core
     halo = max_edge = params.max_edge
-    cores = [_tile_cores(layer.x, layer.y) if layer.n >= 3 else []
+    # subcircle splats ring each return with 8 points on one circle:
+    # their tiles tie and fall back, or gain nothing, so they run whole
+    tiled = params.subcircle_radius == 0
+    cores = [[] if layer.n < 3
+             else _tile_cores(layer.qx, layer.qy) if tiled else [_WHOLE]
              for layer in layers]
-    tins = _lookahead(_triangulate, [(layer.x, layer.y, core, halo)
-                                     for layer, cs in zip(layers, cores)
-                                     for core in cs], threads)
+
+    def triangulate(layer, core):
+        # the tiles of a layer that fell back are not needed any more; a
+        # worker that reads the flag before it is set wastes one tile
+        if layer.fallback:
+            return None, None
+        return _triangulate(layer.qx, layer.qy, core, halo)
+
+    tins = _lookahead(triangulate, [(layer, core)
+                                    for layer, cs in zip(layers, cores)
+                                    for core in cs], threads)
     part = np.empty_like(acc)   # the TIN of the current layer
     with closing(tins):
         for i, layer in enumerate(layers):
@@ -199,7 +216,7 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
                     layer.fallback, layer.tiles = True, 1
                     layer.triangles = layer.dropped = 0
                     kept = _whole(layer, i, *_triangulate(
-                        layer.x, layer.y, _WHOLE, 0.0), max_edge)
+                        layer.qx, layer.qy, _WHOLE, 0.0), max_edge)
                 layer.triangles += len(kept)
                 if len(kept):
                     _rasterize_tin(layer.x, layer.y, layer.h, kept, xll, yll,
@@ -221,15 +238,25 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
 
 @dataclass(eq=False)
 class _Layer:
-    """The points of one height layer and its work counts."""
+    """The points of one height layer and its work counts.
+
+    x, y are map coordinates; qx, qy the same points less `shift`, an
+    exact translation that Qhull and the certificate work in.
+    """
 
     x: np.ndarray
     y: np.ndarray
     h: np.ndarray
+    shift: tuple[float, float]
     tiles: int = 0
     triangles: int = 0
     dropped: int = 0
     fallback: bool = False
+
+    def __post_init__(self):
+        sx, sy = self.shift
+        self.qx = self.x - sx if sx else self.x
+        self.qy = self.y - sy if sy else self.y
 
     @property
     def n(self) -> int:
@@ -238,11 +265,24 @@ class _Layer:
     @cached_property
     def roundoff(self) -> float:
         """Qhull's rounding of a power, in squared map units."""
-        return _QHULL_ROUNDOFF * float(np.max(self.x ** 2 + self.y ** 2))
+        return _QHULL_ROUNDOFF * float(np.max(self.qx ** 2 + self.qy ** 2))
 
     @cached_property
     def tree(self) -> cKDTree:
-        return cKDTree(np.column_stack([self.x, self.y]))
+        return cKDTree(np.column_stack([self.qx, self.qy]))
+
+
+def _exact_shift(v):
+    """The midpoint of v's range if subtracting it from every value of v
+    is exact (Sterbenz: each value lies within a factor of 2 of it, on
+    its side of 0), else 0. Projected coordinates, far from the origin
+    against their extent, move to around 0; coordinates that start near
+    0 stay as they are."""
+    lo, hi = float(v.min()), float(v.max())
+    mid = lo + (hi - lo) / 2
+    if min(mid / 2, mid * 2) <= lo and hi <= max(mid / 2, mid * 2):
+        return mid
+    return 0.0
 
 
 def _tile_cores(px, py):
@@ -340,7 +380,7 @@ def _certify(layer, idx, tin, core, halo, max_edge):
     simplices, neighbors, n_coplanar = tin
     if n_coplanar:
         return None
-    px, py = layer.x, layer.y
+    px, py = layer.qx, layer.qy
     x0, x1, y0, y1 = core
     s = idx[simplices]
 

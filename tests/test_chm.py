@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,17 +202,20 @@ def chm_with_tiles(monkeypatch, cloud, params, tile_points, threads=1):
 
 
 def tile_cuts(x, y, tile_points, monkeypatch):
-    """The finite x and y cuts of the threshold-0 layer's tiles."""
+    """The finite x and y cuts of the threshold-0 layer's tiles, in map
+    coordinates (within an ulp of them if the layer is recentred)."""
     monkeypatch.setattr(chm_mod, "_TILE_POINTS", tile_points)
     order = np.lexsort((y, x))
-    cores = chm_mod._tile_cores(x[order], y[order])
-    xs = {v for c in cores for v in c[:2] if np.isfinite(v)}
-    ys = {v for c in cores for v in c[2:] if np.isfinite(v)}
+    sx, sy = chm_mod._exact_shift(x), chm_mod._exact_shift(y)
+    cores = chm_mod._tile_cores(x[order] - sx, y[order] - sy)
+    xs = {v + sx for c in cores for v in c[:2] if np.isfinite(v)}
+    ys = {v + sy for c in cores for v in c[2:] if np.isfinite(v)}
     return sorted(xs), sorted(ys)
 
 
-def make_cloud(kind, seed, tile_points, monkeypatch):
-    """(cloud, params) of one family of test clouds."""
+def make_cloud(kind, seed, tile_points, monkeypatch, offset=0.0):
+    """(cloud, params) of one family of test clouds, moved by (offset,
+    10 offset): 5e5 puts them at UTM-like coordinates."""
     rng = np.random.default_rng(seed)
     params = PitfreeParams(resolution=0.5)
     if kind == "clusters":
@@ -254,6 +258,7 @@ def make_cloud(kind, seed, tile_points, monkeypatch):
         h = rng.uniform(0, 20, x.size)
         params = PitfreeParams(resolution=0.5,
                                max_edge=rng.uniform(1.5, 6.0))
+    x, y = x + offset, y + 10 * offset
     if kind == "on_cuts":
         # interior points moved onto the threshold-0 tile cuts
         xs, ys = tile_cuts(x, y, tile_points, monkeypatch)
@@ -274,11 +279,12 @@ KINDS = ("clusters", "jittered", "grid", "on_cuts", "subcircle", "sparse")
 def test_tiled_chm_equals_one_tile(monkeypatch):
     branches = set()
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.sampled_from(KINDS), st.integers(0, 2**32 - 1),
-           st.integers(4, 40))
-    def check(kind, seed, tile_points):
-        cloud, params = make_cloud(kind, seed, tile_points, monkeypatch)
+           st.integers(4, 40), st.sampled_from([0.0, 5e5]))
+    def check(kind, seed, tile_points, offset):
+        cloud, params = make_cloud(kind, seed, tile_points, monkeypatch,
+                                   offset)
         try:
             whole = chm_with_tiles(monkeypatch, cloud, params, ONE_TILE)
         except DataError:
@@ -299,14 +305,16 @@ def test_tiled_chm_equals_one_tile(monkeypatch):
             branches.add("drop")
         if max(tiles) > 1:
             branches.add("certify")
+            if offset:
+                branches.add("certify far from the origin")
 
     check()
-    assert branches >= {"certify", "drop", "fall back"}
+    assert branches >= {"certify", "drop", "fall back",
+                        "certify far from the origin"}
 
 
-@pytest.mark.parametrize("kind", ["grid", "subcircle"])
-def test_cocircular_clouds_fall_back(monkeypatch, kind):
-    cloud, params = make_cloud(kind, 7, 10, monkeypatch)
+def test_cocircular_clouds_fall_back(monkeypatch):
+    cloud, params = make_cloud("grid", 7, 10, monkeypatch)
     whole = chm_with_tiles(monkeypatch, cloud, params, ONE_TILE)
     tiled = chm_with_tiles(monkeypatch, cloud, params, 10)
     assert tiled.counts["fallback_layers"] >= 1
@@ -314,37 +322,96 @@ def test_cocircular_clouds_fall_back(monkeypatch, kind):
     assert np.array_equal(tiled.values, whole.values)
 
 
+def test_subcircle_layers_run_whole(monkeypatch):
+    cloud, params = make_cloud("subcircle", 7, 10, monkeypatch)
+    grid = chm_with_tiles(monkeypatch, cloud, params, 10)
+    assert grid.counts["fallback_layers"] == 0
+    tiles = [grid.counts[f"layer{i}.tiles"]
+             for i in range(len(params.height_thresholds))]
+    assert max(tiles) == 1   # 0 for a layer of fewer than 3 points
+
+
 @pytest.mark.parametrize("kind, seed, tile_points", [
-    ("jittered", 4, 3), ("jittered", 18, 8), ("sparse", 7, 8),
-    ("clusters", 37, 3)])
-def test_far_from_origin_equals_one_tile(monkeypatch, kind, seed,
-                                         tile_points):
-    # at UTM-like coordinates Qhull rounds powers by ~5e-3 m^2; these
-    # clouds differ from one tile with a tie band of 1e-9 of the circle
-    # alone, so they must fall back instead
-    cloud, params = make_cloud(kind, seed, tile_points, monkeypatch)
-    far = PointCloud.from_xyz(cloud.x + 5e5, cloud.y + 5e6, cloud.z,
-                              height=cloud.height)
-    whole = chm_with_tiles(monkeypatch, far, params, ONE_TILE)
-    tiled = chm_with_tiles(monkeypatch, far, params, tile_points)
-    assert tiled.counts["fallback_layers"] >= 1
+    ("jittered", 4, 3), ("jittered", 18, 8), ("clusters", 37, 3)])
+def test_far_from_origin_is_certified(monkeypatch, kind, seed, tile_points):
+    # at UTM-like coordinates Qhull's rounding of a power is ~0.5 m^2,
+    # which would tie every tile; recentred, the tiles are certified
+    cloud, params = make_cloud(kind, seed, tile_points, monkeypatch, 5e5)
+    whole = chm_with_tiles(monkeypatch, cloud, params, ONE_TILE)
+    tiled = chm_with_tiles(monkeypatch, cloud, params, tile_points)
+    assert tiled.counts["fallback_layers"] == 0
+    assert tiled.counts["layer0.tiles"] > 1
     assert np.array_equal(tiled.values, whole.values)
 
 
-def test_threads_do_not_change_the_chm(monkeypatch):
-    cloud, params = make_cloud("jittered", 3, 25, monkeypatch)
+def test_far_from_origin_equals_the_chm_at_the_origin():
+    # given UTM-like map coordinates, Qhull drops most points of a layer
+    # as coplanar, and the CHM was off by up to 11.6 m here
+    rng = np.random.default_rng(5)
+    gx, gy = np.meshgrid(np.arange(40) * 0.5, np.arange(40) * 0.5)
+    x = gx.ravel() + rng.uniform(-0.2, 0.2, gx.size)
+    y = gy.ravel() + rng.uniform(-0.2, 0.2, gx.size)
+    h = rng.uniform(0, 20, x.size)
+    near, far = (pitfree_chm(PointCloud.from_xyz(x + dx, y + dy,
+                                                 np.zeros_like(x), height=h),
+                             PitfreeParams())
+                 for dx, dy in ((0.0, 0.0), (5e5, 5e6)))
+    assert far.values.shape == near.values.shape
+    # the moved coordinates round by up to ~5e-10 m
+    np.testing.assert_allclose(far.values, near.values, rtol=0, atol=1e-6)
+
+
+def test_exact_shift():
+    rng = np.random.default_rng(1)
+    for lo in (5e5, 5e6, -3e5, 1234.5):
+        v = lo + rng.uniform(0, 300, 500)
+        shift = chm_mod._exact_shift(v)
+        assert shift != 0.0
+        # the subtraction is exact: no rounding between the two
+        assert all(Fraction(a) - Fraction(shift) == Fraction(a - shift)
+                   for a in v)
+    for v in ([0.0, 300.0], [-1.0, 5.0], [10.0, 40.0], [0.0, 0.0]):
+        assert chm_mod._exact_shift(np.array(v)) == 0.0
+
+
+@pytest.mark.parametrize("kind, seed, tile_points",
+                         [("jittered", 3, 25), ("grid", 7, 10)])
+def test_threads_do_not_change_the_chm(monkeypatch, kind, seed, tile_points):
+    # the grid falls back while workers still triangulate its tiles
+    cloud, params = make_cloud(kind, seed, tile_points, monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)   # interleave the threads finely
     try:
-        grids = [chm_with_tiles(monkeypatch, cloud, params, 25, threads=t)
-                 for t in (1, 2, 3, 5)]
+        grids = [chm_with_tiles(monkeypatch, cloud, params, tile_points,
+                                threads=t) for t in (1, 2, 3, 5)]
     finally:
         sys.setswitchinterval(interval)
-    assert max(grids[0].counts[k] for k in grids[0].counts
-               if k.endswith(".tiles")) > 1
+    if kind == "grid":
+        assert grids[0].counts["fallback_layers"] >= 1
+    else:
+        assert max(grids[0].counts[k] for k in grids[0].counts
+                   if k.endswith(".tiles")) > 1
     for g in grids[1:]:
         assert np.array_equal(g.values, grids[0].values)
         assert g.counts == grids[0].counts
+
+
+def test_a_fallen_back_layer_triangulates_no_more_tiles(monkeypatch):
+    cloud, params = make_cloud("grid", 7, 10, monkeypatch)
+    calls = []   # (layer's x array, is the fallback's whole triangulation)
+    triangulate = chm_mod._triangulate
+
+    def record(px, py, core, halo):
+        calls.append((id(px), core == chm_mod._WHOLE and halo == 0))
+        return triangulate(px, py, core, halo)
+
+    monkeypatch.setattr(chm_mod, "_triangulate", record)
+    grid = chm_with_tiles(monkeypatch, cloud, params, 10)
+    assert grid.counts["fallback_layers"] >= 1
+    fell_back = {layer: i for i, (layer, whole) in enumerate(calls) if whole}
+    assert len(fell_back) == grid.counts["fallback_layers"]
+    assert all(i <= fell_back.get(layer, i)
+               for i, (layer, _) in enumerate(calls))
 
 
 def test_canonical_rotation_keeps_orientation():
