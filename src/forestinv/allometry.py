@@ -115,9 +115,6 @@ class SpeciesRegistry:
     def __contains__(self, code: str) -> bool:
         return code in self._entries
 
-    def codes(self):
-        return sorted(self._entries)
-
     def entry(self, code: str) -> SpeciesEntry:
         try:
             return self._entries[code]

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import NumericalError
+from .geodata import read_table
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,22 @@ class PlotDefinition:
 
 
 @dataclass(frozen=True)
+class PlotTruth:
+    """Observed totals of one field plot."""
+
+    plot_id: int
+    volume_m3: float
+    agb_mg: float
+    n_trees: int
+
+    def __post_init__(self):
+        if not (math.isfinite(self.volume_m3) and math.isfinite(self.agb_mg)):
+            raise ValueError("volume and agb must be finite")
+        if min(self.volume_m3, self.agb_mg, self.n_trees) < 0:
+            raise ValueError("volume, agb and n_trees must be >= 0")
+
+
+@dataclass(frozen=True)
 class PlotTotals:
     volume_m3: float
     agb_mg: float
@@ -222,29 +239,38 @@ def write_metrics_csv(cm: ConfusionMatrix, path) -> None:
 
 def read_plot_definitions(path) -> list[PlotDefinition]:
     """Plot table: header ``plot_id,center_x,center_y[,radius][,dbh_min]``."""
-    plots = []
-    with open(path, "r") as f:
-        header = [t.strip().lower() for t in f.readline().split(",")]
-        expected = ["plot_id", "center_x", "center_y", "radius", "dbh_min"]
-        if header != expected[:len(header)] or len(header) < 3:
-            raise DataError(f"{path}: header must be "
-                            f"plot_id,center_x,center_y[,radius][,dbh_min]")
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            tokens = [t.strip() for t in line.split(",")]
-            if len(tokens) != len(header):
-                raise DataError(f"{path}: line {lineno}: expected "
-                                f"{len(header)} fields, got {len(tokens)}")
-            try:
-                plots.append(PlotDefinition(
-                    int(tokens[0]), float(tokens[1]), float(tokens[2]),
-                    float(tokens[3]) if len(tokens) > 3 else 15.0,
-                    float(tokens[4]) if len(tokens) > 4 else 7.5))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: malformed plot row "
-                                f"({exc})") from None
-    return plots
+
+    def make(plot_id, center_x, center_y, *rest):
+        return PlotDefinition(int(plot_id), float(center_x), float(center_y),
+                              *map(float, rest))
+
+    return read_table(path, ("plot_id", "center_x", "center_y", "radius",
+                             "dbh_min"), 3, _unique_plot_ids(make))
+
+
+def read_truth_plots(path) -> list[PlotTruth]:
+    """Observed plot totals: header ``plot_id,volume_m3,agb_mg,n_trees``."""
+
+    def make(plot_id, volume_m3, agb_mg, n_trees):
+        return PlotTruth(int(plot_id), float(volume_m3), float(agb_mg),
+                         int(n_trees))
+
+    return read_table(path, ("plot_id", "volume_m3", "agb_mg", "n_trees"), 4,
+                      _unique_plot_ids(make))
+
+
+def _unique_plot_ids(make):
+    """`make`, refusing a plot id that an earlier row already used."""
+    seen = set()
+
+    def checked(*fields):
+        record = make(*fields)
+        if record.plot_id in seen:
+            raise ValueError(f"duplicate plot_id {record.plot_id}")
+        seen.add(record.plot_id)
+        return record
+
+    return checked
 
 
 def write_plot_definitions(plots, path) -> None:

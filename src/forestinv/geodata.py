@@ -204,10 +204,6 @@ class HyperCube:
     def ncols(self) -> int:
         return self.samples.shape[2]
 
-    def pixel(self, row: int, col: int) -> np.ndarray:
-        """Spectrum of one pixel, shape (nbands,)."""
-        return self.samples[:, row, col]
-
 
 @dataclass(frozen=True)
 class GroundTruthPoint:
@@ -340,7 +336,52 @@ def _is_number(token: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Delimited point cloud I/O
+# Delimited tables
+# ---------------------------------------------------------------------------
+
+
+def read_table(path, columns, required, make, error=DataError) -> list:
+    """Read a comma-separated table; the one reader of every input table.
+
+    The header names the first `required` or more of `columns`, in
+    order (stripped, lower-cased). Blank lines are skipped; every other
+    line has the header's field count, and ``make(*fields)`` builds its
+    record from the stripped fields. A ValueError from `make` becomes
+    `error`, naming the file and the line.
+    """
+    with open(path, "r") as f:
+        nfields = len(_table_header(path, f.readline(), columns, required,
+                                    error))
+        records = []
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            fields = [t.strip() for t in line.split(",")]
+            if len(fields) != nfields:
+                raise error(f"{path}: line {lineno}: expected {nfields} "
+                            f"fields, got {len(fields)}")
+            try:
+                records.append(make(*fields))
+            except ValueError as exc:
+                raise error(f"{path}: line {lineno}: {exc}") from None
+    return records
+
+
+def _table_header(path, line, columns, required, error) -> list[str]:
+    """The column names of header `line`, checked against `columns`."""
+    if not line.strip():
+        raise error(f"{path}: line 1: empty file")
+    names = [t.strip().lower() for t in line.split(",")]
+    if names != list(columns[:len(names)]) or len(names) < required:
+        form = ",".join(columns[:required]) + "".join(
+            f"[,{c}]" for c in columns[required:])
+        raise error(f"{path}: line 1: header must be {form}, "
+                    f"got {line.strip()!r}")
+    return names
+
+
+# ---------------------------------------------------------------------------
+# Point cloud and ground-truth I/O
 # ---------------------------------------------------------------------------
 
 _CLOUD_COLUMNS = ("x", "y", "z", "return_number", "is_ground")
@@ -354,24 +395,22 @@ def read_point_cloud(path) -> PointCloud:
     A return number is an integer from 1 to 15 and is_ground is 0 or 1.
     """
     with open(path, "r") as f:
-        header_line = f.readline()
-        if not header_line.strip():
-            raise PointCloudFormatError(f"{path}: empty file")
-        names = [t.strip().lower() for t in header_line.split(",")]
-        if names != list(_CLOUD_COLUMNS[:len(names)]) or len(names) < 3:
-            raise PointCloudFormatError(
-                f"{path}: line 1: header must be x,y,z[,return_number][,is_ground], "
-                f"got {header_line.strip()!r}")
+        names = _table_header(path, f.readline(), _CLOUD_COLUMNS, 3,
+                              PointCloudFormatError)
         try:
-            data = np.loadtxt(f, delimiter=",", ndmin=2, dtype=np.float64)
+            data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2,
+                              dtype=np.float64)
         except ValueError:
-            _locate_bad_cloud_line(path, len(names))
-            raise  # unreachable; _locate_bad_cloud_line always raises
-
-    if data.size == 0:
+            data = None
+    if data is None or data.shape[1] != len(names):
+        # the table rule names the first bad line; loadtxt also refuses
+        # whitespace-only lines, which the rule skips
+        rows = read_table(path, _CLOUD_COLUMNS, 3,
+                          lambda *fields: [float(t) for t in fields],
+                          PointCloudFormatError)
+        data = np.array(rows, dtype=np.float64).reshape(-1, len(names))
+    if len(data) == 0:
         raise PointCloudFormatError(f"{path}: no data lines")
-    if data.shape[1] != len(names):
-        _locate_bad_cloud_line(path, len(names))
 
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
@@ -403,25 +442,6 @@ def _reject_first(path, column, bad, rule):
             f"{path}: column {column!r} at point {point} {rule}")
 
 
-def _locate_bad_cloud_line(path, ncols_expected):
-    """Slow rescan after the fast parse failed; pinpoints the first bad line."""
-    with open(path, "r") as f:
-        next(f)
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            tokens = [t.strip() for t in line.split(",")]
-            if len(tokens) != ncols_expected:
-                raise PointCloudFormatError(
-                    f"{path}: line {lineno}: expected {ncols_expected} fields, "
-                    f"got {len(tokens)}")
-            for t in tokens:
-                if not _is_number(t):
-                    raise PointCloudFormatError(
-                        f"{path}: line {lineno}: non-numeric value {t!r}")
-    raise PointCloudFormatError(f"{path}: unparseable point data")
-
-
 def write_point_cloud(cloud: PointCloud, path) -> None:
     with open(path, "w") as f:
         f.write("x,y,z,return_number,is_ground\n")
@@ -435,43 +455,20 @@ def write_point_cloud(cloud: PointCloud, path) -> None:
 def read_ground_truth(path, known_species) -> list[GroundTruthPoint]:
     """Read ground-truth tree points: header ``x,y,species[,role]``.
 
-    Every row has the header's fields, finite coordinates and a species
-    code in `known_species`.
+    Every row has finite coordinates and a species code in
+    `known_species`; an empty role reads as "unassigned".
     """
 
-    def bad(lineno, msg):
-        return DataError(f"{path}: line {lineno}: {msg}")
+    def make(x, y, species, role=""):
+        if not all(_is_number(t) and math.isfinite(float(t)) for t in (x, y)):
+            raise ValueError("coordinate is not a finite number")
+        if species not in known_species:
+            raise ValueError(f"unknown species {species!r}; add it to "
+                             f"[registry]")
+        return GroundTruthPoint(float(x), float(y), species,
+                                role or "unassigned")
 
-    points = []
-    with open(path, "r") as f:
-        header_line = f.readline()
-        if not header_line.strip():
-            raise bad(1, "empty file")
-        names = [t.strip().lower() for t in header_line.split(",")]
-        if names[:3] != ["x", "y", "species"]:
-            raise bad(1, f"header must be x,y,species[,role], "
-                         f"got {header_line.strip()!r}")
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            tokens = [t.strip() for t in line.split(",")]
-            if len(tokens) != len(names):
-                raise bad(lineno, f"expected {len(names)} fields, "
-                                  f"got {len(tokens)}")
-            if not all(_is_number(t) and math.isfinite(float(t))
-                       for t in tokens[:2]):
-                raise bad(lineno, "coordinate is not a finite number")
-            if tokens[2] not in known_species:
-                raise bad(lineno, f"unknown species {tokens[2]!r}; add it to "
-                                  f"[registry]")
-            role = tokens[3] if len(tokens) > 3 and tokens[3] else "unassigned"
-            try:
-                points.append(GroundTruthPoint(float(tokens[0]),
-                                               float(tokens[1]), tokens[2],
-                                               role))
-            except ValueError as exc:
-                raise bad(lineno, str(exc)) from None
-    return points
+    return read_table(path, ("x", "y", "species", "role"), 3, make)
 
 
 def write_ground_truth(points, path) -> None:

@@ -32,7 +32,6 @@ from .geodata import (
     read_point_cloud,
     write_ascii_grid,
 )
-from .synth import read_truth_plots
 
 STAGES = ("terrain", "normalize", "chm", "crowns", "spectral", "join",
           "split", "statistics", "select", "train", "classify", "label",
@@ -146,7 +145,6 @@ def _write_manifest(config, completed, counts, failure, out):
 
 def _stage_terrain(ctx, out):
     config = ctx["config"]
-    config.require_paths("dtm")
     dtm = read_ascii_grid(config.paths["dtm"])
     ctx["dtm"] = dtm
     derivatives = None
@@ -163,7 +161,6 @@ def _stage_terrain(ctx, out):
 
 def _stage_normalize(ctx, out):
     config = ctx["config"]
-    config.require_paths("point_cloud")
     cloud = read_point_cloud(config.paths["point_cloud"])
     ctx["cloud"] = chm_mod.normalize_heights(cloud, ctx["dtm"])
 
@@ -223,7 +220,6 @@ def _stage_spectral(ctx, out):
 
 def _stage_join(ctx, out):
     config = ctx["config"]
-    config.require_paths("ground_truth")
     points = read_ground_truth(config.paths["ground_truth"], config.registry)
     species, unmatched = crowns_mod.spatial_join(points, ctx["crowns"],
                                                  ctx["owner"], ctx["chm"])
@@ -414,7 +410,8 @@ def _stage_report(ctx, out):
 
     observed_path = config.paths.get("observed_plots")
     if ctx["plot_defs"] and observed_path and os.path.exists(observed_path):
-        observed = {p.plot_id: p for p in read_truth_plots(observed_path)}
+        observed = {p.plot_id: p
+                    for p in evaluate_mod.read_truth_plots(observed_path)}
         ids = [p.plot_id for p in ctx["plot_defs"] if p.plot_id in observed]
         ob_v = [observed[i].volume_m3 for i in ids]
         ob_a = [observed[i].agb_mg for i in ids]

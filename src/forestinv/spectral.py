@@ -19,6 +19,8 @@ from .geodata import HyperCube
 
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-9
+MIN_CLASS_PIXELS = 2        # a covariance needs two samples
+MAX_SFFS_ROUNDS = 10000     # inclusion rounds before SFFS gives up
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,7 @@ def normalize_spectrum(cube: HyperCube) -> tuple[HyperCube, int]:
 
 def class_statistics(cube: HyperCube,
                      samples_by_species: dict[str, np.ndarray],
-                     band_subset=None,
-                     min_pixels: int = 2):
+                     band_subset=None):
     """Mean and unbiased covariance per species over the given pixels.
 
     `samples_by_species` maps species code to an (n, 2) array of
@@ -101,7 +102,7 @@ def class_statistics(cube: HyperCube,
     training crowns. Covariances get a ridge of
     RIDGE_SCALE * trace/dim (floored at RIDGE_FLOOR) so later
     inversions stay well-posed even for tiny classes. Species with
-    fewer than `min_pixels` valid pixels are skipped and reported.
+    fewer than MIN_CLASS_PIXELS valid pixels are skipped and reported.
 
     Returns (list of GaussianClassStats sorted by species code,
     skipped species codes).
@@ -119,7 +120,7 @@ def class_statistics(cube: HyperCube,
             pix = pix[~np.isnan(pix).any(axis=1)]
         else:
             pix = np.empty((0, band_subset.size))
-        if len(pix) < min_pixels:
+        if len(pix) < MIN_CLASS_PIXELS:
             skipped.append(species)
             continue
         mean = pix.mean(axis=0)
@@ -208,8 +209,8 @@ def forward_select(stats, k: int, candidates=None,
     return out
 
 
-def sffs_select(stats, k: int, candidates=None, aggregate: str = "mean",
-                max_rounds: int = 10000) -> BandSelection:
+def sffs_select(stats, k: int, candidates=None,
+                aggregate: str = "mean") -> BandSelection:
     """Sequential floating forward selection of k bands.
 
     A plain forward pass seeds the best-known subset per size, then the
@@ -233,7 +234,7 @@ def sffs_select(stats, k: int, candidates=None, aggregate: str = "mean",
         best[len(sel.indices)] = (sel.criterion_value, sel.indices)
 
     current = list(best[min(2, k)][1]) if k >= 2 else list(best[1][1])
-    for _ in range(max_rounds):
+    for _ in range(MAX_SFFS_ROUNDS):
         if len(current) >= k:
             score, subset = best[k]
             return BandSelection(subset, score)
@@ -266,7 +267,7 @@ def sffs_select(stats, k: int, candidates=None, aggregate: str = "mean",
             else:
                 break
 
-    raise NumericalError("floating selection did not settle; raise max_rounds")
+    raise NumericalError("floating selection did not settle")
 
 
 def write_band_selection(selection: BandSelection, path) -> None:

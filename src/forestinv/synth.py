@@ -24,7 +24,7 @@ import numpy as np
 from .allometry import DbhModel, SpeciesRegistry, agb_jucker, estimate_dbh, \
     volume_double_entry
 from .errors import DataError
-from .evaluate import PlotDefinition, write_plot_definitions
+from .evaluate import PlotDefinition, PlotTruth, write_plot_definitions
 from .geodata import (
     Grid,
     GroundTruthPoint,
@@ -97,18 +97,6 @@ class TreeTruth:
     dbh: float
     volume: float
     agb: float
-
-
-@dataclass(frozen=True)
-class PlotTruth:
-    plot_id: int
-    volume_m3: float
-    agb_mg: float
-    n_trees: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.volume_m3) and math.isfinite(self.agb_mg)):
-            raise ValueError("volume and agb must be finite")
 
 
 @dataclass
@@ -450,23 +438,3 @@ def write_scene(data: SceneData, outdir) -> dict[str, str]:
             f.write(f"{p.plot_id},{p.volume_m3:.10g},{p.agb_mg:.10g},"
                     f"{p.n_trees}\n")
     return {k: str(v) for k, v in paths.items()}
-
-
-def read_truth_plots(path) -> list[PlotTruth]:
-    out = []
-    with open(path, "r") as f:
-        header = [t.strip().lower() for t in f.readline().split(",")]
-        if header != ["plot_id", "volume_m3", "agb_mg", "n_trees"]:
-            raise DataError(f"{path}: header must be "
-                            f"plot_id,volume_m3,agb_mg,n_trees")
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                plot_id, volume, agb, n_trees = line.strip().split(",")
-                out.append(PlotTruth(int(plot_id), float(volume), float(agb),
-                                     int(n_trees)))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: malformed truth "
-                                f"plot row {line.strip()!r} ({exc})") from None
-    return out

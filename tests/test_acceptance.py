@@ -369,7 +369,7 @@ output_dir = scene
 @pytest.fixture(scope="module")
 def e2e_run(tmp_path_factory):
     from forestinv.cli import main
-    from forestinv.synth import read_truth_plots
+    from forestinv.evaluate import read_truth_plots
 
     root = tmp_path_factory.mktemp("e2e")
     cfg = root / "scene.ini"

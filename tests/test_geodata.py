@@ -137,6 +137,12 @@ class TestPointCloud:
         with pytest.raises(PointCloudFormatError, match="line 3"):
             read_point_cloud(path)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # np.loadtxt refuses the whitespace-only line; the table rule skips it
+        path = tmp_path / "p.csv"
+        path.write_text("x,y,z\n1,2,3\n\n   \n4,5,6\n")
+        assert read_point_cloud(path).z.tolist() == [3.0, 6.0]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("")

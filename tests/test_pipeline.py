@@ -441,6 +441,18 @@ class TestCli:
                       "1,20,20,nan,7.5\n", "line 2"),
         ("ground_truth.csv", "x,y,species,role\nnan,9.75,PIAB,train\n",
          "line 2"),
+        ("plots.csv", "plot_id,center_x,center_y,radius,dbh_min\n"
+                      "1,20,20,15,7.5\n1,30,30,15,7.5\n",
+         "line 3: duplicate plot_id 1"),
+        ("truth_plots.csv", "plot_id,volume_m3,agb_mg,n_trees\n"
+                            "1,2.5,1.0,3\n1,2.5,1.0,3\n",
+         "line 3: duplicate plot_id 1"),
+        ("truth_plots.csv", "plot_id,volume_m3,agb_mg,n_trees\n"
+                            "1,2.5,1.0,3\n2,-5,-3,-1\n",
+         "line 3: volume, agb and n_trees must be >= 0"),
+        ("points.csv", "x,y,z\n1,2,3\n# junk\n4,5,6\n", "line 3"),
+        ("ground_truth.csv", "x,y,species,role,height\n"
+                             "9.75,9.75,PIAB,train,20\n", "line 1"),
     ])
     def test_bad_input_file_exits_3(self, tmp_path, capsys, name, text,
                                     where):
