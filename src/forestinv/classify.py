@@ -16,6 +16,7 @@ from .errors import DataError, NumericalError
 from .geodata import Grid, HyperCube
 
 LABEL_NODATA = -9999.0
+_KERNEL_BLOCK = 65536   # kernel entries per in-place block, ~512 KiB
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,7 @@ class BinarySvm:
     support_vectors: np.ndarray   # standardized feature rows
     coefficients: np.ndarray      # alpha_i * y_i, |.| <= C
     bias: float
+    iterations: int = 0           # SMO pair steps that trained it
 
 
 @dataclass
@@ -97,71 +99,95 @@ class SvmModel:
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma * ||u - v||^2) for all row pairs.
 
+    One gemm gives a @ b.T; the rest of the formula then runs in place
+    on row blocks of about _KERNEL_BLOCK entries, so no temporary of the
+    full size is made, in the order and with the values of
+    exp(-gamma * max(aa + bb - 2 a.b, 0)) on whole arrays.
+
     `rbf_kernel(x, x, gamma)` is exactly symmetric: numpy computes
     x @ x.T with one triangle mirrored, and the other terms commute.
     """
     aa = (a * a).sum(axis=1)[:, None]
     bb = (b * b).sum(axis=1)[None, :]
-    d2 = np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
-    return np.exp(-gamma * d2)
+    k = a @ b.T
+    rows = max(1, _KERNEL_BLOCK // max(1, len(b)))
+    for start in range(0, len(a), rows):
+        block = k[start:start + rows]
+        block *= 2.0
+        np.subtract(aa[start:start + rows] + bb, block, out=block)
+        np.maximum(block, 0.0, out=block)
+        block *= -gamma
+        np.exp(block, out=block)
+    return k
 
 
 def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
-              max_iter: int = 200_000, raise_on_limit: bool = True):
+              max_iter: int = 200_000, raise_on_limit: bool = True,
+              counts: dict | None = None):
     """Solve the soft-margin SVM dual by SMO on the maximal
     KKT-violating pair, maintaining the dual gradient.
 
     K must be exactly symmetric, as `rbf_kernel(x, x, gamma)` is: the
     gradient update reads kernel rows, which are contiguous, in place of
-    the columns the formula names.
+    the columns the formula names. The loop keeps yg = -y * grad, not
+    the gradient itself; since every y is +1 or -1, its update
+    yg -= step * (K[i] - K[j]) rounds exactly as the gradient's would.
 
-    Returns (alpha, bias). Stops when the violation gap drops to tol;
-    hitting max_iter raises unless raise_on_limit is off, in which case
-    the current iterate is returned (each pair step takes the analytic
-    subproblem optimum, so the dual objective never decreases).
+    Returns (alpha, bias). Stops when the violation gap drops to tol; a
+    gap still above tol after max_iter pair steps raises unless
+    raise_on_limit is off, in which case the current iterate is returned
+    (each pair step takes the analytic subproblem optimum, so the dual
+    objective never decreases). A dict passed as `counts` gets the
+    number of pair steps as "iterations".
     """
     n = len(y)
     alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 0.5 a'Qa - e'a at a = 0
+    yg = np.array(y, dtype=np.float64)  # -y * grad at a = 0, where grad = -1
     pos = y > 0
+    # up (low): alpha may grow (shrink) along its label; the scores are
+    # yg there and -inf (+inf) elsewhere
+    up = (pos & (alpha < C)) | (~pos & (alpha > 0))
+    low = (pos & (alpha > 0)) | (~pos & (alpha < C))
+    up_scores = np.where(up, yg, -np.inf)
+    low_scores = np.where(low, yg, np.inf)
+    diff = np.empty(n)
 
-    for _ in range(max_iter):
-        yg = -y * grad
-        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-        low = (pos & (alpha > 0)) | (~pos & (alpha < C))
-        up_scores = np.where(up, yg, -np.inf)
-        low_scores = np.where(low, yg, np.inf)
-        i = int(np.argmax(up_scores))
-        j = int(np.argmin(low_scores))
-        m_up = up_scores[i]
-        m_low = low_scores[j]
+    iterations = 0
+    while True:
+        i = int(up_scores.argmax())
+        j = int(low_scores.argmin())
+        m_up = float(up_scores[i])
+        m_low = float(low_scores[j])
         if m_up - m_low <= tol:
             break
+        if iterations == max_iter:
+            if raise_on_limit:
+                raise NumericalError("SMO did not converge; raise max_iter "
+                                     "or tol")
+            break
+        iterations += 1
 
         eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
         step = (m_up - m_low) / eta
+        a_i, a_j = float(alpha[i]), float(alpha[j])
         step = min(step,
-                   (C - alpha[i]) if y[i] > 0 else alpha[i],
-                   alpha[j] if y[j] > 0 else (C - alpha[j]))
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        # guard drift at the box boundary
-        alpha[i] = min(max(alpha[i], 0.0), C)
-        alpha[j] = min(max(alpha[j], 0.0), C)
-        grad += step * y * (K[i] - K[j])
-    else:
-        if raise_on_limit:
-            raise NumericalError("SMO did not converge; raise max_iter or tol")
-        yg = -y * grad
-        up_scores = np.where((pos & (alpha < C)) | (~pos & (alpha > 0)),
-                             yg, -np.inf)
-        low_scores = np.where((pos & (alpha > 0)) | (~pos & (alpha < C)),
-                              yg, np.inf)
-        m_up = float(up_scores.max())
-        m_low = float(low_scores.min())
+                   (C - a_i) if pos[i] else a_i,
+                   a_j if pos[j] else (C - a_j))
+        a_i = min(max(a_i + y[i] * step, 0.0), C)   # guard drift at the
+        a_j = min(max(a_j - y[j] * step, 0.0), C)   # box boundary
+        alpha[i], alpha[j] = a_i, a_j
+        np.subtract(K[i], K[j], out=diff)
+        diff *= step
+        yg -= diff
+        up_scores -= diff      # the infinities stay as they are
+        low_scores -= diff
+        for t, a in ((i, a_i), (j, a_j)):
+            up_scores[t] = yg[t] if (a < C if pos[t] else a > 0) else -np.inf
+            low_scores[t] = yg[t] if (a > 0 if pos[t] else a < C) else np.inf
 
+    if counts is not None:
+        counts["iterations"] = iterations
     free = (alpha > 1e-10 * C) & (alpha < C * (1.0 - 1e-10))
-    yg = -y * grad
     if free.any():
         bias = float(yg[free].mean())
     else:
@@ -207,9 +233,11 @@ def train_svm(pixels: np.ndarray, labels, C: float = 10.0,
             x = scaled[sel]
             y = np.where(labels[sel] == a, 1.0, -1.0)
             K = rbf_kernel(x, x, gamma)
-            alpha, bias = smo_solve(K, y, C, tol=tol)
+            counts = {}
+            alpha, bias = smo_solve(K, y, C, tol=tol, counts=counts)
             keep = alpha > 1e-10 * C
-            pairs.append(BinarySvm(a, b, x[keep], alpha[keep] * y[keep], bias))
+            pairs.append(BinarySvm(a, b, x[keep], alpha[keep] * y[keep], bias,
+                                   counts["iterations"]))
 
     model = SvmModel(tuple(species), tuple(bands), mean, std, gamma, C, pairs)
     return model, warnings

@@ -299,6 +299,7 @@ def _stage_select(ctx, out):
         aggregate=config.spectral.criterion_aggregate)
     ctx["bands"] = selection.indices
     spectral_mod.write_band_selection(selection, os.path.join(out, "bands.txt"))
+    return {"criterion_evaluations": selection.evaluations}
 
 
 def _stage_train(ctx, out):
@@ -324,7 +325,12 @@ def _stage_train(ctx, out):
         model = classify_mod.train_centroid(x, labels, bands=ctx["bands"])
     classify_mod.save_model(model, os.path.join(out, "model.txt"))
     ctx["model"] = model
-    return {"training_pixels": len(x), "skipped_pairs": len(warnings)}
+    counts = {"training_pixels": len(x), "skipped_pairs": len(warnings)}
+    if config.classify.classifier == "svm":
+        counts["support_vectors"] = sum(len(p.coefficients)
+                                        for p in model.pairs)
+        counts["smo_iterations"] = sum(p.iterations for p in model.pairs)
+    return counts
 
 
 def _stage_classify(ctx, out):
@@ -340,6 +346,7 @@ def _stage_classify(ctx, out):
     classify_mod.write_legend(legend, os.path.join(out, "species_legend.csv"))
     ctx["label_grid"] = label_grid
     ctx["legend"] = legend
+    return {"pixels_classified": int(label_grid.valid_mask().sum())}
 
 
 def _stage_label(ctx, out):
@@ -409,10 +416,13 @@ def _stage_report(ctx, out):
         ctx["confusion"], config.classify.classifier))
 
     observed_path = config.paths.get("observed_plots")
-    if ctx["plot_defs"] and observed_path and os.path.exists(observed_path):
+    if observed_path:
+        config.require_paths("observed_plots")
+    if ctx["plot_defs"] and observed_path:
         observed = {p.plot_id: p
                     for p in evaluate_mod.read_truth_plots(observed_path)}
-        ids = [p.plot_id for p in ctx["plot_defs"] if p.plot_id in observed]
+        ids = [p.plot_id for p in ctx["plot_defs"]]
+        _require_same_ids(ids, config.paths["plots"], observed, observed_path)
         ob_v = [observed[i].volume_m3 for i in ids]
         ob_a = [observed[i].agb_mg for i in ids]
         pr = {p.plot_id: t for p, t in zip(ctx["plot_defs"],
@@ -427,6 +437,19 @@ def _stage_report(ctx, out):
 
     with open(os.path.join(out, "report.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def _require_same_ids(first, first_path, second, second_path):
+    """DataError naming the first plot_id that only one of two plot
+    tables holds, and the table that lacks it."""
+    for have, have_path, lack, lack_path in (
+            (first, first_path, second, second_path),
+            (second, second_path, first, first_path)):
+        for plot_id in have:
+            if plot_id not in lack:
+                raise DataError(f"plot_id {plot_id} of "
+                                f"{os.path.basename(have_path)} is missing "
+                                f"from {os.path.basename(lack_path)}")
 
 
 _STAGE_FUNCS = {

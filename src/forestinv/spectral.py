@@ -9,7 +9,7 @@ driven by the Jeffries-Matusita separability between species pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -56,6 +56,8 @@ class GaussianClassStats:
 class BandSelection:
     indices: tuple[int, ...]
     criterion_value: float
+    # distinct band subsets the search had scored when it found this one
+    evaluations: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
@@ -138,17 +140,18 @@ def ridge_regularize(cov: np.ndarray) -> np.ndarray:
     return cov + eps * np.eye(dim)
 
 
-def _pairwise_jm(means: np.ndarray, covs: np.ndarray) -> list[float]:
+def _pairwise_jm(means: np.ndarray, covs: np.ndarray) -> list[list[float]]:
     """Jeffries-Matusita distance 2 * (1 - exp(-B)) of every class pair
-    i < j, from stacked (S, k) means and (S, k, k) covariances. B, the
+    i < j of each of n band subsets, from stacked (n, S, k) means and
+    (n, S, k, k) covariances; one list of pair values per subset. B, the
     Bhattacharyya distance, is one eighth of the Mahalanobis term under
     the averaged covariance plus half the log-ratio of the averaged
     determinant to the geometric mean of the two determinants. Only the
     LAPACK calls are batched, so each value is bit-identical per pair.
     """
-    first, second = map(list, zip(*combinations(range(len(means)), 2)))
-    diffs = means[first] - means[second]
-    mids = 0.5 * (covs[first] + covs[second])
+    first, second = map(list, zip(*combinations(range(means.shape[1]), 2)))
+    diffs = means[:, first] - means[:, second]
+    mids = 0.5 * (covs[:, first] + covs[:, second])
     try:
         solved = np.linalg.solve(mids, diffs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -157,36 +160,99 @@ def _pairwise_jm(means: np.ndarray, covs: np.ndarray) -> list[float]:
     sign_cov, logdet_cov = np.linalg.slogdet(covs)
     if (sign_mid <= 0).any() or (sign_cov <= 0).any():
         raise NumericalError("non-positive-definite covariance in JM distance")
-    values = []
-    for p, (i, j) in enumerate(zip(first, second)):
-        quad = 0.125 * float(diffs[p] @ solved[p])
-        logterm = 0.5 * (logdet_mid[p] - 0.5 * (logdet_cov[i] + logdet_cov[j]))
-        bhatt = max(0.0, quad + logterm)
-        values.append(min(2.0, 2.0 * (1.0 - math.exp(-bhatt))))
-    return values
+    out = []
+    for diff, sol, lmid, lcov in zip(diffs, solved, logdet_mid, logdet_cov):
+        values = []
+        for p, (i, j) in enumerate(zip(first, second)):
+            quad = 0.125 * float(diff[p] @ sol[p])
+            logterm = 0.5 * (lmid[p] - 0.5 * (lcov[i] + lcov[j]))
+            bhatt = max(0.0, quad + logterm)
+            values.append(min(2.0, 2.0 * (1.0 - math.exp(-bhatt))))
+        out.append(values)
+    return out
 
 
 def jm_distance(a: GaussianClassStats, b: GaussianClassStats) -> float:
     """Jeffries-Matusita distance between two classes on all their bands."""
     if a.dim != b.dim:
         raise ValueError("class statistics have mismatched dimensions")
-    return _pairwise_jm(np.stack([a.mean, b.mean]),
-                        np.stack([a.covariance, b.covariance]))[0]
+    return _pairwise_jm(np.stack([a.mean, b.mean])[None],
+                        np.stack([a.covariance, b.covariance])[None])[0][0]
+
+
+def _aggregate(aggregate: str):
+    if aggregate == "mean":
+        return np.mean
+    if aggregate == "min":
+        return np.min
+    raise ValueError(f"unknown aggregate {aggregate!r}")
 
 
 def jm_criterion(stats, indices, aggregate: str = "mean") -> float:
     """Aggregate pairwise JM over all species pairs on a band subset."""
     if len(stats) < 2:
         raise DataError("need at least two species")
+    reduce = _aggregate(aggregate)
     idx = np.asarray(sorted(indices), dtype=np.intp)
     values = _pairwise_jm(
-        np.stack([s.mean[idx] for s in stats]),
-        np.stack([s.covariance[idx[:, None], idx] for s in stats]))
-    if aggregate == "mean":
-        return float(np.mean(values))
-    if aggregate == "min":
-        return float(np.min(values))
-    raise ValueError(f"unknown aggregate {aggregate!r}")
+        np.stack([s.mean[idx] for s in stats])[None],
+        np.stack([s.covariance[idx[:, None], idx] for s in stats])[None])[0]
+    return float(reduce(values))
+
+
+class _Criterion:
+    """`jm_criterion` for one search: every subset is scored once, and
+    the unscored subsets of one step are scored in one batch."""
+
+    def __init__(self, stats, aggregate: str):
+        if len(stats) < 2:
+            raise DataError("need at least two species")
+        self.reduce = _aggregate(aggregate)
+        self.means = np.stack([s.mean for s in stats])         # (S, dim)
+        self.covs = np.stack([s.covariance for s in stats])    # (S, dim, dim)
+        self.memo: dict[tuple[int, ...], float] = {}
+
+    def best(self, bands, subsets):
+        """(band, score) of the best-scoring subset, where subsets[i] is
+        a sorted index tuple of one size that goes with bands[i]; ties
+        keep the first band."""
+        new = [s for s in subsets if s not in self.memo]
+        if new:
+            idx = np.array(new, dtype=np.intp)
+            values = _pairwise_jm(
+                self.means[:, idx].transpose(1, 0, 2),
+                self.covs[:, idx[:, :, None], idx[:, None, :]]
+                .transpose(1, 0, 2, 3))
+            for subset, pair_values in zip(new, values):
+                self.memo[subset] = float(self.reduce(pair_values))
+        best_band, best_score = None, -np.inf
+        for band, subset in zip(bands, subsets):
+            score = self.memo[subset]
+            if score > best_score:
+                best_band, best_score = band, score
+        return best_band, best_score
+
+    def include(self, current, pool):
+        """Best band of `pool` to add to `current`."""
+        bands = [b for b in pool if b not in current]
+        return self.best(bands, [tuple(sorted(current + [b])) for b in bands])
+
+    def exclude(self, current):
+        """Best band of `current` to drop."""
+        bands = sorted(current)
+        return self.best(bands, [tuple(b for b in bands if b != band)
+                                 for band in bands])
+
+
+def _forward(criterion: _Criterion, pool, k: int) -> list[BandSelection]:
+    chosen: list[int] = []
+    out = []
+    for _ in range(k):
+        best_band, best_score = criterion.include(chosen, pool)
+        chosen.append(best_band)
+        out.append(BandSelection(tuple(sorted(chosen)), best_score,
+                                 len(criterion.memo)))
+    return out
 
 
 def forward_select(stats, k: int, candidates=None,
@@ -194,19 +260,7 @@ def forward_select(stats, k: int, candidates=None,
     """Plain sequential forward selection; returns the best subset found
     at every size 1..k (used to seed the floating search)."""
     pool = list(range(stats[0].dim)) if candidates is None else sorted(candidates)
-    chosen: list[int] = []
-    out = []
-    for _ in range(k):
-        best_band, best_score = None, -np.inf
-        for band in pool:
-            if band in chosen:
-                continue
-            score = jm_criterion(stats, chosen + [band], aggregate)
-            if score > best_score:  # ties keep the lowest band index
-                best_band, best_score = band, score
-        chosen.append(best_band)
-        out.append(BandSelection(tuple(sorted(chosen)), best_score))
-    return out
+    return _forward(_Criterion(stats, aggregate), pool, k)
 
 
 def sffs_select(stats, k: int, candidates=None,
@@ -219,7 +273,9 @@ def sffs_select(stats, k: int, candidates=None,
     best-known score at the smaller size. Deterministic: criterion ties
     always resolve to the lowest band index. Returns the best subset of
     size k encountered, which by construction scores at least as high
-    as plain forward selection.
+    as plain forward selection. Each step scores its candidates in one
+    batch and no subset is scored twice, so every score equals the
+    `jm_criterion` value of its subset.
     """
     if k <= 0:
         raise ValueError("k must be >= 1")
@@ -229,24 +285,19 @@ def sffs_select(stats, k: int, candidates=None,
     if k > len(pool):
         raise ValueError(f"k={k} exceeds the {len(pool)} candidate bands")
 
+    criterion = _Criterion(stats, aggregate)
     best: dict[int, tuple[float, tuple[int, ...]]] = {}
-    for sel in forward_select(stats, k, pool, aggregate):
+    for sel in _forward(criterion, pool, k):
         best[len(sel.indices)] = (sel.criterion_value, sel.indices)
 
     current = list(best[min(2, k)][1]) if k >= 2 else list(best[1][1])
     for _ in range(MAX_SFFS_ROUNDS):
         if len(current) >= k:
             score, subset = best[k]
-            return BandSelection(subset, score)
+            return BandSelection(subset, score, len(criterion.memo))
 
         # inclusion
-        best_band, best_score = None, -np.inf
-        for band in pool:
-            if band in current:
-                continue
-            score = jm_criterion(stats, current + [band], aggregate)
-            if score > best_score:
-                best_band, best_score = band, score
+        best_band, best_score = criterion.include(current, pool)
         current.append(best_band)
         size = len(current)
         if size not in best or best_score > best[size][0]:
@@ -254,12 +305,7 @@ def sffs_select(stats, k: int, candidates=None,
 
         # conditional exclusion
         while len(current) > 2:
-            best_drop, best_drop_score = None, -np.inf
-            for band in sorted(current):
-                trial = [b for b in current if b != band]
-                score = jm_criterion(stats, trial, aggregate)
-                if score > best_drop_score:
-                    best_drop, best_drop_score = band, score
+            best_drop, best_drop_score = criterion.exclude(current)
             smaller = len(current) - 1
             if best_drop_score > best[smaller][0]:
                 current.remove(best_drop)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forestinv.classify import (
+    _KERNEL_BLOCK,
     CentroidModel,
     _vote_winner,
     classify_image,
@@ -16,7 +17,7 @@ from forestinv.classify import (
     train_svm,
 )
 from forestinv.crowns import CrownRecord
-from forestinv.errors import DataError
+from forestinv.errors import DataError, NumericalError
 from forestinv.geodata import Grid, HyperCube
 
 
@@ -56,8 +57,16 @@ def duality_gap(K, y, alpha, C):
     return primal - dual, primal
 
 
+def reference_rbf_kernel(a, b, gamma):
+    """The kernel formula on whole arrays."""
+    aa = (a * a).sum(axis=1)[:, None]
+    bb = (b * b).sum(axis=1)[None, :]
+    return np.exp(-gamma * np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0))
+
+
 def reference_smo_solve(K, y, C, tol=1e-3, max_iter=200_000):
-    """SMO as first written: the gradient update reads kernel columns."""
+    """SMO as first written: the gradient update reads kernel columns,
+    and the state after max_iter steps is returned."""
     n = len(y)
     alpha = np.zeros(n)
     grad = -np.ones(n)
@@ -84,6 +93,12 @@ def reference_smo_solve(K, y, C, tol=1e-3, max_iter=200_000):
         alpha[i] = min(max(alpha[i], 0.0), C)
         alpha[j] = min(max(alpha[j], 0.0), C)
         grad += step * y * (K[:, i] - K[:, j])
+    else:
+        yg = -y * grad
+        m_up = np.where((pos & (alpha < C)) | (~pos & (alpha > 0)),
+                        yg, -np.inf).max()
+        m_low = np.where((pos & (alpha > 0)) | (~pos & (alpha < C)),
+                         yg, np.inf).min()
     free = (alpha > 1e-10 * C) & (alpha < C * (1.0 - 1e-10))
     yg = -y * grad
     if free.any():
@@ -118,10 +133,57 @@ class TestSmoRowAccess:
         x, y, rng = overlapping_pair(seed)
         K = rbf_kernel(x, x, gamma=float(rng.uniform(0.01, 5.0)))
         C = float(10.0 ** rng.uniform(-1, 2))
-        alpha, bias = smo_solve(K, y, C, tol=1e-3)
+        counts = {}
+        alpha, bias = smo_solve(K, y, C, tol=1e-3, counts=counts)
         ref_alpha, ref_bias = reference_smo_solve(K, y, C, tol=1e-3)
         assert np.array_equal(alpha, ref_alpha)
         assert bias == ref_bias
+        # capped before convergence, the iterate so far is returned
+        cap = int(rng.integers(0, counts["iterations"] + 1))
+        alpha, bias = smo_solve(K, y, C, tol=1e-3, max_iter=cap,
+                                raise_on_limit=False)
+        ref_alpha, ref_bias = reference_smo_solve(K, y, C, tol=1e-3,
+                                                  max_iter=cap)
+        assert np.array_equal(alpha, ref_alpha)
+        assert bias == ref_bias
+
+    def test_iteration_count(self):
+        x, y, _ = overlapping_pair(3)
+        K = rbf_kernel(x, x, gamma=0.5)
+        counts = {}
+        smo_solve(K, y, 10.0, counts=counts)
+        steps = counts["iterations"]
+        assert steps > 0
+        smo_solve(K, y, 10.0, max_iter=steps)
+        with pytest.raises(NumericalError, match="did not converge"):
+            smo_solve(K, y, 10.0, max_iter=steps - 1)
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("n_a, n_b", [
+        (1, 1), (5, 1), (_KERNEL_BLOCK + 1, 1),
+        (_KERNEL_BLOCK // 7 - 1, 7), (_KERNEL_BLOCK // 7, 7),
+        (_KERNEL_BLOCK // 7 + 1, 7), (2 * (_KERNEL_BLOCK // 7) + 3, 7),
+        (3, _KERNEL_BLOCK + 5), (300, 300),
+    ])
+    def test_equals_whole_array_formula(self, n_a, n_b):
+        rng = np.random.default_rng(n_a * 31 + n_b)
+        a = rng.normal(0, 1, (n_a, 4))
+        b = rng.normal(0, 1, (n_b, 4))
+        b[0] = a[0]  # a zero distance
+        gamma = float(rng.uniform(0.05, 2.0))
+        assert np.array_equal(rbf_kernel(a, b, gamma),
+                              reference_rbf_kernel(a, b, gamma))
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_a_set_with_itself(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0, 1, (int(rng.integers(1, 700)),
+                              int(rng.integers(1, 20))))
+        gamma = float(rng.uniform(0.01, 5.0))
+        assert np.array_equal(rbf_kernel(x, x, gamma),
+                              reference_rbf_kernel(x, x, gamma))
 
 
 class TestSmo:

@@ -242,9 +242,14 @@ class TestPipeline:
         assert counts["enrich", "zero_volume_below_d0"] == sum(
             row["volume"] != "" and float(row["volume"]) == 0
             for row in inventory)
+        labels = (out / "species_labels.asc").read_text().split("\n", 6)[6]
+        assert counts["classify", "pixels_classified"] == sum(
+            v != "-9999" for v in labels.split())
+        bands = len((out / "bands.txt").read_text().split(",")) - 2
+        assert counts["select", "criterion_evaluations"] > bands
         assert {st_ for st_, _ in counts} == {
-            "chm", "spectral", "join", "statistics", "train", "label",
-            "enrich"}
+            "chm", "spectral", "join", "statistics", "select", "train",
+            "classify", "label", "enrich"}
         assert list(out.glob("*_report.txt")) == []
         layers = len(PitfreeParams().height_thresholds)
         assert [name for st_, name in counts if st_ == "chm"] == [
@@ -581,6 +586,44 @@ class TestCli:
                      "--out", str(out)]) == 0
         metrics = (out / "metrics.txt").read_text()
         assert "Classifier: svm" in metrics
+        model = (out / "model.txt").read_text().splitlines()
+        manifest = (out / "manifest.txt").read_text()
+        svs = sum(line.startswith("sv ") for line in model)
+        assert f"count train support_vectors {svs}\n" in manifest
+        iterations = re.search(r"count train smo_iterations (\d+)\n",
+                               manifest)
+        assert int(iterations.group(1)) >= svs > 0
+
+    def test_plot_id_in_one_table_only_exits_3(self, tmp_path, capsys):
+        pipeline_ini = make_scene(tmp_path)
+        path = pipeline_ini.parent / "truth_plots.csv"
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith("1,")
+        lines[1] = "99," + lines[1][2:]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(pipeline_ini),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ("plot_id 1 of plots.csv is missing from truth_plots.csv"
+                in err), err
+        assert "stage report failed" in (out / "manifest.txt").read_text()
+        lines[1] = "1," + lines[1][3:]
+        path.write_text("\n".join(lines + ["99,1,1,1"]) + "\n")
+        assert main(["run", "--config", str(pipeline_ini),
+                     "--out", str(out)]) == 3
+        assert ("plot_id 99 of truth_plots.csv is missing from plots.csv"
+                in capsys.readouterr().err)
+
+    def test_missing_observed_plots_exits_2(self, tmp_path, capsys):
+        pipeline_ini = make_scene(tmp_path)
+        (pipeline_ini.parent / "truth_plots.csv").unlink()
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(pipeline_ini),
+                     "--out", str(out)]) == 2
+        assert "truth_plots.csv" in capsys.readouterr().err
+        manifest = (out / "manifest.txt").read_text()
+        assert "stage report failed: input file(s) not found" in manifest
 
     def test_seed_override_changes_split(self, tmp_path):
         pipeline_ini = make_scene(tmp_path)

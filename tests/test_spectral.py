@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forestinv import spectral
 from forestinv.errors import DataError, NumericalError
 from forestinv.geodata import HyperCube
 from forestinv.spectral import (
+    BandSelection,
     GaussianClassStats,
     class_statistics,
     forward_select,
@@ -342,3 +344,123 @@ class TestBatchedCriterion:
         b = GaussianClassStats("B", 5, np.zeros(3), np.eye(3))
         with pytest.raises(ValueError, match="mismatched dimensions"):
             jm_distance(a, b)
+
+
+def reference_forward_select(stats, k, pool, aggregate, criterion):
+    """Forward selection that scores one candidate per criterion call."""
+    chosen, out = [], []
+    for _ in range(k):
+        best_band, best_score = None, -np.inf
+        for band in pool:
+            if band in chosen:
+                continue
+            score = criterion(stats, chosen + [band], aggregate)
+            if score > best_score:
+                best_band, best_score = band, score
+        chosen.append(best_band)
+        out.append((best_score, tuple(sorted(chosen))))
+    return out
+
+
+def reference_sffs_select(stats, k, candidates=None, aggregate="mean",
+                          criterion=jm_criterion):
+    """SFFS that scores one candidate per criterion call and scores a
+    subset again each time it comes up."""
+    pool = list(range(stats[0].dim)) if candidates is None else sorted(candidates)
+    best = {len(subset): (score, subset) for score, subset
+            in reference_forward_select(stats, k, pool, aggregate, criterion)}
+    current = list(best[min(2, k)][1])
+    while len(current) < k:
+        best_band, best_score = None, -np.inf
+        for band in pool:
+            if band in current:
+                continue
+            score = criterion(stats, current + [band], aggregate)
+            if score > best_score:
+                best_band, best_score = band, score
+        current.append(best_band)
+        size = len(current)
+        if size not in best or best_score > best[size][0]:
+            best[size] = (best_score, tuple(sorted(current)))
+        while len(current) > 2:
+            best_drop, best_drop_score = None, -np.inf
+            for band in sorted(current):
+                trial = [b for b in current if b != band]
+                score = criterion(stats, trial, aggregate)
+                if score > best_drop_score:
+                    best_drop, best_drop_score = band, score
+            smaller = len(current) - 1
+            if best_drop_score > best[smaller][0]:
+                current.remove(best_drop)
+                best[smaller] = (best_drop_score, tuple(sorted(current)))
+            else:
+                break
+    score, subset = best[k]
+    return BandSelection(subset, score)
+
+
+def with_duplicate_bands(rng, stats):
+    """The classes seen through a band list in which some bands repeat
+    others, so that candidate subsets tie exactly."""
+    dim = stats[0].dim
+    bands = np.concatenate([np.arange(dim),
+                            rng.integers(0, dim, int(rng.integers(1, 6)))])
+    bands = rng.permutation(bands)
+    out = []
+    for s in stats:
+        cov = ridge_regularize(s.covariance[np.ix_(bands, bands)])
+        out.append(GaussianClassStats(s.species_code, s.n_samples,
+                                      s.mean[bands], 0.5 * (cov + cov.T)))
+    return out
+
+
+class TestBatchedSffs:
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["mean", "min"]),
+           st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_candidate_reference(self, seed, aggregate, use_pool,
+                                            duplicate):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 41))
+        stats = random_spd_stats(rng, int(rng.integers(2, 7)), dim)
+        if duplicate:
+            stats = with_duplicate_bands(rng, stats)
+        dim = stats[0].dim
+        pool = None
+        if use_pool:
+            pool = rng.choice(dim, size=int(rng.integers(1, dim + 1)),
+                              replace=False).tolist()
+        k = int(rng.integers(1, min(len(pool or range(dim)), 35) + 1))
+        got = sffs_select(stats, k, candidates=pool, aggregate=aggregate)
+        expected = reference_sffs_select(stats, k, pool, aggregate)
+        assert got.indices == expected.indices
+        assert got.criterion_value == expected.criterion_value
+
+    def test_identical_classes_tie_to_the_lowest_bands(self):
+        stats, _ = planted_problem(0, nbands=6, n_classes=1)
+        stats = [stats[0], GaussianClassStats("C1", 50, stats[0].mean,
+                                              stats[0].covariance)]
+        sel = sffs_select(stats, 3)
+        assert sel.indices == (0, 1, 2) and sel.criterion_value == 0.0
+        assert sel == reference_sffs_select(stats, 3)
+
+    def test_each_subset_is_scored_once(self, monkeypatch):
+        stats, _ = planted_problem(4, nbands=12, n_informative=5)
+        scored = []
+        real = spectral._pairwise_jm
+
+        def counting(means, covs):
+            scored.append(len(means))
+            return real(means, covs)
+
+        monkeypatch.setattr(spectral, "_pairwise_jm", counting)
+        sel = sffs_select(stats, 6)
+        assert sum(scored) == sel.evaluations
+        subsets = []
+
+        def recording(stats, indices, aggregate):
+            subsets.append(tuple(sorted(indices)))
+            return jm_criterion(stats, indices, aggregate)
+
+        assert reference_sffs_select(stats, 6, criterion=recording) == sel
+        assert len(set(subsets)) == sel.evaluations < len(subsets)
