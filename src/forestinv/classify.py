@@ -9,6 +9,7 @@ Crowns receive the majority label of their classified pixels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -38,34 +39,44 @@ class CentroidModel:
         object.__setattr__(self, "centroids", arr)
 
 
+def _species_index(labels):
+    """(sorted species, index of each label's species in them)."""
+    species, index = np.unique(np.asarray(labels), return_inverse=True)
+    if len(species) < 2:
+        raise DataError("need at least two species to train a classifier")
+    return tuple(species.tolist()), index
+
+
 def train_centroid(pixels: np.ndarray, labels, bands=()) -> CentroidModel:
     """Centroid = arithmetic mean of each species' training pixels."""
     pixels = np.asarray(pixels, dtype=np.float64)
-    labels = np.asarray(labels)
-    species = sorted(set(labels.tolist()))
-    if len(species) < 2:
-        raise DataError("need at least two species to train a classifier")
-    cents = np.empty((len(species), pixels.shape[1]))
-    for i, sp in enumerate(species):
-        sel = labels == sp
-        if not sel.any():
-            raise DataError(f"species {sp!r} has no training pixels")
-        cents[i] = pixels[sel].mean(axis=0)
-    return CentroidModel(tuple(species), cents, tuple(bands))
+    species, index = _species_index(labels)
+    cents = np.stack([pixels[index == i].mean(axis=0)
+                      for i in range(len(species))])
+    return CentroidModel(species, cents, tuple(bands))
+
+
+def _centroid_index(model: CentroidModel, pixels: np.ndarray) -> np.ndarray:
+    """Index of the nearest centroid per row; ties go to the first,
+    which is the lexicographically smallest species code."""
+    if pixels.shape[1] != model.centroids.shape[1]:
+        raise ValueError("pixel dimension does not match the model")
+    d2 = ((pixels[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)
+
+
+def _predict(index_of, model, pixels):
+    """Species labels of one pixel or of the rows of a pixel array, from
+    a function that gives each row's species index."""
+    pixels = np.asarray(pixels, dtype=np.float64)
+    out = np.asarray(model.species)[index_of(model, np.atleast_2d(pixels))]
+    return out[0] if pixels.ndim == 1 else out
 
 
 def predict_centroid(model: CentroidModel, pixels: np.ndarray):
     """Label of the nearest centroid; ties go to the lexicographically
     smallest species code."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    single = pixels.ndim == 1
-    pixels = np.atleast_2d(pixels)
-    if pixels.shape[1] != model.centroids.shape[1]:
-        raise ValueError("pixel dimension does not match the model")
-    d2 = ((pixels[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
-    idx = np.argmin(d2, axis=1)  # first minimum = lexicographically smallest
-    out = np.array([model.species[i] for i in idx])
-    return out[0] if single else out
+    return _predict(_centroid_index, model, pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +208,13 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
 
 def train_svm(pixels: np.ndarray, labels, C: float = 10.0,
               gamma: float | None = None, bands=(), tol: float = 1e-3):
-    """One-vs-one RBF SVMs over all species pairs.
+    """One-vs-one RBF SVMs over all species pairs; returns the SvmModel.
 
     Features are standardized per band with the training mean/std
-    (stored in the model). gamma defaults to 1 / n_features. Pairs with
-    an empty side are skipped and reported in the returned warning
-    list. Returns (SvmModel, warnings).
+    (stored in the model). gamma defaults to 1 / n_features.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
-    labels = np.asarray(labels)
-    species = sorted(set(labels.tolist()))
-    if len(species) < 2:
-        raise DataError("need at least two species to train a classifier")
+    species, index = _species_index(labels)
     if not C > 0:
         raise ValueError("C must be > 0")
     if gamma is None:
@@ -222,25 +228,18 @@ def train_svm(pixels: np.ndarray, labels, C: float = 10.0,
     scaled = (pixels - mean) / std
 
     pairs = []
-    warnings = []
-    for ai in range(len(species)):
-        for bi in range(ai + 1, len(species)):
-            a, b = species[ai], species[bi]
-            sel = (labels == a) | (labels == b)
-            if not (labels == a).any() or not (labels == b).any():
-                warnings.append(f"pair ({a}, {b}) skipped: one side empty")
-                continue
-            x = scaled[sel]
-            y = np.where(labels[sel] == a, 1.0, -1.0)
-            K = rbf_kernel(x, x, gamma)
-            counts = {}
-            alpha, bias = smo_solve(K, y, C, tol=tol, counts=counts)
-            keep = alpha > 1e-10 * C
-            pairs.append(BinarySvm(a, b, x[keep], alpha[keep] * y[keep], bias,
-                                   counts["iterations"]))
-
-    model = SvmModel(tuple(species), tuple(bands), mean, std, gamma, C, pairs)
-    return model, warnings
+    for a, b in combinations(range(len(species)), 2):
+        sel = (index == a) | (index == b)
+        x = scaled[sel]
+        y = np.where(index[sel] == a, 1.0, -1.0)
+        K = rbf_kernel(x, x, gamma)
+        counts = {}
+        alpha, bias = smo_solve(K, y, C, tol=tol, counts=counts)
+        keep = alpha > 1e-10 * C
+        pairs.append(BinarySvm(species[a], species[b], x[keep],
+                               alpha[keep] * y[keep], bias,
+                               counts["iterations"]))
+    return SvmModel(species, tuple(bands), mean, std, gamma, C, pairs)
 
 
 def svm_decision(model: SvmModel, pair: BinarySvm,
@@ -249,12 +248,8 @@ def svm_decision(model: SvmModel, pair: BinarySvm,
     return k @ pair.coefficients + pair.bias
 
 
-def predict_svm(model: SvmModel, pixels: np.ndarray):
-    """One-vs-one voting; vote ties break on the summed decision margin,
-    residual ties lexicographically."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    single = pixels.ndim == 1
-    pixels = np.atleast_2d(pixels)
+def _svm_index(model: SvmModel, pixels: np.ndarray) -> np.ndarray:
+    """Species index per row by one-vs-one voting (see predict_svm)."""
     if pixels.shape[1] != model.scale_mean.size:
         raise ValueError("pixel dimension does not match the model")
     scaled = (pixels - model.scale_mean) / model.scale_std
@@ -271,9 +266,13 @@ def predict_svm(model: SvmModel, pixels: np.ndarray):
         votes[~pos_wins, ib] += 1
         margin[:, ia] += f
         margin[:, ib] -= f
+    return _vote_winner(votes, margin)
 
-    out = np.array([model.species[i] for i in _vote_winner(votes, margin)])
-    return out[0] if single else out
+
+def predict_svm(model: SvmModel, pixels: np.ndarray):
+    """One-vs-one voting; vote ties break on the summed decision margin,
+    residual ties lexicographically."""
+    return _predict(_svm_index, model, pixels)
 
 
 def _vote_winner(votes: np.ndarray, margin: np.ndarray) -> np.ndarray:
@@ -288,38 +287,31 @@ def _vote_winner(votes: np.ndarray, margin: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def classify_image(cube: HyperCube, band_subset, model, mask: Grid | None = None,
-                   chunk: int = 8192):
+def classify_image(cube: HyperCube, band_subset, model,
+                   mask: np.ndarray | None = None, chunk: int = 8192):
     """Per-pixel prediction over masked pixels.
 
-    `mask` marks active pixels (valid and nonzero); inactive or NaN
-    pixels become nodata. Returns (label Grid with integer species
-    codes, legend mapping code -> species).
+    `mask`, a boolean (rows, cols) array, marks the active pixels;
+    inactive or NaN pixels become nodata. Returns (label Grid holding
+    species index + 1 as the code, legend mapping code -> species).
     """
     band_subset = np.asarray(band_subset, dtype=np.intp)
-    species = model.species
-    legend = {i + 1: sp for i, sp in enumerate(species)}
-    code_of = {sp: i + 1 for i, sp in enumerate(species)}
-
     data = cube.samples[band_subset]  # (d, rows, cols)
-    active = np.ones((cube.nrows, cube.ncols), dtype=bool)
+    active = ~np.isnan(data).any(axis=0)
     if mask is not None:
-        if (mask.values.shape != active.shape):
-            raise DataError("mask grid is not aligned with the cube")
-        active = mask.valid_mask() & (mask.values != 0)
-    active &= ~np.isnan(data).any(axis=0)
+        if mask.shape != active.shape:
+            raise DataError("mask is not aligned with the cube")
+        active &= mask
 
     out = np.full((cube.nrows, cube.ncols), LABEL_NODATA)
     rows, cols = np.nonzero(active)
-    predict = predict_svm if isinstance(model, SvmModel) else predict_centroid
+    index_of = _svm_index if isinstance(model, SvmModel) else _centroid_index
     for start in range(0, len(rows), chunk):
         r = rows[start:start + chunk]
         c = cols[start:start + chunk]
-        x = data[:, r, c].T
-        pred = predict(model, x)
-        out[r, c] = [code_of[p] for p in pred]
+        out[r, c] = index_of(model, data[:, r, c].T) + 1
     grid = Grid(out, cube.xll, cube.yll, cube.cellsize, LABEL_NODATA)
-    return grid, legend
+    return grid, {i + 1: sp for i, sp in enumerate(model.species)}
 
 
 def label_crowns_majority(label_grid: Grid, legend: dict[int, str], crowns,
@@ -358,31 +350,31 @@ def write_legend(legend: dict[int, str], path) -> None:
 _MODEL_MAGIC = "forestinv-model 1"
 
 
-def _vec(arr) -> str:
-    return " ".join(format(float(v), ".17g") for v in np.asarray(arr).ravel())
-
-
 def save_model(model, path) -> None:
+    if isinstance(model, CentroidModel):
+        kind, width = "centroid", model.centroids.shape[1]
+    elif isinstance(model, SvmModel):
+        kind, width = "svm", model.scale_mean.size
+    else:
+        raise ValueError(f"cannot serialize {type(model).__name__}")
+    # "%.17g" % v is byte-identical to format(float(v), ".17g")
+    row = " ".join(["%.17g"] * width)
     with open(path, "w") as f:
-        f.write(_MODEL_MAGIC + "\n")
-        if isinstance(model, CentroidModel):
-            f.write("type centroid\n")
-            f.write("bands " + ",".join(str(b) for b in model.bands) + "\n")
-            f.write("species " + ",".join(model.species) + "\n")
-            for sp, cent in zip(model.species, model.centroids):
-                f.write(f"centroid {sp} {_vec(cent)}\n")
-        elif isinstance(model, SvmModel):
-            f.write("type svm\n")
-            f.write("bands " + ",".join(str(b) for b in model.bands) + "\n")
-            f.write("species " + ",".join(model.species) + "\n")
-            f.write(f"gamma {model.gamma:.17g}\n")
-            f.write(f"cost {model.C:.17g}\n")
-            f.write("scale_mean " + _vec(model.scale_mean) + "\n")
-            f.write("scale_std " + _vec(model.scale_std) + "\n")
-            for pair in model.pairs:
-                f.write(f"pair {pair.pos} {pair.neg} {pair.bias:.17g} "
-                        f"{len(pair.coefficients)}\n")
-                for coef, sv in zip(pair.coefficients, pair.support_vectors):
-                    f.write(f"sv {coef:.17g} {_vec(sv)}\n")
-        else:
-            raise ValueError(f"cannot serialize {type(model).__name__}")
+        f.write(f"{_MODEL_MAGIC}\ntype {kind}\n")
+        f.write("bands " + ",".join(str(b) for b in model.bands) + "\n")
+        f.write("species " + ",".join(model.species) + "\n")
+        if kind == "centroid":
+            for sp, cent in zip(model.species, model.centroids.tolist()):
+                f.write(f"centroid {sp} " + row % tuple(cent) + "\n")
+            return
+        f.write(f"gamma {model.gamma:.17g}\n")
+        f.write(f"cost {model.C:.17g}\n")
+        f.write("scale_mean " + row % tuple(model.scale_mean.tolist()) + "\n")
+        f.write("scale_std " + row % tuple(model.scale_std.tolist()) + "\n")
+        sv_line = "sv %.17g " + row + "\n"
+        for pair in model.pairs:
+            f.write(f"pair {pair.pos} {pair.neg} {pair.bias:.17g} "
+                    f"{len(pair.coefficients)}\n")
+            for coef, sv in zip(pair.coefficients.tolist(),
+                                pair.support_vectors.tolist()):
+                f.write(sv_line % (coef, *sv))

@@ -66,8 +66,9 @@ _REQUIRED_FROM = {
 def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> PipelineResult:
     """Run the stages in order, stopping after `stop_after` if given.
 
-    All inputs the requested stages need are validated up front, before
-    any computation or output.
+    The required inputs of the requested stages are validated up front,
+    before any computation or output; the optional `plots` and
+    `observed_plots` tables are checked by the stage that reads them.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise ConfigError(f"unknown stage {stop_after!r}; expected one of "
@@ -156,7 +157,6 @@ def _stage_terrain(ctx, out):
         write_ascii_grid(derivatives["aspect"], os.path.join(out, "aspect.asc"))
         write_ascii_grid(derivatives["elevation_class"],
                          os.path.join(out, "elevation_class.asc"))
-    ctx["terrain"] = derivatives
 
 
 def _stage_normalize(ctx, out):
@@ -226,7 +226,6 @@ def _stage_join(ctx, out):
     if not species:
         raise DataError("no ground-truth point fell inside any crown")
     ctx["truth_species"] = species
-    ctx["gt_points"] = points
     with open(os.path.join(out, "joined_species.csv"), "w") as f:
         f.write("crown_id,species\n")
         for cid in sorted(species):
@@ -272,10 +271,17 @@ def _training_pixels(ctx):
 
 
 def _stage_statistics(ctx, out):
-    ctx["training_pixels"] = pixels = _training_pixels(ctx)
-    stats, skipped = spectral_mod.class_statistics(ctx["cube"], pixels)
+    # normalize_spectrum leaves every pixel all-NaN or all-finite, so
+    # dropping the rows with a NaN keeps the valid pixels on any bands
+    samples = ctx["cube"].samples
+    spectra = {}
+    for sp, cells in _training_pixels(ctx).items():
+        px = samples[:, cells[:, 0], cells[:, 1]].T
+        spectra[sp] = px[~np.isnan(px).any(axis=1)]
+    stats, skipped = spectral_mod.class_statistics(spectra)
     if len(stats) < 2:
         raise DataError("fewer than two species have enough training pixels")
+    ctx["training_spectra"] = spectra
     ctx["class_stats"] = stats
     counts = {f"valid_pixels.{s.species_code}": s.n_samples for s in stats}
     counts.update((f"skipped.{sp}", 1) for sp in skipped)
@@ -304,28 +310,21 @@ def _stage_select(ctx, out):
 
 def _stage_train(ctx, out):
     config = ctx["config"]
-    pixels = ctx["training_pixels"]
+    spectra = ctx["training_spectra"]
     bands = np.asarray(ctx["bands"], dtype=np.intp)
-    data = ctx["cube"].samples[bands]
-    xs, labels = [], []
-    for sp in sorted(pixels):
-        cells = pixels[sp]
-        px = data[:, cells[:, 0], cells[:, 1]].T
-        px = px[~np.isnan(px).any(axis=1)]
-        xs.append(px)
-        labels.extend([sp] * len(px))
-    x = np.vstack(xs)
-    labels = np.asarray(labels)
-    warnings = []
+    species = sorted(spectra)
+    # take() keeps the rows C-contiguous, which the scaling sums rely on
+    x = np.vstack([spectra[sp].take(bands, axis=1) for sp in species])
+    labels = np.repeat(species, [len(spectra[sp]) for sp in species])
     if config.classify.classifier == "svm":
-        model, warnings = classify_mod.train_svm(
+        model = classify_mod.train_svm(
             x, labels, C=config.classify.c, gamma=config.classify.gamma,
             bands=ctx["bands"])
     else:
         model = classify_mod.train_centroid(x, labels, bands=ctx["bands"])
     classify_mod.save_model(model, os.path.join(out, "model.txt"))
     ctx["model"] = model
-    counts = {"training_pixels": len(x), "skipped_pairs": len(warnings)}
+    counts = {"training_pixels": len(x)}
     if config.classify.classifier == "svm":
         counts["support_vectors"] = sum(len(p.coefficients)
                                         for p in model.pairs)
@@ -336,10 +335,8 @@ def _stage_train(ctx, out):
 def _stage_classify(ctx, out):
     config = ctx["config"]
     chm_grid = ctx["chm"]
-    mask_vals = np.where(
-        chm_grid.valid_mask()
-        & (chm_grid.values >= config.itc.height_threshold), 1.0, 0.0)
-    mask = chm_grid.with_values(mask_vals)
+    mask = (chm_grid.valid_mask()
+            & (chm_grid.values >= config.itc.height_threshold))
     label_grid, legend = classify_mod.classify_image(
         ctx["cube"], ctx["bands"], ctx["model"], mask=mask)
     write_ascii_grid(label_grid, os.path.join(out, "species_labels.asc"))
@@ -378,7 +375,6 @@ def _stage_score(ctx, out):
         raise DataError("no test crown carries both a true and a predicted "
                         "species label")
     ctx["confusion"] = cm
-    ctx["score_excluded"] = excluded
     evaluate_mod.write_metrics_csv(cm, os.path.join(out, "metrics.csv"))
     with open(os.path.join(out, "metrics.txt"), "w") as f:
         f.write(evaluate_mod.format_metrics_table(

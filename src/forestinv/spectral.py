@@ -94,34 +94,22 @@ def normalize_spectrum(cube: HyperCube) -> tuple[HyperCube, int]:
                      cube.wavelengths), int(bad.sum())
 
 
-def class_statistics(cube: HyperCube,
-                     samples_by_species: dict[str, np.ndarray],
-                     band_subset=None):
-    """Mean and unbiased covariance per species over the given pixels.
+def class_statistics(spectra_by_species: dict[str, np.ndarray]):
+    """Mean and unbiased covariance per species over its spectra.
 
-    `samples_by_species` maps species code to an (n, 2) array of
-    (row, col) pixel indices, typically the cells of that species'
-    training crowns. Covariances get a ridge of
+    `spectra_by_species` maps species code to an (n, bands) array of
+    that species' valid training spectra. Covariances get a ridge of
     RIDGE_SCALE * trace/dim (floored at RIDGE_FLOOR) so later
     inversions stay well-posed even for tiny classes. Species with
-    fewer than MIN_CLASS_PIXELS valid pixels are skipped and reported.
+    fewer than MIN_CLASS_PIXELS spectra are skipped and reported.
 
     Returns (list of GaussianClassStats sorted by species code,
     skipped species codes).
     """
-    if band_subset is None:
-        band_subset = np.arange(cube.nbands)
-    band_subset = np.asarray(band_subset, dtype=np.intp)
-
     stats = []
     skipped = []
-    for species in sorted(samples_by_species):
-        cells = np.asarray(samples_by_species[species])
-        if cells.size:
-            pix = cube.samples[band_subset][:, cells[:, 0], cells[:, 1]].T
-            pix = pix[~np.isnan(pix).any(axis=1)]
-        else:
-            pix = np.empty((0, band_subset.size))
+    for species in sorted(spectra_by_species):
+        pix = np.asarray(spectra_by_species[species], dtype=np.float64)
         if len(pix) < MIN_CLASS_PIXELS:
             skipped.append(species)
             continue

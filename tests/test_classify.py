@@ -1,16 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from forestinv.classify import (
     _KERNEL_BLOCK,
+    BinarySvm,
     CentroidModel,
+    SvmModel,
     _vote_winner,
     classify_image,
     label_crowns_majority,
     predict_centroid,
     predict_svm,
     rbf_kernel,
+    save_model,
     smo_solve,
     svm_decision,
     train_centroid,
@@ -284,13 +289,12 @@ class TestCentroid:
 class TestSvmMulticlass:
     def test_training_accuracy_three_classes(self):
         x, labels = blobs(seed=4, centers=((0, 0), (5, 5), (0, 6)))
-        model, warnings = train_svm(x, labels, C=10.0)
-        assert warnings == []
+        model = train_svm(x, labels, C=10.0)
         assert (predict_svm(model, x) == labels).all()
 
     def test_two_class_reduces_to_binary_sign(self):
         x, labels = blobs(seed=5)
-        model, _ = train_svm(x, labels, C=10.0)
+        model = train_svm(x, labels, C=10.0)
         assert len(model.pairs) == 1
         pair = model.pairs[0]
         scaled = (x - model.scale_mean) / model.scale_std
@@ -300,15 +304,15 @@ class TestSvmMulticlass:
 
     def test_support_sample_deep_in_cluster(self):
         x, labels = blobs(seed=6)
-        model, _ = train_svm(x, labels, C=10.0)
+        model = train_svm(x, labels, C=10.0)
         inside = x[labels == "S0"][0]
         assert predict_svm(model, inside) == "S0"
 
     def test_duplicating_samples_leaves_decision_unchanged(self):
         x, labels = blobs(seed=7)
-        m1, _ = train_svm(x, labels, C=10.0, tol=1e-8)
-        m2, _ = train_svm(np.vstack([x, x]), np.concatenate([labels, labels]),
-                          C=10.0, tol=1e-8)
+        m1 = train_svm(x, labels, C=10.0, tol=1e-8)
+        m2 = train_svm(np.vstack([x, x]), np.concatenate([labels, labels]),
+                       C=10.0, tol=1e-8)
         rng = np.random.default_rng(8)
         probe = rng.uniform(-1, 6, (40, 2))
         f1 = svm_decision(m1, m1.pairs[0], (probe - m1.scale_mean) / m1.scale_std)
@@ -317,7 +321,7 @@ class TestSvmMulticlass:
 
     def test_deterministic_predictions(self):
         x, labels = blobs(seed=9, centers=((0, 0), (4, 4), (0, 4)))
-        model, _ = train_svm(x, labels, C=10.0)
+        model = train_svm(x, labels, C=10.0)
         rng = np.random.default_rng(10)
         probe = rng.uniform(-1, 5, (25, 2))
         a = predict_svm(model, probe)
@@ -349,7 +353,7 @@ class TestClassifyImage:
         for sp, sig in signatures.items():
             train_px.append(np.asarray(sig) + rng.normal(0, 0.02, (30, 3)))
             train_labels.extend([sp] * 30)
-        model, _ = train_svm(np.vstack(train_px), train_labels, C=10.0)
+        model = train_svm(np.vstack(train_px), train_labels, C=10.0)
         labels, legend = classify_image(cube, [0, 1, 2], model)
         pred = np.empty(truth.shape, dtype=object)
         for code, sp in legend.items():
@@ -359,7 +363,7 @@ class TestClassifyImage:
 
     def test_all_nodata_mask(self):
         cube, _, _ = self._scene()
-        mask = Grid(np.zeros((20, 20)), 0.0, 0.0, 1.0)
+        mask = np.zeros((20, 20), dtype=bool)
         model = CentroidModel(("A", "B"),
                               np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), ())
         labels, _ = classify_image(cube, [0, 1, 2], model, mask=mask)
@@ -483,3 +487,36 @@ class TestVoteWinner:
                                       reference_vote_winner(votes, margin))
 
 
+
+
+def per_value(values):
+    return " ".join(format(float(v), ".17g") for v in values)
+
+
+def test_save_model_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(13)
+    noise = rng.standard_normal(52) * 10.0 ** rng.integers(-12, 13, 52)
+    values = np.concatenate([[-0.0, 0.0, math.inf, -math.inf, math.nan,
+                              5e-324, 1 / 3, -2.5e-7], noise]).reshape(-1, 4)
+    species = tuple(f"S{i:02d}" for i in range(len(values)))
+    header = ["forestinv-model 1", None, "bands 3,5,8,13",
+              "species " + ",".join(species)]
+
+    save_model(CentroidModel(species, values, (3, 5, 8, 13)),
+               tmp_path / "centroid.txt")
+    header[1] = "type centroid"
+    assert (tmp_path / "centroid.txt").read_text().splitlines() == header + [
+        f"centroid {sp} {per_value(row)}" for sp, row in zip(species, values)]
+
+    pair = BinarySvm(species[0], species[1], values[2:], values[2:, 1],
+                     -0.0, 7)
+    save_model(SvmModel(species, (3, 5, 8, 13), values[0], values[1], 0.25,
+                        10.0, [pair]), tmp_path / "svm.txt")
+    header[1] = "type svm"
+    assert (tmp_path / "svm.txt").read_text().splitlines() == header + [
+        "gamma 0.25", "cost 10",
+        f"scale_mean {per_value(values[0])}",
+        f"scale_std {per_value(values[1])}",
+        f"pair S00 S01 -0 {len(values) - 2}"] + [
+        f"sv {per_value([coef])} {per_value(row)}"
+        for coef, row in zip(values[2:, 1], values[2:])]

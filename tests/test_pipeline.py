@@ -1,7 +1,11 @@
 import csv
 import dataclasses
+import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from configparser import ConfigParser
 from pathlib import Path
@@ -24,7 +28,9 @@ from forestinv.config import (
 )
 from forestinv.crowns import ItcParams
 from forestinv.errors import ConfigError
+from forestinv.geodata import PointCloud, read_ascii_grid
 from forestinv.pipeline import _training_pixels, run_pipeline
+from forestinv.synth import generate_scene, random_scene, write_scene
 
 SCENE_INI = """\
 [scene]
@@ -406,6 +412,104 @@ def test_training_pixels_match_per_cell_reference(seed, nrows, ncols,
     for sp in expected:
         assert got[sp].dtype == expected[sp].dtype
         np.testing.assert_array_equal(got[sp], expected[sp])
+
+
+PROJECTED_INI = """\
+[spectral]
+k = 4
+
+[paths]
+dtm = dtm.asc
+point_cloud = points.csv
+cube_header = cube.hdr
+cube_data = cube.dat
+ground_truth = ground_truth.csv
+plots = plots.csv
+observed_plots = truth_plots.csv
+
+[run]
+seed = 5
+output_dir = run_out
+"""
+
+
+def moved_scene(data, dx, dy):
+    """The scene translated by (dx, dy) metres."""
+    cloud, cube, dtm = data.cloud, data.cube, data.dtm
+
+    def move(point, x="x", y="y"):
+        return dataclasses.replace(point, **{x: getattr(point, x) + dx,
+                                             y: getattr(point, y) + dy})
+
+    return dataclasses.replace(
+        data,
+        dtm=dataclasses.replace(dtm, xll=dtm.xll + dx, yll=dtm.yll + dy),
+        cloud=PointCloud.from_xyz(cloud.x + dx, cloud.y + dy, cloud.z,
+                                  return_number=cloud.return_number,
+                                  is_ground=cloud.is_ground),
+        cube=dataclasses.replace(cube, xll=cube.xll + dx, yll=cube.yll + dy),
+        ground_truth=[move(p) for p in data.ground_truth],
+        plots=tuple(move(p, "center_x", "center_y") for p in data.plots),
+        truth_trees=[move(t) for t in data.truth_trees])
+
+
+def test_pipeline_at_projected_coordinates(tmp_path):
+    # 16 trees at 10 points/m2 put about 32,000 points in layer 0, so
+    # the CHM is triangulated in tiles. Snapped to 1 mm, every x, y keeps
+    # its value through the 10-digit point writer at a 5e6 m northing.
+    data = generate_scene(random_scene(seed=5, n_trees=16,
+                                       species=["PIAB", "FASY"], nbands=10,
+                                       n_plots=2))
+    cloud = data.cloud
+    data = dataclasses.replace(data, cloud=PointCloud.from_xyz(
+        np.round(cloud.x, 3), np.round(cloud.y, 3), cloud.z,
+        return_number=cloud.return_number, is_ground=cloud.is_ground))
+    chms = []
+    for name, scene in (("local", data),
+                        ("utm", moved_scene(data, 5e5, 5e6))):
+        write_scene(scene, tmp_path / name)
+        (tmp_path / name / "pipeline.ini").write_text(PROJECTED_INI)
+        assert main(["run", "--config",
+                     str(tmp_path / name / "pipeline.ini")]) == 0
+        out = tmp_path / name / "run_out"
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        tiles = [line for line in manifest
+                 if line.startswith("count chm layer0.tiles ")]
+        assert len(tiles) == 1 and int(tiles[0].split()[-1]) > 1
+        assert "count chm fallback_layers 0" in manifest
+        assert "status ok" in manifest
+        chms.append(read_ascii_grid(out / "chm.asc"))
+    local, utm = chms
+    assert (utm.xll, utm.yll) == (local.xll + 5e5, local.yll + 5e6)
+    np.testing.assert_array_equal(np.isnan(local.values),
+                                  np.isnan(utm.values))
+    np.testing.assert_allclose(utm.values, local.values, rtol=0, atol=1e-6)
+    # the same crowns get the same species; the headers hold the offset
+    for name in ("crown_labels.asc", "species_labels.asc"):
+        local_rows, utm_rows = (
+            (tmp_path / scene / "run_out" / name).read_text().splitlines()[6:]
+            for scene in ("local", "utm"))
+        assert local_rows == utm_rows, name
+
+
+def test_tracer_spans_every_layer_of_a_run(tmp_path):
+    """The benchmark's tracer finds and counts every function it wraps."""
+    pipeline_ini = make_scene(tmp_path, classifier="svm")
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"),
+         str(spans_path), "run", "--config", str(pipeline_ini),
+         "--out", str(tmp_path / "traced")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert not [line for line in proc.stderr.splitlines()
+                if line.startswith("tracer:")]
+    spans = json.loads(spans_path.read_text())
+    train = [s for s in spans if s[0] == "classify.train"]
+    assert len(train) == 1 and train[0][4]["support_vectors"] > 0
 
 
 class TestCli:

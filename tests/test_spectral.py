@@ -84,6 +84,21 @@ class TestNormalize:
         assert np.isnan(out.samples[:, 0, 1]).all()
         assert np.isfinite(out.samples[:, 1, 1]).all()
 
+    def test_every_pixel_all_nan_or_none(self):
+        # the statistics stage drops a training pixel on any NaN band,
+        # which keeps the same pixels as a filter on the selected bands
+        rng = np.random.default_rng(5)
+        arr = rng.uniform(-1.0, 2.0, (6, 4, 4))
+        arr[2, 0, 0] = np.nan
+        arr[4, 0, 1] = np.inf
+        arr[:, 0, 2] = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5]
+        arr[:, 0, 3] = 0.0
+        arr[1, 1, 0] = -np.inf
+        out, bad = normalize_spectrum(cube_from(arr))
+        nan = np.isnan(out.samples)
+        assert (nan.all(axis=0) | ~nan.any(axis=0)).all()
+        assert bad == nan.all(axis=0).sum() >= 5
+
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         cube = cube_from(rng.uniform(0.1, 3.0, (8, 4, 4)))
@@ -100,12 +115,8 @@ class TestNormalize:
 
 class TestClassStatistics:
     def test_hand_covariance(self):
-        arr = np.zeros((2, 1, 2))
-        arr[:, 0, 0] = [0.0, 0.0]
-        arr[:, 0, 1] = [2.0, 2.0]
-        cube = cube_from(arr)
-        cells = {"A": np.array([[0, 0], [0, 1]])}
-        stats, skipped = class_statistics(cube, cells)
+        stats, skipped = class_statistics({"A": np.array([[0.0, 0.0],
+                                                          [2.0, 2.0]])})
         assert skipped == []
         s = stats[0]
         np.testing.assert_allclose(s.mean, [1.0, 1.0])
@@ -115,31 +126,24 @@ class TestClassStatistics:
                                    atol=1e-15)
 
     def test_repeated_sample_gives_ridge_only(self):
-        arr = np.zeros((2, 1, 2))
-        arr[:, 0, 0] = [1.0, 2.0]
-        arr[:, 0, 1] = [1.0, 2.0]
-        stats, _ = class_statistics(cube_from(arr),
-                                    {"A": np.array([[0, 0], [0, 1]])})
+        stats, _ = class_statistics({"A": np.array([[1.0, 2.0], [1.0, 2.0]])})
         np.testing.assert_allclose(stats[0].covariance, 1e-9 * np.eye(2),
                                    atol=1e-18)
 
     def test_single_band_subset_is_marginal(self):
         rng = np.random.default_rng(4)
-        arr = rng.uniform(0, 1, (5, 4, 4))
-        cells = {"A": np.array([[r, c] for r in range(4) for c in range(4)])}
-        full, _ = class_statistics(cube_from(arr), cells)
-        band2, _ = class_statistics(cube_from(arr), cells, band_subset=[2])
-        vals = arr[2].ravel()
+        spectra = rng.uniform(0, 1, (16, 5))
+        band2, _ = class_statistics({"A": spectra[:, [2]]})
+        vals = spectra[:, 2]
         assert band2[0].mean[0] == pytest.approx(vals.mean())
         raw_var = vals.var(ddof=1)
         assert band2[0].covariance[0, 0] == pytest.approx(
             raw_var + max(1e-9, 1e-6 * raw_var), rel=1e-12)
 
     def test_small_class_skipped(self):
-        arr = np.zeros((2, 1, 2))
-        stats, skipped = class_statistics(cube_from(arr),
-                                          {"A": np.array([[0, 0]])})
-        assert stats == [] and skipped == ["A"]
+        stats, skipped = class_statistics({"A": np.zeros((1, 2)),
+                                           "B": np.zeros((0, 2))})
+        assert stats == [] and skipped == ["A", "B"]
 
 
 class TestJmDistance:
