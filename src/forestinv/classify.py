@@ -232,9 +232,9 @@ def train_svm(pixels: np.ndarray, labels, C: float = 10.0,
         sel = (index == a) | (index == b)
         x = scaled[sel]
         y = np.where(index[sel] == a, 1.0, -1.0)
-        K = rbf_kernel(x, x, gamma)
         counts = {}
-        alpha, bias = smo_solve(K, y, C, tol=tol, counts=counts)
+        alpha, bias = smo_solve(rbf_kernel(x, x, gamma), y, C, tol=tol,
+                                counts=counts)
         keep = alpha > 1e-10 * C
         pairs.append(BinarySvm(species[a], species[b], x[keep],
                                alpha[keep] * y[keep], bias,

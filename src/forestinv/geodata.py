@@ -509,6 +509,9 @@ def read_envi_cube(header_path, data_path) -> HyperCube:
         byte_order = int(need("byte order"))
     except ValueError as exc:
         raise CubeFormatError(f"{header_path}: non-integer header value ({exc})") from None
+    for key, value in (("samples", ncols), ("lines", nrows), ("bands", nbands)):
+        if value < 1:
+            raise CubeFormatError(f"{header_path}: {key} must be >= 1, got {value}")
 
     interleave = need("interleave").strip().lower()
     if interleave != "bsq":

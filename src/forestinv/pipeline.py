@@ -11,6 +11,7 @@ byte-stable across reruns.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import os
 import resource
 import time
@@ -33,13 +34,16 @@ from .geodata import (
     write_ascii_grid,
 )
 
-STAGES = ("terrain", "normalize", "chm", "crowns", "spectral", "join",
-          "split", "statistics", "select", "train", "classify", "label",
-          "enrich", "score", "plots", "report")
-
 
 @dataclass
 class PipelineResult:
+    """The run directory, the stages that completed and the live entries.
+
+    `context` holds what was live when the last planned stage returned:
+    that stage's parameters and the entries it produced. An entry is
+    freed before the first stage after its last reader, so after a full
+    run `context` holds exactly the `report` stage's parameters.
+    """
     out_dir: str
     completed: list[str] = field(default_factory=list)
     context: dict = field(default_factory=dict)
@@ -69,6 +73,10 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Pipel
     The required inputs of the requested stages are validated up front,
     before any computation or output; the optional `plots` and
     `observed_plots` tables are checked by the stage that reads them.
+
+    Each stage gets the context entries its parameters after `out` name
+    and returns (entries it produced, counters). Before each stage,
+    every entry that no remaining planned stage names is dropped.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise ConfigError(f"unknown stage {stop_after!r}; expected one of "
@@ -89,10 +97,15 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Pipel
     failure = None
 
     try:
-        for stage in planned:
+        for i, stage in enumerate(planned):
+            live = {name for later in planned[i:] for name in _INPUTS[later]}
+            for name in set(ctx) - live:
+                del ctx[name]
             t0 = time.perf_counter()
             try:
-                counts[stage] = _STAGE_FUNCS[stage](ctx, out) or {}
+                produced, counts[stage] = _STAGE_FUNCS[stage](
+                    out, **{name: ctx[name] for name in _INPUTS[stage]})
+                ctx.update(produced)
             except ForestInvError as exc:
                 failure = (stage, str(exc))
                 raise type(exc)(f"stage {stage}: {exc}") from exc
@@ -144,11 +157,8 @@ def _write_manifest(config, completed, counts, failure, out):
 # ---------------------------------------------------------------------------
 
 
-def _stage_terrain(ctx, out):
-    config = ctx["config"]
+def _stage_terrain(out, config):
     dtm = read_ascii_grid(config.paths["dtm"])
-    ctx["dtm"] = dtm
-    derivatives = None
     if dtm.nrows >= 3 and dtm.ncols >= 3:
         from .geodata import terrain_derivatives
 
@@ -157,28 +167,21 @@ def _stage_terrain(ctx, out):
         write_ascii_grid(derivatives["aspect"], os.path.join(out, "aspect.asc"))
         write_ascii_grid(derivatives["elevation_class"],
                          os.path.join(out, "elevation_class.asc"))
+    return {"dtm": dtm}, {}
 
 
-def _stage_normalize(ctx, out):
-    config = ctx["config"]
+def _stage_normalize(out, config, dtm):
     cloud = read_point_cloud(config.paths["point_cloud"])
-    ctx["cloud"] = chm_mod.normalize_heights(cloud, ctx["dtm"])
+    return {"cloud": chm_mod.normalize_heights(cloud, dtm)}, {}
 
 
-def _load_cube(ctx):
-    config = ctx["config"]
-    if "raw_cube" not in ctx:
-        config.require_paths("cube_header", "cube_data")
-        ctx["raw_cube"] = read_envi_cube(config.paths["cube_header"],
-                                         config.paths["cube_data"])
-    return ctx["raw_cube"]
-
-
-def _stage_chm(ctx, out):
-    config = ctx["config"]
-    kwargs = {}
+def _stage_chm(out, config, cloud):
+    # the cube, when configured, fixes the CHM grid; spectral reads it next
+    cube, kwargs = None, {}
     if config.paths.get("cube_header"):
-        cube = _load_cube(ctx)
+        config.require_paths("cube_header", "cube_data")
+        cube = read_envi_cube(config.paths["cube_header"],
+                              config.paths["cube_data"])
         if abs(cube.cellsize - config.pitfree.resolution) > 1e-9:
             raise ConfigError(
                 f"[chm] resolution {config.pitfree.resolution} does not match "
@@ -186,78 +189,65 @@ def _stage_chm(ctx, out):
                 f"share one grid")
         kwargs = dict(xll=cube.xll, yll=cube.yll, ncols=cube.ncols,
                       nrows=cube.nrows)
-    grid = chm_mod.pitfree_chm(ctx["cloud"], config.pitfree,
+    grid = chm_mod.pitfree_chm(cloud, config.pitfree,
                                threads=config.run.threads, **kwargs)
     write_ascii_grid(grid, os.path.join(out, "chm.asc"))
-    ctx["chm"] = grid
-    return grid.counts
+    return {"chm": grid, "raw_cube": cube}, grid.counts
 
 
-def _stage_crowns(ctx, out):
-    config = ctx["config"]
-    apexes = crowns_mod.detect_treetops(ctx["chm"], config.itc)
-    crowns, owner = crowns_mod.grow_crowns(ctx["chm"], apexes, config.itc)
+def _stage_crowns(out, config, chm):
+    apexes = crowns_mod.detect_treetops(chm, config.itc)
+    crowns, owner = crowns_mod.grow_crowns(chm, apexes, config.itc)
     if not crowns:
         raise DataError("no treetops detected; nothing to inventory")
-    label_grid = crowns_mod.crown_label_grid(ctx["chm"], owner)
+    label_grid = crowns_mod.crown_label_grid(chm, owner)
     write_ascii_grid(label_grid, os.path.join(out, "crown_labels.asc"))
     crowns_mod.write_crown_table(crowns, os.path.join(out, "crowns.csv"))
-    ctx["crowns"], ctx["owner"] = crowns, owner
+    return {"crowns": crowns, "owner": owner}, {}
 
 
-def _stage_spectral(ctx, out):
-    config = ctx["config"]
-    cube = _load_cube(ctx)
-    trimmed = spectral_mod.trim_bands(cube, config.spectral.drop_head,
+def _stage_spectral(out, config, raw_cube, chm):
+    trimmed = spectral_mod.trim_bands(raw_cube, config.spectral.drop_head,
                                       config.spectral.drop_tail)
     prepared, n_bad = spectral_mod.normalize_spectrum(trimmed)
-    if (prepared.nrows, prepared.ncols) != (ctx["chm"].nrows, ctx["chm"].ncols):
+    if (prepared.nrows, prepared.ncols) != (chm.nrows, chm.ncols):
         raise DataError("cube and CHM grids are not aligned")
-    ctx["cube"] = prepared
-    return {"bands_in": cube.nbands, "bands_after_trim": prepared.nbands,
-            "zero_mean_pixels": n_bad}
+    return {"cube": prepared}, {"bands_in": raw_cube.nbands,
+                                "bands_after_trim": prepared.nbands,
+                                "zero_mean_pixels": n_bad}
 
 
-def _stage_join(ctx, out):
-    config = ctx["config"]
+def _stage_join(out, config, crowns, owner, chm):
     points = read_ground_truth(config.paths["ground_truth"], config.registry)
-    species, unmatched = crowns_mod.spatial_join(points, ctx["crowns"],
-                                                 ctx["owner"], ctx["chm"])
+    species, unmatched = crowns_mod.spatial_join(points, crowns, owner, chm)
     if not species:
         raise DataError("no ground-truth point fell inside any crown")
-    ctx["truth_species"] = species
     with open(os.path.join(out, "joined_species.csv"), "w") as f:
         f.write("crown_id,species\n")
         for cid in sorted(species):
             f.write(f"{cid},{species[cid]}\n")
-    return {"matched_crowns": len(species),
-            "unmatched_points": len(unmatched)}
+    return {"truth_species": species}, {"matched_crowns": len(species),
+                                        "unmatched_points": len(unmatched)}
 
 
-def _stage_split(ctx, out):
-    config = ctx["config"]
-    split = crowns_mod.split_train_test(ctx["truth_species"],
+def _stage_split(out, config, truth_species):
+    split = crowns_mod.split_train_test(truth_species,
                                         config.run.train_fraction,
                                         config.run.seed)
-    ctx["split"] = split
     with open(os.path.join(out, "split.csv"), "w") as f:
         f.write("crown_id,role\n")
         for cid in split.train_ids:
             f.write(f"{cid},train\n")
         for cid in split.test_ids:
             f.write(f"{cid},test\n")
+    return {"split": split}, {}
 
 
-def _training_pixels(ctx):
+def _training_pixels(owner, truth, train_ids, seed, cap):
     """(row, col) arrays per species over the training crowns, ordered by
     crown_id and row-major within a crown, capped per species with a
     seed-derived subsample for tractability."""
-    config = ctx["config"]
-    owner = ctx["owner"]
-    truth = ctx["truth_species"]
-    train_ids = ctx["split"].train_ids
-    rng = np.random.default_rng(config.run.seed + 1)
-    cap = config.spectral.max_training_pixels_per_species
+    rng = np.random.default_rng(seed + 1)
     out = {}
     for sp in sorted({truth[cid] for cid in train_ids}):
         ids = [cid for cid in train_ids if truth[cid] == sp]
@@ -270,27 +260,26 @@ def _training_pixels(ctx):
     return out
 
 
-def _stage_statistics(ctx, out):
+def _stage_statistics(out, config, cube, owner, truth_species, split):
     # normalize_spectrum leaves every pixel all-NaN or all-finite, so
     # dropping the rows with a NaN keeps the valid pixels on any bands
-    samples = ctx["cube"].samples
+    pixels = _training_pixels(owner, truth_species, split.train_ids,
+                              config.run.seed,
+                              config.spectral.max_training_pixels_per_species)
     spectra = {}
-    for sp, cells in _training_pixels(ctx).items():
-        px = samples[:, cells[:, 0], cells[:, 1]].T
+    for sp, cells in pixels.items():
+        px = cube.samples[:, cells[:, 0], cells[:, 1]].T
         spectra[sp] = px[~np.isnan(px).any(axis=1)]
     stats, skipped = spectral_mod.class_statistics(spectra)
     if len(stats) < 2:
         raise DataError("fewer than two species have enough training pixels")
-    ctx["training_spectra"] = spectra
-    ctx["class_stats"] = stats
     counts = {f"valid_pixels.{s.species_code}": s.n_samples for s in stats}
     counts.update((f"skipped.{sp}", 1) for sp in skipped)
-    return counts
+    return {"training_spectra": spectra, "class_stats": stats}, counts
 
 
-def _stage_select(ctx, out):
-    config = ctx["config"]
-    nbands = ctx["cube"].nbands
+def _stage_select(out, config, cube, class_stats):
+    nbands = cube.nbands
     excluded = set(config.spectral.exclude_bands)
     outside = sorted(b for b in excluded if not 0 <= b < nbands)
     if outside:
@@ -301,65 +290,57 @@ def _stage_select(ctx, out):
         raise ConfigError("[spectral] exclude_bands removed every band")
     k = min(config.spectral.k, len(candidates))
     selection = spectral_mod.sffs_select(
-        ctx["class_stats"], k, candidates=candidates,
+        class_stats, k, candidates=candidates,
         aggregate=config.spectral.criterion_aggregate)
-    ctx["bands"] = selection.indices
     spectral_mod.write_band_selection(selection, os.path.join(out, "bands.txt"))
-    return {"criterion_evaluations": selection.evaluations}
+    return ({"bands": selection.indices},
+            {"criterion_evaluations": selection.evaluations})
 
 
-def _stage_train(ctx, out):
-    config = ctx["config"]
-    spectra = ctx["training_spectra"]
-    bands = np.asarray(ctx["bands"], dtype=np.intp)
-    species = sorted(spectra)
+def _stage_train(out, config, training_spectra, bands):
+    columns = np.asarray(bands, dtype=np.intp)
+    species = sorted(training_spectra)
     # take() keeps the rows C-contiguous, which the scaling sums rely on
-    x = np.vstack([spectra[sp].take(bands, axis=1) for sp in species])
-    labels = np.repeat(species, [len(spectra[sp]) for sp in species])
+    x = np.vstack([training_spectra[sp].take(columns, axis=1)
+                   for sp in species])
+    labels = np.repeat(species, [len(training_spectra[sp]) for sp in species])
     if config.classify.classifier == "svm":
         model = classify_mod.train_svm(
             x, labels, C=config.classify.c, gamma=config.classify.gamma,
-            bands=ctx["bands"])
+            bands=bands)
     else:
-        model = classify_mod.train_centroid(x, labels, bands=ctx["bands"])
+        model = classify_mod.train_centroid(x, labels, bands=bands)
     classify_mod.save_model(model, os.path.join(out, "model.txt"))
-    ctx["model"] = model
     counts = {"training_pixels": len(x)}
     if config.classify.classifier == "svm":
         counts["support_vectors"] = sum(len(p.coefficients)
                                         for p in model.pairs)
         counts["smo_iterations"] = sum(p.iterations for p in model.pairs)
-    return counts
+    return {"model": model}, counts
 
 
-def _stage_classify(ctx, out):
-    config = ctx["config"]
-    chm_grid = ctx["chm"]
-    mask = (chm_grid.valid_mask()
-            & (chm_grid.values >= config.itc.height_threshold))
-    label_grid, legend = classify_mod.classify_image(
-        ctx["cube"], ctx["bands"], ctx["model"], mask=mask)
+def _stage_classify(out, config, chm, cube, bands, model):
+    mask = chm.valid_mask() & (chm.values >= config.itc.height_threshold)
+    label_grid, legend = classify_mod.classify_image(cube, bands, model,
+                                                     mask=mask)
     write_ascii_grid(label_grid, os.path.join(out, "species_labels.asc"))
     classify_mod.write_legend(legend, os.path.join(out, "species_legend.csv"))
-    ctx["label_grid"] = label_grid
-    ctx["legend"] = legend
-    return {"pixels_classified": int(label_grid.valid_mask().sum())}
+    return ({"label_grid": label_grid, "legend": legend},
+            {"pixels_classified": int(label_grid.valid_mask().sum())})
 
 
-def _stage_label(ctx, out):
-    unlabeled = classify_mod.label_crowns_majority(
-        ctx["label_grid"], ctx["legend"], ctx["crowns"], ctx["owner"])
-    return {"unlabeled_crowns": len(unlabeled)}
+def _stage_label(out, label_grid, legend, crowns, owner):
+    unlabeled = classify_mod.label_crowns_majority(label_grid, legend,
+                                                   crowns, owner)
+    return {"crowns": crowns}, {"unlabeled_crowns": len(unlabeled)}
 
 
-def _stage_enrich(ctx, out):
+def _stage_enrich(out, config, crowns):
     from .allometry import enrich_crowns
 
-    config = ctx["config"]
-    crowns = ctx["crowns"]
     enrich_crowns(crowns, config.registry, config.dbh_model)
     crowns_mod.write_crown_table(crowns, os.path.join(out, "inventory.csv"))
-    return {
+    return {"crowns": crowns}, {
         "skipped_unlabeled": sum(c.species_code is None for c in crowns),
         "borrowed_volume_params": sum(c.fallback_used is not None
                                       for c in crowns),
@@ -367,72 +348,70 @@ def _stage_enrich(ctx, out):
     }
 
 
-def _stage_score(ctx, out):
-    test_ids = set(ctx["split"].test_ids)
-    test_crowns = [c for c in ctx["crowns"] if c.crown_id in test_ids]
-    cm, excluded = evaluate_mod.score(test_crowns, ctx["truth_species"])
+def _stage_score(out, config, crowns, split, truth_species):
+    test_ids = set(split.test_ids)
+    test_crowns = [c for c in crowns if c.crown_id in test_ids]
+    cm, excluded = evaluate_mod.score(test_crowns, truth_species)
     if cm.total == 0:
         raise DataError("no test crown carries both a true and a predicted "
                         "species label")
-    ctx["confusion"] = cm
     evaluate_mod.write_metrics_csv(cm, os.path.join(out, "metrics.csv"))
     with open(os.path.join(out, "metrics.txt"), "w") as f:
         f.write(evaluate_mod.format_metrics_table(
-            cm, ctx["config"].classify.classifier))
+            cm, config.classify.classifier))
         f.write(f"excluded crowns {excluded}\n")
+    return {"confusion": cm}, {}
 
 
-def _stage_plots(ctx, out):
-    config = ctx["config"]
+def _stage_plots(out, config, crowns):
     plots = []
     if config.paths.get("plots"):
         config.require_paths("plots")
         plots = evaluate_mod.read_plot_definitions(config.paths["plots"])
-    totals = [evaluate_mod.aggregate_plot(ctx["crowns"], p) for p in plots]
-    ctx["plot_defs"] = plots
-    ctx["plot_totals"] = totals
+    totals = [evaluate_mod.aggregate_plot(crowns, p) for p in plots]
     with open(os.path.join(out, "plot_totals.csv"), "w") as f:
         f.write("plot_id,volume_m3,agb_mg,n_trees\n")
         for p, t in zip(plots, totals):
             f.write(f"{p.plot_id},{t.volume_m3:.10g},{t.agb_mg:.10g},"
                     f"{t.n_trees}\n")
+    return {"plot_defs": plots, "plot_totals": totals}, {}
 
 
-def _stage_report(ctx, out):
-    config = ctx["config"]
+def _stage_report(out, config, crowns, truth_species, split, bands,
+                  confusion, plot_defs, plot_totals):
     lines = ["forestinv inventory report", ""]
-    lines.append(f"crowns delineated: {len(ctx['crowns'])}")
-    lines.append(f"ground-truth crowns: {len(ctx['truth_species'])} "
-                 f"(train {len(ctx['split'].train_ids)}, "
-                 f"test {len(ctx['split'].test_ids)})")
+    lines.append(f"crowns delineated: {len(crowns)}")
+    lines.append(f"ground-truth crowns: {len(truth_species)} "
+                 f"(train {len(split.train_ids)}, "
+                 f"test {len(split.test_ids)})")
     lines.append(f"selected bands: "
-                 + ",".join(str(b) for b in ctx["bands"]))
+                 + ",".join(str(b) for b in bands))
     lines.append("")
     lines.append(evaluate_mod.format_metrics_table(
-        ctx["confusion"], config.classify.classifier))
+        confusion, config.classify.classifier))
 
     observed_path = config.paths.get("observed_plots")
     if observed_path:
         config.require_paths("observed_plots")
-    if ctx["plot_defs"] and observed_path:
+    if plot_defs and observed_path:
         observed = {p.plot_id: p
                     for p in evaluate_mod.read_truth_plots(observed_path)}
-        ids = [p.plot_id for p in ctx["plot_defs"]]
+        ids = [p.plot_id for p in plot_defs]
         _require_same_ids(ids, config.paths["plots"], observed, observed_path)
         ob_v = [observed[i].volume_m3 for i in ids]
         ob_a = [observed[i].agb_mg for i in ids]
-        pr = {p.plot_id: t for p, t in zip(ctx["plot_defs"],
-                                           ctx["plot_totals"])}
+        pr = {p.plot_id: t for p, t in zip(plot_defs, plot_totals)}
         pr_v = [pr[i].volume_m3 for i in ids]
         pr_a = [pr[i].agb_mg for i in ids]
         lines.append(evaluate_mod.format_plot_table(ids, ob_v, pr_v,
                                                     ob_a, pr_a))
-    elif ctx["plot_defs"]:
+    elif plot_defs:
         lines.append("plot totals written to plot_totals.csv "
                      "(no observed values supplied)")
 
     with open(os.path.join(out, "report.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
+    return {}, {}
 
 
 def _require_same_ids(first, first_path, second, second_path):
@@ -466,3 +445,7 @@ _STAGE_FUNCS = {
     "plots": _stage_plots,
     "report": _stage_report,
 }
+STAGES = tuple(_STAGE_FUNCS)
+# the context entries each stage reads: its parameters after `out`
+_INPUTS = {stage: tuple(inspect.signature(fn).parameters)[1:]
+           for stage, fn in _STAGE_FUNCS.items()}

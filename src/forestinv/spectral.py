@@ -89,7 +89,7 @@ def normalize_spectrum(cube: HyperCube) -> tuple[HyperCube, int]:
     bad = ~np.isfinite(means) | (means == 0.0)
     safe = np.where(bad, 1.0, means)
     out = cube.samples / safe[None, :, :]
-    out = np.where(bad[None, :, :], np.nan, out)
+    out[:, bad] = np.nan
     return HyperCube(out, cube.xll, cube.yll, cube.cellsize,
                      cube.wavelengths), int(bad.sum())
 

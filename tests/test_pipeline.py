@@ -9,7 +9,6 @@ import sys
 import tempfile
 from configparser import ConfigParser
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -315,6 +314,20 @@ class TestPipeline:
         manifest = (out / "manifest.txt").read_text()
         assert "stage train not-run" in manifest
 
+    def test_each_entry_is_freed_after_its_last_reader(self, tmp_path):
+        pipeline_ini = make_scene(tmp_path)
+        config = load_config(pipeline_ini, out_override=str(tmp_path / "a"))
+        result = run_pipeline(config, stop_after="select")
+        # select's parameters and the entry it produced
+        assert set(result.context) == {"config", "cube", "class_stats",
+                                       "bands"}
+        config = load_config(pipeline_ini, out_override=str(tmp_path / "b"))
+        result = run_pipeline(config)
+        # exactly the report stage's parameters
+        assert set(result.context) == {"config", "crowns", "truth_species",
+                                       "split", "bands", "confusion",
+                                       "plot_defs", "plot_totals"}
+
     def test_failure_leaves_manifest(self, tmp_path):
         pipeline_ini = make_scene(tmp_path)
         # corrupt the ground truth so the join stage fails mid-pipeline
@@ -401,12 +414,7 @@ def test_training_pixels_match_per_cell_reference(seed, nrows, ncols,
     truth = {int(cid): str(rng.choice(["ABAL", "FASY", "PIAB"]))
              for cid in ids}
     train_ids = tuple(int(cid) for cid in ids if rng.random() < 0.7)
-    ctx = {"config": SimpleNamespace(
-               run=SimpleNamespace(seed=seed),
-               spectral=SimpleNamespace(max_training_pixels_per_species=cap)),
-           "owner": owner, "truth_species": truth,
-           "split": SimpleNamespace(train_ids=train_ids)}
-    got = _training_pixels(ctx)
+    got = _training_pixels(owner, truth, train_ids, seed, cap)
     expected = reference_training_pixels(owner, truth, train_ids, seed, cap)
     assert list(got) == list(expected)
     for sp in expected:
@@ -593,6 +601,28 @@ class TestCli:
                      "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "cube.hdr" in err and where in err
+        assert "stage chm failed" in (out / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize("old, new, data", [
+        # no columns, with the 0-byte data file that this implies
+        ("samples = 140", "samples = 0", b""),
+        # two negative sizes whose product matches the data file
+        ("samples = 140\nlines = 140", "samples = -140\nlines = -140", None),
+    ])
+    def test_cube_size_below_1_exits_3(self, tmp_path, capsys, old, new,
+                                       data):
+        pipeline_ini = make_scene(tmp_path)
+        path = pipeline_ini.parent / "cube.hdr"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        if data is not None:
+            (pipeline_ini.parent / "cube.dat").write_bytes(data)
+        out = tmp_path / "bad_out"
+        assert main(["run", "--config", str(pipeline_ini),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "cube.hdr: samples must be >= 1" in err
         assert "stage chm failed" in (out / "manifest.txt").read_text()
 
     def test_unknown_truth_species_exits_3(self, tmp_path, capsys):
