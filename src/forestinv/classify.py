@@ -9,6 +9,7 @@ Crowns receive the majority label of their classified pixels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -18,6 +19,7 @@ from .geodata import Grid, HyperCube
 
 LABEL_NODATA = -9999.0
 _KERNEL_BLOCK = 65536   # kernel entries per in-place block, ~512 KiB
+_PREDICT_BUDGET = 1 << 21   # kernel entries per prediction block, 16 MiB
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +108,24 @@ class SvmModel:
     C: float
     pairs: list[BinarySvm]
 
+    @cached_property
+    def union(self):
+        """(distinct support-vector rows of all pairs, (rows x pairs)
+        coefficient matrix, pair biases), derived on first use from the
+        trained pairs; it is neither a field nor serialized.
+
+        A training row that several pairs keep is one kernel column,
+        so prediction builds one kernel over the union, not one per pair.
+        """
+        svs = np.concatenate([p.support_vectors for p in self.pairs])
+        vectors, inverse = np.unique(svs, axis=0, return_inverse=True)
+        column = np.repeat(np.arange(len(self.pairs)),
+                           [len(p.coefficients) for p in self.pairs])
+        coef = np.zeros((len(vectors), len(self.pairs)))
+        np.add.at(coef, (inverse.ravel(), column),
+                  np.concatenate([p.coefficients for p in self.pairs]))
+        return vectors, coef, np.array([p.bias for p in self.pairs])
+
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma * ||u - v||^2) for all row pairs.
@@ -162,6 +182,12 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
     up_scores = np.where(up, yg, -np.inf)
     low_scores = np.where(low, yg, np.inf)
     diff = np.empty(n)
+    # the step loop reads its scalars from lists: indexing a list is
+    # cheaper than making a numpy scalar, and the arithmetic is the same
+    alpha = alpha.tolist()
+    y_of = yg.tolist()
+    pos_of = pos.tolist()
+    k_diag = K.diagonal().tolist()
 
     iterations = 0
     while True:
@@ -178,14 +204,14 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
             break
         iterations += 1
 
-        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        eta = max(k_diag[i] + k_diag[j] - 2.0 * float(K[i, j]), 1e-12)
         step = (m_up - m_low) / eta
-        a_i, a_j = float(alpha[i]), float(alpha[j])
+        a_i, a_j = alpha[i], alpha[j]
         step = min(step,
-                   (C - a_i) if pos[i] else a_i,
-                   a_j if pos[j] else (C - a_j))
-        a_i = min(max(a_i + y[i] * step, 0.0), C)   # guard drift at the
-        a_j = min(max(a_j - y[j] * step, 0.0), C)   # box boundary
+                   (C - a_i) if pos_of[i] else a_i,
+                   a_j if pos_of[j] else (C - a_j))
+        a_i = min(max(a_i + y_of[i] * step, 0.0), C)   # guard drift at the
+        a_j = min(max(a_j - y_of[j] * step, 0.0), C)   # box boundary
         alpha[i], alpha[j] = a_i, a_j
         np.subtract(K[i], K[j], out=diff)
         diff *= step
@@ -193,9 +219,11 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
         up_scores -= diff      # the infinities stay as they are
         low_scores -= diff
         for t, a in ((i, a_i), (j, a_j)):
-            up_scores[t] = yg[t] if (a < C if pos[t] else a > 0) else -np.inf
-            low_scores[t] = yg[t] if (a > 0 if pos[t] else a < C) else np.inf
+            p = pos_of[t]
+            up_scores[t] = yg[t] if (a < C if p else a > 0) else -np.inf
+            low_scores[t] = yg[t] if (a > 0 if p else a < C) else np.inf
 
+    alpha = np.array(alpha)
     if counts is not None:
         counts["iterations"] = iterations
     free = (alpha > 1e-10 * C) & (alpha < C * (1.0 - 1e-10))
@@ -242,10 +270,13 @@ def train_svm(pixels: np.ndarray, labels, C: float = 10.0,
     return SvmModel(species, tuple(bands), mean, std, gamma, C, pairs)
 
 
-def svm_decision(model: SvmModel, pair: BinarySvm,
-                 scaled_pixels: np.ndarray) -> np.ndarray:
-    k = rbf_kernel(scaled_pixels, pair.support_vectors, model.gamma)
-    return k @ pair.coefficients + pair.bias
+def _svm_decisions(model: SvmModel, scaled_pixels: np.ndarray) -> np.ndarray:
+    """(rows x pairs) decision values: one kernel over the support-vector
+    union and one gemm, in place of one kernel per pair."""
+    vectors, coef, bias = model.union
+    decisions = rbf_kernel(scaled_pixels, vectors, model.gamma) @ coef
+    decisions += bias
+    return decisions
 
 
 def _svm_index(model: SvmModel, pixels: np.ndarray) -> np.ndarray:
@@ -253,13 +284,13 @@ def _svm_index(model: SvmModel, pixels: np.ndarray) -> np.ndarray:
     if pixels.shape[1] != model.scale_mean.size:
         raise ValueError("pixel dimension does not match the model")
     scaled = (pixels - model.scale_mean) / model.scale_std
+    decisions = _svm_decisions(model, scaled)
 
     n = len(scaled)
     index = {sp: i for i, sp in enumerate(model.species)}
     votes = np.zeros((n, len(model.species)), dtype=np.int64)
     margin = np.zeros((n, len(model.species)))
-    for pair in model.pairs:
-        f = svm_decision(model, pair, scaled)
+    for pair, f in zip(model.pairs, decisions.T):
         ia, ib = index[pair.pos], index[pair.neg]
         pos_wins = f > 0
         votes[pos_wins, ia] += 1
@@ -288,12 +319,16 @@ def _vote_winner(votes: np.ndarray, margin: np.ndarray) -> np.ndarray:
 
 
 def classify_image(cube: HyperCube, band_subset, model,
-                   mask: np.ndarray | None = None, chunk: int = 8192):
+                   mask: np.ndarray | None = None):
     """Per-pixel prediction over masked pixels.
 
     `mask`, a boolean (rows, cols) array, marks the active pixels;
     inactive or NaN pixels become nodata. Returns (label Grid holding
     species index + 1 as the code, legend mapping code -> species).
+
+    Pixels are predicted in blocks of at most _PREDICT_BUDGET kernel
+    entries: a block's rows times the support-vector union for the SVM,
+    times species x features for the centroid model.
     """
     band_subset = np.asarray(band_subset, dtype=np.intp)
     data = cube.samples[band_subset]  # (d, rows, cols)
@@ -305,10 +340,14 @@ def classify_image(cube: HyperCube, band_subset, model,
 
     out = np.full((cube.nrows, cube.ncols), LABEL_NODATA)
     rows, cols = np.nonzero(active)
-    index_of = _svm_index if isinstance(model, SvmModel) else _centroid_index
-    for start in range(0, len(rows), chunk):
-        r = rows[start:start + chunk]
-        c = cols[start:start + chunk]
+    if isinstance(model, SvmModel):
+        index_of, width = _svm_index, len(model.union[0])
+    else:
+        index_of, width = _centroid_index, model.centroids.size
+    step = max(1, _PREDICT_BUDGET // max(1, width))
+    for start in range(0, len(rows), step):
+        r = rows[start:start + step]
+        c = cols[start:start + step]
         out[r, c] = index_of(model, data[:, r, c].T) + 1
     grid = Grid(out, cube.xll, cube.yll, cube.cellsize, LABEL_NODATA)
     return grid, {i + 1: sp for i, sp in enumerate(model.species)}

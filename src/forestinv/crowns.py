@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .geodata import Grid, GroundTruthPoint
 
@@ -98,16 +97,29 @@ def detect_treetops(chm: Grid, params: ItcParams) -> list[Apex]:
     sides += sides % 2 == 0
     sides = np.clip(sides, params.min_search_win, params.max_search_win)
 
-    # strict local max: taller than every other cell in its window
-    # (footprint excludes the center)
+    # strict local max: taller than every other cell in its window. The
+    # window maximum without the center is the running maximum of shifted
+    # views of the grid padded with -inf; each side adds the ring of
+    # offsets outside the previous side's window, up to the largest side
+    # a candidate uses.
     is_strict = np.zeros(len(rows), dtype=bool)
-    for side in range(params.min_search_win, params.max_search_win + 1, 2):
-        footprint = np.ones((side, side), dtype=bool)
-        footprint[side // 2, side // 2] = False
-        neighborhood_max = ndimage.maximum_filter(
-            values, footprint=footprint, mode="constant", cval=-np.inf)
+    nrows, ncols = values.shape
+    half = params.max_search_win // 2
+    padded = np.pad(values, half, constant_values=-np.inf)
+    neighborhood_max = np.full(values.shape, -np.inf)
+    for side in range(3, int(sides.max(initial=1)) + 1, 2):
+        r = side // 2
+        for dr in range(-r, r + 1):
+            step = 1 if abs(dr) == r else 2 * r
+            for dc in range(-r, r + 1, step):
+                np.maximum(neighborhood_max,
+                           padded[half + dr:half + dr + nrows,
+                                  half + dc:half + dc + ncols],
+                           out=neighborhood_max)
         sel = sides == side
-        is_strict[sel] = heights[sel] > neighborhood_max[rows[sel], cols[sel]]
+        if sel.any():
+            is_strict[sel] = (heights[sel]
+                              > neighborhood_max[rows[sel], cols[sel]])
     rows, cols, heights = rows[is_strict], cols[is_strict], heights[is_strict]
 
     order = np.lexsort((cols, rows, -heights))
@@ -132,6 +144,8 @@ def detect_treetops(chm: Grid, params: ItcParams) -> list[Apex]:
 def _prepared_heights(chm: Grid, params: ItcParams) -> np.ndarray:
     values = np.where(chm.valid_mask(), chm.values, -np.inf)
     if params.smooth_chm:
+        from scipy import ndimage
+
         finite = np.isfinite(values)
         padded = np.where(finite, values, 0.0)
         counts = ndimage.uniform_filter(finite.astype(float), size=3,

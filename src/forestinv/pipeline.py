@@ -10,6 +10,7 @@ byte-stable across reruns.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import inspect
 import os
@@ -57,6 +58,24 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _libc_malloc_trim():
+    """glibc's malloc_trim, or None where the C library has none (musl,
+    macOS, Windows)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+# hands the heap that dropped entries freed back to the system; without
+# it glibc keeps the CHM's Qhull worker arena and fragmented tile
+# temporaries mapped for the rest of the run
+_MALLOC_TRIM = _libc_malloc_trim()
+
+
 # first stage that needs each input; later stages inherit it
 _REQUIRED_FROM = {
     "dtm": "terrain",
@@ -76,7 +95,8 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Pipel
 
     Each stage gets the context entries its parameters after `out` name
     and returns (entries it produced, counters). Before each stage,
-    every entry that no remaining planned stage names is dropped.
+    every entry that no remaining planned stage names is dropped and the
+    freed heap is returned to the system.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise ConfigError(f"unknown stage {stop_after!r}; expected one of "
@@ -101,6 +121,8 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Pipel
             live = {name for later in planned[i:] for name in _INPUTS[later]}
             for name in set(ctx) - live:
                 del ctx[name]
+            if _MALLOC_TRIM is not None:
+                _MALLOC_TRIM(0)
             t0 = time.perf_counter()
             try:
                 produced, counts[stage] = _STAGE_FUNCS[stage](
@@ -325,8 +347,10 @@ def _stage_classify(out, config, chm, cube, bands, model):
                                                      mask=mask)
     write_ascii_grid(label_grid, os.path.join(out, "species_labels.asc"))
     classify_mod.write_legend(legend, os.path.join(out, "species_legend.csv"))
-    return ({"label_grid": label_grid, "legend": legend},
-            {"pixels_classified": int(label_grid.valid_mask().sum())})
+    counts = {"pixels_classified": int(label_grid.valid_mask().sum())}
+    if isinstance(model, classify_mod.SvmModel):
+        counts["support_vector_union"] = len(model.union[0])
+    return {"label_grid": label_grid, "legend": legend}, counts
 
 
 def _stage_label(out, label_grid, legend, crowns, owner):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import forestinv.classify as classify_mod
 from forestinv.classify import (
     _KERNEL_BLOCK,
     BinarySvm,
@@ -17,7 +18,6 @@ from forestinv.classify import (
     rbf_kernel,
     save_model,
     smo_solve,
-    svm_decision,
     train_centroid,
     train_svm,
 )
@@ -60,6 +60,12 @@ def duality_gap(K, y, alpha, C):
     primal = 0.5 * w2 + C * hinge
     dual = alpha.sum() - 0.5 * w2
     return primal - dual, primal
+
+
+def reference_decision(model, pair, scaled_pixels):
+    """One pair's decision values from its own support vectors."""
+    k = rbf_kernel(scaled_pixels, pair.support_vectors, model.gamma)
+    return k @ pair.coefficients + pair.bias
 
 
 def reference_rbf_kernel(a, b, gamma):
@@ -298,7 +304,7 @@ class TestSvmMulticlass:
         assert len(model.pairs) == 1
         pair = model.pairs[0]
         scaled = (x - model.scale_mean) / model.scale_std
-        f = svm_decision(model, pair, scaled)
+        f = reference_decision(model, pair, scaled)
         by_sign = np.where(f > 0, pair.pos, pair.neg)
         assert (predict_svm(model, x) == by_sign).all()
 
@@ -315,8 +321,10 @@ class TestSvmMulticlass:
                        C=10.0, tol=1e-8)
         rng = np.random.default_rng(8)
         probe = rng.uniform(-1, 6, (40, 2))
-        f1 = svm_decision(m1, m1.pairs[0], (probe - m1.scale_mean) / m1.scale_std)
-        f2 = svm_decision(m2, m2.pairs[0], (probe - m2.scale_mean) / m2.scale_std)
+        f1 = reference_decision(m1, m1.pairs[0],
+                                (probe - m1.scale_mean) / m1.scale_std)
+        f2 = reference_decision(m2, m2.pairs[0],
+                                (probe - m2.scale_mean) / m2.scale_std)
         np.testing.assert_allclose(f1, f2, atol=1e-6)
 
     def test_deterministic_predictions(self):
@@ -369,13 +377,134 @@ class TestClassifyImage:
         labels, _ = classify_image(cube, [0, 1, 2], model, mask=mask)
         assert (labels.values == labels.nodata).all()
 
-    def test_pixelwise_purity(self):
+    def test_pixelwise_purity(self, monkeypatch):
         cube, _, _ = self._scene()
         model = CentroidModel(("A", "B"),
                               np.array([[1.0, 0.2, 0.2], [0.2, 1.0, 0.2]]), ())
         full, _ = classify_image(cube, [0, 1, 2], model)
-        small_chunks, _ = classify_image(cube, [0, 1, 2], model, chunk=7)
+        # 2 species x 3 features: blocks of 7 pixels
+        monkeypatch.setattr(classify_mod, "_PREDICT_BUDGET", 7 * 6)
+        small_chunks, _ = classify_image(cube, [0, 1, 2], model)
         np.testing.assert_array_equal(full.values, small_chunks.values)
+
+
+def five_species(seed=21, n=40, dims=4):
+    """Five overlapping species: many support vectors, shared by pairs."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0, 1.2, (5, dims))
+    x = np.vstack([c + rng.normal(0, 1.0, (n, dims)) for c in centers])
+    labels = np.repeat([f"S{i}" for i in range(5)], n)
+    return x, labels, centers
+
+
+class TestUnionKernel:
+    def test_decisions_equal_the_per_pair_formula(self):
+        x, labels, _ = five_species()
+        model = train_svm(x, labels, C=10.0)
+        vectors, coef, bias = model.union
+        svs = sum(len(p.support_vectors) for p in model.pairs)
+        assert len(np.unique(vectors, axis=0)) == len(vectors) < svs
+        rng = np.random.default_rng(22)
+        probe = np.vstack([x, rng.normal(0, 2.5, (300, x.shape[1]))])
+        scaled = (probe - model.scale_mean) / model.scale_std
+        decisions = classify_mod._svm_decisions(model, scaled)
+        index = {sp: i for i, sp in enumerate(model.species)}
+        votes = np.zeros((len(probe), 5), dtype=np.int64)
+        margin = np.zeros((len(probe), 5))
+        for k, pair in enumerate(model.pairs):
+            f = reference_decision(model, pair, scaled)
+            np.testing.assert_allclose(decisions[:, k], f, rtol=0,
+                                       atol=1e-12)
+            ia, ib = index[pair.pos], index[pair.neg]
+            votes[f > 0, ia] += 1
+            votes[f <= 0, ib] += 1
+            margin[:, ia] += f
+            margin[:, ib] -= f
+        expected = np.asarray(model.species)[_vote_winner(votes, margin)]
+        assert (predict_svm(model, probe) == expected).all()
+
+    def test_a_row_twice_in_one_pair_adds_its_coefficients(self):
+        sv = np.array([[0.5, -1.0], [0.5, -1.0], [-0.3, 0.8]])
+        pairs = [BinarySvm("A", "B", sv, np.array([0.3, 0.4, -0.7]), 0.1),
+                 BinarySvm("A", "C", sv[1:], np.array([1.2, -1.2]), -0.2),
+                 BinarySvm("B", "C", sv[2:], np.array([-0.5]), 0.05)]
+        model = SvmModel(("A", "B", "C"), (), np.zeros(2), np.ones(2), 0.7,
+                         10.0, pairs)
+        vectors, coef, bias = model.union
+        np.testing.assert_array_equal(vectors, [[-0.3, 0.8], [0.5, -1.0]])
+        np.testing.assert_allclose(coef, [[-0.7, -1.2, -0.5],
+                                          [0.7, 1.2, 0.0]], rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_array_equal(bias, [0.1, -0.2, 0.05])
+        probe = np.random.default_rng(8).normal(0, 1, (40, 2))
+        decisions = classify_mod._svm_decisions(model, probe)
+        for k, pair in enumerate(pairs):
+            np.testing.assert_allclose(decisions[:, k],
+                                       reference_decision(model, pair, probe),
+                                       rtol=0, atol=1e-12)
+
+
+class TestPredictionBlocks:
+    def _cube(self, centers, seed=23, shape=(30, 40)):
+        rng = np.random.default_rng(seed)
+        species = rng.integers(0, len(centers), shape)
+        arr = centers[species].transpose(2, 0, 1) + rng.normal(
+            0, 1.0, (centers.shape[1],) + shape)
+        arr[:, 3, 5] = np.nan
+        return HyperCube(arr, 0.0, 0.0, 1.0)
+
+    def _models(self):
+        x, labels, centers = five_species()
+        bands = list(range(x.shape[1]))
+        return (self._cube(centers), bands,
+                [train_svm(x, labels, C=10.0), train_centroid(x, labels)])
+
+    @staticmethod
+    def _width(model):
+        if isinstance(model, SvmModel):
+            return len(model.union[0])
+        return model.centroids.size
+
+    def test_labels_do_not_depend_on_the_block_size(self, monkeypatch):
+        cube, bands, models = self._models()
+        for model in models:
+            full, legend = classify_image(cube, bands, model)
+            width = self._width(model)
+            for budget in (width - 1, width, 7 * width + 3, 10 ** 9):
+                monkeypatch.setattr(classify_mod, "_PREDICT_BUDGET", budget)
+                blocked, again = classify_image(cube, bands, model)
+                assert again == legend
+                np.testing.assert_array_equal(blocked.values, full.values)
+
+    def test_no_block_exceeds_the_budget(self, monkeypatch):
+        cube, bands, (svm, centroid) = self._models()
+        kernel_rows = []
+
+        def recording_kernel(a, b, gamma):
+            kernel_rows.append((len(a), len(b)))
+            return rbf_kernel(a, b, gamma)
+
+        monkeypatch.setattr(classify_mod, "rbf_kernel", recording_kernel)
+        width = self._width(svm)
+        budget = 37 * width + 5
+        monkeypatch.setattr(classify_mod, "_PREDICT_BUDGET", budget)
+        grid, _ = classify_image(cube, bands, svm)
+        assert len(kernel_rows) > 1
+        assert all(b == width and a * b <= budget for a, b in kernel_rows)
+        assert sum(a for a, _ in kernel_rows) == grid.valid_mask().sum()
+
+        centroid_rows = []
+        index_of = classify_mod._centroid_index
+
+        def recording_index(model, pixels):
+            centroid_rows.append(len(pixels))
+            return index_of(model, pixels)
+
+        monkeypatch.setattr(classify_mod, "_centroid_index", recording_index)
+        grid, _ = classify_image(cube, bands, centroid)
+        assert len(centroid_rows) > 1
+        assert max(centroid_rows) * centroid.centroids.size <= budget
+        assert sum(centroid_rows) == grid.valid_mask().sum()
 
 
 def make_crown(cid):

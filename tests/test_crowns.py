@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,60 @@ def brute_force_treetops(chm, params):
                for kx, ky in kept):
             kept.append((x, y))
     return kept
+
+
+def strict_maxima(v, side, threshold):
+    """Cells at or above threshold taller than every other cell of their
+    side x side window, by scipy's maximum filter."""
+    from scipy import ndimage
+
+    values = np.where(np.isnan(v), -np.inf, v)
+    footprint = np.ones((side, side), dtype=bool)
+    footprint[side // 2, side // 2] = False
+    neighborhood_max = ndimage.maximum_filter(
+        values, footprint=footprint, mode="constant", cval=-np.inf)
+    return sorted(zip(*np.nonzero((values >= threshold)
+                                  & (values > neighborhood_max))))
+
+
+class TestStrictMaxima:
+    @pytest.mark.parametrize("side", [3, 5, 7, 9])
+    def test_equal_the_maximum_filter(self, side):
+        rng = np.random.default_rng(side)
+        # min_dist below the cell size: thinning keeps every maximum
+        params = ItcParams(min_search_win=side, max_search_win=side,
+                           min_dist=0.1, max_dist=40.0, height_threshold=1.0)
+        for shape in ((1, 1), (2, 9), (23, 31), (40, 17)):
+            v = rng.integers(0, 6, shape).astype(float)   # many ties
+            v[rng.random(shape) < 0.15] = np.nan          # -inf cells
+            got = sorted((a.row, a.col)
+                         for a in detect_treetops(grid_from(v), params))
+            assert got == strict_maxima(v, side, 1.0)
+
+    @pytest.mark.parametrize("wins", [(3, 9), (5, 9), (3, 5), (7, 9)])
+    def test_mixed_window_sides_vs_brute_force(self, wins):
+        rng = np.random.default_rng(wins[0] * 10 + wins[1])
+        params = ItcParams(min_search_win=wins[0], max_search_win=wins[1],
+                           min_dist=0.1, max_dist=40.0, height_threshold=1.0,
+                           win_low_height=1.0, win_high_height=20.0)
+        v = rng.integers(0, 22, (90, 90)).astype(float)
+        v[rng.random(v.shape) < 0.1] = np.nan
+        chm = grid_from(v)
+        got = [(a.x, a.y) for a in detect_treetops(chm, params)]
+        assert sorted(got) == sorted(brute_force_treetops(chm, params))
+        assert len(got) > 5
+
+    def test_importing_the_cli_leaves_out_scipy_ndimage(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, forestinv.cli; "
+             "print('scipy.ndimage' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestDetectTreetops:

@@ -28,6 +28,7 @@ from forestinv.config import (
 from forestinv.crowns import ItcParams
 from forestinv.errors import ConfigError
 from forestinv.geodata import PointCloud, read_ascii_grid
+from forestinv import pipeline as pipeline_mod
 from forestinv.pipeline import _training_pixels, run_pipeline
 from forestinv.synth import generate_scene, random_scene, write_scene
 
@@ -327,6 +328,25 @@ class TestPipeline:
         assert set(result.context) == {"config", "crowns", "truth_species",
                                        "split", "bands", "confusion",
                                        "plot_defs", "plot_totals"}
+
+    def test_runs_where_the_c_library_has_no_malloc_trim(self, tmp_path,
+                                                         monkeypatch):
+        pipeline_ini = make_scene(tmp_path, classifier="svm")
+        run_pipeline(load_config(pipeline_ini,
+                                 out_override=str(tmp_path / "trim")))
+        monkeypatch.setattr(pipeline_mod.ctypes, "CDLL",
+                            lambda name: object())
+        assert pipeline_mod._libc_malloc_trim() is None
+        monkeypatch.setattr(pipeline_mod, "_MALLOC_TRIM", None)
+        result = run_pipeline(load_config(pipeline_ini,
+                                          out_override=str(tmp_path / "no")))
+        assert result.completed[-1] == "report"
+        names = sorted(p.name for p in (tmp_path / "trim").iterdir())
+        assert sorted(p.name for p in (tmp_path / "no").iterdir()) == names
+        for name in names:
+            if name != "timings.txt":
+                assert ((tmp_path / "no" / name).read_bytes()
+                        == (tmp_path / "trim" / name).read_bytes()), name
 
     def test_failure_leaves_manifest(self, tmp_path):
         pipeline_ini = make_scene(tmp_path)
@@ -727,6 +747,10 @@ class TestCli:
         iterations = re.search(r"count train smo_iterations (\d+)\n",
                                manifest)
         assert int(iterations.group(1)) >= svs > 0
+        # a row several pairs keep is one column of the prediction kernel
+        union = {tuple(map(float, line.split()[2:])) for line in model
+                 if line.startswith("sv ")}
+        assert f"count classify support_vector_union {len(union)}\n" in manifest
 
     def test_plot_id_in_one_table_only_exits_3(self, tmp_path, capsys):
         pipeline_ini = make_scene(tmp_path)
