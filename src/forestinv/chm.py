@@ -96,16 +96,8 @@ def normalize_heights(cloud: PointCloud, dtm: Grid) -> PointCloud:
 
     Every point must lie inside the DTM interpolation hull and over
     valid terrain; violations raise DataError naming the first
-    offending point index.
+    offending point index (bilinear_sample checks the hull).
     """
-    u = (cloud.x - dtm.xll) / dtm.cellsize - 0.5
-    v = (cloud.y - dtm.yll) / dtm.cellsize - 0.5
-    outside = (u < 0) | (u > dtm.ncols - 1) | (v < 0) | (v > dtm.nrows - 1)
-    if np.any(outside):
-        idx = int(np.argmax(outside))
-        raise DataError(f"point {idx} at ({cloud.x[idx]}, {cloud.y[idx]}) lies "
-                        f"outside the DTM interpolation hull")
-
     ground = bilinear_sample(dtm, cloud.x, cloud.y)
     over_nodata = ground == dtm.nodata
     if np.any(over_nodata):
@@ -115,7 +107,7 @@ def normalize_heights(cloud: PointCloud, dtm: Grid) -> PointCloud:
 
     height = np.maximum(cloud.z - ground, 0.0)
     return PointCloud(cloud.x, cloud.y, cloud.z, cloud.return_number,
-                      cloud.is_ground, height, cloud.height_floor)
+                      cloud.is_ground, height)
 
 
 def pitfree_chm(cloud: PointCloud, params: PitfreeParams,

@@ -122,22 +122,26 @@ def detect_treetops(chm: Grid, params: ItcParams) -> list[Apex]:
                               > neighborhood_max[rows[sel], cols[sel]])
     rows, cols, heights = rows[is_strict], cols[is_strict], heights[is_strict]
 
+    # tallest first, ties by (row, col). Accepted apexes are hashed into
+    # buckets of size x size cells; cells two buckets apart are at least
+    # size + 1 cells, more than min_dist, apart, so an apex too near a
+    # candidate lies in the 3 x 3 buckets around the candidate's
     order = np.lexsort((cols, rows, -heights))
-    accepted_x: list[float] = []
-    accepted_y: list[float] = []
-    apexes: list[Apex] = []
+    rows, cols, heights = rows[order], cols[order], heights[order]
+    xs, ys = chm.cell_center(rows, cols)
+    size = int(params.min_dist // chm.cellsize) + 1
     min_d2 = params.min_dist ** 2
-    for i in order:
-        x, y = chm.cell_center(int(rows[i]), int(cols[i]))
-        x, y = float(x), float(y)
-        if accepted_x:
-            ax = np.array(accepted_x)
-            ay = np.array(accepted_y)
-            if np.any((ax - x) ** 2 + (ay - y) ** 2 < min_d2):
-                continue
-        accepted_x.append(x)
-        accepted_y.append(y)
-        apexes.append(Apex(int(rows[i]), int(cols[i]), x, y, float(heights[i])))
+    buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    apexes: list[Apex] = []
+    for r, c, x, y, h in zip(rows.tolist(), cols.tolist(), xs.tolist(),
+                             ys.tolist(), heights.tolist()):
+        br, bc = r // size, c // size
+        if any((ax - x) * (ax - x) + (ay - y) * (ay - y) < min_d2
+               for i in (-1, 0, 1) for j in (-1, 0, 1)
+               for ax, ay in buckets.get((br + i, bc + j), ())):
+            continue
+        buckets.setdefault((br, bc), []).append((x, y))
+        apexes.append(Apex(r, c, x, y, h))
     return apexes
 
 
@@ -164,7 +168,8 @@ def grow_crowns(chm: Grid, apexes: list[Apex],
     height, >= thresh_crown * the crown's running mean height, its
     center lies within max_dist/2 of the apex, and no other crown has
     claimed it. The frontier is processed in descending cell height;
-    equal-height contests go to the crown with the taller apex.
+    equal-height contests go to the crown with the taller apex, then
+    the lower crown id, then the smaller (row, col).
 
     Returns (crowns, owner). `owner` is an int32 raster on the CHM grid
     holding each cell's crown_id (k for the k-th apex, 0 = no crown);
@@ -172,44 +177,52 @@ def grow_crowns(chm: Grid, apexes: list[Apex],
     """
     values = _prepared_heights(chm, params)
     nrows, ncols = values.shape
-    owner = np.zeros((nrows, ncols), dtype=np.int32)  # 0 = unclaimed
+    # cells of the raster padded with a one-cell -inf border, by flat
+    # index; owner is -1 on the border and on non-finite cells, so a
+    # neighbor can join the frontier exactly when its owner is 0
+    padded = np.pad(values, 1, constant_values=-np.inf)
+    width = ncols + 2
+    heights = padded.ravel().tolist()
+    owner = np.where(np.isfinite(padded), 0, -1).ravel().tolist()
+    seeds = [(apex.row + 1) * width + apex.col + 1 for apex in apexes]
+    for k, i in enumerate(seeds, start=1):
+        owner[i] = k
 
-    sum_h = [0.0]
-    count = [0]
-    apex_h = [0.0]
-    for k, apex in enumerate(apexes, start=1):
-        owner[apex.row, apex.col] = k
-        sum_h.append(apex.height)
-        count.append(1)
-        apex_h.append(apex.height)
-
+    sum_h = [0.0] + [apex.height for apex in apexes]
+    count = [0] + [1] * len(apexes)
     max_r2 = (params.max_dist / 2.0) ** 2
     cs = chm.cellsize
 
-    # heap entries: (-cell height, -apex height, crown id, row, col)
-    heap: list[tuple] = []
-    for k, apex in enumerate(apexes, start=1):
-        _push_neighbors(heap, values, owner, apex.row, apex.col, k, apex_h[k])
-
+    # heap entries: (-cell height, -apex height, crown id, flat index);
+    # the flat index increases with (row, col)
+    heap = [(-heights[n], -apex.height, k, n)
+            for k, (apex, i) in enumerate(zip(apexes, seeds), start=1)
+            for n in (i - width, i + width, i - 1, i + 1) if owner[n] == 0]
+    heapq.heapify(heap)
     while heap:
-        neg_h, neg_apex_h, k, r, c = heapq.heappop(heap)
-        if owner[r, c] != 0:
+        neg_h, neg_apex_h, k, i = heapq.heappop(heap)
+        if owner[i] != 0:
             continue
         h = -neg_h
-        if h < params.thresh_seed * apex_h[k]:
+        apex = apexes[k - 1]
+        if h < params.thresh_seed * apex.height:
             continue
         if h < params.thresh_crown * (sum_h[k] / count[k]):
             continue
-        apex = apexes[k - 1]
-        dr = (r - apex.row) * cs
-        dc = (c - apex.col) * cs
+        r, c = divmod(i, width)
+        dr = (r - 1 - apex.row) * cs
+        dc = (c - 1 - apex.col) * cs
         if dr * dr + dc * dc > max_r2:
             continue
-        owner[r, c] = k
+        owner[i] = k
         sum_h[k] += h
         count[k] += 1
-        _push_neighbors(heap, values, owner, r, c, k, apex_h[k])
+        for n in (i - width, i + width, i - 1, i + 1):
+            if owner[n] == 0:
+                heapq.heappush(heap, (-heights[n], neg_apex_h, k, n))
 
+    owner = np.maximum(np.array(owner, dtype=np.int32).reshape(
+        nrows + 2, width)[1:-1, 1:-1], 0)
     crowns = []
     cell_area = cs * cs
     n_cells = np.bincount(owner.ravel(), minlength=len(apexes) + 1)
@@ -226,15 +239,6 @@ def grow_crowns(chm: Grid, apexes: list[Apex],
     return crowns, owner
 
 
-def _push_neighbors(heap, values, owner, r, c, k, apex_height):
-    nrows, ncols = values.shape
-    for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-        if 0 <= rr < nrows and 0 <= cc < ncols and owner[rr, cc] == 0:
-            h = values[rr, cc]
-            if np.isfinite(h):
-                heapq.heappush(heap, (-h, -apex_height, k, rr, cc))
-
-
 def crown_label_grid(chm: Grid, owner: np.ndarray) -> Grid:
     """Grid of crown ids; background is nodata."""
     return chm.with_values(np.where(owner > 0, owner, chm.nodata))
@@ -248,8 +252,9 @@ def spatial_join(points: list[GroundTruthPoint], crowns: list[CrownRecord],
     crown contains points of more than one species, the point nearest
     the apex wins, then the lowest point index. Returns
     (species_by_crown_id, unmatched points).
+
+    Crown k is crowns[k - 1], as grow_crowns numbers them.
     """
-    by_id = {crown.crown_id: crown for crown in crowns}
     hits: dict[int, list[tuple[float, int, str]]] = {}
     unmatched = []
     for i, p in enumerate(points):
@@ -258,7 +263,7 @@ def spatial_join(points: list[GroundTruthPoint], crowns: list[CrownRecord],
         if cid == 0:
             unmatched.append(p)
             continue
-        crown = by_id[cid]
+        crown = crowns[cid - 1]
         d = math.hypot(p.x - crown.apex_x, p.y - crown.apex_y)
         hits.setdefault(cid, []).append((d, i, p.species_code))
 

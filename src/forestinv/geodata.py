@@ -26,6 +26,7 @@ from .errors import (
 )
 
 DEFAULT_NODATA = -9999.0
+HEIGHT_FLOOR = -1.0  # lowest height above ground a PointCloud accepts
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +110,7 @@ class PointCloud:
     """Set of LiDAR returns stored as parallel column arrays.
 
     `height` (height above ground) is NaN until `chm.normalize_heights`
-    fills it in. Heights below `height_floor` are rejected at
+    fills it in. Heights below HEIGHT_FLOOR are rejected at
     construction; the CHM stage clamps anything negative to zero.
     """
 
@@ -119,7 +120,6 @@ class PointCloud:
     return_number: np.ndarray
     is_ground: np.ndarray
     height: np.ndarray
-    height_floor: float = -1.0
 
     def __post_init__(self):
         n = len(self.x)
@@ -135,8 +135,8 @@ class PointCloud:
             if not np.all(np.isfinite(cols[name])):
                 raise ValueError(f"non-finite values in column {name!r}")
         h = cols["height"]
-        if np.any(h[~np.isnan(h)] < self.height_floor):
-            raise ValueError(f"height above ground below floor {self.height_floor}")
+        if np.any(h[~np.isnan(h)] < HEIGHT_FLOOR):
+            raise ValueError(f"height above ground below floor {HEIGHT_FLOOR}")
         for arr in cols.values():
             arr.flags.writeable = False
         for name, arr in cols.items():
@@ -146,8 +146,8 @@ class PointCloud:
         return len(self.x)
 
     @classmethod
-    def from_xyz(cls, x, y, z, return_number=None, is_ground=None, height=None,
-                 height_floor=-1.0) -> "PointCloud":
+    def from_xyz(cls, x, y, z, return_number=None, is_ground=None,
+                 height=None) -> "PointCloud":
         n = len(x)
         if return_number is None:
             return_number = np.ones(n, dtype=np.int32)
@@ -155,7 +155,7 @@ class PointCloud:
             is_ground = np.zeros(n, dtype=bool)
         if height is None:
             height = np.full(n, np.nan)
-        return cls(x, y, z, return_number, is_ground, height, height_floor)
+        return cls(x, y, z, return_number, is_ground, height)
 
     def has_heights(self) -> bool:
         return not np.any(np.isnan(self.height))
@@ -625,9 +625,9 @@ def bilinear_sample(grid: Grid, x, y):
     """Bilinear interpolation of the four surrounding cell centers.
 
     Exact at cell centers. Queries outside the convex hull of cell
-    centers raise OutOfBoundsError; if any of the four neighbors is
-    nodata the grid's nodata value is returned. Accepts scalars or
-    equal-length arrays (vectorized).
+    centers raise OutOfBoundsError naming the index of the first one;
+    if any of the four neighbors is nodata the grid's nodata value is
+    returned. Accepts scalars or equal-length arrays (vectorized).
     """
     if grid.nrows < 2 or grid.ncols < 2:
         raise OutOfBoundsError("bilinear interpolation needs a grid of >= 2x2 cells")
@@ -641,7 +641,8 @@ def bilinear_sample(grid: Grid, x, y):
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise OutOfBoundsError(
-            f"query point ({x[idx]}, {y[idx]}) outside the cell-center hull")
+            f"point {idx} at ({x[idx]}, {y[idx]}) lies outside the "
+            f"cell-center hull")
 
     c0 = np.clip(np.floor(u).astype(np.int64), 0, grid.ncols - 2)
     r0s = np.clip(np.floor(v).astype(np.int64), 0, grid.nrows - 2)

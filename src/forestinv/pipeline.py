@@ -225,7 +225,8 @@ def _stage_crowns(out, config, chm):
     label_grid = crowns_mod.crown_label_grid(chm, owner)
     write_ascii_grid(label_grid, os.path.join(out, "crown_labels.asc"))
     crowns_mod.write_crown_table(crowns, os.path.join(out, "crowns.csv"))
-    return {"crowns": crowns, "owner": owner}, {}
+    return {"crowns": crowns, "owner": owner}, {
+        "crowns": len(crowns), "crown_cells": int((owner > 0).sum())}
 
 
 def _stage_spectral(out, config, raw_cube, chm):

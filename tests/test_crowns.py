@@ -1,3 +1,5 @@
+import dataclasses
+import heapq
 import math
 import os
 import subprocess
@@ -6,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forestinv.crowns import (
+    Apex,
     CrownRecord,
     ItcParams,
+    _prepared_heights,
     crown_label_grid,
     detect_treetops,
     grow_crowns,
@@ -37,9 +42,9 @@ def cone_chm(shape, apexes, cellsize=CS):
     return Grid(out, 0.0, 0.0, cellsize)
 
 
-def brute_force_treetops(chm, params):
-    """Independent re-derivation: exhaustive window scan + greedy thinning."""
-    v = np.where(chm.valid_mask(), chm.values, -np.inf)
+def brute_force_candidates(v, params):
+    """(height, row, col) of every strict variable-window maximum of the
+    prepared heights `v`, by an exhaustive window scan."""
     nrows, ncols = v.shape
     cand = []
     for r in range(nrows):
@@ -61,6 +66,14 @@ def brute_force_treetops(chm, params):
             if (window > h).any() or (window == h).sum() > 1:
                 continue
             cand.append((h, r, c))
+    return cand
+
+
+def brute_force_treetops(chm, params):
+    """Independent re-derivation: exhaustive window scan + greedy thinning."""
+    v = np.where(chm.valid_mask(), chm.values, -np.inf)
+    nrows = v.shape[0]
+    cand = brute_force_candidates(v, params)
     cand.sort(key=lambda t: (-t[0], t[1], t[2]))
     kept = []
     for h, r, c in cand:
@@ -70,6 +83,102 @@ def brute_force_treetops(chm, params):
                for kx, ky in kept):
             kept.append((x, y))
     return kept
+
+
+def quadratic_treetops(chm, params):
+    """Reference for detect_treetops: the brute-force candidates, tallest
+    first and then by (row, col), each tested against every accepted
+    apex."""
+    cand = brute_force_candidates(_prepared_heights(chm, params), params)
+    heights = np.array([h for h, _, _ in cand], dtype=float)
+    rows = np.array([r for _, r, _ in cand], dtype=np.int64)
+    cols = np.array([c for _, _, c in cand], dtype=np.int64)
+
+    order = np.lexsort((cols, rows, -heights))
+    accepted_x: list[float] = []
+    accepted_y: list[float] = []
+    apexes: list[Apex] = []
+    min_d2 = params.min_dist ** 2
+    for i in order:
+        x, y = chm.cell_center(int(rows[i]), int(cols[i]))
+        x, y = float(x), float(y)
+        if accepted_x:
+            ax = np.array(accepted_x)
+            ay = np.array(accepted_y)
+            if np.any((ax - x) ** 2 + (ay - y) ** 2 < min_d2):
+                continue
+        accepted_x.append(x)
+        accepted_y.append(y)
+        apexes.append(Apex(int(rows[i]), int(cols[i]), x, y, float(heights[i])))
+    return apexes
+
+
+def reference_grow_crowns(chm, apexes, params):
+    """Reference for grow_crowns on (row, col) cells: bounds, finite and
+    unclaimed tests at each push."""
+    values = _prepared_heights(chm, params)
+    nrows, ncols = values.shape
+    owner = np.zeros((nrows, ncols), dtype=np.int32)  # 0 = unclaimed
+
+    sum_h = [0.0]
+    count = [0]
+    apex_h = [0.0]
+    for k, apex in enumerate(apexes, start=1):
+        owner[apex.row, apex.col] = k
+        sum_h.append(apex.height)
+        count.append(1)
+        apex_h.append(apex.height)
+
+    max_r2 = (params.max_dist / 2.0) ** 2
+    cs = chm.cellsize
+
+    # heap entries: (-cell height, -apex height, crown id, row, col)
+    heap: list[tuple] = []
+    for k, apex in enumerate(apexes, start=1):
+        _push_neighbors(heap, values, owner, apex.row, apex.col, k, apex_h[k])
+
+    while heap:
+        neg_h, neg_apex_h, k, r, c = heapq.heappop(heap)
+        if owner[r, c] != 0:
+            continue
+        h = -neg_h
+        if h < params.thresh_seed * apex_h[k]:
+            continue
+        if h < params.thresh_crown * (sum_h[k] / count[k]):
+            continue
+        apex = apexes[k - 1]
+        dr = (r - apex.row) * cs
+        dc = (c - apex.col) * cs
+        if dr * dr + dc * dc > max_r2:
+            continue
+        owner[r, c] = k
+        sum_h[k] += h
+        count[k] += 1
+        _push_neighbors(heap, values, owner, r, c, k, apex_h[k])
+
+    crowns = []
+    cell_area = cs * cs
+    n_cells = np.bincount(owner.ravel(), minlength=len(apexes) + 1)
+    for k, apex in enumerate(apexes, start=1):
+        area = int(n_cells[k]) * cell_area
+        crowns.append(CrownRecord(
+            crown_id=k,
+            apex_row=apex.row, apex_col=apex.col,
+            apex_x=apex.x, apex_y=apex.y,
+            tree_height=apex.height,
+            crown_area=area,
+            crown_diameter=2.0 * math.sqrt(area / math.pi),
+        ))
+    return crowns, owner
+
+
+def _push_neighbors(heap, values, owner, r, c, k, apex_height):
+    nrows, ncols = values.shape
+    for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+        if 0 <= rr < nrows and 0 <= cc < ncols and owner[rr, cc] == 0:
+            h = values[rr, cc]
+            if np.isfinite(h):
+                heapq.heappush(heap, (-h, -apex_height, k, rr, cc))
 
 
 def strict_maxima(v, side, threshold):
@@ -250,6 +359,78 @@ class TestGrowCrowns:
         assert crown.crown_diameter == pytest.approx(
             2 * math.sqrt(crown.crown_area / math.pi))
         assert owner[crown.apex_row, crown.apex_col] == crown.crown_id
+
+
+@st.composite
+def crown_scenes(draw):
+    """A small CHM of cones rounded to a height quantum (tied heights),
+    some centered on the raster edge, with nodata and NaN holes, at the
+    origin or at projected offsets; and ITC parameters for it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nrows, ncols = (int(n) for n in rng.integers(1, 41, 2))
+    cellsize, min_dist = draw(st.sampled_from(
+        [(0.5, 5.0), (0.5, 1.25), (0.5, 0.3), (1.0, 4.5), (0.3, 0.9),
+         (2.0, 7.0)]))
+    rr, cc = np.mgrid[0:nrows, 0:ncols]
+    v = np.zeros((nrows, ncols))
+    for _ in range(int(rng.integers(1, 16))):
+        ar = int(rng.choice([0, nrows - 1, rng.integers(nrows)]))
+        ac = int(rng.choice([0, ncols - 1, rng.integers(ncols)]))
+        d = np.hypot((rr - ar) * cellsize, (cc - ac) * cellsize)
+        v = np.maximum(v, rng.uniform(3.0, 35.0)
+                       * np.clip(1.0 - d / rng.uniform(0.5, 8.0), 0.0, None))
+    v += rng.uniform(0.0, draw(st.sampled_from([0.0, 1.0, 3.0])), v.shape)
+    quantum = draw(st.sampled_from([0.25, 1.0, 4.0]))
+    v = np.round(v / quantum) * quantum
+    v[rng.random(v.shape) < draw(st.sampled_from([0.0, 0.05, 0.2]))] = -9999.0
+    v[rng.random(v.shape) < draw(st.sampled_from([0.0, 0.05, 0.2]))] = np.nan
+    xll, yll = draw(st.sampled_from(
+        [(0.0, 0.0), (5e5, 5e6), (512345.25, 5187654.75)]))
+    wins = draw(st.sampled_from([(3, 7), (3, 3), (5, 9)]))
+    thresholds = draw(st.sampled_from([(0.55, 0.6), (0.3, 0.9), (0.8, 0.2)]))
+    params = ItcParams(
+        min_search_win=wins[0], max_search_win=wins[1],
+        thresh_seed=thresholds[0], thresh_crown=thresholds[1],
+        min_dist=min_dist,
+        max_dist=max(min_dist, draw(st.sampled_from([1.0, 4.0, 40.0]))),
+        smooth_chm=draw(st.booleans()))
+    return Grid(v, xll, yll, cellsize, -9999.0), params
+
+
+class TestAgainstReferences:
+    @given(scene=crown_scenes())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_the_reference_loops(self, scene):
+        chm, params = scene
+        apexes = detect_treetops(chm, params)
+        assert apexes == quadratic_treetops(chm, params)
+        # every strict maximum as a seed: nearby crowns contest cells
+        every_max = detect_treetops(
+            chm, dataclasses.replace(params, min_dist=1e-9))
+        for seeds in (apexes, every_max):
+            crowns, owner = grow_crowns(chm, seeds, params)
+            ref_crowns, ref_owner = reference_grow_crowns(chm, seeds, params)
+            assert owner.dtype == np.int32
+            np.testing.assert_array_equal(owner, ref_owner)
+            assert crowns == ref_crowns
+
+
+class TestSmoothing:
+    @pytest.mark.parametrize("shape", [(17, 23), (1, 9), (2, 2)])
+    def test_mean_of_the_finite_neighbors(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        v = rng.uniform(0.0, 30.0, shape)
+        v[rng.random(shape) < 0.15] = np.nan
+        v[rng.random(shape) < 0.15] = -9999.0
+        chm = Grid(v, 0.0, 0.0, CS, -9999.0)
+        finite = chm.valid_mask()
+        expected = np.full(shape, -np.inf)
+        for r, c in zip(*np.nonzero(finite)):
+            near = (slice(max(0, r - 1), r + 2), slice(max(0, c - 1), c + 2))
+            expected[r, c] = v[near][finite[near]].mean()
+        got = _prepared_heights(chm, ItcParams(smooth_chm=True))
+        np.testing.assert_array_equal(np.isneginf(got), ~finite)
+        np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-12)
 
 
 class TestSpatialJoin:

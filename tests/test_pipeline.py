@@ -253,9 +253,14 @@ class TestPipeline:
             v != "-9999" for v in labels.split())
         bands = len((out / "bands.txt").read_text().split(",")) - 2
         assert counts["select", "criterion_evaluations"] > bands
+        with open(out / "crowns.csv", newline="") as f:
+            assert counts["crowns", "crowns"] == len(list(csv.DictReader(f)))
+        crown_labels = (out / "crown_labels.asc").read_text().split("\n", 6)[6]
+        assert counts["crowns", "crown_cells"] == sum(
+            v != "-9999" for v in crown_labels.split())
         assert {st_ for st_, _ in counts} == {
-            "chm", "spectral", "join", "statistics", "select", "train",
-            "classify", "label", "enrich"}
+            "chm", "crowns", "spectral", "join", "statistics", "select",
+            "train", "classify", "label", "enrich"}
         assert list(out.glob("*_report.txt")) == []
         layers = len(PitfreeParams().height_thresholds)
         assert [name for st_, name in counts if st_ == "chm"] == [
@@ -314,6 +319,22 @@ class TestPipeline:
         assert not (out / "model.txt").exists()
         manifest = (out / "manifest.txt").read_text()
         assert "stage train not-run" in manifest
+
+    def test_smooth_chm_runs_through(self, tmp_path):
+        pipeline_ini = make_scene(tmp_path)
+        plain = tmp_path / "plain"
+        run_pipeline(load_config(pipeline_ini, out_override=str(plain)),
+                     stop_after="crowns")
+        assert "[crowns]" not in pipeline_ini.read_text()
+        with open(pipeline_ini, "a") as f:
+            f.write("\n[crowns]\nsmooth_chm = true\n")
+        config = load_config(pipeline_ini, out_override=str(tmp_path / "o"))
+        assert config.itc.smooth_chm
+        result = run_pipeline(config)
+        assert result.completed[-1] == "report"
+        assert "status ok" in (tmp_path / "o" / "manifest.txt").read_text()
+        assert ((tmp_path / "o" / "crown_labels.asc").read_bytes()
+                != (plain / "crown_labels.asc").read_bytes())
 
     def test_each_entry_is_freed_after_its_last_reader(self, tmp_path):
         pipeline_ini = make_scene(tmp_path)
