@@ -27,12 +27,13 @@ from functools import cached_property
 from itertools import islice
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from .errors import DataError
 from .geodata import Grid, PointCloud, bilinear_sample
 
 _TRI_CHUNK = 32768
+# cells per block of the convex-hull test
+_HULL_BLOCK = 4096
 # points per tile; a layer with fewer than twice this many is one tile
 _TILE_POINTS = 10_000
 # A point counts as off a triangle's circumcircle only if its power
@@ -123,6 +124,10 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     tiles while this thread certifies and rasterizes; the result does
     not depend on `threads`.
     """
+    # scipy.spatial costs half a second to import, so only a CHM loads
+    # it; it is imported here, before any worker thread starts
+    from scipy.spatial import QhullError
+
     if len(cloud) == 0:
         raise DataError("empty point cloud")
     if not cloud.has_heights():
@@ -260,7 +265,9 @@ class _Layer:
         return _QHULL_ROUNDOFF * float(np.max(self.qx ** 2 + self.qy ** 2))
 
     @cached_property
-    def tree(self) -> cKDTree:
+    def tree(self):
+        from scipy.spatial import cKDTree
+
         return cKDTree(np.column_stack([self.qx, self.qy]))
 
 
@@ -300,6 +307,8 @@ def _triangulate(px, py, core, halo):
     and their Delaunay triangulation as (simplices, neighbors, number of
     coplanar points); None for fewer than 3 points, _FAILED if Qhull
     fails. Runs on worker threads: it touches no shared state."""
+    from scipy.spatial import Delaunay, QhullError
+
     x0, x1, y0, y1 = core
     lo = np.searchsorted(px, x0 - halo, "left")
     hi = np.searchsorted(px, x1 + halo, "right")
@@ -494,13 +503,24 @@ def _prune_long_edges(simplices, px, py, max_edge):
 
 
 def _inside_hull(px, py, cx, cy):
-    """Cells whose centers are inside the convex hull of the points."""
+    """Cells whose centers are inside the convex hull of the points.
+
+    The cells are tested in near-equal blocks of at most _HULL_BLOCK, so
+    the (cells x hull facets) matrix never holds more than one block.
+    No block has a single cell unless the grid does: numpy takes a
+    one-row product down its matrix-vector path, whose rounding differs
+    from the matrix product's.
+    """
+    from scipy.spatial import ConvexHull
+
     hull = ConvexHull(np.column_stack([px, py]))
     gx, gy = np.meshgrid(cx, cy)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     a = hull.equations[:, :2]
     b = hull.equations[:, 2]
-    inside = np.all(pts @ a.T + b <= 1e-9, axis=1)
+    blocks = np.array_split(pts, -(-len(pts) // _HULL_BLOCK))
+    inside = np.concatenate([np.all(block @ a.T + b <= 1e-9, axis=1)
+                             for block in blocks])
     return inside.reshape(len(cy), len(cx))
 
 

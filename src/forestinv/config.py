@@ -213,6 +213,14 @@ def load_config(path, seed_override=None, out_override=None,
                 output_dir=out_override, threads=threads_override)
     if out_override is None:  # an --out path is relative to the cwd
         run.output_dir = resolve(run.output_dir)
+    # the output directory, or the first of its parents that exists,
+    # must be a directory
+    existing = os.path.abspath(run.output_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"[run] output_dir: {existing} is a file, "
+                          f"not a directory")
 
     return PipelineConfig(
         paths={key: resolve(value)

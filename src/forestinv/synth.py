@@ -181,27 +181,36 @@ def _canopy_surface(spec: SceneSpec, x, y, want_owner=False):
     """Max canopy height over all trees at the given coordinates.
 
     With want_owner, also returns the 0-based index of the covering
-    (tallest) tree, -1 where no tree covers the point.
+    (tallest) tree, -1 where no tree covers the point; of equally tall
+    trees the earlier one keeps the point. The points are sorted by x
+    once, so each tree reads only the window of its box's x range.
     """
-    surface = np.zeros(x.shape)
-    owner = np.full(x.shape, -1, dtype=np.int32)
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, axis=None)
+    xs = x.ravel()[order]
+    ys = np.asarray(y, dtype=np.float64).ravel()[order]
+    surface = np.zeros(xs.shape)
+    owner = np.full(xs.shape, -1, dtype=np.int32)
     for idx, tree in enumerate(spec.trees):
         rad = reach(spec, tree)
-        box = ((x >= tree.x - rad) & (x <= tree.x + rad)
-               & (y >= tree.y - rad) & (y <= tree.y + rad))
-        if not box.any():
-            continue
-        r = np.hypot(x[box] - tree.x, y[box] - tree.y)
+        lo = np.searchsorted(xs, tree.x - rad, "left")
+        hi = np.searchsorted(xs, tree.x + rad, "right")
+        yw = ys[lo:hi]
+        box = lo + np.flatnonzero((yw >= tree.y - rad) & (yw <= tree.y + rad))
+        r = np.hypot(xs[box] - tree.x, ys[box] - tree.y)
         h = profile_height(spec, tree, r)
-        cur = surface[box]
-        better = h > cur
-        cur = np.where(better, h, cur)
-        surface[box] = cur
-        if want_owner:
-            sub = owner[box]
-            sub[better] = idx
-            owner[box] = sub
-    return (surface, owner) if want_owner else surface
+        better = h > surface[box]
+        surface[box[better]] = h[better]
+        owner[box[better]] = idx
+
+    def unsorted(v):
+        out = np.empty_like(v)
+        out[order] = v
+        return out.reshape(x.shape)
+
+    if want_owner:
+        return unsorted(surface), unsorted(owner)
+    return unsorted(surface)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +350,10 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     cube_arr = np.empty((total_bands, nrows, ncols))
     useful = slice(spec.junk_head, spec.junk_head + n_useful)
 
-    spectra = np.tile(spec.background[:, None, None], (1, nrows, ncols))
-    for idx, tree in enumerate(spec.trees):
-        sel = owner == idx
-        if sel.any():
-            spectra[:, sel] = spec.signatures[tree.species][:, None]
+    # column 0 is the background, column i + 1 the signature of tree i
+    table = np.column_stack([spec.background] + [spec.signatures[t.species]
+                                                 for t in spec.trees])
+    spectra = table[:, owner + 1]
     if spec.noise_sigma > 0:
         spectra = spectra + rng.normal(0.0, spec.noise_sigma, spectra.shape)
     cube_arr[useful] = spectra

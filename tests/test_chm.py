@@ -418,3 +418,34 @@ def test_canonical_rotation_keeps_orientation():
     s = np.array([[5, 2, 9], [1, 7, 3], [8, 6, 4]])
     out = chm_mod._canonical(s)
     assert out.tolist() == [[2, 9, 5], [1, 7, 3], [4, 8, 6]]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_blocked_hull_mask_equals_one_product(seed):
+    """_inside_hull tests the cells block by block; the mask equals the
+    one-shot product over all cells bit for bit."""
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(seed)
+    ncols, nrows = (int(n) for n in rng.integers(60, 150, 2))
+    if seed < 2:
+        # one cell more than a block, and more than two blocks
+        ncols, nrows = (241, 17) if seed == 0 else (241, 35)
+    assert ncols * nrows > chm_mod._HULL_BLOCK
+    res = 0.5
+    cx = 100.0 + (np.arange(ncols) + 0.5) * res
+    cy = 200.0 + (nrows - np.arange(nrows) - 0.5) * res
+    px = rng.uniform(cx[0], cx[-1], 300)
+    py = rng.uniform(cy[-1], cy[0], 300)
+    if seed % 2:
+        # hull vertices on cell centers put cells on the hull's edges
+        px = 100.0 + (np.floor((px - 100.0) / res) + 0.5) * res
+        py = 200.0 + (np.floor((py - 200.0) / res) + 0.5) * res
+    hull = ConvexHull(np.column_stack([px, py]))
+    gx, gy = np.meshgrid(cx, cy)
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    one_shot = np.all(pts @ hull.equations[:, :2].T + hull.equations[:, 2]
+                      <= 1e-9, axis=1).reshape(nrows, ncols)
+    mask = chm_mod._inside_hull(px, py, cx, cy)
+    assert 0 < one_shot.sum() < one_shot.size
+    assert np.array_equal(mask, one_shot)

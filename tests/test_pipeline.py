@@ -541,24 +541,75 @@ def test_pipeline_at_projected_coordinates(tmp_path):
         assert local_rows == utm_rows, name
 
 
+def fresh_python(*args):
+    """Run a new interpreter that imports forestinv from ./src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_tracer_spans_every_layer_of_a_run(tmp_path):
     """The benchmark's tracer finds and counts every function it wraps."""
     pipeline_ini = make_scene(tmp_path, classifier="svm")
     spans_path = tmp_path / "spans.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"),
-         str(spans_path), "run", "--config", str(pipeline_ini),
-         "--out", str(tmp_path / "traced")],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    proc = fresh_python(str(ROOT / "perfbench" / "tracer.py"),
+                        str(spans_path), "run", "--config", str(pipeline_ini),
+                        "--out", str(tmp_path / "traced"))
     assert not [line for line in proc.stderr.splitlines()
                 if line.startswith("tracer:")]
     spans = json.loads(spans_path.read_text())
     train = [s for s in spans if s[0] == "classify.train"]
     assert len(train) == 1 and train[0][4]["support_vectors"] > 0
+
+
+def test_the_cli_and_synth_load_no_scipy(tmp_path):
+    cfg = tmp_path / "scene.ini"
+    cfg.write_text(SCENE_INI.format(classifier="centroid", seed=3,
+                                    outdir="scene"))
+    proc = fresh_python("-c", """if True:
+        import sys
+        from forestinv.cli import main
+        loaded = lambda: sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")
+        print(loaded())
+        assert main(["synth", "--config", sys.argv[1]]) == 0
+        assert main(["table6-check"]) == 0
+        print(loaded())
+        """, str(cfg))
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[]", proc.stdout
+    assert (tmp_path / "scene" / "pipeline.ini").exists()
+
+
+def test_chm_workers_start_after_scipy_is_imported(tmp_path):
+    """A fresh `run --threads 2` on a tiled scene imports scipy.spatial
+    on the calling thread before its pool starts."""
+    pipeline_ini = make_scene(tmp_path)
+    out = tmp_path / "run"
+    proc = fresh_python("-c", """if True:
+        import sys
+        from forestinv import chm
+        from forestinv.cli import main
+
+        class Pool(chm.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                print("pool", "scipy.spatial" in sys.modules)
+                super().__init__(*args, **kwargs)
+
+        chm.ThreadPoolExecutor = Pool
+        chm._TILE_POINTS = 300
+        print("start", "scipy" in sys.modules)
+        sys.exit(main(["run", "--config", sys.argv[1], "--out", sys.argv[2],
+                       "--threads", "2", "--stage", "chm"]))
+        """, str(pipeline_ini), str(out))
+    assert proc.stdout.splitlines()[:2] == ["start False", "pool True"]
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "status ok" in manifest
+    assert "count chm layer0.tiles 1" not in manifest
 
 
 class TestCli:
@@ -739,6 +790,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[scene]" in err and key in err, err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("via_flag", [False, True])
+    def test_synth_into_a_file_exits_2_before_generating(
+            self, tmp_path, capsys, monkeypatch, via_flag):
+        def generate_scene(spec):
+            raise AssertionError("the scene was generated")
+
+        monkeypatch.setattr("forestinv.synth.generate_scene", generate_scene)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        cfg = tmp_path / "scene.ini"
+        cfg.write_text(SCENE_INI.format(classifier="centroid", seed=1,
+                                        outdir="scene"
+                                        if via_flag else "taken"))
+        flags = ["--out", str(taken)] if via_flag else []
+        assert main(["synth", "--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(taken) in err, err
+        assert sorted(tmp_path.iterdir()) == [cfg, taken]
+        assert taken.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("via_flag, below", [
+        (False, False), (True, False), (True, True)])
+    def test_run_into_a_file_exits_2(self, tmp_path, capsys, via_flag,
+                                     below):
+        pipeline_ini = make_scene(tmp_path)
+        # the generated pipeline.ini writes to run_out beside itself
+        taken = tmp_path / "taken" if via_flag else (pipeline_ini.parent
+                                                     / "run_out")
+        taken.write_text("a file\n")
+        out = taken / "sub" / "dir" if below else taken
+        flags = ["--out", str(out)] if via_flag else []
+        assert main(["run", "--config", str(pipeline_ini), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(taken) in err, err
+        assert taken.read_text() == "a file\n"
 
     def test_stage_subcommand(self, tmp_path):
         pipeline_ini = make_scene(tmp_path)

@@ -9,10 +9,13 @@ from forestinv.geodata import read_ascii_grid, read_envi_cube, read_point_cloud
 from forestinv.synth import (
     SceneSpec,
     TreeSpec,
+    _canopy_surface,
     contour_radius,
     generate_scene,
     profile_height,
     random_scene,
+    reach,
+    render_canopy_grid,
     write_scene,
 )
 
@@ -174,3 +177,117 @@ class TestRandomScene:
         assert cube.xll == pytest.approx(spec.xll)
         np.testing.assert_allclose(cube.samples, data.cube.samples,
                                    rtol=1e-5, atol=1e-5)
+
+
+def full_scan_canopy(spec, x, y):
+    """Reference canopy: every tree tests every point against its box."""
+    surface = np.zeros(x.shape)
+    owner = np.full(x.shape, -1, dtype=np.int32)
+    for idx, tree in enumerate(spec.trees):
+        rad = reach(spec, tree)
+        box = ((x >= tree.x - rad) & (x <= tree.x + rad)
+               & (y >= tree.y - rad) & (y <= tree.y + rad))
+        if not box.any():
+            continue
+        h = profile_height(spec, tree, np.hypot(x[box] - tree.x,
+                                                y[box] - tree.y))
+        cur = surface[box]
+        better = h > cur
+        surface[box] = np.where(better, h, cur)
+        sub = owner[box]
+        sub[better] = idx
+        owner[box] = sub
+    return surface, owner
+
+
+def assert_canopy_matches_full_scan(spec, x, y):
+    surface, owner = _canopy_surface(spec, x, y, want_owner=True)
+    ref_surface, ref_owner = full_scan_canopy(spec, x, y)
+    assert surface.shape == owner.shape == x.shape
+    assert np.array_equal(surface, ref_surface)
+    assert np.array_equal(owner, ref_owner)
+    assert np.array_equal(_canopy_surface(spec, x, y), ref_surface)
+
+
+class TestCanopySurface:
+    @pytest.mark.parametrize("shape", ["cone", "tapered_cone", "paraboloid"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_scene_points_match_full_scan(self, shape, seed):
+        spec = random_scene(seed, 9, ["PIAB", "FASY"], nbands=3, pitch=7.0,
+                            margin=5.0, jitter=2.0, n_plots=0,
+                            shape=shape)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(spec.xll, spec.xll + spec.width, 3000)
+        y = rng.uniform(spec.yll, spec.yll + spec.height, 3000)
+        # many points share one x, as on a raster
+        x[::3] = np.round(x[::3], 1)
+        assert_canopy_matches_full_scan(spec, x, y)
+
+    @pytest.mark.parametrize("shape", ["cone", "tapered_cone", "paraboloid"])
+    def test_equal_heights_keep_the_earlier_tree(self, shape):
+        trees = (TreeSpec(10.0, 10.0, 18.0, 3.0, "PIAB"),
+                 TreeSpec(12.0, 10.0, 18.0, 3.0, "FASY"),
+                 TreeSpec(10.0, 10.0, 18.0, 3.0, "PIAB"))
+        spec = tiny_spec(trees=trees, shape=shape,
+                         signatures={"PIAB": np.ones(3), "FASY": np.ones(3)})
+        x = np.array([11.0, 11.0, 10.5, 11.5, 9.0, 13.0])
+        y = np.array([10.0, 11.0, 10.0, 10.0, 10.0, 10.0])
+        surface, owner = _canopy_surface(spec, x, y, want_owner=True)
+        # (11, 10) and (11, 11) are as far from trees 0 and 1, and tree 2
+        # stands where tree 0 does
+        assert list(owner) == [0, 0, 0, 1, 0, 1]
+        assert_canopy_matches_full_scan(spec, x, y)
+
+    @pytest.mark.parametrize("shape", ["cone", "tapered_cone", "paraboloid"])
+    def test_points_on_the_box_edges(self, shape):
+        # at this apex, (x +- reach) - x rounds to just under the reach,
+        # so the tree covers the middle of every side of its box
+        spec = tiny_spec(shape=shape,
+                         trees=(TreeSpec(7.0, 7.0, 18.0, 2.6, "PIAB"),))
+        tree = spec.trees[0]
+        rad = reach(spec, tree)
+        lo_x, hi_x = tree.x - rad, tree.x + rad
+        lo_y, hi_y = tree.y - rad, tree.y + rad
+        x = np.array([lo_x, hi_x, tree.x, tree.x, lo_x, hi_x,
+                      np.nextafter(lo_x, -np.inf), np.nextafter(hi_x, np.inf)])
+        y = np.array([tree.y, tree.y, lo_y, hi_y, lo_y, hi_y, tree.y, tree.y])
+        assert np.all(_canopy_surface(spec, x, y)[:4] > 0)
+        assert_canopy_matches_full_scan(spec, x, y)
+
+    def test_empty_point_array(self):
+        spec = tiny_spec()
+        empty = np.empty(0)
+        surface, owner = _canopy_surface(spec, empty, empty, want_owner=True)
+        assert surface.shape == owner.shape == (0,)
+        assert_canopy_matches_full_scan(spec, empty, empty)
+
+    @pytest.mark.parametrize("shape", ["cone", "tapered_cone", "paraboloid"])
+    def test_raster_grid_matches_full_scan(self, shape):
+        spec = random_scene(3, 7, ["PIAB", "FASY"], nbands=3, pitch=6.0,
+                            margin=4.0, n_plots=0, shape=shape)
+        res = spec.chm_resolution
+        ncols = int(round(spec.width / res))
+        nrows = int(round(spec.height / res))
+        cx = spec.xll + (np.arange(ncols) + 0.5) * res
+        cy = spec.yll + (nrows - np.arange(nrows) - 0.5) * res
+        gx, gy = np.meshgrid(cx, cy)
+        assert_canopy_matches_full_scan(spec, gx, gy)
+        grid = render_canopy_grid(spec)
+        assert np.array_equal(grid.values, full_scan_canopy(spec, gx, gy)[0])
+
+    def test_cube_equals_per_tree_painting(self):
+        spec = random_scene(5, 12, ["PIAB", "FASY", "LADE"], nbands=6,
+                            n_plots=0, noise_sigma=0.0,
+                            junk_head=2, junk_tail=1)
+        cube = generate_scene(spec).cube
+        _, nrows, ncols = cube.samples.shape
+        res = spec.chm_resolution
+        cx = spec.xll + (np.arange(ncols) + 0.5) * res
+        cy = spec.yll + (nrows - np.arange(nrows) - 0.5) * res
+        gx, gy = np.meshgrid(cx, cy)
+        _, owner = full_scan_canopy(spec, gx, gy)
+        painted = np.tile(spec.background[:, None, None], (1, nrows, ncols))
+        for idx, tree in enumerate(spec.trees):
+            painted[:, owner == idx] = spec.signatures[tree.species][:, None]
+        assert len(np.unique(owner)) == len(spec.trees) + 1
+        assert np.array_equal(cube.samples[2:-1], painted)
