@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .geodata import Grid, HyperCube
+from .geodata import Grid, HyperCube, write_table
 
 LABEL_NODATA = -9999.0
 _KERNEL_BLOCK = 65536   # kernel entries per in-place block, ~512 KiB
@@ -376,10 +376,8 @@ def label_crowns_majority(label_grid: Grid, legend: dict[int, str], crowns,
 
 
 def write_legend(legend: dict[int, str], path) -> None:
-    with open(path, "w") as f:
-        f.write("code,species\n")
-        for code in sorted(legend):
-            f.write(f"{code},{legend[code]}\n")
+    codes = sorted(legend)
+    write_table(path, {"code": codes, "species": [legend[c] for c in codes]})
 
 
 # ---------------------------------------------------------------------------

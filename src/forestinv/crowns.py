@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodata import Grid, GroundTruthPoint
+from .geodata import Grid, GroundTruthPoint, write_table
 
 
 @dataclass(frozen=True)
@@ -321,15 +321,5 @@ _TABLE_COLUMNS = ("crown_id", "apex_x", "apex_y", "tree_height", "crown_area",
 
 
 def write_crown_table(crowns: list[CrownRecord], path) -> None:
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return format(v, ".10g")
-        return str(v)
-
-    with open(path, "w") as f:
-        f.write(",".join(_TABLE_COLUMNS) + "\n")
-        for crown in crowns:
-            f.write(",".join(cell(getattr(crown, col)) for col in _TABLE_COLUMNS))
-            f.write("\n")
+    write_table(path, {col: [getattr(crown, col) for crown in crowns]
+                       for col in _TABLE_COLUMNS})

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .geodata import read_table
+from .geodata import Grid, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -228,24 +228,38 @@ def format_plot_table(plot_ids, observed_volume, predicted_volume,
 
 def write_metrics_csv(cm: ConfusionMatrix, path) -> None:
     metrics = per_class_metrics(cm)
-    with open(path, "w") as f:
-        f.write("species,accuracy,precision,recall,f_score\n")
-        for sp in cm.species:
-            m = metrics[sp]
-            cells = ["" if v is None else format(v, ".6g")
-                     for v in (m.accuracy, m.precision, m.recall, m.f_score)]
-            f.write(sp + "," + ",".join(cells) + "\n")
+    columns = {"species": list(cm.species)}
+    for name in ("accuracy", "precision", "recall", "f_score"):
+        values = [getattr(metrics[sp], name) for sp in cm.species]
+        columns[name] = ["" if v is None else format(v, ".6g") for v in values]
+    write_table(path, columns)
 
 
-def read_plot_definitions(path) -> list[PlotDefinition]:
-    """Plot table: header ``plot_id,center_x,center_y[,radius][,dbh_min]``."""
+_PLOT_COLUMNS = ("plot_id", "center_x", "center_y", "radius", "dbh_min")
+# observed (truth_plots.csv) and predicted (plot_totals.csv) plot totals
+_PLOT_TOTAL_COLUMNS = ("plot_id", "volume_m3", "agb_mg", "n_trees")
+
+
+def read_plot_definitions(path, chm: Grid) -> list[PlotDefinition]:
+    """Plot table: header ``plot_id,center_x,center_y[,radius][,dbh_min]``.
+
+    Every plot's circle meets the extent of `chm`.
+    """
+    x1 = chm.xll + chm.ncols * chm.cellsize
+    y1 = chm.yll + chm.nrows * chm.cellsize
 
     def make(plot_id, center_x, center_y, *rest):
-        return PlotDefinition(int(plot_id), float(center_x), float(center_y),
+        plot = PlotDefinition(int(plot_id), float(center_x), float(center_y),
                               *map(float, rest))
+        # distance from the center to the nearest point of the extent
+        dx = max(chm.xll - plot.center_x, 0.0, plot.center_x - x1)
+        dy = max(chm.yll - plot.center_y, 0.0, plot.center_y - y1)
+        if dx * dx + dy * dy > plot.radius * plot.radius:
+            raise ValueError(f"plot circle at ({center_x}, {center_y}) does "
+                             f"not meet the CHM extent")
+        return plot
 
-    return read_table(path, ("plot_id", "center_x", "center_y", "radius",
-                             "dbh_min"), 3, _unique_plot_ids(make))
+    return read_table(path, _PLOT_COLUMNS, 3, _unique_plot_ids(make))
 
 
 def read_truth_plots(path) -> list[PlotTruth]:
@@ -255,8 +269,7 @@ def read_truth_plots(path) -> list[PlotTruth]:
         return PlotTruth(int(plot_id), float(volume_m3), float(agb_mg),
                          int(n_trees))
 
-    return read_table(path, ("plot_id", "volume_m3", "agb_mg", "n_trees"), 4,
-                      _unique_plot_ids(make))
+    return read_table(path, _PLOT_TOTAL_COLUMNS, 4, _unique_plot_ids(make))
 
 
 def _unique_plot_ids(make):
@@ -274,8 +287,12 @@ def _unique_plot_ids(make):
 
 
 def write_plot_definitions(plots, path) -> None:
-    with open(path, "w") as f:
-        f.write("plot_id,center_x,center_y,radius,dbh_min\n")
-        for p in plots:
-            f.write(f"{p.plot_id},{p.center_x:.10g},{p.center_y:.10g},"
-                    f"{p.radius:.10g},{p.dbh_min:.10g}\n")
+    write_table(path, {name: [getattr(p, name) for p in plots]
+                       for name in _PLOT_COLUMNS})
+
+
+def write_plot_totals(plots, totals, path) -> None:
+    """One row per plot: its id and its PlotTotals or PlotTruth values."""
+    write_table(path, dict(zip(_PLOT_TOTAL_COLUMNS, (
+        [p.plot_id for p in plots], [t.volume_m3 for t in totals],
+        [t.agb_mg for t in totals], [t.n_trees for t in totals]))))

@@ -6,8 +6,8 @@ center of cell (r, c) sits at
     x = xll + (c + 0.5) * cellsize
     y = yll + (nrows - r - 0.5) * cellsize
 
-All values are held as float64 internally; files round-trip to at least
-nine significant digits.
+All values are held as float64 internally; files round-trip to 10
+significant digits.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (
 )
 
 DEFAULT_NODATA = -9999.0
+FLOAT_FORMAT = "%.10g"   # every float written to a grid, header or table
 HEIGHT_FLOOR = -1.0  # lowest height above ground a PointCloud accepts
 
 
@@ -310,21 +311,14 @@ def read_ascii_grid(path) -> Grid:
 def write_ascii_grid(grid: Grid, path) -> None:
     """Write an ESRI ASCII grid; one line per raster row, north first."""
     with open(path, "w") as f:
-        f.write(f"NCOLS {grid.ncols}\n")
-        f.write(f"NROWS {grid.nrows}\n")
-        f.write(f"XLLCORNER {_fmt(grid.xll)}\n")
-        f.write(f"YLLCORNER {_fmt(grid.yll)}\n")
-        f.write(f"CELLSIZE {_fmt(grid.cellsize)}\n")
-        f.write(f"NODATA_VALUE {_fmt(grid.nodata)}\n")
-        # "%.10g" % v is byte-identical to _fmt(v)
-        line = " ".join(["%.10g"] * grid.ncols) + "\n"
+        f.write(f"NCOLS {grid.ncols}\nNROWS {grid.nrows}\n")
+        for key, value in (("XLLCORNER", grid.xll), ("YLLCORNER", grid.yll),
+                           ("CELLSIZE", grid.cellsize),
+                           ("NODATA_VALUE", grid.nodata)):
+            f.write(f"{key} {FLOAT_FORMAT % value}\n")
+        line = " ".join([FLOAT_FORMAT] * grid.ncols) + "\n"
         for row in grid.values.tolist():
             f.write(line % tuple(row))
-
-
-def _fmt(v: float) -> str:
-    # >= 9 significant digits; integers come out clean (e.g. "100")
-    return format(float(v), ".10g")
 
 
 def _is_number(token: str) -> bool:
@@ -365,6 +359,34 @@ def read_table(path, columns, required, make, error=DataError) -> list:
             except ValueError as exc:
                 raise error(f"{path}: line {lineno}: {exc}") from None
     return records
+
+
+def write_table(path, columns) -> None:
+    """Write a comma-separated table; the one writer of every output table.
+
+    `columns` maps each header name to its list of values. Floats are
+    written FLOAT_FORMAT, ints exactly, strs as they are and None as an
+    empty field. Types are checked per column, not per row. Columns of
+    unequal length raise ValueError.
+    """
+    fields, cells = [], []
+    for values in columns.values():
+        kinds = set(map(type, values))
+        if kinds <= {float}:
+            fields.append(FLOAT_FORMAT)
+        elif kinds == {int}:
+            fields.append("%d")
+        else:
+            fields.append("%s")
+            if kinds != {str}:  # mixed: each value formatted on its own
+                values = ["" if v is None else FLOAT_FORMAT % v
+                          if isinstance(v, float) else str(v) for v in values]
+        cells.append(values)
+    row = ",".join(fields) + "\n"
+    with open(path, "w") as f:
+        f.write(",".join(columns) + "\n")
+        for values in zip(*cells, strict=True):
+            f.write(row % values)
 
 
 def _table_header(path, line, columns, required, error) -> list[str]:
@@ -443,20 +465,20 @@ def _reject_first(path, column, bad, rule):
 
 
 def write_point_cloud(cloud: PointCloud, path) -> None:
-    with open(path, "w") as f:
-        f.write("x,y,z,return_number,is_ground\n")
-        rows = zip(cloud.x.tolist(), cloud.y.tolist(), cloud.z.tolist(),
-                   cloud.return_number.tolist(),
-                   cloud.is_ground.astype(int).tolist())
-        for row in rows:
-            f.write("%.10g,%.10g,%.10g,%d,%d\n" % row)
+    write_table(path, dict(zip(_CLOUD_COLUMNS, (
+        cloud.x.tolist(), cloud.y.tolist(), cloud.z.tolist(),
+        cloud.return_number.tolist(), cloud.is_ground.astype(int).tolist()))))
 
 
-def read_ground_truth(path, known_species) -> list[GroundTruthPoint]:
+_TRUTH_COLUMNS = ("x", "y", "species", "role")
+
+
+def read_ground_truth(path, known_species, chm: Grid) -> list[GroundTruthPoint]:
     """Read ground-truth tree points: header ``x,y,species[,role]``.
 
-    Every row has finite coordinates and a species code in
-    `known_species`; an empty role reads as "unassigned".
+    Every row has finite coordinates inside a cell of `chm` and a
+    species code in `known_species`; an empty role reads as
+    "unassigned".
     """
 
     def make(x, y, species, role=""):
@@ -465,17 +487,18 @@ def read_ground_truth(path, known_species) -> list[GroundTruthPoint]:
         if species not in known_species:
             raise ValueError(f"unknown species {species!r}; add it to "
                              f"[registry]")
+        if not chm.contains_cell(*chm.cell_of(float(x), float(y))):
+            raise ValueError(f"point ({x}, {y}) lies outside the CHM extent")
         return GroundTruthPoint(float(x), float(y), species,
                                 role or "unassigned")
 
-    return read_table(path, ("x", "y", "species", "role"), 3, make)
+    return read_table(path, _TRUTH_COLUMNS, 3, make)
 
 
 def write_ground_truth(points, path) -> None:
-    with open(path, "w") as f:
-        f.write("x,y,species,role\n")
-        for p in points:
-            f.write(f"{_fmt(p.x)},{_fmt(p.y)},{p.species_code},{p.role}\n")
+    write_table(path, dict(zip(_TRUTH_COLUMNS, (
+        [p.x for p in points], [p.y for p in points],
+        [p.species_code for p in points], [p.role for p in points]))))
 
 
 # ---------------------------------------------------------------------------
@@ -600,20 +623,18 @@ def write_envi_cube(cube: HyperCube, header_path, data_path) -> None:
     """Write a float32 little-endian BSQ cube with its text header."""
     arr = cube.samples.astype("<f4")
     arr.tofile(data_path)
-    uly = cube.yll + cube.nrows * cube.cellsize
+    corner = (cube.xll, cube.yll + cube.nrows * cube.cellsize, cube.cellsize,
+              cube.cellsize)
+    lines = ["ENVI", f"samples = {cube.ncols}", f"lines = {cube.nrows}",
+             f"bands = {cube.nbands}", "data type = 4", "interleave = bsq",
+             "byte order = 0", "map info = {projected, 1, 1, "
+             + ", ".join(FLOAT_FORMAT % v for v in corner) + "}"]
+    if cube.wavelengths is not None:
+        lines.append("wavelength = {" + ", ".join(FLOAT_FORMAT % w
+                                                  for w in cube.wavelengths)
+                     + "}")
     with open(header_path, "w") as f:
-        f.write("ENVI\n")
-        f.write(f"samples = {cube.ncols}\n")
-        f.write(f"lines = {cube.nrows}\n")
-        f.write(f"bands = {cube.nbands}\n")
-        f.write("data type = 4\n")
-        f.write("interleave = bsq\n")
-        f.write("byte order = 0\n")
-        f.write(f"map info = {{projected, 1, 1, {_fmt(cube.xll)}, {_fmt(uly)}, "
-                f"{_fmt(cube.cellsize)}, {_fmt(cube.cellsize)}}}\n")
-        if cube.wavelengths is not None:
-            f.write("wavelength = {" + ", ".join(_fmt(w) for w in cube.wavelengths)
-                    + "}\n")
+        f.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .geodata import (
     read_ground_truth,
     read_point_cloud,
     write_ascii_grid,
+    write_table,
 )
 
 
@@ -241,14 +242,14 @@ def _stage_spectral(out, config, raw_cube, chm):
 
 
 def _stage_join(out, config, crowns, owner, chm):
-    points = read_ground_truth(config.paths["ground_truth"], config.registry)
+    points = read_ground_truth(config.paths["ground_truth"], config.registry,
+                               chm)
     species, unmatched = crowns_mod.spatial_join(points, crowns, owner, chm)
     if not species:
         raise DataError("no ground-truth point fell inside any crown")
-    with open(os.path.join(out, "joined_species.csv"), "w") as f:
-        f.write("crown_id,species\n")
-        for cid in sorted(species):
-            f.write(f"{cid},{species[cid]}\n")
+    ids = sorted(species)
+    write_table(os.path.join(out, "joined_species.csv"),
+                {"crown_id": ids, "species": [species[cid] for cid in ids]})
     return {"truth_species": species}, {"matched_crowns": len(species),
                                         "unmatched_points": len(unmatched)}
 
@@ -257,12 +258,10 @@ def _stage_split(out, config, truth_species):
     split = crowns_mod.split_train_test(truth_species,
                                         config.run.train_fraction,
                                         config.run.seed)
-    with open(os.path.join(out, "split.csv"), "w") as f:
-        f.write("crown_id,role\n")
-        for cid in split.train_ids:
-            f.write(f"{cid},train\n")
-        for cid in split.test_ids:
-            f.write(f"{cid},test\n")
+    write_table(os.path.join(out, "split.csv"), {
+        "crown_id": [*split.train_ids, *split.test_ids],
+        "role": (["train"] * len(split.train_ids)
+                 + ["test"] * len(split.test_ids))})
     return {"split": split}, {}
 
 
@@ -388,17 +387,14 @@ def _stage_score(out, config, crowns, split, truth_species):
     return {"confusion": cm}, {}
 
 
-def _stage_plots(out, config, crowns):
+def _stage_plots(out, config, crowns, chm):
     plots = []
     if config.paths.get("plots"):
         config.require_paths("plots")
-        plots = evaluate_mod.read_plot_definitions(config.paths["plots"])
+        plots = evaluate_mod.read_plot_definitions(config.paths["plots"], chm)
     totals = [evaluate_mod.aggregate_plot(crowns, p) for p in plots]
-    with open(os.path.join(out, "plot_totals.csv"), "w") as f:
-        f.write("plot_id,volume_m3,agb_mg,n_trees\n")
-        for p, t in zip(plots, totals):
-            f.write(f"{p.plot_id},{t.volume_m3:.10g},{t.agb_mg:.10g},"
-                    f"{t.n_trees}\n")
+    evaluate_mod.write_plot_totals(plots, totals,
+                                   os.path.join(out, "plot_totals.csv"))
     return {"plot_defs": plots, "plot_totals": totals}, {}
 
 
@@ -425,9 +421,8 @@ def _stage_report(out, config, crowns, truth_species, split, bands,
         _require_same_ids(ids, config.paths["plots"], observed, observed_path)
         ob_v = [observed[i].volume_m3 for i in ids]
         ob_a = [observed[i].agb_mg for i in ids]
-        pr = {p.plot_id: t for p, t in zip(plot_defs, plot_totals)}
-        pr_v = [pr[i].volume_m3 for i in ids]
-        pr_a = [pr[i].agb_mg for i in ids]
+        pr_v = [t.volume_m3 for t in plot_totals]
+        pr_a = [t.agb_mg for t in plot_totals]
         lines.append(evaluate_mod.format_plot_table(ids, ob_v, pr_v,
                                                     ob_a, pr_a))
     elif plot_defs:

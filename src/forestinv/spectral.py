@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .geodata import HyperCube
+from .geodata import FLOAT_FORMAT, HyperCube
 
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-9
@@ -307,4 +307,4 @@ def sffs_select(stats, k: int, candidates=None,
 def write_band_selection(selection: BandSelection, path) -> None:
     with open(path, "w") as f:
         f.write("indices," + ",".join(str(i) for i in selection.indices) + "\n")
-        f.write(f"criterion,{selection.criterion_value:.10g}\n")
+        f.write(f"criterion,{FLOAT_FORMAT % selection.criterion_value}\n")

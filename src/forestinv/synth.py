@@ -17,24 +17,18 @@ the nominal footprint recoverable by seed-threshold region growing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .allometry import DbhModel, SpeciesRegistry, agb_jucker, estimate_dbh, \
     volume_double_entry
 from .errors import DataError
-from .evaluate import PlotDefinition, PlotTruth, write_plot_definitions
-from .geodata import (
-    Grid,
-    GroundTruthPoint,
-    HyperCube,
-    PointCloud,
-    write_ascii_grid,
-    write_envi_cube,
-    write_ground_truth,
-    write_point_cloud,
-)
+from .evaluate import PlotDefinition, PlotTruth, aggregate_plot, \
+    write_plot_definitions, write_plot_totals
+from .geodata import Grid, GroundTruthPoint, HyperCube, PointCloud, \
+    write_ascii_grid, write_envi_cube, write_ground_truth, \
+    write_point_cloud, write_table
 
 _SHAPES = ("cone", "tapered_cone", "paraboloid")
 _TERRAINS = ("flat", "slope", "hills")
@@ -89,14 +83,19 @@ class SceneSpec:
 @dataclass(frozen=True)
 class TreeTruth:
     tree_id: int
-    x: float
-    y: float
+    apex_x: float   # named as on a CrownRecord, for aggregate_plot
+    apex_y: float
     species: str
     height: float
     crown_diameter: float
     dbh: float
     volume: float
     agb: float
+
+
+# truth_trees.csv names the TreeTruth fields in order, the apex as x, y
+_TRUTH_TREE_COLUMNS = ("tree_id", "x", "y", "species", "height",
+                       "crown_diameter", "dbh", "volume", "agb")
 
 
 @dataclass
@@ -369,7 +368,9 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     ground_truth = [GroundTruthPoint(t.x, t.y, t.species) for t in spec.trees]
 
     truth_trees = _truth_trees(spec)
-    truth_plots = _truth_plots(spec, truth_trees)
+    truth_plots = [PlotTruth(p.plot_id,
+                             *astuple(aggregate_plot(truth_trees, p)))
+                   for p in spec.plots]
 
     return SceneData(spec, dtm, cloud, cube, ground_truth, spec.plots,
                      truth_trees, truth_plots)
@@ -387,23 +388,6 @@ def _truth_trees(spec: SceneSpec) -> list[TreeTruth]:
         volume, _ = volume_double_entry(dbh, tree.height, params)
         out.append(TreeTruth(i, tree.x, tree.y, tree.species, tree.height,
                              cd, dbh, volume, agb))
-    return out
-
-
-def _truth_plots(spec: SceneSpec, truth_trees: list[TreeTruth]) -> list[PlotTruth]:
-    out = []
-    for plot in spec.plots:
-        volume = 0.0
-        agb_kg = 0.0
-        n = 0
-        for t in truth_trees:
-            d2 = (t.x - plot.center_x) ** 2 + (t.y - plot.center_y) ** 2
-            if d2 > plot.radius ** 2 or not t.dbh > plot.dbh_min:
-                continue
-            volume += t.volume
-            agb_kg += t.agb
-            n += 1
-        out.append(PlotTruth(plot.plot_id, volume, agb_kg / 1000.0, n))
     return out
 
 
@@ -433,16 +417,8 @@ def write_scene(data: SceneData, outdir) -> dict[str, str]:
     write_envi_cube(data.cube, paths["cube_header"], paths["cube_data"])
     write_ground_truth(data.ground_truth, paths["ground_truth"])
     write_plot_definitions(data.plots, paths["plots"])
-
-    with open(paths["truth_trees"], "w") as f:
-        f.write("tree_id,x,y,species,height,crown_diameter,dbh,volume,agb\n")
-        for t in data.truth_trees:
-            f.write(f"{t.tree_id},{t.x:.10g},{t.y:.10g},{t.species},"
-                    f"{t.height:.10g},{t.crown_diameter:.10g},{t.dbh:.10g},"
-                    f"{t.volume:.10g},{t.agb:.10g}\n")
-    with open(paths["truth_plots"], "w") as f:
-        f.write("plot_id,volume_m3,agb_mg,n_trees\n")
-        for p in data.truth_plots:
-            f.write(f"{p.plot_id},{p.volume_m3:.10g},{p.agb_mg:.10g},"
-                    f"{p.n_trees}\n")
+    write_table(paths["truth_trees"], {
+        column: [getattr(t, field.name) for t in data.truth_trees]
+        for column, field in zip(_TRUTH_TREE_COLUMNS, fields(TreeTruth))})
+    write_plot_totals(data.plots, data.truth_plots, paths["truth_plots"])
     return {k: str(v) for k, v in paths.items()}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forestinv.crowns import CrownRecord
-from forestinv.errors import NumericalError
+from forestinv.errors import DataError, NumericalError
 from forestinv.evaluate import (
     ConfusionMatrix,
     PlotDefinition,
@@ -17,6 +17,7 @@ from forestinv.evaluate import (
     score,
     write_plot_definitions,
 )
+from forestinv.geodata import Grid
 
 # 11-plot reference comparison bundled for validating the correlation
 # implementation (observed vs predicted stem volume and biomass)
@@ -193,5 +194,24 @@ def test_plot_definition_round_trip(tmp_path):
                                                            dbh_min=5.0)]
     path = tmp_path / "plots.csv"
     write_plot_definitions(plots, path)
-    back = read_plot_definitions(path)
+    back = read_plot_definitions(path, Grid(np.zeros((50, 50)), 0.0, 0.0, 1.0))
     assert back == plots
+
+
+@pytest.mark.parametrize("x, y, radius, meets", [
+    (-3.0, -4.0, 5.0, True),     # 5 m from the corner: the circle touches it
+    (-3.0, -4.01, 5.0, False),
+    (25.0, 59.9, 10.0, True),    # 9.9 m north of the north edge
+    (25.0, 60.1, 10.0, False),
+    (25.0, 25.0, 1.0, True),
+])
+def test_plot_circle_must_meet_the_chm_extent(tmp_path, x, y, radius, meets):
+    chm = Grid(np.zeros((25, 25)), 0.0, 0.0, 2.0)   # covers [0, 50] m
+    path = tmp_path / "plots.csv"
+    path.write_text(f"plot_id,center_x,center_y,radius\n1,{x},{y},{radius}\n")
+    if meets:
+        assert len(read_plot_definitions(path, chm)) == 1
+    else:
+        with pytest.raises(DataError, match="line 2: plot circle at .* does "
+                                            "not meet the CHM extent"):
+            read_plot_definitions(path, chm)

@@ -22,6 +22,7 @@ from forestinv.geodata import (
     write_ascii_grid,
     write_envi_cube,
     write_point_cloud,
+    write_table,
 )
 
 
@@ -205,6 +206,23 @@ def test_writers_match_per_value_format(tmp_path):
     assert lines == [",".join([format(float(a), ".10g") for a in xyz]
                               + [str(r), str(int(g))])
                      for *xyz, r, g in zip(x, y, z, returns, ground)]
+
+    floats = values.ravel().tolist()
+    # an 11-digit int stays exact where "%.10g" would give 1.23456789e+10
+    ints = [12345678901, -3] + list(range(len(floats) - 2))
+    gappy = [None if i % 3 else v for i, v in enumerate(floats)]
+    words = [f"sp{i}" for i in range(len(floats))]
+    write_table(tmp_path / "t.csv", {"f": floats, "i": ints, "gappy": gappy,
+                                     "s": words})
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[0] == "f,i,gappy,s"
+    assert lines[1:] == [",".join([format(f, ".10g"), str(i),
+                                   "" if g is None else format(g, ".10g"), w])
+                         for f, i, g, w in zip(floats, ints, gappy, words)]
+    write_table(tmp_path / "t.csv", {"f": [], "s": []})
+    assert (tmp_path / "t.csv").read_text() == "f,s\n"
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", {"f": [1.0, 2.0], "s": ["a"]})
 
 
 # ---------------------------------------------------------------------------

@@ -499,7 +499,7 @@ def moved_scene(data, dx, dy):
         cube=dataclasses.replace(cube, xll=cube.xll + dx, yll=cube.yll + dy),
         ground_truth=[move(p) for p in data.ground_truth],
         plots=tuple(move(p, "center_x", "center_y") for p in data.plots),
-        truth_trees=[move(t) for t in data.truth_trees])
+        truth_trees=[move(t, "apex_x", "apex_y") for t in data.truth_trees])
 
 
 def test_pipeline_at_projected_coordinates(tmp_path):
@@ -737,6 +737,41 @@ class TestCli:
         assert main(["run", "--config", str(pipeline_ini), "--stage", "join",
                      "--out", str(out)]) == 0
         assert ",ZZZZ" in (out / "joined_species.csv").read_text()
+
+    def test_ground_truth_outside_the_chm_exits_3(self, tmp_path, capsys):
+        pipeline_ini = make_scene(tmp_path)
+        path = pipeline_ini.parent / "ground_truth.csv"
+        lines = path.read_text().splitlines()
+        out = tmp_path / "out"
+        # inside the extent but in no crown: a counted unmatched point
+        path.write_text("\n".join(lines + ["0.1,0.1,PIAB,train"]) + "\n")
+        assert main(["run", "--config", str(pipeline_ini), "--stage", "join",
+                     "--out", str(out)]) == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "count join unmatched_points 1" in manifest
+        lines.insert(2, "-5000,9.75,PIAB,train")
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--config", str(pipeline_ini),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ("ground_truth.csv: line 3: point (-5000, 9.75) lies outside "
+                "the CHM extent" in err), err
+        assert "stage join failed" in (out / "manifest.txt").read_text()
+
+    def test_plot_outside_the_chm_exits_3(self, tmp_path, capsys):
+        pipeline_ini = make_scene(tmp_path)
+        path = pipeline_ini.parent / "plots.csv"
+        lines = path.read_text().splitlines()
+        lines.insert(2, "99,900000,20,15,7.5")
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(pipeline_ini),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ("plots.csv: line 3: plot circle at (900000, 20) does not "
+                "meet the CHM extent" in err), err
+        assert "stage plots failed" in (out / "manifest.txt").read_text()
+        assert not (out / "plot_totals.csv").exists()
 
     def test_relative_out_resolves_against_the_cwd(self, tmp_path,
                                                    monkeypatch):
