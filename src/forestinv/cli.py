@@ -84,20 +84,10 @@ def _cmd_synth(args) -> int:
     config = load_config(args.config, seed_override=args.seed,
                          out_override=args.out,
                          threads_override=args.threads)
-    sc = config.scene
     try:
-        spec = random_scene(
-            seed=config.run.seed, n_trees=sc.n_trees,
-            species=list(sc.species), nbands=sc.nbands, pitch=sc.pitch,
-            margin=sc.margin, height_range=(sc.height_min, sc.height_max),
-            radius_range=(sc.radius_min, sc.radius_max),
-            n_plots=sc.n_plots, plot_radius=sc.plot_radius,
-            signature_amplitude=sc.signature_amplitude,
-            noise_sigma=sc.noise_sigma, junk_head=sc.junk_head,
-            junk_tail=sc.junk_tail, shape=sc.shape, terrain=sc.terrain,
-            point_density=sc.point_density,
-            chm_resolution=config.pitfree.resolution)
-        data = generate_scene(spec)
+        spec = random_scene(config.scene, seed=config.run.seed,
+                            chm_resolution=config.pitfree.resolution)
+        data = generate_scene(spec, config.registry, config.dbh_model)
     except ValueError as exc:
         raise ConfigError(f"[scene]: {exc}") from None
     paths = write_scene(data, config.run.output_dir)

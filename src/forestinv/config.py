@@ -23,6 +23,7 @@ from .allometry import (
 from .chm import PitfreeParams
 from .crowns import ItcParams
 from .errors import ConfigError
+from .synth import SceneConfig
 
 
 @dataclass
@@ -72,28 +73,6 @@ class RunConfig:
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-
-
-@dataclass
-class SceneConfig:
-    n_trees: int = 200
-    species: tuple[str, ...] = ("PIAB", "ABAL", "LADE", "FASY", "QUPU")
-    nbands: int = 16
-    pitch: float = 13.0
-    margin: float = 9.0
-    height_min: float = 14.0
-    height_max: float = 24.0
-    radius_min: float = 2.5
-    radius_max: float = 4.5
-    n_plots: int = 10
-    plot_radius: float = 15.0
-    noise_sigma: float = 0.02
-    signature_amplitude: float = 0.6
-    junk_head: int = 7
-    junk_tail: int = 8
-    shape: str = "tapered_cone"
-    terrain: str = "flat"
-    point_density: float = 10.0
 
 
 @dataclass
@@ -209,6 +188,11 @@ def load_config(path, seed_override=None, out_override=None,
     registry = SpeciesRegistry().with_overrides(
         [_parse_registry_entry(code, value)
          for code, value in _items(cp, "registry").items()])
+    scene = _read(cp, "scene", SceneConfig)
+    unknown = [code for code in scene.species if code not in registry]
+    if unknown:
+        raise ConfigError(f"[scene] species: unknown species code(s) "
+                          f"{', '.join(unknown)}; add them to [registry]")
     run = _read(cp, "run", RunConfig, seed=seed_override,
                 output_dir=out_override, threads=threads_override)
     if out_override is None:  # an --out path is relative to the cwd
@@ -230,8 +214,7 @@ def load_config(path, seed_override=None, out_override=None,
         spectral=_read(cp, "spectral", SpectralConfig),
         classify=_read(cp, "classify", ClassifyConfig),
         dbh_model=_read(cp, "allometry", DbhModel, prefix="dbh_"),
-        registry=registry, run=run,
-        scene=_read(cp, "scene", SceneConfig), raw_text=text)
+        registry=registry, run=run, scene=scene, raw_text=text)
 
 
 def _parse_registry_entry(code: str, value: str) -> SpeciesEntry:

@@ -258,8 +258,8 @@ def spatial_join(points: list[GroundTruthPoint], crowns: list[CrownRecord],
     hits: dict[int, list[tuple[float, int, str]]] = {}
     unmatched = []
     for i, p in enumerate(points):
-        r, c = grid.cell_of(p.x, p.y)
-        cid = int(owner[r, c]) if grid.contains_cell(r, c) else 0
+        inside = grid.contains(p.x, p.y)
+        cid = int(owner[grid.cell_of(p.x, p.y)]) if inside else 0
         if cid == 0:
             unmatched.append(p)
             continue

@@ -98,8 +98,12 @@ class Grid:
             return int(row), int(col)
         return row, col
 
-    def contains_cell(self, row, col) -> bool:
-        return 0 <= row < self.nrows and 0 <= col < self.ncols
+    def contains(self, x: float, y: float) -> bool:
+        """Whether map point (x, y) lies in a cell of the grid. Tests the
+        fractional cell index, the range of `cell_of`'s floor, so a huge
+        coordinate is refused before any int cast."""
+        return (0 <= (x - self.xll) / self.cellsize < self.ncols
+                and 0 <= (y - self.yll) / self.cellsize < self.nrows)
 
     def with_values(self, values: np.ndarray) -> "Grid":
         """New grid on the same georeference with different values."""
@@ -487,7 +491,7 @@ def read_ground_truth(path, known_species, chm: Grid) -> list[GroundTruthPoint]:
         if species not in known_species:
             raise ValueError(f"unknown species {species!r}; add it to "
                              f"[registry]")
-        if not chm.contains_cell(*chm.cell_of(float(x), float(y))):
+        if not chm.contains(float(x), float(y)):
             raise ValueError(f"point ({x}, {y}) lies outside the CHM extent")
         return GroundTruthPoint(float(x), float(y), species,
                                 role or "unassigned")

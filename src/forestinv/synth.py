@@ -1,15 +1,17 @@
 """Synthetic scene generation for desk-scale pipeline verification.
 
-A scene renders a list of trees onto a terrain surface as radial canopy
-profiles, samples that surface into a LiDAR point cloud at a target
-density, paints a co-registered hyperspectral cube from per-species
-signatures plus Gaussian noise, and emits ground-truth tree points,
-field plots and truth tables. Plot truth values are computed with the
-same allometric formulas the inventory applies, so end-to-end
-comparisons isolate the geometric and classification machinery.
+`SceneConfig`, the [scene] section, is a scene's whole recipe, with
+every default and check. `random_scene` draws trees, plots and species
+signatures from it; `generate_scene` renders the trees onto a terrain
+as radial canopy profiles, samples that surface into a LiDAR point
+cloud, paints a hyperspectral cube from the signatures plus Gaussian
+noise, and emits ground-truth points, plots and truth tables. These
+use the run's allometric formulas, [registry] and [allometry], so
+end-to-end comparisons isolate the geometric and classification
+machinery.
 
 The default "tapered_cone" profile keeps the canopy surface at
-edge_fraction of the apex height at the nominal crown radius (real
+EDGE_FRACTION of the apex height at the nominal crown radius (real
 crown edges drop to understory level, not to bare ground), which makes
 the nominal footprint recoverable by seed-threshold region growing.
 """
@@ -33,6 +35,59 @@ from .geodata import Grid, GroundTruthPoint, HyperCube, PointCloud, \
 _SHAPES = ("cone", "tapered_cone", "paraboloid")
 _TERRAINS = ("flat", "slope", "hills")
 _BASE_ELEVATION = 500.0
+EDGE_FRACTION = 0.55           # tapered_cone height at the crown radius
+SKIRT_WIDTH = 3.0              # m, tapered_cone fall-off beyond the radius
+TRUTH_CONTOUR_FRACTION = 0.55  # truth crown edge, a fraction of the apex
+DTM_RESOLUTION = 1.0           # m
+JITTER = 0.9                   # m, apex offset from its grid slot
+
+
+@dataclass(frozen=True)
+class SceneConfig:
+    """The [scene] section: what `forestinv synth` generates."""
+
+    n_trees: int = 200
+    species: tuple[str, ...] = ("PIAB", "ABAL", "LADE", "FASY", "QUPU")
+    nbands: int = 16
+    pitch: float = 13.0
+    margin: float = 9.0
+    height_min: float = 14.0
+    height_max: float = 24.0
+    radius_min: float = 2.5
+    radius_max: float = 4.5
+    n_plots: int = 10
+    plot_radius: float = 15.0
+    noise_sigma: float = 0.02
+    signature_amplitude: float = 0.6
+    junk_head: int = 7
+    junk_tail: int = 8
+    shape: str = "tapered_cone"
+    terrain: str = "flat"
+    point_density: float = 10.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
+        for name, least in (("n_trees", 1), ("nbands", 1), ("n_plots", 0),
+                            ("junk_head", 0), ("junk_tail", 0),
+                            ("margin", 0), ("noise_sigma", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+        for name in ("pitch", "point_density"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        if not self.species:
+            raise ValueError("species list is empty")
+        if not 0 < self.height_min <= self.height_max:
+            raise ValueError("need 0 < height_min <= height_max")
+        if not 0 < self.radius_min <= self.radius_max:
+            raise ValueError("need 0 < radius_min <= radius_max")
+        if self.shape not in _SHAPES:
+            raise ValueError(f"unknown shape {self.shape!r}")
+        if self.terrain not in _TERRAINS:
+            raise ValueError(f"unknown terrain {self.terrain!r}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +101,9 @@ class TreeSpec:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Complete recipe for one synthetic scene."""
+    """One drawn scene: the config it was drawn from and what was drawn."""
 
+    scene: SceneConfig
     seed: int
     xll: float
     yll: float
@@ -56,28 +112,8 @@ class SceneSpec:
     trees: tuple[TreeSpec, ...]
     signatures: dict[str, np.ndarray]       # per-species, useful bands only
     background: np.ndarray
-    plots: tuple[PlotDefinition, ...] = ()
-    chm_resolution: float = 0.5
-    dtm_resolution: float = 1.0
-    noise_sigma: float = 0.02
-    junk_head: int = 7
-    junk_tail: int = 8
-    shape: str = "tapered_cone"
-    edge_fraction: float = 0.55
-    skirt_width: float = 3.0
-    truth_contour_fraction: float = 0.55
-    point_density: float = 10.0
-    terrain: str = "flat"
-
-    def __post_init__(self):
-        if self.shape not in _SHAPES:
-            raise ValueError(f"unknown crown shape {self.shape!r}")
-        if self.terrain not in _TERRAINS:
-            raise ValueError(f"unknown terrain {self.terrain!r}")
-        if not (0 < self.edge_fraction < 1):
-            raise ValueError("edge_fraction must lie strictly between 0 and 1")
-        if self.point_density <= 0:
-            raise ValueError("point_density must be > 0")
+    plots: tuple[PlotDefinition, ...]
+    chm_resolution: float
 
 
 @dataclass(frozen=True)
@@ -119,36 +155,35 @@ def profile_height(spec: SceneSpec, tree: TreeSpec, r):
     """Canopy height of one tree at radial distance r from its apex."""
     r = np.asarray(r, dtype=np.float64)
     h, radius = tree.height, tree.crown_radius
-    if spec.shape == "cone":
+    if spec.scene.shape == "cone":
         return h * np.clip(1.0 - r / radius, 0.0, None)
-    if spec.shape == "paraboloid":
+    if spec.scene.shape == "paraboloid":
         return h * np.clip(1.0 - (r / radius) ** 2, 0.0, None)
-    e = spec.edge_fraction
+    e = EDGE_FRACTION
     inner = h * (1.0 - (1.0 - e) * np.minimum(r, radius) / radius)
-    skirt = h * e * np.clip(1.0 - (r - radius) / spec.skirt_width, 0.0, 1.0)
+    skirt = h * e * np.clip(1.0 - (r - radius) / SKIRT_WIDTH, 0.0, 1.0)
     return np.where(r <= radius, inner, skirt)
 
 
 def reach(spec: SceneSpec, tree: TreeSpec) -> float:
     """Radius beyond which the tree's profile is zero."""
-    if spec.shape == "tapered_cone":
-        return tree.crown_radius + spec.skirt_width
+    if spec.scene.shape == "tapered_cone":
+        return tree.crown_radius + SKIRT_WIDTH
     return tree.crown_radius
 
 
 def contour_radius(spec: SceneSpec, tree: TreeSpec,
-                   fraction: float | None = None) -> float:
-    """Radius where the profile crosses fraction * apex height."""
-    f = spec.truth_contour_fraction if fraction is None else fraction
+                   f: float = TRUTH_CONTOUR_FRACTION) -> float:
+    """Radius where the profile crosses f * apex height."""
     radius = tree.crown_radius
-    if spec.shape == "cone":
+    if spec.scene.shape == "cone":
         return radius * (1.0 - f)
-    if spec.shape == "paraboloid":
+    if spec.scene.shape == "paraboloid":
         return radius * math.sqrt(1.0 - f)
-    e = spec.edge_fraction
+    e = EDGE_FRACTION
     if f >= e:
         return radius * (1.0 - f) / (1.0 - e)
-    return radius + spec.skirt_width * (1.0 - f / e)
+    return radius + SKIRT_WIDTH * (1.0 - f / e)
 
 
 def render_canopy_grid(spec: SceneSpec) -> Grid:
@@ -157,13 +192,20 @@ def render_canopy_grid(spec: SceneSpec) -> Grid:
     Useful as a noise-free CHM for exercising crown delineation against
     closed-form oracles.
     """
+    chm = _chm_grid(spec)
+    return chm.with_values(_canopy_surface(spec, *_cell_centers(chm)))
+
+
+def _chm_grid(spec: SceneSpec) -> Grid:
+    """The scene's CHM grid, all zeros: the cube's georeference."""
     res = spec.chm_resolution
-    ncols = int(round(spec.width / res))
-    nrows = int(round(spec.height / res))
-    cx = spec.xll + (np.arange(ncols) + 0.5) * res
-    cy = spec.yll + (nrows - np.arange(nrows) - 0.5) * res
-    gx, gy = np.meshgrid(cx, cy)
-    return Grid(_canopy_surface(spec, gx, gy), spec.xll, spec.yll, res)
+    shape = (int(round(spec.height / res)), int(round(spec.width / res)))
+    return Grid(np.zeros(shape), spec.xll, spec.yll, res)
+
+
+def _cell_centers(grid: Grid):
+    """x and y of every cell center of `grid`, each a (rows, cols) array."""
+    return grid.cell_center(*np.indices(grid.values.shape))
 
 
 def _terrain_z(terrain: str, x, y):
@@ -217,31 +259,16 @@ def _canopy_surface(spec: SceneSpec, x, y, want_owner=False):
 # ---------------------------------------------------------------------------
 
 
-def random_scene(seed: int, n_trees: int, species: list[str],
-                 nbands: int = 16, pitch: float = 13.0, margin: float = 9.0,
-                 jitter: float = 0.9, height_range=(14.0, 24.0),
-                 radius_range=(2.5, 4.5), n_plots: int = 10,
-                 plot_radius: float = 15.0, signature_amplitude: float = 0.6,
-                 **overrides) -> SceneSpec:
+def random_scene(scene: SceneConfig, seed: int,
+                 chm_resolution: float = 0.5) -> SceneSpec:
     """Jittered-grid scene: pairwise apex spacing stays above
-    pitch - 2*jitter - cell diagonal, and apexes snap to CHM cell
+    pitch - 2*JITTER - cell diagonal, and apexes snap to CHM cell
     centers so detection oracles are exact."""
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
-    if not species:
-        raise ValueError("species list is empty")
-    if nbands < 1:
-        raise ValueError("nbands must be >= 1")
-    if not pitch > 0:
-        raise ValueError("pitch must be > 0")
-    if not margin >= 0:
-        raise ValueError("margin must be >= 0")
-    if not 0 < height_range[0] <= height_range[1]:
-        raise ValueError("need 0 < height_min <= height_max")
-    if not 0 < radius_range[0] <= radius_range[1]:
-        raise ValueError("need 0 < radius_min <= radius_max")
     rng = np.random.default_rng(seed)
-    res = overrides.get("chm_resolution", 0.5)
+    res = chm_resolution
+    n_trees, species, margin, pitch, n_plots, plot_radius = (
+        scene.n_trees, scene.species, scene.margin, scene.pitch,
+        scene.n_plots, scene.plot_radius)
 
     nx = math.ceil(math.sqrt(n_trees))
     ny = math.ceil(n_trees / nx)
@@ -258,13 +285,13 @@ def random_scene(seed: int, n_trees: int, species: list[str],
              for j in range(ny) for i in range(nx)]
     order = rng.permutation(len(slots))[:n_trees]
 
-    h_lo, h_hi = height_range
-    r_lo, r_hi = radius_range
+    h_lo, h_hi = scene.height_min, scene.height_max
+    r_lo, r_hi = scene.radius_min, scene.radius_max
     trees = []
     for k, slot in enumerate(order):
         sx, sy = slots[slot]
-        x = sx + rng.uniform(-jitter, jitter)
-        y = sy + rng.uniform(-jitter, jitter)
+        x = sx + rng.uniform(-JITTER, JITTER)
+        y = sy + rng.uniform(-JITTER, JITTER)
         # snap apex onto a CHM cell center
         x = xll + (math.floor((x - xll) / res) + 0.5) * res
         y = yll + (math.floor((y - yll) / res) + 0.5) * res
@@ -281,25 +308,29 @@ def random_scene(seed: int, n_trees: int, species: list[str],
         py = rng.uniform(yll + plot_radius, yll + height - plot_radius)
         plots.append(PlotDefinition(pid, px, py, plot_radius))
 
+    nbands, amplitude = scene.nbands, scene.signature_amplitude
     bands = np.arange(nbands, dtype=np.float64)
     sig_width = max(1.5, nbands / 12.0)
     signatures = {}
     for i, sp in enumerate(sorted(set(species))):
         center = (i + 1) * nbands / (len(set(species)) + 2)
-        signatures[sp] = 1.0 + signature_amplitude * np.exp(
+        signatures[sp] = 1.0 + amplitude * np.exp(
             -((bands - center) ** 2) / (2 * sig_width ** 2))
     bg_center = nbands * (len(set(species)) + 1) / (len(set(species)) + 2)
-    background = 1.0 + signature_amplitude * np.exp(
+    background = 1.0 + amplitude * np.exp(
         -((bands - bg_center) ** 2) / (2 * sig_width ** 2))
 
-    return SceneSpec(seed=seed, xll=xll, yll=yll, width=width, height=height,
-                     trees=tuple(trees), signatures=signatures,
-                     background=background, plots=tuple(plots), **overrides)
+    return SceneSpec(scene=scene, seed=seed, xll=xll, yll=yll, width=width,
+                     height=height, trees=tuple(trees), signatures=signatures,
+                     background=background, plots=tuple(plots),
+                     chm_resolution=res)
 
 
-def generate_scene(spec: SceneSpec) -> SceneData:
+def generate_scene(spec: SceneSpec, registry=SpeciesRegistry(),
+                   dbh_model=DbhModel()) -> SceneData:
     """Render the scene: DTM, LiDAR cloud, hyperspectral cube,
-    ground-truth points, plots and truth tables."""
+    ground-truth points, plots and truth tables. The truth tables use
+    `registry` and `dbh_model`, as the inventory does."""
     for i, tree in enumerate(spec.trees):
         if not (spec.xll <= tree.x <= spec.xll + spec.width
                 and spec.yll <= tree.y <= spec.yll + spec.height):
@@ -307,67 +338,55 @@ def generate_scene(spec: SceneSpec) -> SceneData:
                             f"the scene bounds")
 
     rng = np.random.default_rng(spec.seed)
+    scene = spec.scene
 
     # DTM one cell wider than the scene so every point is inside the
     # bilinear interpolation hull
-    dres = spec.dtm_resolution
-    d_ncols = math.ceil(spec.width / dres) + 2
-    d_nrows = math.ceil(spec.height / dres) + 2
-    d_xll = spec.xll - dres
-    d_yll = spec.yll - dres
-    cols = np.arange(d_ncols)
-    rows = np.arange(d_nrows)
-    dx = d_xll + (cols + 0.5) * dres
-    dy = d_yll + (d_nrows - rows - 0.5) * dres
-    gx, gy = np.meshgrid(dx, dy)
-    dtm = Grid(_terrain_z(spec.terrain, gx, gy), d_xll, d_yll, dres)
+    dres = DTM_RESOLUTION
+    dtm = Grid(np.zeros((math.ceil(spec.height / dres) + 2,
+                         math.ceil(spec.width / dres) + 2)),
+               spec.xll - dres, spec.yll - dres, dres)
+    dtm = dtm.with_values(_terrain_z(scene.terrain, *_cell_centers(dtm)))
 
     # LiDAR returns: uniform sampling of the canopy surface plus one
     # exact return at every apex
-    n_points = int(round(spec.point_density * spec.width * spec.height))
+    n_points = int(round(scene.point_density * spec.width * spec.height))
     px = rng.uniform(spec.xll, spec.xll + spec.width, n_points)
     py = rng.uniform(spec.yll, spec.yll + spec.height, n_points)
     canopy = _canopy_surface(spec, px, py)
     px = np.append(px, [t.x for t in spec.trees])
     py = np.append(py, [t.y for t in spec.trees])
     canopy = np.append(canopy, [t.height for t in spec.trees])
-    pz = _terrain_z(spec.terrain, px, py) + canopy
+    pz = _terrain_z(scene.terrain, px, py) + canopy
     cloud = PointCloud.from_xyz(px, py, pz, is_ground=canopy == 0.0)
 
     # hyperspectral cube on the CHM grid
-    res = spec.chm_resolution
-    ncols = int(round(spec.width / res))
-    nrows = int(round(spec.height / res))
-    cx = spec.xll + (np.arange(ncols) + 0.5) * res
-    cy = spec.yll + (nrows - np.arange(nrows) - 0.5) * res
-    ggx, ggy = np.meshgrid(cx, cy)
-    _, owner = _canopy_surface(spec, ggx, ggy, want_owner=True)
+    chm = _chm_grid(spec)
+    nrows, ncols = chm.values.shape
+    _, owner = _canopy_surface(spec, *_cell_centers(chm), want_owner=True)
 
-    species_sorted = sorted(spec.signatures)
+    head, tail = scene.junk_head, scene.junk_tail
     n_useful = spec.background.size
-    total_bands = spec.junk_head + n_useful + spec.junk_tail
+    total_bands = head + n_useful + tail
     cube_arr = np.empty((total_bands, nrows, ncols))
-    useful = slice(spec.junk_head, spec.junk_head + n_useful)
 
     # column 0 is the background, column i + 1 the signature of tree i
     table = np.column_stack([spec.background] + [spec.signatures[t.species]
                                                  for t in spec.trees])
     spectra = table[:, owner + 1]
-    if spec.noise_sigma > 0:
-        spectra = spectra + rng.normal(0.0, spec.noise_sigma, spectra.shape)
-    cube_arr[useful] = spectra
-    if spec.junk_head:
-        cube_arr[:spec.junk_head] = rng.normal(0.5, 0.3,
-                                               (spec.junk_head, nrows, ncols))
-    if spec.junk_tail:
-        cube_arr[-spec.junk_tail:] = rng.normal(0.5, 0.3,
-                                                (spec.junk_tail, nrows, ncols))
+    if scene.noise_sigma > 0:
+        spectra = spectra + rng.normal(0.0, scene.noise_sigma, spectra.shape)
+    cube_arr[head:head + n_useful] = spectra
+    if head:
+        cube_arr[:head] = rng.normal(0.5, 0.3, (head, nrows, ncols))
+    if tail:
+        cube_arr[-tail:] = rng.normal(0.5, 0.3, (tail, nrows, ncols))
     wavelengths = np.linspace(0.38, 1.05, total_bands)
-    cube = HyperCube(cube_arr, spec.xll, spec.yll, res, wavelengths)
+    cube = HyperCube(cube_arr, chm.xll, chm.yll, chm.cellsize, wavelengths)
 
     ground_truth = [GroundTruthPoint(t.x, t.y, t.species) for t in spec.trees]
 
-    truth_trees = _truth_trees(spec)
+    truth_trees = _truth_trees(spec, registry, dbh_model)
     truth_plots = [PlotTruth(p.plot_id,
                              *astuple(aggregate_plot(truth_trees, p)))
                    for p in spec.plots]
@@ -376,9 +395,8 @@ def generate_scene(spec: SceneSpec) -> SceneData:
                      truth_trees, truth_plots)
 
 
-def _truth_trees(spec: SceneSpec) -> list[TreeTruth]:
-    registry = SpeciesRegistry()
-    dbh_model = DbhModel()
+def _truth_trees(spec: SceneSpec, registry: SpeciesRegistry,
+                 dbh_model: DbhModel) -> list[TreeTruth]:
     out = []
     for i, tree in enumerate(spec.trees, start=1):
         cd = 2.0 * contour_radius(spec, tree)

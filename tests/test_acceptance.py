@@ -4,6 +4,7 @@ with the measured quantities when it succeeds.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
 
+import dataclasses
 import itertools
 import math
 import time
@@ -280,7 +281,7 @@ def test_criterion_08_metric_definitions():
 
 def test_criterion_09_itc_on_cone_scenes():
     from forestinv.crowns import ItcParams, detect_treetops, grow_crowns
-    from forestinv.synth import random_scene, render_canopy_grid
+    from forestinv.synth import SceneConfig, random_scene, render_canopy_grid
 
     params = ItcParams()  # published parameter set
     total_trees = 0
@@ -291,11 +292,11 @@ def test_criterion_09_itc_on_cone_scenes():
 
     for scene_idx in range(30):
         n_trees = int(rng.integers(20, 51))
-        spec = random_scene(seed=9000 + scene_idx, n_trees=n_trees,
-                            species=["PIAB"], shape="cone", pitch=14.0,
-                            margin=8.0, height_range=(8.0, 28.0),
-                            radius_range=(4.0, 5.5), n_plots=0,
-                            noise_sigma=0.0, junk_head=0, junk_tail=0)
+        spec = random_scene(SceneConfig(
+            n_trees=n_trees, species=("PIAB",), shape="cone", pitch=14.0,
+            margin=8.0, height_min=8.0, height_max=28.0, radius_min=4.0,
+            radius_max=5.5, n_plots=0, noise_sigma=0.0, junk_head=0,
+            junk_tail=0), seed=9000 + scene_idx)
         chm = render_canopy_grid(spec)
 
         t0 = time.perf_counter()
@@ -397,10 +398,8 @@ def test_criterion_10_end_to_end_inventory(e2e_run):
     from forestinv.synth import random_scene
 
     scene_cfg = ctx["config"].scene
-    sig_spec = random_scene(seed=2024, n_trees=4,
-                            species=list(scene_cfg.species),
-                            nbands=scene_cfg.nbands,
-                            signature_amplitude=scene_cfg.signature_amplitude)
+    sig_spec = random_scene(dataclasses.replace(scene_cfg, n_trees=4),
+                            seed=2024)
     sigs = list(sig_spec.signatures.values())
     min_sep = min(float(np.linalg.norm(sigs[i] - sigs[j]))
                   for i in range(len(sigs)) for j in range(i + 1, len(sigs)))

@@ -111,6 +111,33 @@ def test_grid_world_cell_round_trip():
             assert g.cell_of(x, y) == (r, c)
 
 
+def near(lo, hi):
+    return st.floats(lo, hi) | st.floats(allow_nan=False,
+                                         allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=near(95.0, 115.0), y=near(195.0, 215.0))
+def test_grid_contains_exactly_the_points_cell_of_places(x, y):
+    g = make_grid(np.zeros((4, 5)), xll=100.0, yll=200.0, cellsize=2.0)
+    if abs(x) < 1e9 and abs(y) < 1e9:
+        r, c = g.cell_of(x, y)
+        assert g.contains(x, y) == (0 <= r < g.nrows and 0 <= c < g.ncols)
+    else:  # decided before any int cast, so nothing warns
+        assert not g.contains(x, y)
+
+
+def test_grid_contains_at_the_edges():
+    g = make_grid(np.zeros((4, 5)), xll=100.0, yll=200.0, cellsize=2.0)
+    below = np.nextafter
+    assert g.contains(100.0, 200.0)
+    assert g.contains(below(110.0, 0), below(208.0, 0))
+    assert not g.contains(110.0, 201.0)
+    assert not g.contains(101.0, 208.0)
+    assert not g.contains(below(100.0, 0), 201.0)
+    assert not g.contains(1e300, 201.0)
+
+
 # ---------------------------------------------------------------------------
 # Point cloud I/O
 # ---------------------------------------------------------------------------

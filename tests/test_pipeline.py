@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from configparser import ConfigParser
 from pathlib import Path
 
@@ -14,14 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forestinv.allometry import DbhModel
+from forestinv.allometry import DbhModel, volume_double_entry
 from forestinv import chm as chm_mod
 from forestinv.chm import PitfreeParams
 from forestinv.cli import main
 from forestinv.config import (
     ClassifyConfig,
     RunConfig,
-    SceneConfig,
     SpectralConfig,
     load_config,
 )
@@ -30,7 +30,8 @@ from forestinv.errors import ConfigError
 from forestinv.geodata import PointCloud, read_ascii_grid
 from forestinv import pipeline as pipeline_mod
 from forestinv.pipeline import _training_pixels, run_pipeline
-from forestinv.synth import generate_scene, random_scene, write_scene
+from forestinv.synth import SceneConfig, generate_scene, random_scene, \
+    write_scene
 
 SCENE_INI = """\
 [scene]
@@ -506,9 +507,9 @@ def test_pipeline_at_projected_coordinates(tmp_path):
     # 16 trees at 10 points/m2 put about 32,000 points in layer 0, so
     # the CHM is triangulated in tiles. Snapped to 1 mm, every x, y keeps
     # its value through the 10-digit point writer at a 5e6 m northing.
-    data = generate_scene(random_scene(seed=5, n_trees=16,
-                                       species=["PIAB", "FASY"], nbands=10,
-                                       n_plots=2))
+    data = generate_scene(random_scene(
+        SceneConfig(n_trees=16, species=("PIAB", "FASY"), nbands=10,
+                    n_plots=2), seed=5))
     cloud = data.cloud
     data = dataclasses.replace(data, cloud=PointCloud.from_xyz(
         np.round(cloud.x, 3), np.round(cloud.y, 3), cloud.z,
@@ -758,6 +759,20 @@ class TestCli:
                 "the CHM extent" in err), err
         assert "stage join failed" in (out / "manifest.txt").read_text()
 
+    def test_huge_ground_truth_coordinate_exits_3_without_warning(
+            self, tmp_path, capsys):
+        pipeline_ini = make_scene(tmp_path)
+        (pipeline_ini.parent / "ground_truth.csv").write_text(
+            "x,y,species\n1e300,5,PIAB\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(pipeline_ini),
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ("ground_truth.csv: line 2: point (1e300, 5) lies outside "
+                "the CHM extent" in err), err
+
     def test_plot_outside_the_chm_exits_3(self, tmp_path, capsys):
         pipeline_ini = make_scene(tmp_path)
         path = pipeline_ini.parent / "plots.csv"
@@ -814,6 +829,10 @@ class TestCli:
         ("radius_min", "-1"), ("n_trees", "0"), ("species", ""),
         ("nbands", "0"), ("pitch", "0"), ("height_min", "30"),
         ("margin", "-50"), ("plot_radius", "1000"),
+        ("point_density", "inf"), ("noise_sigma", "-1"),
+        ("noise_sigma", "inf"), ("signature_amplitude", "nan"),
+        ("n_plots", "-3"), ("junk_head", "-2"), ("shape", "cube"),
+        ("terrain", "moon"),
     ])
     def test_bad_scene_exits_2(self, tmp_path, capsys, key, value):
         scene = {"n_trees": "4", "nbands": "4", key: value}
@@ -821,10 +840,51 @@ class TestCli:
         cfg.write_text("[scene]\n"
                        + "".join(f"{k} = {v}\n" for k, v in scene.items())
                        + "[run]\noutput_dir = scene\n")
+        # every command checks [scene] when it loads the config; only the
+        # plot fit waits for synth, which draws the extent
+        for command in ["synth"] + ["run"] * (key != "plot_radius"):
+            assert main([command, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "[scene]" in err and key in err, (command, err)
+            assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_scene_species_must_be_in_the_registry(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.ini"
+        text = ("[scene]\nn_trees = 4\nnbands = 4\nn_plots = 1\n"
+                "species = PIAB, ZZZZ\n[run]\noutput_dir = scene\n")
+        cfg.write_text(text)
         assert main(["synth", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "[scene]" in err and key in err, err
+        assert "[scene] species" in err and "ZZZZ" in err, err
         assert list(tmp_path.iterdir()) == [cfg]
+        # a [registry] species is a scene species, with its fallback's
+        # volume parameters in the truth tables
+        cfg.write_text(text + "[registry]\nzzzz = gymnosperm, fallback=PIAB\n")
+        assert main(["synth", "--config", str(cfg)]) == 0
+        with open(tmp_path / "scene" / "truth_trees.csv") as f:
+            rows = list(csv.DictReader(f))
+        by_species = {r["species"]: r for r in rows}
+        assert sorted(by_species) == ["PIAB", "ZZZZ"]
+        registry = load_config(cfg).registry
+        zzzz = by_species["ZZZZ"]
+        params, fallback = registry.volume_params("ZZZZ")
+        assert fallback == "PIAB"
+        assert float(zzzz["volume"]) == pytest.approx(volume_double_entry(
+            float(zzzz["dbh"]), float(zzzz["height"]), params)[0], rel=1e-8)
+
+    def test_scene_truth_uses_the_allometry_section(self, tmp_path):
+        def truth_dbh(extra, name):
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text("[scene]\nn_trees = 4\nnbands = 4\nn_plots = 1\n"
+                           f"[run]\noutput_dir = {name}\n" + extra)
+            assert main(["synth", "--config", str(cfg)]) == 0
+            with open(tmp_path / name / "truth_trees.csv") as f:
+                return np.array([float(r["dbh"]) for r in csv.DictReader(f)])
+
+        default = truth_dbh("", "default")
+        scaled = truth_dbh("[allometry]\ndbh_coeff_a = 0.9\n", "scaled")
+        np.testing.assert_allclose(scaled, default * 0.9 / DbhModel().coeff_a,
+                                   rtol=1e-8)
 
     @pytest.mark.parametrize("via_flag", [False, True])
     def test_synth_into_a_file_exits_2_before_generating(

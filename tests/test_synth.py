@@ -7,6 +7,9 @@ from forestinv.errors import DataError
 from forestinv.evaluate import PlotDefinition
 from forestinv.geodata import read_ascii_grid, read_envi_cube, read_point_cloud
 from forestinv.synth import (
+    DTM_RESOLUTION,
+    SKIRT_WIDTH,
+    SceneConfig,
     SceneSpec,
     TreeSpec,
     _canopy_surface,
@@ -20,14 +23,15 @@ from forestinv.synth import (
 )
 
 
-def tiny_spec(**overrides):
+def tiny_spec(shape="tapered_cone", **overrides):
     base = dict(
+        scene=SceneConfig(junk_head=0, junk_tail=0, noise_sigma=0.0,
+                          shape=shape),
         seed=1, xll=0.0, yll=0.0, width=30.0, height=30.0,
         trees=(TreeSpec(15.25, 15.25, 18.0, 3.5, "PIAB"),),
         signatures={"PIAB": np.array([1.0, 0.2, 0.2])},
         background=np.array([0.2, 0.2, 1.0]),
-        junk_head=0, junk_tail=0, noise_sigma=0.0,
-        point_density=10.0,
+        plots=(), chm_resolution=0.5,
     )
     base.update(overrides)
     return SceneSpec(**base)
@@ -43,13 +47,13 @@ class TestProfiles:
             0.55 * tree.height)
 
     def test_tapered_cone_contour_at_nominal_radius(self):
-        spec = tiny_spec(shape="tapered_cone", edge_fraction=0.55)
+        spec = tiny_spec(shape="tapered_cone")
         tree = spec.trees[0]
         assert contour_radius(spec, tree, 0.55) == pytest.approx(
             tree.crown_radius)
         assert profile_height(spec, tree, tree.crown_radius) == pytest.approx(
             0.55 * tree.height)
-        beyond = tree.crown_radius + spec.skirt_width
+        beyond = tree.crown_radius + SKIRT_WIDTH
         assert profile_height(spec, tree, beyond) == 0.0
 
     def test_paraboloid_contour(self):
@@ -82,7 +86,8 @@ class TestGenerate:
         data = generate_scene(spec)
         area = spec.width * spec.height
         realized = (len(data.cloud) - len(spec.trees)) / area
-        assert abs(realized - spec.point_density) / spec.point_density < 0.05
+        density = spec.scene.point_density
+        assert abs(realized - density) / density < 0.05
 
     def test_same_seed_identical_files(self, tmp_path):
         spec = tiny_spec()
@@ -141,7 +146,8 @@ class TestGenerate:
 
 class TestRandomScene:
     def test_tree_spacing_and_count(self):
-        spec = random_scene(seed=3, n_trees=40, species=["PIAB", "FASY"])
+        spec = random_scene(SceneConfig(n_trees=40, species=("PIAB", "FASY")),
+                            seed=3)
         assert len(spec.trees) == 40
         xs = np.array([t.x for t in spec.trees])
         ys = np.array([t.y for t in spec.trees])
@@ -150,28 +156,28 @@ class TestRandomScene:
         assert math.sqrt(d2.min()) > 10.0
 
     def test_balanced_species(self):
-        spec = random_scene(seed=4, n_trees=30,
-                            species=["A", "B", "C"])
+        spec = random_scene(SceneConfig(n_trees=30, species=("A", "B", "C")),
+                            seed=4)
         counts = {}
         for t in spec.trees:
             counts[t.species] = counts.get(t.species, 0) + 1
         assert set(counts.values()) == {10}
 
     def test_apexes_on_cell_centers(self):
-        spec = random_scene(seed=5, n_trees=10, species=["A"])
+        spec = random_scene(SceneConfig(n_trees=10, species=("A",)), seed=5)
         for t in spec.trees:
             fx = (t.x - spec.xll) / spec.chm_resolution - 0.5
             assert fx == pytest.approx(round(fx), abs=1e-9)
 
     def test_scene_files_round_trip(self, tmp_path):
-        spec = random_scene(seed=6, n_trees=12, species=["PIAB", "FASY"],
-                            nbands=8)
+        spec = random_scene(SceneConfig(n_trees=12, species=("PIAB", "FASY"),
+                                        nbands=8), seed=6)
         data = generate_scene(spec)
         paths = write_scene(data, tmp_path)
         dtm = read_ascii_grid(paths["dtm"])
         cloud = read_point_cloud(paths["point_cloud"])
         cube = read_envi_cube(paths["cube_header"], paths["cube_data"])
-        assert dtm.cellsize == spec.dtm_resolution
+        assert dtm.cellsize == DTM_RESOLUTION
         assert len(cloud) == len(data.cloud)
         assert cube.nbands == data.cube.nbands
         assert cube.xll == pytest.approx(spec.xll)
@@ -213,9 +219,9 @@ class TestCanopySurface:
     @pytest.mark.parametrize("shape", ["cone", "tapered_cone", "paraboloid"])
     @pytest.mark.parametrize("seed", range(4))
     def test_random_scene_points_match_full_scan(self, shape, seed):
-        spec = random_scene(seed, 9, ["PIAB", "FASY"], nbands=3, pitch=7.0,
-                            margin=5.0, jitter=2.0, n_plots=0,
-                            shape=shape)
+        spec = random_scene(SceneConfig(
+            n_trees=9, species=("PIAB", "FASY"), nbands=3, pitch=7.0,
+            margin=5.0, n_plots=0, shape=shape), seed)
         rng = np.random.default_rng(seed)
         x = rng.uniform(spec.xll, spec.xll + spec.width, 3000)
         y = rng.uniform(spec.yll, spec.yll + spec.height, 3000)
@@ -263,8 +269,9 @@ class TestCanopySurface:
 
     @pytest.mark.parametrize("shape", ["cone", "tapered_cone", "paraboloid"])
     def test_raster_grid_matches_full_scan(self, shape):
-        spec = random_scene(3, 7, ["PIAB", "FASY"], nbands=3, pitch=6.0,
-                            margin=4.0, n_plots=0, shape=shape)
+        spec = random_scene(SceneConfig(
+            n_trees=7, species=("PIAB", "FASY"), nbands=3, pitch=6.0,
+            margin=4.0, n_plots=0, shape=shape), 3)
         res = spec.chm_resolution
         ncols = int(round(spec.width / res))
         nrows = int(round(spec.height / res))
@@ -276,9 +283,9 @@ class TestCanopySurface:
         assert np.array_equal(grid.values, full_scan_canopy(spec, gx, gy)[0])
 
     def test_cube_equals_per_tree_painting(self):
-        spec = random_scene(5, 12, ["PIAB", "FASY", "LADE"], nbands=6,
-                            n_plots=0, noise_sigma=0.0,
-                            junk_head=2, junk_tail=1)
+        spec = random_scene(SceneConfig(
+            n_trees=12, species=("PIAB", "FASY", "LADE"), nbands=6,
+            n_plots=0, noise_sigma=0.0, junk_head=2, junk_tail=1), 5)
         cube = generate_scene(spec).cube
         _, nrows, ncols = cube.samples.shape
         res = spec.chm_resolution
