@@ -318,11 +318,11 @@ def _vote_winner(votes: np.ndarray, margin: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def classify_image(cube: HyperCube, band_subset, model,
-                   mask: np.ndarray | None = None):
+def classify_image(cube: HyperCube, model, mask: np.ndarray | None = None):
     """Per-pixel prediction over masked pixels.
 
-    `mask`, a boolean (rows, cols) array, marks the active pixels;
+    `cube` holds the model's bands, in the model's order. `mask`, a
+    boolean (rows, cols) array, marks the active pixels;
     inactive or NaN pixels become nodata. Returns (label Grid holding
     species index + 1 as the code, legend mapping code -> species).
 
@@ -330,8 +330,7 @@ def classify_image(cube: HyperCube, band_subset, model,
     entries: a block's rows times the support-vector union for the SVM,
     times species x features for the centroid model.
     """
-    band_subset = np.asarray(band_subset, dtype=np.intp)
-    data = cube.samples[band_subset]  # (d, rows, cols)
+    data = cube.samples  # (d, rows, cols)
     active = ~np.isnan(data).any(axis=0)
     if mask is not None:
         if mask.shape != active.shape:

@@ -13,7 +13,8 @@ significant digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -189,13 +190,8 @@ class HyperCube:
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         if self.wavelengths is not None:
-            wl = np.ascontiguousarray(np.asarray(self.wavelengths, dtype=np.float64))
-            if wl.shape != (arr.shape[0],):
-                raise ValueError("one wavelength per band required")
-            if np.any(np.diff(wl) <= 0):
-                raise ValueError("wavelengths must be strictly increasing")
-            wl.flags.writeable = False
-            object.__setattr__(self, "wavelengths", wl)
+            object.__setattr__(self, "wavelengths", _frozen_wavelengths(
+                self.wavelengths, arr.shape[0]))
 
     @property
     def nbands(self) -> int:
@@ -208,6 +204,63 @@ class HyperCube:
     @property
     def ncols(self) -> int:
         return self.samples.shape[2]
+
+
+@dataclass(frozen=True)
+class CubeFile:
+    """Band-sequential cube file, read one band at a time.
+
+    The view covers bands `first` to `first + nbands - 1` of the file at
+    `path`, whose samples are `dtype` values in band, row, column order.
+    Only `band` reads samples, so a view holds none of them.
+    """
+
+    path: str
+    dtype: np.dtype
+    nbands: int
+    nrows: int
+    ncols: int
+    xll: float
+    yll: float
+    cellsize: float
+    wavelengths: np.ndarray | None = None
+    first: int = 0
+
+    def __post_init__(self):
+        if not self.cellsize > 0:
+            raise ValueError("cellsize must be > 0")
+        if self.wavelengths is not None:
+            object.__setattr__(self, "wavelengths", _frozen_wavelengths(
+                self.wavelengths, self.nbands))
+
+    def band(self, i: int) -> np.ndarray:
+        """Band `i` of the view as a new float64 (nrows, ncols) array."""
+        if not 0 <= i < self.nbands:
+            raise IndexError(f"band {i} outside the {self.nbands}-band view")
+        size = self.nrows * self.ncols
+        raw = np.fromfile(self.path, dtype=self.dtype, count=size,
+                          offset=(self.first + i) * size * self.dtype.itemsize)
+        if raw.size != size:
+            raise CubeFormatError(f"{self.path}: band {self.first + i} is "
+                                  f"cut short")
+        return raw.astype(np.float64).reshape(self.nrows, self.ncols)
+
+    def bands(self, start: int, stop: int) -> CubeFile:
+        """Bands `start` to `stop - 1` of the view; reads nothing."""
+        wl = None if self.wavelengths is None else self.wavelengths[start:stop]
+        return replace(self, nbands=stop - start, first=self.first + start,
+                       wavelengths=wl)
+
+
+def _frozen_wavelengths(wavelengths, nbands: int) -> np.ndarray:
+    """Read-only float64 copy of one strictly increasing value per band."""
+    wl = np.ascontiguousarray(np.asarray(wavelengths, dtype=np.float64))
+    if wl.shape != (nbands,):
+        raise ValueError("one wavelength per band required")
+    if np.any(np.diff(wl) <= 0):
+        raise ValueError("wavelengths must be strictly increasing")
+    wl.flags.writeable = False
+    return wl
 
 
 @dataclass(frozen=True)
@@ -512,14 +565,17 @@ def write_ground_truth(points, path) -> None:
 _ENVI_DTYPES = {4: np.dtype(np.float32), 12: np.dtype(np.uint16)}
 
 
-def read_envi_cube(header_path, data_path) -> HyperCube:
-    """Read a band-sequential raw cube with a text header.
+def read_envi_cube(header_path, data_path) -> CubeFile:
+    """Open a band-sequential raw cube with a text header.
 
     Required header keys: samples, lines, bands, data type (4 or 12),
     interleave (bsq only), byte order (0 little / 1 big). Optional:
     wavelength list and "map info" for the georeference (pixel (1,1)
     upper-left corner easting/northing plus pixel size). Without map
     info the cube is anchored at (0, 0) with cell size 1.
+
+    The data file's size must be the one the header implies; no sample
+    is read here (see `CubeFile.band`).
     """
     fields = _parse_envi_header(header_path)
 
@@ -552,12 +608,10 @@ def read_envi_cube(header_path, data_path) -> HyperCube:
 
     dtype = _ENVI_DTYPES[dtype_code].newbyteorder("<" if byte_order == 0 else ">")
     expected = ncols * nrows * nbands * dtype.itemsize
-    raw = np.fromfile(data_path, dtype=dtype)
-    if raw.size * dtype.itemsize != expected:
-        raise CubeFormatError(
-            f"{data_path}: data length {raw.size * dtype.itemsize} bytes, header "
-            f"implies {expected}")
-    samples = raw.astype(np.float64).reshape(nbands, nrows, ncols)
+    length = os.path.getsize(data_path)
+    if length != expected:
+        raise CubeFormatError(f"{data_path}: data length {length} bytes, "
+                              f"header implies {expected}")
 
     wavelengths = None
     if "wavelength" in fields:
@@ -587,7 +641,8 @@ def read_envi_cube(header_path, data_path) -> HyperCube:
         yll = uly - nrows * cellsize
 
     try:
-        return HyperCube(samples, xll, yll, cellsize, wavelengths)
+        return CubeFile(os.fspath(data_path), dtype, nbands, nrows, ncols,
+                        xll, yll, cellsize, wavelengths)
     except ValueError as exc:
         raise CubeFormatError(f"{header_path}: {exc}") from None
 

@@ -28,6 +28,7 @@ from . import spectral as spectral_mod
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, ForestInvError
 from .geodata import (
+    HyperCube,
     read_ascii_grid,
     read_envi_cube,
     read_ground_truth,
@@ -199,7 +200,8 @@ def _stage_normalize(out, config, dtm):
 
 
 def _stage_chm(out, config, cloud):
-    # the cube, when configured, fixes the CHM grid; spectral reads it next
+    # the cube header, when configured, fixes the CHM grid; no sample is
+    # read before spectral
     cube, kwargs = None, {}
     if config.paths.get("cube_header"):
         config.require_paths("cube_header", "cube_data")
@@ -230,12 +232,10 @@ def _stage_crowns(out, config, chm):
         "crowns": len(crowns), "crown_cells": int((owner > 0).sum())}
 
 
-def _stage_spectral(out, config, raw_cube, chm):
+def _stage_spectral(out, config, raw_cube):
     trimmed = spectral_mod.trim_bands(raw_cube, config.spectral.drop_head,
                                       config.spectral.drop_tail)
     prepared, n_bad = spectral_mod.normalize_spectrum(trimmed)
-    if (prepared.nrows, prepared.ncols) != (chm.nrows, chm.ncols):
-        raise DataError("cube and CHM grids are not aligned")
     return {"cube": prepared}, {"bands_in": raw_cube.nbands,
                                 "bands_after_trim": prepared.nbands,
                                 "zero_mean_pixels": n_bad}
@@ -288,10 +288,17 @@ def _stage_statistics(out, config, cube, owner, truth_species, split):
     pixels = _training_pixels(owner, truth_species, split.train_ids,
                               config.run.seed,
                               config.spectral.max_training_pixels_per_species)
+    # one read of each band serves every species
+    flat = np.concatenate([cells[:, 0] * cube.ncols + cells[:, 1]
+                           for cells in pixels.values()])
+    gathered = np.empty((cube.nbands, len(flat)))
+    for b in range(cube.nbands):
+        np.take(cube.band(b), flat, out=gathered[b])
+    ends = np.cumsum([len(cells) for cells in pixels.values()])
     spectra = {}
-    for sp, cells in pixels.items():
-        px = cube.samples[:, cells[:, 0], cells[:, 1]].T
-        spectra[sp] = px[~np.isnan(px).any(axis=1)]
+    for sp, px in zip(pixels, np.split(gathered.T, ends[:-1])):
+        # C order: the species means and covariances sum rows in order
+        spectra[sp] = np.ascontiguousarray(px[~np.isnan(px).any(axis=1)])
     stats, skipped = spectral_mod.class_statistics(spectra)
     if len(stats) < 2:
         raise DataError("fewer than two species have enough training pixels")
@@ -343,8 +350,12 @@ def _stage_train(out, config, training_spectra, bands):
 
 def _stage_classify(out, config, chm, cube, bands, model):
     mask = chm.valid_mask() & (chm.values >= config.itc.height_threshold)
-    label_grid, legend = classify_mod.classify_image(cube, bands, model,
-                                                     mask=mask)
+    selected = np.empty((len(bands), cube.nrows, cube.ncols))
+    for j, b in enumerate(bands):
+        selected[j] = cube.band(b)
+    label_grid, legend = classify_mod.classify_image(
+        HyperCube(selected, cube.xll, cube.yll, cube.cellsize), model,
+        mask=mask)
     write_ascii_grid(label_grid, os.path.join(out, "species_labels.asc"))
     classify_mod.write_legend(legend, os.path.join(out, "species_legend.csv"))
     counts = {"pixels_classified": int(label_grid.valid_mask().sum())}

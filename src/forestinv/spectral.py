@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .geodata import FLOAT_FORMAT, HyperCube
+from .geodata import FLOAT_FORMAT, CubeFile
 
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-9
@@ -64,34 +64,81 @@ class BandSelection:
             raise ValueError("band indices must be unique")
 
 
-def trim_bands(cube: HyperCube, drop_head: int, drop_tail: int) -> HyperCube:
-    """Drop noisy leading and trailing bands."""
+def trim_bands(cube: CubeFile, drop_head: int, drop_tail: int) -> CubeFile:
+    """Drop noisy leading and trailing bands; reads no sample."""
     if drop_head < 0 or drop_tail < 0:
         raise ValueError("drops must be >= 0")
     if drop_head + drop_tail >= cube.nbands:
         raise DataError(f"cannot drop {drop_head}+{drop_tail} bands from a "
                         f"{cube.nbands}-band cube")
-    stop = cube.nbands - drop_tail
-    wl = cube.wavelengths[drop_head:stop] if cube.wavelengths is not None else None
-    return HyperCube(cube.samples[drop_head:stop], cube.xll, cube.yll,
-                     cube.cellsize, wl)
+    return cube.bands(drop_head, cube.nbands - drop_tail)
 
 
-def normalize_spectrum(cube: HyperCube) -> tuple[HyperCube, int]:
+@dataclass(frozen=True)
+class NormalizedCube:
+    """`source` with every pixel divided by its own spectral mean, read
+    one band at a time.
+
+    `safe` holds the per-pixel means, with 1.0 at the `bad` pixels
+    (mean 0 or not finite); those read as NaN on every band.
+    """
+
+    source: CubeFile | NormalizedCube
+    safe: np.ndarray
+    bad: np.ndarray
+
+    @property
+    def nbands(self) -> int:
+        return self.source.nbands
+
+    @property
+    def nrows(self) -> int:
+        return self.source.nrows
+
+    @property
+    def ncols(self) -> int:
+        return self.source.ncols
+
+    @property
+    def xll(self) -> float:
+        return self.source.xll
+
+    @property
+    def yll(self) -> float:
+        return self.source.yll
+
+    @property
+    def cellsize(self) -> float:
+        return self.source.cellsize
+
+    def band(self, i: int) -> np.ndarray:
+        """Band `i` of the source over `safe`, NaN at the bad pixels."""
+        out = self.source.band(i)
+        out /= self.safe
+        out[self.bad] = np.nan
+        return out
+
+
+def normalize_spectrum(cube: CubeFile | NormalizedCube
+                       ) -> tuple[NormalizedCube, int]:
     """Divide every pixel by its own spectral mean.
 
     Normalized pixels have spectral mean 1, so the operation is
     idempotent and insensitive to per-pixel illumination scaling.
     Pixels whose mean is 0 (or not finite) become NaN; their count is
-    returned alongside the new cube.
+    returned alongside the normalized view.
+
+    The bands are read once and added in band order into one grid, so
+    the means are bit for bit those of `samples.mean(axis=0)` while no
+    more than one band is held beside the sum.
     """
-    means = cube.samples.mean(axis=0)
+    means = np.zeros((cube.nrows, cube.ncols))
+    for i in range(cube.nbands):
+        means += cube.band(i)
+    means /= cube.nbands
     bad = ~np.isfinite(means) | (means == 0.0)
     safe = np.where(bad, 1.0, means)
-    out = cube.samples / safe[None, :, :]
-    out[:, bad] = np.nan
-    return HyperCube(out, cube.xll, cube.yll, cube.cellsize,
-                     cube.wavelengths), int(bad.sum())
+    return NormalizedCube(cube, safe, bad), int(bad.sum())
 
 
 def class_statistics(spectra_by_species: dict[str, np.ndarray]):

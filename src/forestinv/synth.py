@@ -279,6 +279,11 @@ def random_scene(scene: SceneConfig, seed: int,
     if n_plots > 0 and not 0 < 2 * plot_radius <= min(width, height):
         raise ValueError(f"plot_radius {plot_radius:g} does not fit in the "
                          f"{width:g} x {height:g} m scene")
+    n_points = scene.point_density * width * height
+    if not n_points <= np.iinfo(np.intp).max:
+        raise ValueError(f"point_density {scene.point_density:g} asks for "
+                         f"{n_points:.3g} points on the {width:g} x "
+                         f"{height:g} m scene, more than an array can hold")
     xll, yll = 0.0, 0.0
 
     slots = [(xll + margin + i * pitch, yll + margin + j * pitch)

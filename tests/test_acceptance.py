@@ -16,7 +16,7 @@ from forestinv.classify import rbf_kernel, smo_solve
 from forestinv.config import load_config
 from forestinv.evaluate import ConfusionMatrix, pearson_r, per_class_metrics, \
     format_metrics_table
-from forestinv.geodata import HyperCube
+from forestinv.geodata import CubeFile
 from forestinv.pipeline import run_pipeline
 from forestinv.spectral import (
     GaussianClassStats,
@@ -46,9 +46,20 @@ def report(criterion, message):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_01_normalization():
+def cube_file(path, samples):
+    """A float64 band-sequential file of `samples` and its view."""
+    samples.astype("<f8").tofile(path)
+    return CubeFile(str(path), np.dtype("<f8"), *samples.shape, 0.0, 0.0, 1.0)
+
+
+def all_bands(cube):
+    return np.stack([cube.band(i) for i in range(cube.nbands)])
+
+
+def test_criterion_01_normalization(tmp_path):
     rng = np.random.default_rng(101)
-    cube = HyperCube(rng.uniform(0.1, 2.0, (50, 25, 40)), 0.0, 0.0, 1.0)
+    cube = cube_file(tmp_path / "cube.dat",
+                     rng.uniform(0.1, 2.0, (50, 25, 40)))
 
     t0 = time.perf_counter()
     once, bad = normalize_spectrum(cube)
@@ -56,10 +67,10 @@ def test_criterion_01_normalization():
     elapsed = time.perf_counter() - t0
 
     assert bad == 0
-    means = once.samples.mean(axis=0)
+    means = all_bands(once).mean(axis=0)
     worst_mean = float(np.abs(means - 1.0).max())
     assert worst_mean <= 1e-9
-    worst_idem = float(np.abs(twice.samples - once.samples).max())
+    worst_idem = float(np.abs(all_bands(twice) - all_bands(once)).max())
     assert worst_idem <= 1e-12
     assert elapsed < 1.0
     report(1, f"1000 pixels, |mean-1| <= {worst_mean:.2e}, "
@@ -71,8 +82,8 @@ def test_criterion_01_normalization():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_02_band_trim():
-    cube = HyperCube(np.zeros((137, 2, 2)), 0.0, 0.0, 1.0)
+def test_criterion_02_band_trim(tmp_path):
+    cube = cube_file(tmp_path / "cube.dat", np.zeros((137, 2, 2)))
     out = trim_bands(cube, 7, 8)
     assert out.nbands == 122
     report(2, "137 bands - 7 head - 8 tail = 122 bands exactly")

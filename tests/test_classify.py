@@ -362,7 +362,7 @@ class TestClassifyImage:
             train_px.append(np.asarray(sig) + rng.normal(0, 0.02, (30, 3)))
             train_labels.extend([sp] * 30)
         model = train_svm(np.vstack(train_px), train_labels, C=10.0)
-        labels, legend = classify_image(cube, [0, 1, 2], model)
+        labels, legend = classify_image(cube, model)
         pred = np.empty(truth.shape, dtype=object)
         for code, sp in legend.items():
             pred[labels.values == code] = sp
@@ -374,17 +374,17 @@ class TestClassifyImage:
         mask = np.zeros((20, 20), dtype=bool)
         model = CentroidModel(("A", "B"),
                               np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), ())
-        labels, _ = classify_image(cube, [0, 1, 2], model, mask=mask)
+        labels, _ = classify_image(cube, model, mask=mask)
         assert (labels.values == labels.nodata).all()
 
     def test_pixelwise_purity(self, monkeypatch):
         cube, _, _ = self._scene()
         model = CentroidModel(("A", "B"),
                               np.array([[1.0, 0.2, 0.2], [0.2, 1.0, 0.2]]), ())
-        full, _ = classify_image(cube, [0, 1, 2], model)
+        full, _ = classify_image(cube, model)
         # 2 species x 3 features: blocks of 7 pixels
         monkeypatch.setattr(classify_mod, "_PREDICT_BUDGET", 7 * 6)
-        small_chunks, _ = classify_image(cube, [0, 1, 2], model)
+        small_chunks, _ = classify_image(cube, model)
         np.testing.assert_array_equal(full.values, small_chunks.values)
 
 
@@ -455,8 +455,7 @@ class TestPredictionBlocks:
 
     def _models(self):
         x, labels, centers = five_species()
-        bands = list(range(x.shape[1]))
-        return (self._cube(centers), bands,
+        return (self._cube(centers),
                 [train_svm(x, labels, C=10.0), train_centroid(x, labels)])
 
     @staticmethod
@@ -466,18 +465,18 @@ class TestPredictionBlocks:
         return model.centroids.size
 
     def test_labels_do_not_depend_on_the_block_size(self, monkeypatch):
-        cube, bands, models = self._models()
+        cube, models = self._models()
         for model in models:
-            full, legend = classify_image(cube, bands, model)
+            full, legend = classify_image(cube, model)
             width = self._width(model)
             for budget in (width - 1, width, 7 * width + 3, 10 ** 9):
                 monkeypatch.setattr(classify_mod, "_PREDICT_BUDGET", budget)
-                blocked, again = classify_image(cube, bands, model)
+                blocked, again = classify_image(cube, model)
                 assert again == legend
                 np.testing.assert_array_equal(blocked.values, full.values)
 
     def test_no_block_exceeds_the_budget(self, monkeypatch):
-        cube, bands, (svm, centroid) = self._models()
+        cube, (svm, centroid) = self._models()
         kernel_rows = []
 
         def recording_kernel(a, b, gamma):
@@ -488,7 +487,7 @@ class TestPredictionBlocks:
         width = self._width(svm)
         budget = 37 * width + 5
         monkeypatch.setattr(classify_mod, "_PREDICT_BUDGET", budget)
-        grid, _ = classify_image(cube, bands, svm)
+        grid, _ = classify_image(cube, svm)
         assert len(kernel_rows) > 1
         assert all(b == width and a * b <= budget for a, b in kernel_rows)
         assert sum(a for a, _ in kernel_rows) == grid.valid_mask().sum()
@@ -501,7 +500,7 @@ class TestPredictionBlocks:
             return index_of(model, pixels)
 
         monkeypatch.setattr(classify_mod, "_centroid_index", recording_index)
-        grid, _ = classify_image(cube, bands, centroid)
+        grid, _ = classify_image(cube, centroid)
         assert len(centroid_rows) > 1
         assert max(centroid_rows) * centroid.centroids.size <= budget
         assert sum(centroid_rows) == grid.valid_mask().sum()

@@ -257,6 +257,10 @@ def test_writers_match_per_value_format(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def all_bands(cube):
+    return np.stack([cube.band(i) for i in range(cube.nbands)])
+
+
 class TestEnviCube:
     def _write(self, tmp_path, header_text, payload):
         hdr = tmp_path / "c.hdr"
@@ -274,7 +278,16 @@ class TestEnviCube:
             vals.tobytes())
         cube = read_envi_cube(hdr, dat)
         assert (cube.nbands, cube.nrows, cube.ncols) == (3, 2, 2)
-        np.testing.assert_array_equal(cube.samples, vals.astype(float))
+        np.testing.assert_array_equal(all_bands(cube), vals.astype(float))
+        # a narrower view reads its own bands from their byte offsets
+        window = cube.bands(1, 3)
+        assert window.nbands == 2
+        np.testing.assert_array_equal(all_bands(window), vals[1:3])
+        with pytest.raises(IndexError):
+            window.band(2)
+        dat.write_bytes(vals.tobytes()[:-1])
+        with pytest.raises(CubeFormatError, match="band 2 is cut short"):
+            window.band(1)
 
     def test_unsupported_interleave(self, tmp_path):
         hdr, dat = self._write(
@@ -295,7 +308,7 @@ class TestEnviCube:
             "interleave = bsq\nbyte order = 1\n",
             payload)
         cube = read_envi_cube(hdr, dat)
-        assert cube.samples.ravel().tolist() == expected
+        assert cube.band(0).ravel().tolist() == expected
 
     def test_length_mismatch(self, tmp_path):
         hdr, dat = self._write(
@@ -315,7 +328,7 @@ class TestEnviCube:
         dat = tmp_path / "c.dat"
         write_envi_cube(cube, hdr, dat)
         back = read_envi_cube(hdr, dat)
-        np.testing.assert_allclose(back.samples, cube.samples, rtol=1e-6)
+        np.testing.assert_allclose(all_bands(back), cube.samples, rtol=1e-6)
         np.testing.assert_allclose(back.wavelengths, cube.wavelengths, rtol=1e-9)
         assert back.xll == 500.0 and back.yll == 600.0 and back.cellsize == 0.5
 

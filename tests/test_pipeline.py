@@ -27,9 +27,11 @@ from forestinv.config import (
 )
 from forestinv.crowns import ItcParams
 from forestinv.errors import ConfigError
-from forestinv.geodata import PointCloud, read_ascii_grid
+from forestinv.geodata import CubeFile, PointCloud, read_ascii_grid, \
+    read_envi_cube
 from forestinv import pipeline as pipeline_mod
 from forestinv.pipeline import _training_pixels, run_pipeline
+from forestinv.spectral import NormalizedCube
 from forestinv.synth import SceneConfig, generate_scene, random_scene, \
     write_scene
 
@@ -321,6 +323,35 @@ class TestPipeline:
         manifest = (out / "manifest.txt").read_text()
         assert "stage train not-run" in manifest
 
+    def test_chm_takes_the_cube_grid_and_reads_no_sample(self, tmp_path,
+                                                         monkeypatch):
+        pipeline_ini = make_scene(tmp_path)
+        header, data = (pipeline_ini.parent / name
+                        for name in ("cube.hdr", "cube.dat"))
+        clean = tmp_path / "clean"
+        with monkeypatch.context() as m:
+            m.setattr(np, "fromfile", None)   # any sample read fails
+            run_pipeline(load_config(pipeline_ini, out_override=str(clean)),
+                         stop_after="chm")
+        cube = read_envi_cube(header, data)
+        chm = read_ascii_grid(clean / "chm.asc")
+        assert ((chm.ncols, chm.nrows, chm.xll, chm.yll, chm.cellsize)
+                == (cube.ncols, cube.nrows, cube.xll, cube.yll,
+                    cube.cellsize))
+        # NaN samples of the same length give the same CHM
+        data.write_bytes(np.full(cube.nbands * cube.nrows * cube.ncols,
+                                 np.nan, "<f4").tobytes())
+        nan = tmp_path / "nan"
+        run_pipeline(load_config(pipeline_ini, out_override=str(nan)),
+                     stop_after="chm")
+        assert (nan / "chm.asc").read_bytes() == (clean / "chm.asc").read_bytes()
+        # a data file one byte short still fails the chm stage
+        data.write_bytes(data.read_bytes()[:-1])
+        short = tmp_path / "short"
+        assert main(["run", "--config", str(pipeline_ini),
+                     "--out", str(short)]) == 3
+        assert "stage chm failed" in (short / "manifest.txt").read_text()
+
     def test_smooth_chm_runs_through(self, tmp_path):
         pipeline_ini = make_scene(tmp_path)
         plain = tmp_path / "plain"
@@ -344,6 +375,11 @@ class TestPipeline:
         # select's parameters and the entry it produced
         assert set(result.context) == {"config", "cube", "class_stats",
                                        "bands"}
+        # the normalized cube is a view: one grid of means over the file
+        cube = result.context["cube"]
+        assert isinstance(cube, NormalizedCube)
+        assert isinstance(cube.source, CubeFile)
+        assert cube.safe.shape == (cube.nrows, cube.ncols)
         config = load_config(pipeline_ini, out_override=str(tmp_path / "b"))
         result = run_pipeline(config)
         # exactly the report stage's parameters
@@ -832,7 +868,7 @@ class TestCli:
         ("point_density", "inf"), ("noise_sigma", "-1"),
         ("noise_sigma", "inf"), ("signature_amplitude", "nan"),
         ("n_plots", "-3"), ("junk_head", "-2"), ("shape", "cube"),
-        ("terrain", "moon"),
+        ("terrain", "moon"), ("point_density", "1e300"),
     ])
     def test_bad_scene_exits_2(self, tmp_path, capsys, key, value):
         scene = {"n_trees": "4", "nbands": "4", key: value}
@@ -841,8 +877,11 @@ class TestCli:
                        + "".join(f"{k} = {v}\n" for k, v in scene.items())
                        + "[run]\noutput_dir = scene\n")
         # every command checks [scene] when it loads the config; only the
-        # plot fit waits for synth, which draws the extent
-        for command in ["synth"] + ["run"] * (key != "plot_radius"):
+        # plot fit and the point count wait for synth, which draws the
+        # extent
+        by_synth = (key, value) in {("plot_radius", "1000"),
+                                    ("point_density", "1e300")}
+        for command in ["synth"] + ["run"] * (not by_synth):
             assert main([command, "--config", str(cfg)]) == 2
             err = capsys.readouterr().err
             assert "[scene]" in err and key in err, (command, err)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from forestinv import spectral
 from forestinv.errors import DataError, NumericalError
-from forestinv.geodata import HyperCube
+from forestinv.geodata import CubeFile
 from forestinv.spectral import (
     BandSelection,
     GaussianClassStats,
@@ -22,8 +23,23 @@ from forestinv.spectral import (
 )
 
 
-def cube_from(arr):
-    return HyperCube(np.asarray(arr, dtype=float), 0.0, 0.0, 1.0)
+@pytest.fixture
+def cube_from(tmp_path):
+    """Writes an array to a fresh file as `dtype` and returns its view."""
+    names = (tmp_path / f"cube{i}.dat" for i in itertools.count())
+
+    def make(arr, dtype="<f8", wavelengths=None):
+        arr = np.asarray(arr, dtype=dtype)
+        path = next(names)
+        arr.tofile(path)
+        return CubeFile(str(path), arr.dtype, *arr.shape, 0.0, 0.0, 1.0,
+                        wavelengths)
+
+    return make
+
+
+def all_bands(cube):
+    return np.stack([cube.band(i) for i in range(cube.nbands)])
 
 
 def stats_of(species, samples):
@@ -35,56 +51,61 @@ def stats_of(species, samples):
 
 
 class TestTrimBands:
-    def test_paper_band_count(self):
+    def test_paper_band_count(self, cube_from):
         cube = cube_from(np.zeros((137, 2, 2)))
         out = trim_bands(cube, 7, 8)
         assert out.nbands == 122
 
-    def test_identity(self):
+    def test_identity(self, cube_from):
         cube = cube_from(np.random.default_rng(0).uniform(0, 1, (10, 2, 2)))
         out = trim_bands(cube, 0, 0)
-        np.testing.assert_array_equal(out.samples, cube.samples)
+        np.testing.assert_array_equal(all_bands(out), all_bands(cube))
 
-    def test_excessive_drop(self):
+    def test_window_reads_the_kept_bands(self, cube_from):
+        arr = np.random.default_rng(4).uniform(0, 1, (10, 2, 3))
+        out = trim_bands(cube_from(arr), 2, 3)
+        np.testing.assert_array_equal(all_bands(out), arr[2:7])
+
+    def test_excessive_drop(self, cube_from):
         cube = cube_from(np.zeros((10, 2, 2)))
         with pytest.raises(DataError):
             trim_bands(cube, 6, 5)
 
-    def test_wavelengths_sliced(self):
+    def test_wavelengths_sliced(self, cube_from):
         wl = np.linspace(0.4, 1.0, 10)
-        cube = HyperCube(np.zeros((10, 2, 2)), 0, 0, 1.0, wl)
+        cube = cube_from(np.zeros((10, 2, 2)), wavelengths=wl)
         out = trim_bands(cube, 2, 3)
         np.testing.assert_allclose(out.wavelengths, wl[2:7])
 
 
 class TestNormalize:
-    def test_hand_example(self):
+    def test_hand_example(self, cube_from):
         cube = cube_from(np.array([2.0, 4.0, 6.0]).reshape(3, 1, 1))
         out, bad = normalize_spectrum(cube)
-        np.testing.assert_allclose(out.samples.ravel(), [0.5, 1.0, 1.5])
+        np.testing.assert_allclose(all_bands(out).ravel(), [0.5, 1.0, 1.5])
         assert bad == 0
 
-    def test_constant_pixel(self):
+    def test_constant_pixel(self, cube_from):
         cube = cube_from(np.full((4, 1, 1), 3.7))
         out, _ = normalize_spectrum(cube)
-        np.testing.assert_allclose(out.samples.ravel(), 1.0)
+        np.testing.assert_allclose(all_bands(out).ravel(), 1.0)
 
-    def test_scale_invariance(self):
+    def test_scale_invariance(self, cube_from):
         rng = np.random.default_rng(1)
         base = rng.uniform(0.1, 2.0, (6, 3, 3))
         a, _ = normalize_spectrum(cube_from(base))
         b, _ = normalize_spectrum(cube_from(base * 17.3))
-        np.testing.assert_allclose(a.samples, b.samples, atol=1e-12)
+        np.testing.assert_allclose(all_bands(a), all_bands(b), atol=1e-12)
 
-    def test_zero_mean_pixel_reported(self):
+    def test_zero_mean_pixel_reported(self, cube_from):
         arr = np.ones((3, 2, 2))
         arr[:, 0, 1] = 0.0
         out, bad = normalize_spectrum(cube_from(arr))
         assert bad == 1
-        assert np.isnan(out.samples[:, 0, 1]).all()
-        assert np.isfinite(out.samples[:, 1, 1]).all()
+        assert np.isnan(all_bands(out)[:, 0, 1]).all()
+        assert np.isfinite(all_bands(out)[:, 1, 1]).all()
 
-    def test_every_pixel_all_nan_or_none(self):
+    def test_every_pixel_all_nan_or_none(self, cube_from):
         # the statistics stage drops a training pixel on any NaN band,
         # which keeps the same pixels as a filter on the selected bands
         rng = np.random.default_rng(5)
@@ -95,22 +116,60 @@ class TestNormalize:
         arr[:, 0, 3] = 0.0
         arr[1, 1, 0] = -np.inf
         out, bad = normalize_spectrum(cube_from(arr))
-        nan = np.isnan(out.samples)
+        nan = np.isnan(all_bands(out))
         assert (nan.all(axis=0) | ~nan.any(axis=0)).all()
         assert bad == nan.all(axis=0).sum() >= 5
 
-    def test_idempotent(self):
+    def test_idempotent(self, cube_from):
         rng = np.random.default_rng(2)
         cube = cube_from(rng.uniform(0.1, 3.0, (8, 4, 4)))
         once, _ = normalize_spectrum(cube)
         twice, _ = normalize_spectrum(once)
-        np.testing.assert_allclose(twice.samples, once.samples, atol=1e-12)
+        np.testing.assert_allclose(all_bands(twice), all_bands(once),
+                                   atol=1e-12)
 
-    def test_normalized_mean_is_one(self):
+    def test_normalized_mean_is_one(self, cube_from):
         rng = np.random.default_rng(3)
         cube = cube_from(rng.uniform(0.5, 2.0, (12, 5, 5)))
         out, _ = normalize_spectrum(cube)
-        np.testing.assert_allclose(out.samples.mean(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(all_bands(out).mean(axis=0), 1.0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((137, 5, 7), "<f4"), ((16, 302, 302), "<f4"), ((137, 5, 7), ">u2"),
+    ])
+    def test_streamed_bands_equal_the_whole_array_formula(
+            self, cube_from, shape, dtype):
+        rng = np.random.default_rng(6)
+        arr = rng.uniform(0.0, 5000.0, shape).astype(dtype)
+        arr[:, 0, 0] = 0    # zero mean
+        arr[:, 1, 2] = 0
+        arr[3, 1, 2] = 7    # a nonzero mean from one band
+        if arr.dtype.kind == "f":
+            arr[5, 2, 3] = np.nan
+        out, bad = normalize_spectrum(cube_from(arr, dtype))
+        samples = arr.astype(np.float64)
+        means = samples.mean(axis=0)
+        whole_bad = ~np.isfinite(means) | (means == 0.0)
+        expected = samples / np.where(whole_bad, 1.0, means)
+        expected[:, whole_bad] = np.nan
+        assert bad == whole_bad.sum() == 1 + (arr.dtype.kind == "f")
+        for i in range(shape[0]):
+            assert np.array_equal(out.band(i), expected[i], equal_nan=True)
+
+    def test_holds_no_more_than_a_few_bands(self, cube_from):
+        nbands, nrows, ncols = 60, 120, 90
+        cube = cube_from(np.random.default_rng(7).uniform(
+            0.1, 2.0, (nbands, nrows, ncols)), "<f4")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out, _ = normalize_spectrum(cube)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * nrows * ncols * 8
+        assert out.nbands == nbands
 
 
 class TestClassStatistics:

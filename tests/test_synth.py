@@ -181,8 +181,9 @@ class TestRandomScene:
         assert len(cloud) == len(data.cloud)
         assert cube.nbands == data.cube.nbands
         assert cube.xll == pytest.approx(spec.xll)
-        np.testing.assert_allclose(cube.samples, data.cube.samples,
-                                   rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(
+            np.stack([cube.band(i) for i in range(cube.nbands)]),
+            data.cube.samples, rtol=1e-5, atol=1e-5)
 
 
 def full_scan_canopy(spec, x, y):
