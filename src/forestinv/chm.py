@@ -8,8 +8,9 @@ A large layer is triangulated in tiles with a halo of max_edge. Every
 kept triangle of a tile is certified to be a triangle of the whole
 layer's Delaunay triangulation, or dropped, or the layer falls back to
 one triangulation of all its points; so the raster equals the untiled
-one bit for bit. Worker threads may run Qhull on the next tiles while
-the calling thread certifies and rasterizes.
+one bit for bit. A tile's job is Qhull and then the certificate; with
+several threads, worker threads run most jobs while the calling thread
+runs its share and rasterizes every tile in order.
 
 Qhull and the certificate see the points moved next to the origin
 whenever that move is exact, since their rounding grows with the
@@ -19,11 +20,11 @@ distance from the origin; the rasterizer keeps the map coordinates.
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -32,6 +33,11 @@ from .errors import DataError
 from .geodata import Grid, PointCloud, bilinear_sample
 
 _TRI_CHUNK = 32768
+# The rasterizer tests the cells whose centers lie in a triangle's
+# bounding box widened by this many cells: far more than the rounding
+# of a cell center at projected coordinates, and than the barycentric
+# tolerance, so no cell outside it can pass the test.
+_CELL_MARGIN = 1e-6
 # cells per block of the convex-hull test
 _HULL_BLOCK = 4096
 # points per tile; a layer with fewer than twice this many is one tile
@@ -120,9 +126,10 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     The raster extent defaults to the cloud's bounding box snapped to
     the resolution. Cells covered by no surviving triangle are 0 inside
     the convex hull of the threshold-0 points and nodata outside it.
-    With threads > 1, threads - 1 worker threads triangulate the next
-    tiles while this thread certifies and rasterizes; the result does
-    not depend on `threads`.
+    Each tile is one job: Qhull, then the certificate. With threads > 1,
+    this thread runs every threads-th job and threads - 1 worker threads
+    run the others; this thread rasterizes the results in tile order, so
+    the result does not depend on `threads`.
     """
     # scipy.spatial costs half a second to import, so only a CHM loads
     # it; it is imported here, before any worker thread starts
@@ -184,37 +191,44 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
              else _tile_cores(layer.qx, layer.qy) if tiled else [_WHOLE]
              for layer in layers]
 
-    def triangulate(layer, core):
-        # the tiles of a layer that fell back are not needed any more; a
-        # worker that reads the flag before it is set wastes one tile
+    def tile(layer, i, core):
+        """The kept triangles of one tile and its dropped count, or None
+        if the layer falls back. The tiles of a layer that fell back are
+        not needed any more; a job that reads the flag before another
+        sets it wastes one tile."""
         if layer.fallback:
-            return None, None
-        return _triangulate(layer.qx, layer.qy, core, halo)
+            return None
+        idx, tin = _triangulate(layer.qx, layer.qy, core, halo)
+        if core == _WHOLE:
+            return _whole(layer, i, idx, tin, max_edge), 0
+        kept = _certify(layer, idx, tin, core, halo, max_edge)
+        if kept is None:
+            layer.fallback = True
+        return kept
 
-    tins = _lookahead(triangulate, [(layer, core)
-                                    for layer, cs in zip(layers, cores)
-                                    for core in cs], threads)
+    jobs = [(layer, i, core)
+            for i, layer in enumerate(layers) for core in cores[i]]
+    results = _lookahead(tile, jobs, threads)
     part = np.empty_like(acc)   # the TIN of the current layer
-    with closing(tins):
+    with closing(results):
         for i, layer in enumerate(layers):
             part.fill(-np.inf)
             layer.tiles = len(cores[i])
-            for core, (idx, tin) in zip(cores[i], tins):
-                if layer.fallback:
+            whole = False
+            for result in islice(results, len(cores[i])):
+                if whole:
                     continue
-                if core == _WHOLE:
-                    kept = _whole(layer, i, idx, tin, max_edge)
-                else:
-                    kept = _certify(layer, idx, tin, core, halo, max_edge)
-                if kept is None:
+                if result is None:
                     # start the layer again from one triangulation of
                     # all its points
                     part.fill(-np.inf)
-                    layer.fallback, layer.tiles = True, 1
+                    whole, layer.tiles = True, 1
                     layer.triangles = layer.dropped = 0
-                    kept = _whole(layer, i, *_triangulate(
-                        layer.qx, layer.qy, _WHOLE, 0.0), max_edge)
+                    result = _whole(layer, i, *_triangulate(
+                        layer.qx, layer.qy, _WHOLE, 0.0), max_edge), 0
+                kept, dropped = result
                 layer.triangles += len(kept)
+                layer.dropped += dropped
                 if len(kept):
                     _rasterize_tin(layer.x, layer.y, layer.h, kept, xll, yll,
                                    res, nrows, part)
@@ -238,7 +252,9 @@ class _Layer:
     """The points of one height layer and its work counts.
 
     x, y are map coordinates; qx, qy the same points less `shift`, an
-    exact translation that Qhull and the certificate work in.
+    exact translation that Qhull and the certificate work in. Tile jobs
+    on several threads read a layer at once; only the calling thread
+    writes its counts.
     """
 
     x: np.ndarray
@@ -254,21 +270,26 @@ class _Layer:
         sx, sy = self.shift
         self.qx = self.x - sx if sx else self.x
         self.qy = self.y - sy if sy else self.y
+        # Qhull's rounding of a power, in squared map units
+        self.roundoff = _QHULL_ROUNDOFF * float(
+            np.max(self.qx ** 2 + self.qy ** 2, initial=0.0))
+        self._tree = None
+        self._tree_lock = threading.Lock()
 
     @property
     def n(self) -> int:
         return len(self.x)
 
-    @cached_property
-    def roundoff(self) -> float:
-        """Qhull's rounding of a power, in squared map units."""
-        return _QHULL_ROUNDOFF * float(np.max(self.qx ** 2 + self.qy ** 2))
-
-    @cached_property
+    @property
     def tree(self):
-        from scipy.spatial import cKDTree
+        """A k-d tree of (qx, qy), built once by the first job that
+        asks for it."""
+        with self._tree_lock:
+            if self._tree is None:
+                from scipy.spatial import cKDTree
 
-        return cKDTree(np.column_stack([self.qx, self.qy]))
+                self._tree = cKDTree(np.column_stack([self.qx, self.qy]))
+        return self._tree
 
 
 def _exact_shift(v):
@@ -324,21 +345,34 @@ def _triangulate(px, py, core, halo):
 
 
 def _lookahead(fn, jobs, threads):
-    """Yield fn(*job) for each job, in order. With threads > 1, up to
-    threads - 1 worker threads each run one job ahead of the consumer;
-    with 1, every job runs inline when its result is taken."""
+    """Yield fn(*job) for each job, in order. With threads > 1, the
+    calling thread runs every threads-th job when its turn comes, and
+    threads - 1 worker threads run the others, queued two rounds of
+    `threads` jobs ahead of the result being taken: so the workers' jobs
+    of a round are queued before the calling thread starts its own, and
+    few finished results wait. With 1, every job runs inline. A job's
+    exception is raised when its result is taken; the workers' jobs that
+    have not started are then cancelled, and no worker outlives the
+    generator."""
     if threads <= 1 or len(jobs) < 2:
         for job in jobs:
             yield fn(*job)
         return
-    todo = iter(jobs)
-    with ThreadPoolExecutor(min(threads - 1, len(jobs))) as pool:
-        ahead = deque(pool.submit(fn, *job)
-                      for job in islice(todo, threads - 1))
-        while ahead:
-            result = ahead.popleft().result()
-            ahead.extend(pool.submit(fn, *job) for job in islice(todo, 1))
-            yield result
+    pool = ThreadPoolExecutor(min(threads - 1, len(jobs)))
+    todo = enumerate(jobs)
+
+    def queue(n):
+        return [None if j % threads == 0 else pool.submit(fn, *job)
+                for j, job in islice(todo, n)]
+
+    try:
+        ahead = deque(queue(2 * threads))
+        for job in jobs:
+            ahead.extend(queue(1))
+            future = ahead.popleft()
+            yield fn(*job) if future is None else future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _whole(layer, index, idx, tin, max_edge):
@@ -364,7 +398,8 @@ def _canonical(simplices):
 
 def _certify(layer, idx, tin, core, halo, max_edge):
     """The kept triangles a tile owns that are triangles of the whole
-    layer's Delaunay triangulation, or None if that cannot be proven.
+    layer's Delaunay triangulation and the number of owned triangles
+    dropped, or None if that cannot be proven.
 
     A tile owns the kept triangles whose centroid lies in its core. A
     kept triangle's vertices lie within 2/3 max_edge of its centroid,
@@ -375,7 +410,7 @@ def _certify(layer, idx, tin, core, halo, max_edge):
     Near-cocircular points make the triangulation not unique: None.
     """
     if tin is None:
-        return np.empty((0, 3), dtype=np.intp)
+        return np.empty((0, 3), dtype=np.intp), 0
     if tin is _FAILED:
         return None
     simplices, neighbors, n_coplanar = tin
@@ -408,7 +443,7 @@ def _certify(layer, idx, tin, core, halo, max_edge):
     gy = (py[a] + py[b] + py[c]) / 3
     kept = kept[(gx >= x0) & (gx < x1) & (gy >= y0) & (gy < y1)]
     if not len(kept):
-        return kept
+        return kept, 0
 
     # circumcircles that stay inside the tile's box hold no layer point;
     # the others are checked against their nearest layer points
@@ -429,7 +464,7 @@ def _certify(layer, idx, tin, core, halo, max_edge):
               & (oy - reach > y0 - halo) & (oy + reach < y1 + halo))
     check = np.flatnonzero(~inside)
     if not len(check):
-        return kept
+        return kept, 0
     tri = kept[check]
     _, near4 = layer.tree.query(np.column_stack([ox[check], oy[check]]), k=4)
     other = ((near4 < layer.n) & (near4 != tri[:, :1])
@@ -445,10 +480,9 @@ def _certify(layer, idx, tin, core, halo, max_edge):
     tied[rows[np.abs(d2 - r2[j]) <= tol]] = True
     if np.any(tied & ~inner):
         return None
-    layer.dropped += int(inner.sum())
     keep = np.ones(len(kept), dtype=bool)
     keep[check[inner]] = False
-    return kept[keep]
+    return kept[keep], int(inner.sum())
 
 
 def _incircle(px, py, tri, d):
@@ -527,32 +561,42 @@ def _inside_hull(px, py, cx, cy):
 def _rasterize_tin(px, py, ph, simplices, xll, yll, res, nrows, acc):
     """Scatter barycentric interpolation of each triangle into acc (max).
 
-    Every triangle has edges <= max_edge, so its bounding box spans a
-    small, bounded number of cells. Triangles are grouped by the shape
-    of that box and processed in chunks of one shape with fully
-    vectorized barycentric tests, so each triangle tests only its own
-    box. Overlapping coverage (only possible on shared edges) resolves
-    by maximum, which is order-independent.
+    The candidate cells of a triangle are the cells of acc whose centers
+    lie in its bounding box, widened by _CELL_MARGIN. Every triangle has
+    edges <= max_edge, so that box spans a small, bounded number of
+    cells. Triangles are grouped by the shape of their box and processed
+    in chunks of one shape with fully vectorized barycentric tests; a
+    triangle whose box holds no cell center is skipped. Overlapping
+    coverage (only possible on shared edges) resolves by maximum, which
+    is order-independent.
     """
     ncols = acc.shape[1]
     corners = simplices.T.copy()   # C order: fast reductions over axis 0
     xs, ys = px[corners], py[corners]
-    # candidate cell ranges, widened by one cell each side; the exact
-    # barycentric test below rejects the false candidates
-    c_lo = np.floor((xs.min(axis=0) - xll) / res - 0.5).astype(np.int64)
-    c_hi = np.floor((xs.max(axis=0) - xll) / res - 0.5).astype(np.int64) + 1
-    s_lo = np.floor((ys.min(axis=0) - yll) / res - 0.5).astype(np.int64)
-    s_hi = np.floor((ys.max(axis=0) - yll) / res - 0.5).astype(np.int64) + 1
-    shape = (s_hi - s_lo) * (int((c_hi - c_lo).max()) + 1) + (c_hi - c_lo)
-    order = np.argsort(shape, kind="stable")
-    cuts = np.flatnonzero(np.diff(shape[order])) + 1
+    c_lo, c_hi = _cell_range(xs.min(axis=0), xs.max(axis=0), xll, res, ncols)
+    s_lo, s_hi = _cell_range(ys.min(axis=0), ys.max(axis=0), yll, res, nrows)
+    span_c, span_s = c_hi - c_lo + 1, s_hi - s_lo + 1
+    live = np.flatnonzero((span_c > 0) & (span_s > 0))
+    shape = span_s[live] * (int(span_c.max()) + 1) + span_c[live]
+    by_shape = np.argsort(shape, kind="stable")
+    order = live[by_shape]
+    cuts = np.flatnonzero(np.diff(shape[by_shape])) + 1
     for group in np.split(order, cuts):
         for start in range(0, len(group), _TRI_CHUNK):
             g = group[start:start + _TRI_CHUNK]
             _rasterize_group(px, py, ph, simplices[g], c_lo[g], s_lo[g],
-                             int(c_hi[g[0]] - c_lo[g[0]] + 1),
-                             int(s_hi[g[0]] - s_lo[g[0]] + 1),
+                             int(span_c[g[0]]), int(span_s[g[0]]),
                              xll, yll, res, nrows, ncols, acc)
+
+
+def _cell_range(lo, hi, origin, res, n):
+    """First and last index, within 0 to n - 1, of the cells whose
+    centers lie in [lo, hi] widened by _CELL_MARGIN cells; last < first
+    for none."""
+    first = np.ceil((lo - origin) / res - 0.5 - _CELL_MARGIN)
+    last = np.floor((hi - origin) / res - 0.5 + _CELL_MARGIN)
+    return (np.clip(first, 0, n).astype(np.int64),
+            np.clip(last, -1, n - 1).astype(np.int64))
 
 
 def _rasterize_group(px, py, ph, t, c_lo, s_lo, span_c, span_s,
@@ -578,9 +622,7 @@ def _rasterize_group(px, py, ph, t, c_lo, s_lo, span_c, span_s,
     w2 = 1.0 - w0 - w1
 
     eps = -1e-12
-    inside = ((w0 >= eps) & (w1 >= eps) & (w2 >= eps)
-              & ok_tri[:, None, None]
-              & (cc >= 0) & (cc < ncols) & (ss >= 0) & (ss < nrows))
+    inside = (w0 >= eps) & (w1 >= eps) & (w2 >= eps) & ok_tri[:, None, None]
 
     vals = (w0 * z0[:, None, None] + w1 * z1[:, None, None]
             + w2 * z2[:, None, None])

@@ -47,9 +47,10 @@ def _add_common(parser, config_required=True):
     parser.add_argument("--seed", type=int,
                         help="random seed (overrides [run])")
     parser.add_argument("--threads", type=int,
-                        help="threads for the CHM stage: N - 1 workers "
-                             "triangulate tiles ahead of the rasterizer; "
-                             "outputs do not depend on N")
+                        help="threads for the CHM stage: this thread and "
+                             "N - 1 workers triangulate and certify tiles, "
+                             "this thread rasterizes them; outputs do not "
+                             "depend on N")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -291,9 +291,7 @@ def _stage_statistics(out, config, cube, owner, truth_species, split):
     # one read of each band serves every species
     flat = np.concatenate([cells[:, 0] * cube.ncols + cells[:, 1]
                            for cells in pixels.values()])
-    gathered = np.empty((cube.nbands, len(flat)))
-    for b in range(cube.nbands):
-        np.take(cube.band(b), flat, out=gathered[b])
+    gathered = cube.take(flat)
     ends = np.cumsum([len(cells) for cells in pixels.values()])
     spectra = {}
     for sp, px in zip(pixels, np.split(gathered.T, ends[:-1])):

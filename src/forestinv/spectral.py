@@ -118,6 +118,21 @@ class NormalizedCube:
         out[self.bad] = np.nan
         return out
 
+    def take(self, flat: np.ndarray) -> np.ndarray:
+        """Every band at the flat pixel indices `flat`, as an (nbands,
+        len(flat)) array that equals `band(i).ravel()[flat]` bit for bit.
+        Each source band is read whole, but only the taken pixels are
+        divided."""
+        if isinstance(self.source, NormalizedCube):
+            out = self.source.take(flat)
+        else:
+            out = np.empty((self.nbands, len(flat)))
+            for i in range(self.nbands):
+                np.take(self.source.band(i), flat, out=out[i])
+        out /= self.safe.ravel()[flat]
+        out[:, self.bad.ravel()[flat]] = np.nan
+        return out
+
 
 def normalize_spectrum(cube: CubeFile | NormalizedCube
                        ) -> tuple[NormalizedCube, int]:

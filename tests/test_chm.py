@@ -1,4 +1,5 @@
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -412,6 +413,110 @@ def test_a_fallen_back_layer_triangulates_no_more_tiles(monkeypatch):
     assert len(fell_back) == grid.counts["fallback_layers"]
     assert all(i <= fell_back.get(layer, i)
                for i, (layer, _) in enumerate(calls))
+
+
+class JobFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fail_on", [None, "calling thread", "worker"])
+def test_tiles_run_on_the_calling_thread_and_a_worker(monkeypatch, fail_on):
+    cloud, params = make_cloud("jittered", 3, 25, monkeypatch)
+    main = threading.get_ident()
+    idents = []
+    triangulate = chm_mod._triangulate
+
+    def record(px, py, core, halo):
+        me = threading.get_ident()
+        idents.append(me)
+        if fail_on and (me == main) == (fail_on == "calling thread"):
+            raise JobFailed(fail_on)
+        return triangulate(px, py, core, halo)
+
+    monkeypatch.setattr(chm_mod, "_triangulate", record)
+    before = set(threading.enumerate())
+    if fail_on:
+        with pytest.raises(JobFailed, match=fail_on):
+            chm_with_tiles(monkeypatch, cloud, params, 25, threads=2)
+    else:
+        grid = chm_with_tiles(monkeypatch, cloud, params, 25, threads=2)
+        assert grid.counts["layer0.tiles"] > 1
+        assert main in idents and len(set(idents)) == 2
+    assert set(threading.enumerate()) == before
+
+
+def reference_rasterize_tin(px, py, ph, simplices, xll, yll, res, nrows,
+                            acc):
+    """The rasterizer as it was before its boxes were tightened: every
+    triangle tests its bounding box widened by one cell on each side."""
+    ncols = acc.shape[1]
+    xs, ys = px[simplices.T], py[simplices.T]
+    c_lo = np.floor((xs.min(axis=0) - xll) / res - 0.5).astype(np.int64)
+    c_hi = np.floor((xs.max(axis=0) - xll) / res - 0.5).astype(np.int64) + 1
+    s_lo = np.floor((ys.min(axis=0) - yll) / res - 0.5).astype(np.int64)
+    s_hi = np.floor((ys.max(axis=0) - yll) / res - 0.5).astype(np.int64) + 1
+    for k, t in enumerate(simplices):
+        (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = px[t], py[t], ph[t]
+        cc = np.arange(c_lo[k], c_hi[k] + 1)[None, :]
+        ss = np.arange(s_lo[k], s_hi[k] + 1)[:, None]
+        qx = xll + (cc + 0.5) * res
+        qy = yll + (ss + 0.5) * res
+        det = ((y1 - y2) * (x0 - x2) + (x2 - x1) * (y0 - y2))
+        if not abs(det) > 1e-300:
+            continue
+        w0 = ((y1 - y2) * (qx - x2) + (x2 - x1) * (qy - y2)) / det
+        w1 = ((y2 - y0) * (qx - x2) + (x0 - x2) * (qy - y2)) / det
+        w2 = 1.0 - w0 - w1
+        inside = ((w0 >= -1e-12) & (w1 >= -1e-12) & (w2 >= -1e-12)
+                  & (cc >= 0) & (cc < ncols) & (ss >= 0) & (ss < nrows))
+        vals = w0 * z0 + w1 * z1 + w2 * z2
+        flat = ((nrows - 1 - ss) * ncols + cc)[inside]
+        np.maximum.at(acc.reshape(-1), flat, vals[inside])
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (5e5, 5e6)])
+@pytest.mark.parametrize("seed", range(4))
+def test_tight_rasterizer_boxes_equal_the_widened_ones(seed, offset):
+    rng = np.random.default_rng(seed)
+    res, ncols, nrows = 0.5, 40, 30
+    xll, yll = offset[0] + 3.5, offset[1] - 1.0
+    n = 3000
+    # anchors reach two cells past every side of the grid
+    ax = xll + rng.uniform(-1.0, ncols * res + 1.0, n)
+    ay = yll + rng.uniform(-1.0, nrows * res + 1.0, n)
+    tx = ax[:, None] + rng.uniform(-1.0, 1.0, (n, 3))
+    ty = ay[:, None] + rng.uniform(-1.0, 1.0, (n, 3))
+    kind = np.arange(n) % 5
+    # 1: every vertex on a cell center
+    on = kind == 1
+    tx[on] = xll + (np.floor((tx[on] - xll) / res) + 0.5) * res
+    ty[on] = yll + (np.floor((ty[on] - yll) / res) + 0.5) * res
+    # 2: a vertical and a horizontal edge through cell centers
+    on = kind == 2
+    tx[on, 1] = tx[on, 0] = xll + (np.floor((tx[on, 0] - xll) / res)
+                                   + 0.5) * res
+    ty[on, 2] = ty[on, 1] = yll + (np.floor((ty[on, 1] - yll) / res)
+                                   + 0.5) * res
+    # 3: slivers, the third vertex off the middle of the first edge by
+    # 1e-12 to 1e-3 of that edge
+    on = kind == 3
+    mx, my = (tx[on, 0] + tx[on, 1]) / 2, (ty[on, 0] + ty[on, 1]) / 2
+    lift = 10.0 ** rng.uniform(-12, -3, on.sum())
+    tx[on, 2] = mx - (ty[on, 1] - ty[on, 0]) * lift
+    ty[on, 2] = my + (tx[on, 1] - tx[on, 0]) * lift
+    # 4: exactly collinear, on a cell-center row
+    on = kind == 4
+    ty[on] = yll + (np.floor((ty[on, :1] - yll) / res) + 0.5) * res
+    px, py = tx.ravel(), ty.ravel()
+    ph = rng.uniform(0.0, 30.0, px.size)
+    simplices = np.arange(px.size).reshape(n, 3)
+    tight = np.full((nrows, ncols), -np.inf)
+    widened = np.full((nrows, ncols), -np.inf)
+    chm_mod._rasterize_tin(px, py, ph, simplices, xll, yll, res, nrows, tight)
+    reference_rasterize_tin(px, py, ph, simplices, xll, yll, res, nrows,
+                            widened)
+    assert np.isfinite(tight).mean() > 0.9
+    assert tight.tobytes() == widened.tobytes()
 
 
 def test_canonical_rotation_keeps_orientation():

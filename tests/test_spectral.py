@@ -157,6 +157,25 @@ class TestNormalize:
         for i in range(shape[0]):
             assert np.array_equal(out.band(i), expected[i], equal_nan=True)
 
+    @pytest.mark.parametrize("twice", [False, True])
+    def test_take_equals_the_gathered_bands(self, cube_from, twice):
+        rng = np.random.default_rng(8)
+        arr = rng.uniform(0.0, 5000.0, (9, 6, 7)).astype("<f4")
+        arr[:, 0, 0] = 0    # zero mean
+        arr[2, 3, 4] = np.nan
+        out, bad = normalize_spectrum(cube_from(arr, "<f4"))
+        if twice:
+            out, _ = normalize_spectrum(out)
+        assert bad == 2
+        flat = np.concatenate([[0, 3 * 7 + 4, 41, 0],
+                               rng.integers(0, 6 * 7, 30)])
+        got = out.take(flat)
+        gathered = np.stack([out.band(i).ravel()[flat]
+                             for i in range(out.nbands)])
+        assert np.isnan(got[:, 0]).all() and np.isnan(got[:, 1]).all()
+        assert np.array_equal(got.view(np.uint64),
+                              gathered.view(np.uint64))
+
     def test_holds_no_more_than_a_few_bands(self, cube_from):
         nbands, nrows, ncols = 60, 120, 90
         cube = cube_from(np.random.default_rng(7).uniform(
