@@ -123,12 +123,9 @@ class NormalizedCube:
         len(flat)) array that equals `band(i).ravel()[flat]` bit for bit.
         Each source band is read whole, but only the taken pixels are
         divided."""
-        if isinstance(self.source, NormalizedCube):
-            out = self.source.take(flat)
-        else:
-            out = np.empty((self.nbands, len(flat)))
-            for i in range(self.nbands):
-                np.take(self.source.band(i), flat, out=out[i])
+        out = np.empty((self.nbands, len(flat)))
+        for i in range(self.nbands):
+            np.take(self.source.band(i), flat, out=out[i])
         out /= self.safe.ravel()[flat]
         out[:, self.bad.ravel()[flat]] = np.nan
         return out
