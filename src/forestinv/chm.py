@@ -30,7 +30,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DataError
-from .geodata import Grid, PointCloud, bilinear_sample
+from .geodata import DEFAULT_NODATA, Grid, PointCloud, bilinear_sample
 
 _TRI_CHUNK = 32768
 # The rasterizer tests the cells whose centers lie in a triangle's
@@ -120,7 +120,7 @@ def normalize_heights(cloud: PointCloud, dtm: Grid) -> PointCloud:
 def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
                 xll: float | None = None, yll: float | None = None,
                 ncols: int | None = None, nrows: int | None = None,
-                nodata: float = -9999.0, threads: int = 1) -> ChmGrid:
+                threads: int = 1) -> ChmGrid:
     """Rasterize a pit-free CHM from a height-normalized cloud.
 
     The raster extent defaults to the cloud's bounding box snapped to
@@ -235,7 +235,7 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
             np.maximum(acc, part, out=acc)
 
     covered = acc > -np.inf
-    out = np.where(covered, acc, np.where(hull_mask, 0.0, nodata))
+    out = np.where(covered, acc, np.where(hull_mask, 0.0, DEFAULT_NODATA))
     out[covered] = np.maximum(out[covered], 0.0)
     counts = {}
     for i, layer in enumerate(layers):
@@ -244,7 +244,7 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
                        f"layer{i}.tiles": layer.tiles,
                        f"layer{i}.dropped": layer.dropped})
     counts["fallback_layers"] = sum(layer.fallback for layer in layers)
-    return ChmGrid(out, xll, yll, res, nodata, counts)
+    return ChmGrid(out, xll, yll, res, DEFAULT_NODATA, counts)
 
 
 @dataclass(eq=False)

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .geodata import Grid, HyperCube, write_table
+from .geodata import Grid, write_table
 
 LABEL_NODATA = -9999.0
 _KERNEL_BLOCK = 65536   # kernel entries per in-place block, ~512 KiB
@@ -318,11 +318,12 @@ def _vote_winner(votes: np.ndarray, margin: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def classify_image(cube: HyperCube, model, mask: np.ndarray | None = None):
+def classify_image(cube, model, mask: np.ndarray | None = None):
     """Per-pixel prediction over masked pixels.
 
-    `cube` holds the model's bands, in the model's order. `mask`, a
-    boolean (rows, cols) array, marks the active pixels;
+    `cube` is a cube view (a `CubeFile` or a `NormalizedCube`); only the
+    model's bands are read from it, once each, in the model's order.
+    `mask`, a boolean (rows, cols) array, marks the active pixels;
     inactive or NaN pixels become nodata. Returns (label Grid holding
     species index + 1 as the code, legend mapping code -> species).
 
@@ -330,7 +331,9 @@ def classify_image(cube: HyperCube, model, mask: np.ndarray | None = None):
     entries: a block's rows times the support-vector union for the SVM,
     times species x features for the centroid model.
     """
-    data = cube.samples  # (d, rows, cols)
+    data = np.empty((len(model.bands), cube.nrows, cube.ncols))
+    for j, b in enumerate(model.bands):
+        data[j] = cube.band(b)
     active = ~np.isnan(data).any(axis=0)
     if mask is not None:
         if mask.shape != active.shape:

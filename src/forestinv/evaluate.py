@@ -119,23 +119,10 @@ class PlotDefinition:
 
 
 @dataclass(frozen=True)
-class PlotTruth:
-    """Observed totals of one field plot."""
+class PlotTotals:
+    """Observed or predicted totals of one field plot."""
 
     plot_id: int
-    volume_m3: float
-    agb_mg: float
-    n_trees: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.volume_m3) and math.isfinite(self.agb_mg)):
-            raise ValueError("volume and agb must be finite")
-        if min(self.volume_m3, self.agb_mg, self.n_trees) < 0:
-            raise ValueError("volume, agb and n_trees must be >= 0")
-
-
-@dataclass(frozen=True)
-class PlotTotals:
     volume_m3: float
     agb_mg: float
     n_trees: int
@@ -161,7 +148,7 @@ def aggregate_plot(crowns, plot: PlotDefinition) -> PlotTotals:
         volume += crown.volume
         agb_kg += crown.agb
         n += 1
-    return PlotTotals(volume, agb_kg / 1000.0, n)
+    return PlotTotals(plot.plot_id, volume, agb_kg / 1000.0, n)
 
 
 def pearson_r(observed, predicted) -> float:
@@ -262,12 +249,18 @@ def read_plot_definitions(path, chm: Grid) -> list[PlotDefinition]:
     return read_table(path, _PLOT_COLUMNS, 3, _unique_plot_ids(make))
 
 
-def read_truth_plots(path) -> list[PlotTruth]:
+def read_truth_plots(path) -> list[PlotTotals]:
     """Observed plot totals: header ``plot_id,volume_m3,agb_mg,n_trees``."""
 
     def make(plot_id, volume_m3, agb_mg, n_trees):
-        return PlotTruth(int(plot_id), float(volume_m3), float(agb_mg),
-                         int(n_trees))
+        totals = PlotTotals(int(plot_id), float(volume_m3), float(agb_mg),
+                            int(n_trees))
+        if not (math.isfinite(totals.volume_m3)
+                and math.isfinite(totals.agb_mg)):
+            raise ValueError("volume and agb must be finite")
+        if min(totals.volume_m3, totals.agb_mg, totals.n_trees) < 0:
+            raise ValueError("volume, agb and n_trees must be >= 0")
+        return totals
 
     return read_table(path, _PLOT_TOTAL_COLUMNS, 4, _unique_plot_ids(make))
 
@@ -291,8 +284,6 @@ def write_plot_definitions(plots, path) -> None:
                        for name in _PLOT_COLUMNS})
 
 
-def write_plot_totals(plots, totals, path) -> None:
-    """One row per plot: its id and its PlotTotals or PlotTruth values."""
-    write_table(path, dict(zip(_PLOT_TOTAL_COLUMNS, (
-        [p.plot_id for p in plots], [t.volume_m3 for t in totals],
-        [t.agb_mg for t in totals], [t.n_trees for t in totals]))))
+def write_plot_totals(totals, path) -> None:
+    write_table(path, {name: [getattr(t, name) for t in totals]
+                       for name in _PLOT_TOTAL_COLUMNS})

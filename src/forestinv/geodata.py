@@ -291,8 +291,8 @@ def read_ascii_grid(path) -> Grid:
     """Read an ESRI ASCII grid (.asc).
 
     Header keys are accepted in any letter case and any order;
-    NODATA_VALUE is optional and defaults to -9999. Each data line must
-    hold exactly NCOLS values, north row first.
+    NODATA_VALUE is optional and defaults to -9999. There must be NROWS
+    data lines, north row first, each holding exactly NCOLS values.
     """
     with open(path, "r") as f:
         lines = f.read().splitlines()
@@ -333,15 +333,21 @@ def read_ascii_grid(path) -> Grid:
         raise GridFormatError(f"{path}: NCOLS/NROWS must be positive integers")
     nodata = header.get("nodata_value", DEFAULT_NODATA)
 
+    # the header must agree with the data before the grid is allocated
+    found = sum(1 for line in lines[data_start - 1:] if line.strip())
+    if found != nrows:
+        raise GridFormatError(f"{path}: found {found} data rows, expected {nrows}")
+    width = len(lines[data_start - 1].split())
+    if width != ncols:
+        raise GridFormatError(f"{path}: row 1 (line {data_start}) has "
+                              f"{width} values, expected {ncols}")
+
     values = np.empty((nrows, ncols), dtype=np.float64)
     row = 0
     for lineno, line in enumerate(lines[data_start - 1:], start=data_start):
         tokens = line.split()
         if not tokens:
             continue
-        if row >= nrows:
-            raise GridFormatError(f"{path}: line {lineno}: more data rows than the "
-                                  f"declared {nrows}")
         if len(tokens) != ncols:
             raise GridFormatError(f"{path}: row {row + 1} (line {lineno}) has "
                                   f"{len(tokens)} values, expected {ncols}")
@@ -355,8 +361,6 @@ def read_ascii_grid(path) -> Grid:
             raise GridFormatError(f"{path}: row {row + 1} (line {lineno}): "
                                   f"non-finite value")
         row += 1
-    if row != nrows:
-        raise GridFormatError(f"{path}: found {row} data rows, expected {nrows}")
 
     try:
         return Grid(values, header["xllcorner"], header["yllcorner"],

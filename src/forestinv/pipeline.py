@@ -28,7 +28,6 @@ from . import spectral as spectral_mod
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, ForestInvError
 from .geodata import (
-    HyperCube,
     read_ascii_grid,
     read_envi_cube,
     read_ground_truth,
@@ -266,43 +265,47 @@ def _stage_split(out, config, truth_species):
 
 
 def _training_pixels(owner, truth, train_ids, seed, cap):
-    """(row, col) arrays per species over the training crowns, ordered by
-    crown_id and row-major within a crown, capped per species with a
-    seed-derived subsample for tractability."""
+    """Flat cell indices over the training crowns and each cell's species
+    code, ordered by species, then crown_id, then row-major within a
+    crown, capped per species with a seed-derived subsample (kept in
+    row-major order) for tractability."""
     rng = np.random.default_rng(seed + 1)
-    out = {}
-    for sp in sorted({truth[cid] for cid in train_ids}):
+    species = sorted({truth[cid] for cid in train_ids})
+    flat = []
+    for sp in species:
         ids = [cid for cid in train_ids if truth[cid] == sp]
-        arr = np.argwhere(np.isin(owner, ids))
-        arr = arr[np.argsort(owner[arr[:, 0], arr[:, 1]], kind="stable")]
-        if len(arr) > cap:
-            arr = arr[rng.choice(len(arr), size=cap, replace=False)]
-            arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-        out[sp] = arr
-    return out
+        cells = np.flatnonzero(np.isin(owner, ids))
+        cells = cells[np.argsort(owner.ravel()[cells], kind="stable")]
+        if len(cells) > cap:
+            cells = np.sort(cells[rng.choice(len(cells), size=cap,
+                                             replace=False)])
+        flat.append(cells)
+    labels = np.repeat(species, [len(cells) for cells in flat])
+    return np.concatenate([np.empty(0, dtype=np.intp), *flat]), labels
 
 
 def _stage_statistics(out, config, cube, owner, truth_species, split):
-    # normalize_spectrum leaves every pixel all-NaN or all-finite, so
-    # dropping the rows with a NaN keeps the valid pixels on any bands
-    pixels = _training_pixels(owner, truth_species, split.train_ids,
-                              config.run.seed,
-                              config.spectral.max_training_pixels_per_species)
-    # one read of each band serves every species
-    flat = np.concatenate([cells[:, 0] * cube.ncols + cells[:, 1]
-                           for cells in pixels.values()])
-    gathered = cube.take(flat)
-    ends = np.cumsum([len(cells) for cells in pixels.values()])
-    spectra = {}
-    for sp, px in zip(pixels, np.split(gathered.T, ends[:-1])):
-        # C order: the species means and covariances sum rows in order
-        spectra[sp] = np.ascontiguousarray(px[~np.isnan(px).any(axis=1)])
-    stats, skipped = spectral_mod.class_statistics(spectra)
+    flat, labels = _training_pixels(
+        owner, truth_species, split.train_ids, config.run.seed,
+        config.spectral.max_training_pixels_per_species)
+    species = np.unique(labels)
+    # one read of each band serves every species; normalize_spectrum
+    # leaves every pixel all-NaN or all-finite, so dropping the rows
+    # with a NaN keeps the valid pixels on any bands
+    x = cube.take(flat).T
+    valid = ~np.isnan(x).any(axis=1)
+    # C order: the species means and covariances sum rows in order
+    x, labels = np.ascontiguousarray(x[valid]), labels[valid]
+    # labels are grouped by species, so each species' rows are one block;
+    # a species with no valid row keeps an empty one
+    blocks = np.split(x, np.searchsorted(labels, species[1:]))
+    stats, skipped = spectral_mod.class_statistics(
+        dict(zip(species.tolist(), blocks)))
     if len(stats) < 2:
         raise DataError("fewer than two species have enough training pixels")
     counts = {f"valid_pixels.{s.species_code}": s.n_samples for s in stats}
     counts.update((f"skipped.{sp}", 1) for sp in skipped)
-    return {"training_spectra": spectra, "class_stats": stats}, counts
+    return {"training": (x, labels), "class_stats": stats}, counts
 
 
 def _stage_select(out, config, cube, class_stats):
@@ -324,13 +327,10 @@ def _stage_select(out, config, cube, class_stats):
             {"criterion_evaluations": selection.evaluations})
 
 
-def _stage_train(out, config, training_spectra, bands):
-    columns = np.asarray(bands, dtype=np.intp)
-    species = sorted(training_spectra)
+def _stage_train(out, config, training, bands):
+    x, labels = training
     # take() keeps the rows C-contiguous, which the scaling sums rely on
-    x = np.vstack([training_spectra[sp].take(columns, axis=1)
-                   for sp in species])
-    labels = np.repeat(species, [len(training_spectra[sp]) for sp in species])
+    x = x.take(bands, axis=1)
     if config.classify.classifier == "svm":
         model = classify_mod.train_svm(
             x, labels, C=config.classify.c, gamma=config.classify.gamma,
@@ -346,14 +346,9 @@ def _stage_train(out, config, training_spectra, bands):
     return {"model": model}, counts
 
 
-def _stage_classify(out, config, chm, cube, bands, model):
+def _stage_classify(out, config, chm, cube, model):
     mask = chm.valid_mask() & (chm.values >= config.itc.height_threshold)
-    selected = np.empty((len(bands), cube.nrows, cube.ncols))
-    for j, b in enumerate(bands):
-        selected[j] = cube.band(b)
-    label_grid, legend = classify_mod.classify_image(
-        HyperCube(selected, cube.xll, cube.yll, cube.cellsize), model,
-        mask=mask)
+    label_grid, legend = classify_mod.classify_image(cube, model, mask=mask)
     write_ascii_grid(label_grid, os.path.join(out, "species_labels.asc"))
     classify_mod.write_legend(legend, os.path.join(out, "species_legend.csv"))
     counts = {"pixels_classified": int(label_grid.valid_mask().sum())}
@@ -402,13 +397,13 @@ def _stage_plots(out, config, crowns, chm):
         config.require_paths("plots")
         plots = evaluate_mod.read_plot_definitions(config.paths["plots"], chm)
     totals = [evaluate_mod.aggregate_plot(crowns, p) for p in plots]
-    evaluate_mod.write_plot_totals(plots, totals,
+    evaluate_mod.write_plot_totals(totals,
                                    os.path.join(out, "plot_totals.csv"))
-    return {"plot_defs": plots, "plot_totals": totals}, {}
+    return {"plot_totals": totals}, {}
 
 
 def _stage_report(out, config, crowns, truth_species, split, bands,
-                  confusion, plot_defs, plot_totals):
+                  confusion, plot_totals):
     lines = ["forestinv inventory report", ""]
     lines.append(f"crowns delineated: {len(crowns)}")
     lines.append(f"ground-truth crowns: {len(truth_species)} "
@@ -423,10 +418,10 @@ def _stage_report(out, config, crowns, truth_species, split, bands,
     observed_path = config.paths.get("observed_plots")
     if observed_path:
         config.require_paths("observed_plots")
-    if plot_defs and observed_path:
+    if plot_totals and observed_path:
         observed = {p.plot_id: p
                     for p in evaluate_mod.read_truth_plots(observed_path)}
-        ids = [p.plot_id for p in plot_defs]
+        ids = [t.plot_id for t in plot_totals]
         _require_same_ids(ids, config.paths["plots"], observed, observed_path)
         ob_v = [observed[i].volume_m3 for i in ids]
         ob_a = [observed[i].agb_mg for i in ids]
@@ -434,7 +429,7 @@ def _stage_report(out, config, crowns, truth_species, split, bands,
         pr_a = [t.agb_mg for t in plot_totals]
         lines.append(evaluate_mod.format_plot_table(ids, ob_v, pr_v,
                                                     ob_a, pr_a))
-    elif plot_defs:
+    elif plot_totals:
         lines.append("plot totals written to plot_totals.csv "
                      "(no observed values supplied)")
 

@@ -19,14 +19,14 @@ the nominal footprint recoverable by seed-threshold region growing.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .allometry import DbhModel, SpeciesRegistry, agb_jucker, estimate_dbh, \
     volume_double_entry
 from .errors import DataError
-from .evaluate import PlotDefinition, PlotTruth, aggregate_plot, \
+from .evaluate import PlotDefinition, PlotTotals, aggregate_plot, \
     write_plot_definitions, write_plot_totals
 from .geodata import Grid, GroundTruthPoint, HyperCube, PointCloud, \
     write_ascii_grid, write_envi_cube, write_ground_truth, \
@@ -143,7 +143,7 @@ class SceneData:
     ground_truth: list[GroundTruthPoint]
     plots: tuple[PlotDefinition, ...]
     truth_trees: list[TreeTruth]
-    truth_plots: list[PlotTruth]
+    truth_plots: list[PlotTotals]
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +392,7 @@ def generate_scene(spec: SceneSpec, registry=SpeciesRegistry(),
     ground_truth = [GroundTruthPoint(t.x, t.y, t.species) for t in spec.trees]
 
     truth_trees = _truth_trees(spec, registry, dbh_model)
-    truth_plots = [PlotTruth(p.plot_id,
-                             *astuple(aggregate_plot(truth_trees, p)))
-                   for p in spec.plots]
+    truth_plots = [aggregate_plot(truth_trees, p) for p in spec.plots]
 
     return SceneData(spec, dtm, cloud, cube, ground_truth, spec.plots,
                      truth_trees, truth_plots)
@@ -443,5 +441,5 @@ def write_scene(data: SceneData, outdir) -> dict[str, str]:
     write_table(paths["truth_trees"], {
         column: [getattr(t, field.name) for t in data.truth_trees]
         for column, field in zip(_TRUTH_TREE_COLUMNS, fields(TreeTruth))})
-    write_plot_totals(data.plots, data.truth_plots, paths["truth_plots"])
+    write_plot_totals(data.truth_plots, paths["truth_plots"])
     return {k: str(v) for k, v in paths.items()}

@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
+from conftest import all_bands
 from forestinv.classify import rbf_kernel, smo_solve
 from forestinv.config import load_config
 from forestinv.evaluate import ConfusionMatrix, pearson_r, per_class_metrics, \
     format_metrics_table
-from forestinv.geodata import CubeFile
 from forestinv.pipeline import run_pipeline
 from forestinv.spectral import (
     GaussianClassStats,
@@ -46,20 +46,9 @@ def report(criterion, message):
 # ---------------------------------------------------------------------------
 
 
-def cube_file(path, samples):
-    """A float64 band-sequential file of `samples` and its view."""
-    samples.astype("<f8").tofile(path)
-    return CubeFile(str(path), np.dtype("<f8"), *samples.shape, 0.0, 0.0, 1.0)
-
-
-def all_bands(cube):
-    return np.stack([cube.band(i) for i in range(cube.nbands)])
-
-
-def test_criterion_01_normalization(tmp_path):
+def test_criterion_01_normalization(cube_from):
     rng = np.random.default_rng(101)
-    cube = cube_file(tmp_path / "cube.dat",
-                     rng.uniform(0.1, 2.0, (50, 25, 40)))
+    cube = cube_from(rng.uniform(0.1, 2.0, (50, 25, 40)))
 
     t0 = time.perf_counter()
     once, bad = normalize_spectrum(cube)
@@ -82,8 +71,8 @@ def test_criterion_01_normalization(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_02_band_trim(tmp_path):
-    cube = cube_file(tmp_path / "cube.dat", np.zeros((137, 2, 2)))
+def test_criterion_02_band_trim(cube_from):
+    cube = cube_from(np.zeros((137, 2, 2)))
     out = trim_bands(cube, 7, 8)
     assert out.nbands == 122
     report(2, "137 bands - 7 head - 8 tail = 122 bands exactly")
@@ -420,8 +409,7 @@ def test_criterion_10_end_to_end_inventory(e2e_run):
     assert accuracy >= 0.90
 
     truth = {p.plot_id: p for p in e2e_run["truth_plots"]}
-    predicted = {p.plot_id: t for p, t in zip(ctx["plot_defs"],
-                                              ctx["plot_totals"])}
+    predicted = {t.plot_id: t for t in ctx["plot_totals"]}
     ids = sorted(truth)
 
     tot_v_truth = sum(truth[i].volume_m3 for i in ids)

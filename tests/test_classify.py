@@ -23,7 +23,8 @@ from forestinv.classify import (
 )
 from forestinv.crowns import CrownRecord
 from forestinv.errors import DataError, NumericalError
-from forestinv.geodata import Grid, HyperCube
+from forestinv.geodata import Grid
+from forestinv.spectral import NormalizedCube, normalize_spectrum
 
 
 def blobs(seed=0, centers=((0.0, 0.0), (5.0, 5.0)), n=20, radius=0.5):
@@ -342,7 +343,7 @@ class TestSvmMulticlass:
 
 
 class TestClassifyImage:
-    def _scene(self, seed=11, noise=0.02):
+    def _scene(self, cube_from, seed=11, noise=0.02):
         rng = np.random.default_rng(seed)
         signatures = {"A": [1.0, 0.2, 0.2], "B": [0.2, 1.0, 0.2],
                       "C": [0.2, 0.2, 1.0]}
@@ -352,16 +353,17 @@ class TestClassifyImage:
             sel = truth == sp
             arr[:, sel] = np.asarray(sig)[:, None]
         arr += rng.normal(0, noise, arr.shape)
-        return HyperCube(arr, 0.0, 0.0, 1.0), truth, signatures
+        return cube_from(arr), truth, signatures
 
-    def test_accuracy_against_generator_truth(self):
-        cube, truth, signatures = self._scene()
+    def test_accuracy_against_generator_truth(self, cube_from):
+        cube, truth, signatures = self._scene(cube_from)
         rng = np.random.default_rng(12)
         train_px, train_labels = [], []
         for sp, sig in signatures.items():
             train_px.append(np.asarray(sig) + rng.normal(0, 0.02, (30, 3)))
             train_labels.extend([sp] * 30)
-        model = train_svm(np.vstack(train_px), train_labels, C=10.0)
+        model = train_svm(np.vstack(train_px), train_labels, C=10.0,
+                          bands=(0, 1, 2))
         labels, legend = classify_image(cube, model)
         pred = np.empty(truth.shape, dtype=object)
         for code, sp in legend.items():
@@ -369,23 +371,52 @@ class TestClassifyImage:
         accuracy = (pred == truth).mean()
         assert accuracy >= 0.99
 
-    def test_all_nodata_mask(self):
-        cube, _, _ = self._scene()
+    def test_all_nodata_mask(self, cube_from):
+        cube, _, _ = self._scene(cube_from)
         mask = np.zeros((20, 20), dtype=bool)
         model = CentroidModel(("A", "B"),
-                              np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), ())
+                              np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+                              (0, 1, 2))
         labels, _ = classify_image(cube, model, mask=mask)
         assert (labels.values == labels.nodata).all()
 
-    def test_pixelwise_purity(self, monkeypatch):
-        cube, _, _ = self._scene()
+    def test_pixelwise_purity(self, cube_from, monkeypatch):
+        cube, _, _ = self._scene(cube_from)
         model = CentroidModel(("A", "B"),
-                              np.array([[1.0, 0.2, 0.2], [0.2, 1.0, 0.2]]), ())
+                              np.array([[1.0, 0.2, 0.2], [0.2, 1.0, 0.2]]),
+                              (0, 1, 2))
         full, _ = classify_image(cube, model)
         # 2 species x 3 features: blocks of 7 pixels
         monkeypatch.setattr(classify_mod, "_PREDICT_BUDGET", 7 * 6)
         small_chunks, _ = classify_image(cube, model)
         np.testing.assert_array_equal(full.values, small_chunks.values)
+
+    def test_reads_each_model_band_once_in_model_order(self, cube_from,
+                                                       monkeypatch):
+        rng = np.random.default_rng(13)
+        samples = rng.uniform(0.1, 2.0, (6, 9, 7))
+        samples[:, 4, 2] = 0.0   # a zero-mean pixel reads as NaN
+        cube, _ = normalize_spectrum(cube_from(samples))
+        model = CentroidModel(("A", "B"), rng.uniform(0.5, 1.5, (2, 3)),
+                              (4, 1, 3))
+        selected = np.stack([cube.band(b) for b in model.bands])
+        read = []
+        band = NormalizedCube.band
+
+        def recording_band(self, i):
+            read.append(i)
+            return band(self, i)
+
+        monkeypatch.setattr(NormalizedCube, "band", recording_band)
+        grid, _ = classify_image(cube, model)
+        assert read == [4, 1, 3]
+        pixels = selected.reshape(3, -1).T
+        valid = ~np.isnan(pixels).any(axis=1)
+        assert not valid.all()
+        expected = np.full(len(pixels), grid.nodata)
+        expected[valid] = classify_mod._centroid_index(model,
+                                                       pixels[valid]) + 1
+        np.testing.assert_array_equal(grid.values.ravel(), expected)
 
 
 def five_species(seed=21, n=40, dims=4):
@@ -445,18 +476,20 @@ class TestUnionKernel:
 
 
 class TestPredictionBlocks:
-    def _cube(self, centers, seed=23, shape=(30, 40)):
+    def _cube(self, cube_from, centers, seed=23, shape=(30, 40)):
         rng = np.random.default_rng(seed)
         species = rng.integers(0, len(centers), shape)
         arr = centers[species].transpose(2, 0, 1) + rng.normal(
             0, 1.0, (centers.shape[1],) + shape)
         arr[:, 3, 5] = np.nan
-        return HyperCube(arr, 0.0, 0.0, 1.0)
+        return cube_from(arr)
 
-    def _models(self):
+    def _models(self, cube_from):
         x, labels, centers = five_species()
-        return (self._cube(centers),
-                [train_svm(x, labels, C=10.0), train_centroid(x, labels)])
+        bands = tuple(range(x.shape[1]))
+        return (self._cube(cube_from, centers),
+                [train_svm(x, labels, C=10.0, bands=bands),
+                 train_centroid(x, labels, bands=bands)])
 
     @staticmethod
     def _width(model):
@@ -464,8 +497,9 @@ class TestPredictionBlocks:
             return len(model.union[0])
         return model.centroids.size
 
-    def test_labels_do_not_depend_on_the_block_size(self, monkeypatch):
-        cube, models = self._models()
+    def test_labels_do_not_depend_on_the_block_size(self, cube_from,
+                                                    monkeypatch):
+        cube, models = self._models(cube_from)
         for model in models:
             full, legend = classify_image(cube, model)
             width = self._width(model)
@@ -475,8 +509,8 @@ class TestPredictionBlocks:
                 assert again == legend
                 np.testing.assert_array_equal(blocked.values, full.values)
 
-    def test_no_block_exceeds_the_budget(self, monkeypatch):
-        cube, (svm, centroid) = self._models()
+    def test_no_block_exceeds_the_budget(self, cube_from, monkeypatch):
+        cube, (svm, centroid) = self._models(cube_from)
         kernel_rows = []
 
         def recording_kernel(a, b, gamma):

@@ -138,7 +138,7 @@ class TestAggregatePlot:
 
     def test_zero_tree_plot(self):
         totals = aggregate_plot([], PlotDefinition(1, 0.0, 0.0))
-        assert totals == PlotTotals(0.0, 0.0, 0)
+        assert totals == PlotTotals(1, 0.0, 0.0, 0)
 
     def test_additive_over_disjoint_sets(self):
         plot = PlotDefinition(1, 0.0, 0.0)

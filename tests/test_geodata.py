@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import all_bands
 from forestinv.errors import (
     CubeFormatError,
     GridFormatError,
@@ -100,6 +101,19 @@ class TestAsciiGrid:
             "NCOLS 2\nNROWS 3\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
             "NODATA_VALUE -9999\n1 2\n")
         with pytest.raises(GridFormatError, match="expected 3"):
+            read_ascii_grid(path)
+
+    @pytest.mark.parametrize("ncols, nrows, where", [
+        (10 ** 6, 10 ** 6, "found 1 data rows, expected 1000000"),
+        (10 ** 12, 1, r"row 1 \(line 6\) has 2 values, expected 1000000000000"),
+    ])
+    def test_header_is_checked_against_the_data_before_allocating(
+            self, tmp_path, ncols, nrows, where):
+        # the grids these headers declare would need terabytes
+        path = tmp_path / "bad.asc"
+        path.write_text(f"NCOLS {ncols}\nNROWS {nrows}\nXLLCORNER 0\n"
+                        f"YLLCORNER 0\nCELLSIZE 1\n1 2\n")
+        with pytest.raises(GridFormatError, match=where):
             read_ascii_grid(path)
 
 
@@ -255,10 +269,6 @@ def test_writers_match_per_value_format(tmp_path):
 # ---------------------------------------------------------------------------
 # ENVI cube I/O
 # ---------------------------------------------------------------------------
-
-
-def all_bands(cube):
-    return np.stack([cube.band(i) for i in range(cube.nbands)])
 
 
 class TestEnviCube:

@@ -385,7 +385,7 @@ class TestPipeline:
         # exactly the report stage's parameters
         assert set(result.context) == {"config", "crowns", "truth_species",
                                        "split", "bands", "confusion",
-                                       "plot_defs", "plot_totals"}
+                                       "plot_totals"}
 
     def test_runs_where_the_c_library_has_no_malloc_trim(self, tmp_path,
                                                          monkeypatch):
@@ -492,12 +492,55 @@ def test_training_pixels_match_per_cell_reference(seed, nrows, ncols,
     truth = {int(cid): str(rng.choice(["ABAL", "FASY", "PIAB"]))
              for cid in ids}
     train_ids = tuple(int(cid) for cid in ids if rng.random() < 0.7)
-    got = _training_pixels(owner, truth, train_ids, seed, cap)
+    flat, labels = _training_pixels(owner, truth, train_ids, seed, cap)
     expected = reference_training_pixels(owner, truth, train_ids, seed, cap)
-    assert list(got) == list(expected)
-    for sp in expected:
-        assert got[sp].dtype == expected[sp].dtype
-        np.testing.assert_array_equal(got[sp], expected[sp])
+    assert flat.dtype == np.intp
+    np.testing.assert_array_equal(
+        flat, [r * ncols + c for cells in expected.values() for r, c in cells])
+    assert labels.tolist() == [sp for sp, cells in expected.items()
+                               for _ in cells]
+
+
+def test_zero_mean_training_pixels_are_dropped_and_reported(tmp_path):
+    """A species whose every training pixel has spectral mean 0 keeps an
+    empty block and is reported as skipped; one zero-mean pixel of
+    another species leaves its block and the training matrix."""
+    cfg = tmp_path / "scene.ini"
+    cfg.write_text(SCENE_INI.format(classifier="centroid", seed=11,
+                                    outdir="scene").replace(
+        "species = PIAB, FASY", "species = PIAB, FASY, ABAL"))
+    assert main(["synth", "--config", str(cfg)]) == 0
+    pipeline_ini = tmp_path / "scene" / "pipeline.ini"
+    config = load_config(pipeline_ini, out_override=str(tmp_path / "split"))
+    context = run_pipeline(config, stop_after="split").context
+    crown_labels = read_ascii_grid(tmp_path / "split" / "crown_labels.asc")
+    owner = np.where(crown_labels.valid_mask(), crown_labels.values,
+                     0).astype(np.int32)
+    flat, labels = _training_pixels(
+        owner, context["truth_species"], context["split"].train_ids,
+        config.run.seed, config.spectral.max_training_pixels_per_species)
+    species = np.unique(labels)
+    assert len(species) == 3
+    skipped, thinned = species[:2]
+    cube = read_envi_cube(config.paths["cube_header"],
+                          config.paths["cube_data"])
+    samples = np.memmap(config.paths["cube_data"], dtype=cube.dtype,
+                        mode="r+", shape=(cube.nbands, cube.nrows * cube.ncols))
+    samples[:, flat[labels == skipped]] = 0.0
+    samples[:, flat[labels == thinned][0]] = 0.0
+    samples.flush()
+    del samples
+
+    out = tmp_path / "train"
+    run_pipeline(load_config(pipeline_ini, out_override=str(out)),
+                 stop_after="train")
+    manifest = (out / "manifest.txt").read_text()
+    assert f"count statistics skipped.{skipped} 1\n" in manifest
+    assert f"valid_pixels.{skipped}" not in manifest
+    n_thinned = int((labels == thinned).sum()) - 1
+    assert f"count statistics valid_pixels.{thinned} {n_thinned}\n" in manifest
+    n_kept = len(flat) - int((labels == skipped).sum()) - 1
+    assert f"count train training_pixels {n_kept}\n" in manifest
 
 
 PROJECTED_INI = """\
@@ -683,6 +726,13 @@ class TestCli:
                             "1,2.5,1.0,3\n2,2.5\n", "line 3"),
         ("dtm.asc", "NCOLS 1\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\n"
                     "CELLSIZE 0\n500\n", "cellsize must be > 0"),
+        # headers far larger than their data are refused before allocating
+        ("dtm.asc", "NCOLS 1000000\nNROWS 1000000\nXLLCORNER 0\n"
+                    "YLLCORNER 0\nCELLSIZE 1\n500\n",
+         "found 1 data rows, expected 1000000"),
+        ("dtm.asc", "NCOLS 1000000000000\nNROWS 1\nXLLCORNER 0\n"
+                    "YLLCORNER 0\nCELLSIZE 1\n500\n",
+         "row 1 (line 6) has 1 values, expected 1000000000000"),
         ("plots.csv", "plot_id,center_x,center_y,radius,dbh_min\n"
                       "1,20,20,nan,7.5\n", "line 2"),
         ("ground_truth.csv", "x,y,species,role\nnan,9.75,PIAB,train\n",

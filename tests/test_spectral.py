@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import all_bands
 from forestinv import spectral
 from forestinv.errors import DataError, NumericalError
-from forestinv.geodata import CubeFile
 from forestinv.spectral import (
     BandSelection,
     GaussianClassStats,
@@ -21,25 +21,6 @@ from forestinv.spectral import (
     sffs_select,
     trim_bands,
 )
-
-
-@pytest.fixture
-def cube_from(tmp_path):
-    """Writes an array to a fresh file as `dtype` and returns its view."""
-    names = (tmp_path / f"cube{i}.dat" for i in itertools.count())
-
-    def make(arr, dtype="<f8", wavelengths=None):
-        arr = np.asarray(arr, dtype=dtype)
-        path = next(names)
-        arr.tofile(path)
-        return CubeFile(str(path), arr.dtype, *arr.shape, 0.0, 0.0, 1.0,
-                        wavelengths)
-
-    return make
-
-
-def all_bands(cube):
-    return np.stack([cube.band(i) for i in range(cube.nbands)])
 
 
 def stats_of(species, samples):
