@@ -6,8 +6,8 @@ center of cell (r, c) sits at
     x = xll + (c + 0.5) * cellsize
     y = yll + (nrows - r - 0.5) * cellsize
 
-All values are held as float64 internally; files round-trip to 10
-significant digits.
+All values are held as float64 internally. Grids and tables are written
+to 10 significant digits; the cube writer stores float32 samples.
 """
 
 from __future__ import annotations
@@ -168,45 +168,6 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class HyperCube:
-    """Georeferenced multi-band image, band-sequential.
-
-    `samples` has shape (nbands, nrows, ncols). NaN marks invalid pixels
-    (e.g. pixels rejected by spectral normalization).
-    """
-
-    samples: np.ndarray
-    xll: float
-    yll: float
-    cellsize: float
-    wavelengths: np.ndarray | None = None
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64))
-        if arr.ndim != 3:
-            raise ValueError("cube samples must have shape (nbands, nrows, ncols)")
-        if not self.cellsize > 0:
-            raise ValueError("cellsize must be > 0")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-        if self.wavelengths is not None:
-            object.__setattr__(self, "wavelengths", _frozen_wavelengths(
-                self.wavelengths, arr.shape[0]))
-
-    @property
-    def nbands(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def nrows(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def ncols(self) -> int:
-        return self.samples.shape[2]
-
-
-@dataclass(frozen=True)
 class CubeFile:
     """Band-sequential cube file, read one band at a time.
 
@@ -230,8 +191,13 @@ class CubeFile:
         if not self.cellsize > 0:
             raise ValueError("cellsize must be > 0")
         if self.wavelengths is not None:
-            object.__setattr__(self, "wavelengths", _frozen_wavelengths(
-                self.wavelengths, self.nbands))
+            wl = np.array(self.wavelengths, dtype=np.float64)
+            if wl.shape != (self.nbands,):
+                raise ValueError("one wavelength per band required")
+            if np.any(np.diff(wl) <= 0):
+                raise ValueError("wavelengths must be strictly increasing")
+            wl.flags.writeable = False
+            object.__setattr__(self, "wavelengths", wl)
 
     def band(self, i: int) -> np.ndarray:
         """Band `i` of the view as a new float64 (nrows, ncols) array."""
@@ -250,17 +216,6 @@ class CubeFile:
         wl = None if self.wavelengths is None else self.wavelengths[start:stop]
         return replace(self, nbands=stop - start, first=self.first + start,
                        wavelengths=wl)
-
-
-def _frozen_wavelengths(wavelengths, nbands: int) -> np.ndarray:
-    """Read-only float64 copy of one strictly increasing value per band."""
-    wl = np.ascontiguousarray(np.asarray(wavelengths, dtype=np.float64))
-    if wl.shape != (nbands,):
-        raise ValueError("one wavelength per band required")
-    if np.any(np.diff(wl) <= 0):
-        raise ValueError("wavelengths must be strictly increasing")
-    wl.flags.writeable = False
-    return wl
 
 
 @dataclass(frozen=True)
@@ -574,9 +529,11 @@ def read_envi_cube(header_path, data_path) -> CubeFile:
 
     Required header keys: samples, lines, bands, data type (4 or 12),
     interleave (bsq only), byte order (0 little / 1 big). Optional:
-    wavelength list and "map info" for the georeference (pixel (1,1)
-    upper-left corner easting/northing plus pixel size). Without map
-    info the cube is anchored at (0, 0) with cell size 1.
+    wavelength list and "map info" for the georeference: a reference
+    pixel, the easting and northing there, and the pixel size. Pixel
+    coordinates start at (1, 1) on the upper-left corner of the image,
+    so (1.5, 1.5) is the center of its first pixel. Without map info
+    the cube is anchored at (0, 0) with cell size 1.
 
     The data file's size must be the one the header implies; no sample
     is read here (see `CubeFile.band`).
@@ -632,17 +589,16 @@ def read_envi_cube(header_path, data_path) -> CubeFile:
         if len(parts) < 7:
             raise CubeFormatError(f"{header_path}: map info needs >= 7 fields")
         try:
-            ulx, uly = float(parts[3]), float(parts[4])
-            xres, yres = float(parts[5]), float(parts[6])
+            px, py, east, north, xres, yres = map(float, parts[1:7])
         except ValueError:
             raise CubeFormatError(f"{header_path}: non-numeric map info entry") from None
-        if not all(map(math.isfinite, (ulx, uly, xres))):
+        if not all(map(math.isfinite, (px, py, east, north, xres))):
             raise CubeFormatError(f"{header_path}: non-finite map info entry")
         if xres != yres:
             raise CubeFormatError(f"{header_path}: non-square pixels unsupported")
         cellsize = xres
-        xll = ulx
-        yll = uly - nrows * cellsize
+        xll = east - (px - 1) * cellsize
+        yll = north + (py - 1) * cellsize - nrows * cellsize
 
     try:
         return CubeFile(os.fspath(data_path), dtype, nbands, nrows, ncols,
@@ -682,20 +638,33 @@ def _parse_envi_header(path) -> dict[str, str]:
     return fields
 
 
-def write_envi_cube(cube: HyperCube, header_path, data_path) -> None:
-    """Write a float32 little-endian BSQ cube with its text header."""
-    arr = cube.samples.astype("<f4")
-    arr.tofile(data_path)
-    corner = (cube.xll, cube.yll + cube.nrows * cube.cellsize, cube.cellsize,
-              cube.cellsize)
-    lines = ["ENVI", f"samples = {cube.ncols}", f"lines = {cube.nrows}",
-             f"bands = {cube.nbands}", "data type = 4", "interleave = bsq",
+def write_envi_cube(bands, shape, xll, yll, cellsize, wavelengths,
+                    header_path, data_path) -> None:
+    """Write a float32 little-endian BSQ cube with its text header.
+
+    The cube has one band per wavelength, each of `shape` (nrows,
+    ncols), on the georeference `xll`, `yll`, `cellsize`. `bands` yields
+    (index, band) pairs in any order, and each band is written at its
+    byte offset as it comes, so only one band is held at a time.
+    """
+    nrows, ncols = shape
+    nbands = len(wavelengths)
+    size = nrows * ncols * 4
+    with open(data_path, "wb") as f:
+        f.truncate(nbands * size)
+        for i, band in bands:
+            if not 0 <= i < nbands or np.shape(band) != (nrows, ncols):
+                raise ValueError(f"band {i} of shape {np.shape(band)} is not "
+                                 f"in the {nbands} x {nrows} x {ncols} cube")
+            f.seek(i * size)
+            np.asarray(band, dtype="<f4").tofile(f)
+    corner = (xll, yll + nrows * cellsize, cellsize, cellsize)
+    lines = ["ENVI", f"samples = {ncols}", f"lines = {nrows}",
+             f"bands = {nbands}", "data type = 4", "interleave = bsq",
              "byte order = 0", "map info = {projected, 1, 1, "
-             + ", ".join(FLOAT_FORMAT % v for v in corner) + "}"]
-    if cube.wavelengths is not None:
-        lines.append("wavelength = {" + ", ".join(FLOAT_FORMAT % w
-                                                  for w in cube.wavelengths)
-                     + "}")
+             + ", ".join(FLOAT_FORMAT % v for v in corner) + "}",
+             "wavelength = {" + ", ".join(FLOAT_FORMAT % w
+                                          for w in wavelengths) + "}"]
     with open(header_path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -4,11 +4,11 @@
 every default and check. `random_scene` draws trees, plots and species
 signatures from it; `generate_scene` renders the trees onto a terrain
 as radial canopy profiles, samples that surface into a LiDAR point
-cloud, paints a hyperspectral cube from the signatures plus Gaussian
-noise, and emits ground-truth points, plots and truth tables. These
-use the run's allometric formulas, [registry] and [allometry], so
-end-to-end comparisons isolate the geometric and classification
-machinery.
+cloud, and emits ground-truth points, plots and truth tables; the
+hyperspectral cube, the signatures plus Gaussian noise, is painted one
+band at a time as `write_scene` writes it. The truth tables use the
+run's allometric formulas, [registry] and [allometry], so end-to-end
+comparisons isolate the geometric and classification machinery.
 
 The default "tapered_cone" profile keeps the canopy surface at
 EDGE_FRACTION of the apex height at the nominal crown radius (real
@@ -28,7 +28,7 @@ from .allometry import DbhModel, SpeciesRegistry, agb_jucker, estimate_dbh, \
 from .errors import DataError
 from .evaluate import PlotDefinition, PlotTotals, aggregate_plot, \
     write_plot_definitions, write_plot_totals
-from .geodata import Grid, GroundTruthPoint, HyperCube, PointCloud, \
+from .geodata import Grid, GroundTruthPoint, PointCloud, \
     write_ascii_grid, write_envi_cube, write_ground_truth, \
     write_point_cloud, write_table
 
@@ -134,12 +134,51 @@ _TRUTH_TREE_COLUMNS = ("tree_id", "x", "y", "species", "height",
                        "crown_diameter", "dbh", "volume", "agb")
 
 
+@dataclass(frozen=True)
+class SceneCube:
+    """The scene's hyperspectral cube on the CHM grid, painted by `bands`.
+
+    `owner` holds the index of the tree covering each cell, -1 where
+    none does. `rng_state` is the scene generator's state after the
+    point cloud, so every call of `bands` paints the same cube.
+    """
+
+    spec: SceneSpec
+    owner: np.ndarray
+    xll: float
+    yll: float
+    cellsize: float
+    wavelengths: np.ndarray
+    rng_state: dict
+
+    def bands(self):
+        """Yield (index, float64 band) in draw order: the useful bands,
+        each cell's tree signature or the background plus noise, then
+        the head bands and the tail bands, noise alone."""
+        spec, scene = self.spec, self.spec.scene
+        rng = np.random.default_rng()
+        rng.bit_generator.state = self.rng_state
+        # column 0 is the background, column i + 1 the signature of tree i
+        table = np.column_stack([spec.background] + [
+            spec.signatures[t.species] for t in spec.trees])
+        cells = self.owner + 1
+        for b, spectrum in enumerate(table, start=scene.junk_head):
+            band = spectrum[cells]
+            if scene.noise_sigma > 0:
+                band = band + rng.normal(0.0, scene.noise_sigma, cells.shape)
+            yield b, band
+        nbands = len(self.wavelengths)
+        for b in (*range(scene.junk_head),
+                  *range(nbands - scene.junk_tail, nbands)):
+            yield b, rng.normal(0.5, 0.3, cells.shape)
+
+
 @dataclass
 class SceneData:
     spec: SceneSpec
     dtm: Grid
     cloud: PointCloud
-    cube: HyperCube
+    cube: SceneCube
     ground_truth: list[GroundTruthPoint]
     plots: tuple[PlotDefinition, ...]
     truth_trees: list[TreeTruth]
@@ -333,7 +372,7 @@ def random_scene(scene: SceneConfig, seed: int,
 
 def generate_scene(spec: SceneSpec, registry=SpeciesRegistry(),
                    dbh_model=DbhModel()) -> SceneData:
-    """Render the scene: DTM, LiDAR cloud, hyperspectral cube,
+    """Render the scene: DTM, LiDAR cloud, the cube's painter,
     ground-truth points, plots and truth tables. The truth tables use
     `registry` and `dbh_model`, as the inventory does."""
     for i, tree in enumerate(spec.trees):
@@ -367,27 +406,10 @@ def generate_scene(spec: SceneSpec, registry=SpeciesRegistry(),
 
     # hyperspectral cube on the CHM grid
     chm = _chm_grid(spec)
-    nrows, ncols = chm.values.shape
     _, owner = _canopy_surface(spec, *_cell_centers(chm), want_owner=True)
-
-    head, tail = scene.junk_head, scene.junk_tail
-    n_useful = spec.background.size
-    total_bands = head + n_useful + tail
-    cube_arr = np.empty((total_bands, nrows, ncols))
-
-    # column 0 is the background, column i + 1 the signature of tree i
-    table = np.column_stack([spec.background] + [spec.signatures[t.species]
-                                                 for t in spec.trees])
-    spectra = table[:, owner + 1]
-    if scene.noise_sigma > 0:
-        spectra = spectra + rng.normal(0.0, scene.noise_sigma, spectra.shape)
-    cube_arr[head:head + n_useful] = spectra
-    if head:
-        cube_arr[:head] = rng.normal(0.5, 0.3, (head, nrows, ncols))
-    if tail:
-        cube_arr[-tail:] = rng.normal(0.5, 0.3, (tail, nrows, ncols))
-    wavelengths = np.linspace(0.38, 1.05, total_bands)
-    cube = HyperCube(cube_arr, chm.xll, chm.yll, chm.cellsize, wavelengths)
+    nbands = scene.junk_head + spec.background.size + scene.junk_tail
+    cube = SceneCube(spec, owner, chm.xll, chm.yll, chm.cellsize,
+                     np.linspace(0.38, 1.05, nbands), rng.bit_generator.state)
 
     ground_truth = [GroundTruthPoint(t.x, t.y, t.species) for t in spec.trees]
 
@@ -435,7 +457,10 @@ def write_scene(data: SceneData, outdir) -> dict[str, str]:
     }
     write_ascii_grid(data.dtm, paths["dtm"])
     write_point_cloud(data.cloud, paths["point_cloud"])
-    write_envi_cube(data.cube, paths["cube_header"], paths["cube_data"])
+    cube = data.cube
+    write_envi_cube(cube.bands(), cube.owner.shape, cube.xll, cube.yll,
+                    cube.cellsize, cube.wavelengths, paths["cube_header"],
+                    paths["cube_data"])
     write_ground_truth(data.ground_truth, paths["ground_truth"])
     write_plot_definitions(data.plots, paths["plots"])
     write_table(paths["truth_trees"], {

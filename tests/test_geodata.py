@@ -13,7 +13,6 @@ from forestinv.errors import (
 )
 from forestinv.geodata import (
     Grid,
-    HyperCube,
     PointCloud,
     bilinear_sample,
     read_ascii_grid,
@@ -331,16 +330,49 @@ class TestEnviCube:
 
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        cube = HyperCube(rng.uniform(0, 1, (4, 3, 5)).astype(np.float32),
-                         xll=500.0, yll=600.0, cellsize=0.5,
-                         wavelengths=np.linspace(0.4, 1.0, 4))
+        samples = rng.uniform(0, 1, (4, 3, 5)).astype(np.float32)
+        wavelengths = np.linspace(0.4, 1.0, 4)
         hdr = tmp_path / "c.hdr"
         dat = tmp_path / "c.dat"
-        write_envi_cube(cube, hdr, dat)
+        # each band lands at its own offset, whatever order it comes in
+        write_envi_cube(((i, samples[i]) for i in (2, 0, 3, 1)), (3, 5),
+                        500.0, 600.0, 0.5, wavelengths, hdr, dat)
+        assert dat.read_bytes() == samples.astype("<f4").tobytes()
         back = read_envi_cube(hdr, dat)
-        np.testing.assert_allclose(all_bands(back), cube.samples, rtol=1e-6)
-        np.testing.assert_allclose(back.wavelengths, cube.wavelengths, rtol=1e-9)
+        np.testing.assert_array_equal(all_bands(back), samples)
+        np.testing.assert_allclose(back.wavelengths, wavelengths, rtol=1e-9)
         assert back.xll == 500.0 and back.yll == 600.0 and back.cellsize == 0.5
+
+    @pytest.mark.parametrize("index, shape", [(4, (3, 5)), (-1, (3, 5)),
+                                              (0, (5, 3))])
+    def test_writer_refuses_a_band_outside_the_cube(self, tmp_path, index,
+                                                    shape):
+        with pytest.raises(ValueError, match="not in the 4 x 3 x 5 cube"):
+            write_envi_cube([(index, np.zeros(shape))], (3, 5), 0.0, 0.0,
+                            1.0, np.arange(4.0), tmp_path / "c.hdr",
+                            tmp_path / "c.dat")
+
+    @pytest.mark.parametrize("pixel, corner", [
+        ("1, 1", (100.0, 199.0)),
+        ("1.5, 1.5", (99.75, 199.25)),   # the first pixel's center
+        ("3, 7", (99.0, 202.0)),
+        ("nan, nan", None),
+    ])
+    def test_map_info_reference_pixel(self, tmp_path, pixel, corner):
+        # a 2 x 2 cube of 0.5 m cells; (pixel) lies at easting 100,
+        # northing 200, and pixel (1, 1) is the image's upper-left corner
+        hdr, dat = self._write(
+            tmp_path,
+            "samples = 2\nlines = 2\nbands = 1\ndata type = 4\n"
+            "interleave = bsq\nbyte order = 0\n"
+            f"map info = {{projected, {pixel}, 100, 200, 0.5, 0.5}}\n",
+            b"\x00" * 16)
+        if corner is None:
+            with pytest.raises(CubeFormatError, match="non-finite map info"):
+                read_envi_cube(hdr, dat)
+        else:
+            cube = read_envi_cube(hdr, dat)
+            assert (cube.xll, cube.yll, cube.cellsize) == (*corner, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ def tiny_spec(shape="tapered_cone", **overrides):
     )
     base.update(overrides)
     return SceneSpec(**base)
+
+
+def painted_bands(data):
+    """The float64 bands the scene's cube paints, stacked in file order."""
+    bands = dict(data.cube.bands())
+    return np.stack([bands[i] for i in range(len(bands))])
 
 
 class TestProfiles:
@@ -76,9 +83,10 @@ class TestGenerate:
         data = generate_scene(spec)
         tree = spec.trees[0]
         cell = (int((spec.height - tree.y) / 0.5), int(tree.x / 0.5))
-        np.testing.assert_allclose(data.cube.samples[:, cell[0], cell[1]],
+        cube = painted_bands(data)
+        np.testing.assert_allclose(cube[:, cell[0], cell[1]],
                                    spec.signatures["PIAB"], atol=1e-12)
-        corner = data.cube.samples[:, 0, 0]
+        corner = cube[:, 0, 0]
         np.testing.assert_allclose(corner, spec.background, atol=1e-12)
 
     def test_realized_density_within_five_percent(self):
@@ -90,14 +98,18 @@ class TestGenerate:
         assert abs(realized - density) / density < 0.05
 
     def test_same_seed_identical_files(self, tmp_path):
-        spec = tiny_spec()
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        write_scene(generate_scene(spec), a)
+        # noise and junk bands, so that the cube draws from the generator
+        spec = tiny_spec(scene=SceneConfig(junk_head=2, junk_tail=1))
+        a, b, again = tmp_path / "a", tmp_path / "b", tmp_path / "again"
+        data = generate_scene(spec)
+        write_scene(data, a)
         write_scene(generate_scene(spec), b)
+        # a scene written twice paints the same cube both times
+        write_scene(data, again)
         for name in ("dtm.asc", "points.csv", "cube.dat", "ground_truth.csv",
                      "plots.csv", "truth_trees.csv", "truth_plots.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+            assert (a / name).read_bytes() == (again / name).read_bytes(), name
 
     def test_tree_outside_bounds_rejected(self):
         spec = tiny_spec(trees=(TreeSpec(100.0, 5.0, 18.0, 3.0, "PIAB"),))
@@ -179,11 +191,55 @@ class TestRandomScene:
         cube = read_envi_cube(paths["cube_header"], paths["cube_data"])
         assert dtm.cellsize == DTM_RESOLUTION
         assert len(cloud) == len(data.cloud)
-        assert cube.nbands == data.cube.nbands
+        painted = painted_bands(data)
+        assert cube.nbands == len(painted)
         assert cube.xll == pytest.approx(spec.xll)
         np.testing.assert_allclose(
             np.stack([cube.band(i) for i in range(cube.nbands)]),
-            data.cube.samples, rtol=1e-5, atol=1e-5)
+            painted, rtol=1e-5, atol=1e-5)
+
+    def test_no_whole_cube_in_memory(self, tmp_path):
+        spec = random_scene(SceneConfig(n_trees=4, nbands=300,
+                                        point_density=1.0), seed=8)
+        res = spec.chm_resolution
+        cells = round(spec.width / res) * round(spec.height / res)
+        tracemalloc.start()
+        try:
+            write_scene(generate_scene(spec), tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * cells * np.dtype(np.float64).itemsize
+
+
+def cell_centers(spec):
+    """x and y of every CHM cell center of the scene, row 0 north."""
+    res = spec.chm_resolution
+    ncols = int(round(spec.width / res))
+    nrows = int(round(spec.height / res))
+    cx = spec.xll + (np.arange(ncols) + 0.5) * res
+    cy = spec.yll + (nrows - np.arange(nrows) - 0.5) * res
+    return np.meshgrid(cx, cy)
+
+
+def one_shot_cube(spec):
+    """Reference cube, painted whole: each cell's spectrum from the full
+    scan's owner, one 3-D noise draw over the useful bands, then the
+    head and the tail bands, all after the point cloud's two draws."""
+    scene = spec.scene
+    rng = np.random.default_rng(spec.seed)
+    n_points = int(round(scene.point_density * spec.width * spec.height))
+    rng.uniform(spec.xll, spec.xll + spec.width, n_points)
+    rng.uniform(spec.yll, spec.yll + spec.height, n_points)
+    _, owner = full_scan_canopy(spec, *cell_centers(spec))
+    table = np.column_stack([spec.background] + [spec.signatures[t.species]
+                                                 for t in spec.trees])
+    spectra = table[:, owner + 1]
+    if scene.noise_sigma > 0:
+        spectra = spectra + rng.normal(0.0, scene.noise_sigma, spectra.shape)
+    head = rng.normal(0.5, 0.3, (scene.junk_head, *owner.shape))
+    tail = rng.normal(0.5, 0.3, (scene.junk_tail, *owner.shape))
+    return np.concatenate([head, spectra, tail])
 
 
 def full_scan_canopy(spec, x, y):
@@ -273,12 +329,7 @@ class TestCanopySurface:
         spec = random_scene(SceneConfig(
             n_trees=7, species=("PIAB", "FASY"), nbands=3, pitch=6.0,
             margin=4.0, n_plots=0, shape=shape), 3)
-        res = spec.chm_resolution
-        ncols = int(round(spec.width / res))
-        nrows = int(round(spec.height / res))
-        cx = spec.xll + (np.arange(ncols) + 0.5) * res
-        cy = spec.yll + (nrows - np.arange(nrows) - 0.5) * res
-        gx, gy = np.meshgrid(cx, cy)
+        gx, gy = cell_centers(spec)
         assert_canopy_matches_full_scan(spec, gx, gy)
         grid = render_canopy_grid(spec)
         assert np.array_equal(grid.values, full_scan_canopy(spec, gx, gy)[0])
@@ -287,15 +338,22 @@ class TestCanopySurface:
         spec = random_scene(SceneConfig(
             n_trees=12, species=("PIAB", "FASY", "LADE"), nbands=6,
             n_plots=0, noise_sigma=0.0, junk_head=2, junk_tail=1), 5)
-        cube = generate_scene(spec).cube
-        _, nrows, ncols = cube.samples.shape
-        res = spec.chm_resolution
-        cx = spec.xll + (np.arange(ncols) + 0.5) * res
-        cy = spec.yll + (nrows - np.arange(nrows) - 0.5) * res
-        gx, gy = np.meshgrid(cx, cy)
-        _, owner = full_scan_canopy(spec, gx, gy)
-        painted = np.tile(spec.background[:, None, None], (1, nrows, ncols))
+        cube = painted_bands(generate_scene(spec))
+        _, owner = full_scan_canopy(spec, *cell_centers(spec))
+        painted = np.tile(spec.background[:, None, None], (1, *owner.shape))
         for idx, tree in enumerate(spec.trees):
             painted[:, owner == idx] = spec.signatures[tree.species][:, None]
         assert len(np.unique(owner)) == len(spec.trees) + 1
-        assert np.array_equal(cube.samples[2:-1], painted)
+        assert np.array_equal(cube[2:-1], painted)
+
+    @pytest.mark.parametrize("noise_sigma, junk_head, junk_tail", [
+        (0.05, 3, 2), (0.0, 3, 2), (0.05, 0, 0)])
+    def test_written_cube_equals_one_shot_painting(
+            self, tmp_path, noise_sigma, junk_head, junk_tail):
+        spec = random_scene(SceneConfig(
+            n_trees=6, species=("PIAB", "FASY"), nbands=5, n_plots=0,
+            point_density=2.0, noise_sigma=noise_sigma, junk_head=junk_head,
+            junk_tail=junk_tail), 9)
+        write_scene(generate_scene(spec), tmp_path)
+        assert ((tmp_path / "cube.dat").read_bytes()
+                == one_shot_cube(spec).astype("<f4").tobytes())
