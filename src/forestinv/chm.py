@@ -40,8 +40,10 @@ _TRI_CHUNK = 32768
 _CELL_MARGIN = 1e-6
 # cells per block of the convex-hull test
 _HULL_BLOCK = 4096
-# points per tile; a layer with fewer than twice this many is one tile
-_TILE_POINTS = 10_000
+# points per tile; a layer with fewer than twice this many is one tile.
+# Each thread has one tile's Qhull working set in flight, so smaller
+# tiles lower the CHM's peak memory (ROADMAP "Closed areas" has the sweep)
+_TILE_POINTS = 5_000
 # A point counts as off a triangle's circumcircle only if its power
 # (squared distance from the center minus squared radius) clears both
 # this fraction of the circle's scale and Qhull's rounding, which grows
@@ -126,10 +128,13 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     The raster extent defaults to the cloud's bounding box snapped to
     the resolution. Cells covered by no surviving triangle are 0 inside
     the convex hull of the threshold-0 points and nodata outside it.
+    A layer of at least 2 * _TILE_POINTS (10,000) points is cut into
+    tiles of about _TILE_POINTS points; a smaller one is one tile.
     Each tile is one job: Qhull, then the certificate. With threads > 1,
     this thread runs every threads-th job and threads - 1 worker threads
     run the others; this thread rasterizes the results in tile order, so
-    the result does not depend on `threads`.
+    the result does not depend on `threads`. Once a layer's last tile is
+    rasterized, nothing holds its points or its k-d tree any more.
     """
     # scipy.spatial costs half a second to import, so only a CHM loads
     # it; it is imported here, before any worker thread starts
@@ -169,9 +174,11 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     cx = xll + (cols + 0.5) * res
     cy = yll + (nrows - rows - 0.5) * res
 
-    # every layer keeps the (x, y) order of the deduplicated points
+    # every layer keeps the (x, y) order of the deduplicated points;
+    # the layers hold all of them, so the whole arrays go
     layers = [_Layer(x[sel], y[sel], h[sel], shift)
               for sel in (h >= t for t in params.height_thresholds)]
+    del x, y, h
     acc = np.full((nrows, ncols), -np.inf)
     hull_mask = np.zeros((nrows, ncols), dtype=bool)
     if layers[0].n >= 3:
@@ -191,11 +198,12 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
              else _tile_cores(layer.qx, layer.qy) if tiled else [_WHOLE]
              for layer in layers]
 
-    def tile(layer, i, core):
+    def tile(i, core):
         """The kept triangles of one tile and its dropped count, or None
         if the layer falls back. The tiles of a layer that fell back are
         not needed any more; a job that reads the flag before another
         sets it wastes one tile."""
+        layer = layers[i]
         if layer.fallback:
             return None
         idx, tin = _triangulate(layer.qx, layer.qy, core, halo)
@@ -206,16 +214,20 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
             layer.fallback = True
         return kept
 
-    jobs = [(layer, i, core)
-            for i, layer in enumerate(layers) for core in cores[i]]
+    # a job names its layer by index, so that once the layer's last tile
+    # is rasterized and its entry cleared, its points and k-d tree go
+    jobs = [(i, core) for i, layer_cores in enumerate(cores)
+            for core in layer_cores]
     results = _lookahead(tile, jobs, threads)
     part = np.empty_like(acc)   # the TIN of the current layer
+    counts, fallbacks = {}, 0
     with closing(results):
-        for i, layer in enumerate(layers):
+        for i, layer_cores in enumerate(cores):
+            layer = layers[i]
             part.fill(-np.inf)
-            layer.tiles = len(cores[i])
+            layer.tiles = len(layer_cores)
             whole = False
-            for result in islice(results, len(cores[i])):
+            for result in islice(results, len(layer_cores)):
                 if whole:
                     continue
                 if result is None:
@@ -233,17 +245,17 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
                     _rasterize_tin(layer.x, layer.y, layer.h, kept, xll, yll,
                                    res, nrows, part)
             np.maximum(acc, part, out=acc)
+            counts.update({f"layer{i}.points": layer.n,
+                           f"layer{i}.triangles": layer.triangles,
+                           f"layer{i}.tiles": layer.tiles,
+                           f"layer{i}.dropped": layer.dropped})
+            fallbacks += layer.fallback
+            layers[i] = layer = None
 
     covered = acc > -np.inf
     out = np.where(covered, acc, np.where(hull_mask, 0.0, DEFAULT_NODATA))
     out[covered] = np.maximum(out[covered], 0.0)
-    counts = {}
-    for i, layer in enumerate(layers):
-        counts.update({f"layer{i}.points": layer.n,
-                       f"layer{i}.triangles": layer.triangles,
-                       f"layer{i}.tiles": layer.tiles,
-                       f"layer{i}.dropped": layer.dropped})
-    counts["fallback_layers"] = sum(layer.fallback for layer in layers)
+    counts["fallback_layers"] = fallbacks
     return ChmGrid(out, xll, yll, res, DEFAULT_NODATA, counts)
 
 
@@ -307,8 +319,9 @@ def _exact_shift(v):
 
 def _tile_cores(px, py):
     """Half-open core boxes (x0, x1, y0, y1) of a layer's tiles, about
-    n / _TILE_POINTS of them over the bounding box; the outer sides are
-    infinite. px is sorted."""
+    n / _TILE_POINTS of them over the bounding box, or one box for
+    fewer than 2 * _TILE_POINTS points; the outer sides are infinite.
+    px is sorted."""
     want = len(px) / _TILE_POINTS
     w = px[-1] - px[0]
     d = py.max() - py.min()

@@ -63,7 +63,10 @@ def _centroid_index(model: CentroidModel, pixels: np.ndarray) -> np.ndarray:
     which is the lexicographically smallest species code."""
     if pixels.shape[1] != model.centroids.shape[1]:
         raise ValueError("pixel dimension does not match the model")
-    d2 = ((pixels[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
+    # one species at a time: no (rows x species x features) temporary
+    d2 = np.empty((len(pixels), len(model.centroids)))
+    for j, c in enumerate(model.centroids):
+        d2[:, j] = ((pixels - c) ** 2).sum(axis=1)
     return np.argmin(d2, axis=1)
 
 

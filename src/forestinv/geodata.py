@@ -28,6 +28,7 @@ from .errors import (
 
 DEFAULT_NODATA = -9999.0
 FLOAT_FORMAT = "%.10g"   # every float written to a grid, header or table
+_TABLE_ROWS = 65536   # rows of an array column made Python values at once
 HEIGHT_FLOOR = -1.0  # lowest height above ground a PointCloud accepts
 
 
@@ -380,13 +381,23 @@ def read_table(path, columns, required, make, error=DataError) -> list:
 def write_table(path, columns) -> None:
     """Write a comma-separated table; the one writer of every output table.
 
-    `columns` maps each header name to its list of values. Floats are
-    written FLOAT_FORMAT, ints exactly, strs as they are and None as an
-    empty field. Types are checked per column, not per row. Columns of
-    unequal length raise ValueError.
+    `columns` maps each header name to its values: a list, or a 1-D
+    numpy array of numbers, which is turned into Python values
+    _TABLE_ROWS rows at a time, so a large array never becomes one
+    whole-column list. Floats are written FLOAT_FORMAT, ints and bools
+    exactly, strs as they are and None as an empty field. Types are
+    checked per column, not per row. Columns of unequal length raise
+    ValueError.
     """
+    lengths = set(map(len, columns.values()))
+    if len(lengths) > 1:
+        raise ValueError("columns of unequal length")
     fields, cells = [], []
     for values in columns.values():
+        if isinstance(values, np.ndarray):
+            fields.append(FLOAT_FORMAT if values.dtype.kind == "f" else "%d")
+            cells.append(values)
+            continue
         kinds = set(map(type, values))
         if kinds <= {float}:
             fields.append(FLOAT_FORMAT)
@@ -401,8 +412,11 @@ def write_table(path, columns) -> None:
     row = ",".join(fields) + "\n"
     with open(path, "w") as f:
         f.write(",".join(columns) + "\n")
-        for values in zip(*cells, strict=True):
-            f.write(row % values)
+        for start in range(0, max(lengths, default=0), _TABLE_ROWS):
+            part = [v[start:start + _TABLE_ROWS] for v in cells]
+            for values in zip(*[v.tolist() if isinstance(v, np.ndarray)
+                                else v for v in part]):
+                f.write(row % values)
 
 
 def _table_header(path, line, columns, required, error) -> list[str]:
@@ -482,8 +496,7 @@ def _reject_first(path, column, bad, rule):
 
 def write_point_cloud(cloud: PointCloud, path) -> None:
     write_table(path, dict(zip(_CLOUD_COLUMNS, (
-        cloud.x.tolist(), cloud.y.tolist(), cloud.z.tolist(),
-        cloud.return_number.tolist(), cloud.is_ground.astype(int).tolist()))))
+        cloud.x, cloud.y, cloud.z, cloud.return_number, cloud.is_ground))))
 
 
 _TRUTH_COLUMNS = ("x", "y", "species", "role")

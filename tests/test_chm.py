@@ -1,5 +1,6 @@
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -413,6 +414,45 @@ def test_a_fallen_back_layer_triangulates_no_more_tiles(monkeypatch):
     assert len(fell_back) == grid.counts["fallback_layers"]
     assert all(i <= fell_back.get(layer, i)
                for i, (layer, _) in enumerate(calls))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_finished_layer_is_freed_before_the_next_is_rasterized(
+        monkeypatch, threads):
+    cloud, params = make_cloud("jittered", 3, 25, monkeypatch)
+    # per layer: weak references to its x array, which names the layer
+    # in the rasterizer's calls, then to the layer, its other arrays and
+    # its k-d tree's data
+    refs = []
+
+    class Layer(chm_mod._Layer):
+        def __post_init__(self):
+            super().__post_init__()
+            refs.append([weakref.ref(v) for v in
+                         (self.x, self, self.y, self.h, self.qx, self.qy)])
+
+        @property
+        def tree(self):
+            tree = super().tree
+            mine = next(r for r in refs if r[0]() is self.x)
+            mine.append(weakref.ref(tree.data))
+            return tree
+
+    rasterized = []
+    rasterize = chm_mod._rasterize_tin
+
+    def check(px, *args):
+        layer = next(i for i, r in enumerate(refs) if r[0]() is px)
+        rasterized.append(layer)
+        assert all(ref() is None for r in refs[:layer] for ref in r)
+        return rasterize(px, *args)
+
+    monkeypatch.setattr(chm_mod, "_Layer", Layer)
+    monkeypatch.setattr(chm_mod, "_rasterize_tin", check)
+    grid = chm_with_tiles(monkeypatch, cloud, params, 25, threads=threads)
+    assert grid.counts["layer0.tiles"] > 1
+    assert len(set(rasterized)) == len(params.height_thresholds)
+    assert any(len(r) > 6 for r in refs)   # some layer built its tree
 
 
 class JobFailed(Exception):

@@ -283,6 +283,25 @@ class TestCentroid:
                               np.array([[0.0, 1.0], [5.0, 5.0]]), ())
         assert predict_centroid(model, np.array([5.0, 5.0])) == "B"
 
+    @pytest.mark.parametrize("features", [1, 3, 8, 35])
+    def test_index_equals_the_broadcast_formula(self, features):
+        """Distances taken one species at a time pick, bit for bit, the
+        centroid the (rows x species x features) broadcast picked, ties
+        included: integer-valued pixels tie exactly. classify_image
+        passes Fortran-ordered blocks, so both orders are checked."""
+        rng = np.random.default_rng(features)
+        centroids = rng.integers(-2, 3, (5, features)).astype(float)
+        centroids[4] = centroids[2]
+        pixels = np.vstack([rng.integers(-3, 4, (500, features)),
+                            rng.normal(0.0, 2.0, (500, features))])
+        model = CentroidModel(tuple("ABCDE"), centroids, ())
+        for block in (pixels, np.asfortranarray(pixels)):
+            d2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+            np.testing.assert_array_equal(
+                classify_mod._centroid_index(model, block),
+                np.argmin(d2, axis=1))
+
     def test_rescaling_invariance(self):
         x, labels = blobs(seed=3)
         model = train_centroid(x, labels)

@@ -224,7 +224,9 @@ AWKWARD_VALUES = [-0.0, 0.0, 1e-300, 5e-324, -9999.0, 0.1, 1 / 3, 1e16,
                   123456789.0123, -2.5e-7]
 
 
-def test_writers_match_per_value_format(tmp_path):
+def test_writers_match_per_value_format(tmp_path, monkeypatch):
+    # tables are written in slices of 16 rows: 13 whole ones and a part
+    monkeypatch.setattr("forestinv.geodata._TABLE_ROWS", 16)
     rng = np.random.default_rng(3)
     noise = rng.standard_normal(200) * 10.0 ** rng.integers(-12, 13, 200)
     finite = np.concatenate([AWKWARD_VALUES, noise])
