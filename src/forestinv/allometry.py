@@ -183,14 +183,24 @@ def volume_double_entry(dbh: float, height: float,
     return params.a * (dbh - params.d0) ** params.b * height ** params.c, False
 
 
+def allometry(height: float, crown_diameter: float, species: str,
+              registry: SpeciesRegistry, dbh_model: DbhModel | None):
+    """One tree's (dbh, agb, volume, fallback code or None, below-d0
+    flag) from its height, crown diameter and species."""
+    dbh = estimate_dbh(height, crown_diameter, dbh_model)
+    agb = agb_jucker(height, crown_diameter, registry.group(species))
+    params, fallback = registry.volume_params(species)
+    volume, below = volume_double_entry(dbh, height, params)
+    return dbh, agb, volume, fallback, below
+
+
 def enrich_crowns(crowns, registry: SpeciesRegistry,
                   dbh_model: DbhModel | None = None) -> list[str]:
     """Fill dbh, agb and volume on labeled crowns in place.
 
     Unlabeled crowns and unknown species are skipped; one report line
-    per skipped crown and per fallback used is returned.
+    per skipped crown, per fallback used and per zero volume is returned.
     """
-    dbh_model = dbh_model or DbhModel()
     report = []
     for crown in crowns:
         if crown.species_code is None:
@@ -200,17 +210,13 @@ def enrich_crowns(crowns, registry: SpeciesRegistry,
             report.append(f"crown {crown.crown_id}: unknown species "
                           f"{crown.species_code!r}, skipped")
             continue
-        h = crown.tree_height
-        cd = crown.crown_diameter
-        crown.dbh = estimate_dbh(h, cd, dbh_model)
-        crown.agb = agb_jucker(h, cd, registry.group(crown.species_code))
-        params, fallback = registry.volume_params(crown.species_code)
-        crown.volume, below = volume_double_entry(crown.dbh, h, params)
-        crown.fallback_used = fallback
-        if fallback is not None:
+        (crown.dbh, crown.agb, crown.volume, crown.fallback_used,
+         below) = allometry(crown.tree_height, crown.crown_diameter,
+                            crown.species_code, registry, dbh_model)
+        if crown.fallback_used is not None:
             report.append(f"crown {crown.crown_id}: volume parameters "
-                          f"borrowed from {fallback}")
+                          f"borrowed from {crown.fallback_used}")
         if below:
             report.append(f"crown {crown.crown_id}: dbh {crown.dbh:.2f} cm at "
-                          f"or below threshold {params.d0:.2f} cm, volume 0")
+                          f"or below d0, volume 0")
     return report

@@ -246,12 +246,12 @@ def train_svm(pixels: np.ndarray, labels, C: float = 10.0,
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     species, index = _species_index(labels)
-    if not C > 0:
-        raise ValueError("C must be > 0")
+    if not 0 < C < np.inf:
+        raise ValueError("C must be finite and > 0")
     if gamma is None:
         gamma = 1.0 / pixels.shape[1]
-    if not gamma > 0:
-        raise ValueError("gamma must be > 0")
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be finite and > 0")
 
     mean = pixels.mean(axis=0)
     std = pixels.std(axis=0)
@@ -327,8 +327,9 @@ def classify_image(cube, model, mask: np.ndarray | None = None):
     `cube` is a cube view (a `CubeFile` or a `NormalizedCube`); only the
     model's bands are read from it, once each, in the model's order.
     `mask`, a boolean (rows, cols) array, marks the active pixels;
-    inactive or NaN pixels become nodata. Returns (label Grid holding
-    species index + 1 as the code, legend mapping code -> species).
+    inactive or NaN pixels become nodata. Returns (label Grid, the
+    model's sorted species): a classified pixel holds the code index + 1
+    of its species, so code c is species[c - 1].
 
     Pixels are predicted in blocks of at most _PREDICT_BUDGET kernel
     entries: a block's rows times the support-vector union for the SVM,
@@ -355,24 +356,24 @@ def classify_image(cube, model, mask: np.ndarray | None = None):
         c = cols[start:start + step]
         out[r, c] = index_of(model, data[:, r, c].T) + 1
     grid = Grid(out, cube.xll, cube.yll, cube.cellsize, LABEL_NODATA)
-    return grid, {i + 1: sp for i, sp in enumerate(model.species)}
+    return grid, model.species
 
 
-def label_crowns_majority(label_grid: Grid, legend: dict[int, str], crowns,
+def label_crowns_majority(label_grid: Grid, species, crowns,
                           owner: np.ndarray):
     """Most frequent classified species inside each crown.
 
-    Ties go to the lexicographically smallest species; crowns of the
-    `owner` raster (from grow_crowns) with no legend pixel stay unset and
-    are reported. Mutates species_code in place; returns unlabeled ids.
+    `label_grid` and `species` are as `classify_image` returns them:
+    code c is species[c - 1], and every valid cell holds a code in
+    1..len(species). Ties go to the first, lexicographically smallest
+    species; crowns of the `owner` raster (from grow_crowns) with no
+    classified pixel stay unset and are reported. Mutates species_code
+    in place; returns unlabeled ids.
     """
-    species = sorted(set(legend.values()))
-    rank = np.full(owner.shape, -1)
-    for code, sp in legend.items():
-        rank[label_grid.values == code] = species.index(sp)
-    sel = (rank >= 0) & (owner > 0) & label_grid.valid_mask()
+    sel = (owner > 0) & label_grid.valid_mask()
     n_ids, n = int(owner.max()) + 1, len(species)
-    counts = np.bincount(owner[sel].astype(np.intp) * n + rank[sel],
+    index = label_grid.values[sel].astype(np.intp) - 1
+    counts = np.bincount(owner[sel].astype(np.intp) * n + index,
                          minlength=n_ids * n).reshape(n_ids, n)
     for crown in crowns:
         row = counts[crown.crown_id]
@@ -380,9 +381,9 @@ def label_crowns_majority(label_grid: Grid, legend: dict[int, str], crowns,
     return [crown.crown_id for crown in crowns if crown.species_code is None]
 
 
-def write_legend(legend: dict[int, str], path) -> None:
-    codes = sorted(legend)
-    write_table(path, {"code": codes, "species": [legend[c] for c in codes]})
+def write_legend(species, path) -> None:
+    """The label codes 1..len(species) and their species."""
+    write_table(path, {"code": range(1, len(species) + 1), "species": species})
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ the values.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import typing
 from dataclasses import dataclass, fields
@@ -23,6 +24,7 @@ from .allometry import (
 from .chm import PitfreeParams
 from .crowns import ItcParams
 from .errors import ConfigError
+from .spectral import MIN_CLASS_PIXELS
 from .synth import SceneConfig
 
 
@@ -42,6 +44,9 @@ class SpectralConfig:
             raise ValueError("k must be >= 1")
         if self.criterion_aggregate not in ("mean", "min"):
             raise ValueError("criterion_aggregate must be mean or min")
+        if self.max_training_pixels_per_species < MIN_CLASS_PIXELS:
+            raise ValueError(f"max_training_pixels_per_species must be >= "
+                             f"{MIN_CLASS_PIXELS}")
 
 
 @dataclass
@@ -53,10 +58,10 @@ class ClassifyConfig:
     def __post_init__(self):
         if self.classifier not in ("svm", "centroid"):
             raise ValueError("classifier must be svm or centroid")
-        if not self.c > 0:
-            raise ValueError("c must be > 0")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be finite and > 0")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and > 0")
 
 
 @dataclass

@@ -278,7 +278,6 @@ def spatial_join(points: list[GroundTruthPoint], crowns: list[CrownRecord],
 class SplitResult:
     train_ids: tuple[int, ...]
     test_ids: tuple[int, ...]
-    singletons: tuple[int, ...]  # species with one crown; forced to train
 
 
 def split_train_test(labels: dict[int, str], train_fraction: float,
@@ -286,7 +285,7 @@ def split_train_test(labels: dict[int, str], train_fraction: float,
     """Stratified split of labeled crowns into train and test sets.
 
     Per species, floor(n * fraction) crowns go to train (at least one
-    when n >= 2); singletons go to train and are flagged. Deterministic
+    when n >= 2); a species' single crown goes to train. Deterministic
     for a given seed.
     """
     if not (0 < train_fraction < 1):
@@ -296,20 +295,18 @@ def split_train_test(labels: dict[int, str], train_fraction: float,
     for cid in sorted(labels):
         by_species.setdefault(labels[cid], []).append(cid)
 
-    train, test, singles = [], [], []
+    train, test = [], []
     for sp in sorted(by_species):
         ids = by_species[sp]
         if len(ids) == 1:
             train.append(ids[0])
-            singles.append(ids[0])
             continue
         n_train = max(1, math.floor(len(ids) * train_fraction))
         perm = rng.permutation(len(ids))
         chosen = [ids[i] for i in perm[:n_train]]
         train.extend(chosen)
         test.extend(ids[i] for i in perm[n_train:])
-    return SplitResult(tuple(sorted(train)), tuple(sorted(test)),
-                       tuple(sorted(singles)))
+    return SplitResult(tuple(sorted(train)), tuple(sorted(test)))
 
 
 # ---------------------------------------------------------------------------

@@ -89,15 +89,10 @@ class Grid:
         y = self.yll + (self.nrows - row - 0.5) * self.cellsize
         return x, y
 
-    def cell_of(self, x, y):
+    def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """(row, col) of the cell containing map point (x, y)."""
-        scalar = np.isscalar(x) and np.isscalar(y)
-        x = np.asarray(x)
-        y = np.asarray(y)
-        col = np.floor((x - self.xll) / self.cellsize).astype(np.int64)
-        row = self.nrows - 1 - np.floor((y - self.yll) / self.cellsize).astype(np.int64)
-        if scalar:
-            return int(row), int(col)
+        col = math.floor((x - self.xll) / self.cellsize)
+        row = self.nrows - 1 - math.floor((y - self.yll) / self.cellsize)
         return row, col
 
     def contains(self, x: float, y: float) -> bool:

@@ -289,13 +289,15 @@ def _stage_statistics(out, config, cube, owner, truth_species, split):
         owner, truth_species, split.train_ids, config.run.seed,
         config.spectral.max_training_pixels_per_species)
     species = np.unique(labels)
-    # one read of each band serves every species; normalize_spectrum
-    # leaves every pixel all-NaN or all-finite, so dropping the rows
-    # with a NaN keeps the valid pixels on any bands
-    x = cube.take(flat).T
+    # one read of each band serves every species. C order: the species
+    # means and covariances sum rows in order
+    x = np.empty((len(flat), cube.nbands))
+    for i in range(cube.nbands):
+        x[:, i] = cube.band(i).ravel()[flat]
+    # normalize_spectrum leaves every pixel all-NaN or all-finite, so
+    # dropping the rows with a NaN keeps the valid pixels on any bands
     valid = ~np.isnan(x).any(axis=1)
-    # C order: the species means and covariances sum rows in order
-    x, labels = np.ascontiguousarray(x[valid]), labels[valid]
+    x, labels = x[valid], labels[valid]
     # labels are grouped by species, so each species' rows are one block;
     # a species with no valid row keeps an empty one
     blocks = np.split(x, np.searchsorted(labels, species[1:]))
@@ -331,34 +333,33 @@ def _stage_train(out, config, training, bands):
     x, labels = training
     # take() keeps the rows C-contiguous, which the scaling sums rely on
     x = x.take(bands, axis=1)
+    counts = {"training_pixels": len(x)}
     if config.classify.classifier == "svm":
         model = classify_mod.train_svm(
             x, labels, C=config.classify.c, gamma=config.classify.gamma,
             bands=bands)
-    else:
-        model = classify_mod.train_centroid(x, labels, bands=bands)
-    classify_mod.save_model(model, os.path.join(out, "model.txt"))
-    counts = {"training_pixels": len(x)}
-    if config.classify.classifier == "svm":
         counts["support_vectors"] = sum(len(p.coefficients)
                                         for p in model.pairs)
         counts["smo_iterations"] = sum(p.iterations for p in model.pairs)
+    else:
+        model = classify_mod.train_centroid(x, labels, bands=bands)
+    classify_mod.save_model(model, os.path.join(out, "model.txt"))
     return {"model": model}, counts
 
 
 def _stage_classify(out, config, chm, cube, model):
     mask = chm.valid_mask() & (chm.values >= config.itc.height_threshold)
-    label_grid, legend = classify_mod.classify_image(cube, model, mask=mask)
+    label_grid, species = classify_mod.classify_image(cube, model, mask=mask)
     write_ascii_grid(label_grid, os.path.join(out, "species_labels.asc"))
-    classify_mod.write_legend(legend, os.path.join(out, "species_legend.csv"))
+    classify_mod.write_legend(species, os.path.join(out, "species_legend.csv"))
     counts = {"pixels_classified": int(label_grid.valid_mask().sum())}
     if isinstance(model, classify_mod.SvmModel):
         counts["support_vector_union"] = len(model.union[0])
-    return {"label_grid": label_grid, "legend": legend}, counts
+    return {"label_grid": label_grid, "species": species}, counts
 
 
-def _stage_label(out, label_grid, legend, crowns, owner):
-    unlabeled = classify_mod.label_crowns_majority(label_grid, legend,
+def _stage_label(out, label_grid, species, crowns, owner):
+    unlabeled = classify_mod.label_crowns_majority(label_grid, species,
                                                    crowns, owner)
     return {"crowns": crowns}, {"unlabeled_crowns": len(unlabeled)}
 

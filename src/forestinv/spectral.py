@@ -77,7 +77,7 @@ def trim_bands(cube: CubeFile, drop_head: int, drop_tail: int) -> CubeFile:
 @dataclass(frozen=True)
 class NormalizedCube:
     """`source` with every pixel divided by its own spectral mean, read
-    one band at a time.
+    one band at a time through `band`, the view's only reader.
 
     `safe` holds the per-pixel means, with 1.0 at the `bad` pixels
     (mean 0 or not finite); those read as NaN on every band.
@@ -116,18 +116,6 @@ class NormalizedCube:
         out = self.source.band(i)
         out /= self.safe
         out[self.bad] = np.nan
-        return out
-
-    def take(self, flat: np.ndarray) -> np.ndarray:
-        """Every band at the flat pixel indices `flat`, as an (nbands,
-        len(flat)) array that equals `band(i).ravel()[flat]` bit for bit.
-        Each source band is read whole, but only the taken pixels are
-        divided."""
-        out = np.empty((self.nbands, len(flat)))
-        for i in range(self.nbands):
-            np.take(self.source.band(i), flat, out=out[i])
-        out /= self.safe.ravel()[flat]
-        out[:, self.bad.ravel()[flat]] = np.nan
         return out
 
 
@@ -221,48 +209,34 @@ def _pairwise_jm(means: np.ndarray, covs: np.ndarray) -> list[list[float]]:
 
 def jm_distance(a: GaussianClassStats, b: GaussianClassStats) -> float:
     """Jeffries-Matusita distance between two classes on all their bands."""
-    if a.dim != b.dim:
-        raise ValueError("class statistics have mismatched dimensions")
-    return _pairwise_jm(np.stack([a.mean, b.mean])[None],
-                        np.stack([a.covariance, b.covariance])[None])[0][0]
-
-
-def _aggregate(aggregate: str):
-    if aggregate == "mean":
-        return np.mean
-    if aggregate == "min":
-        return np.min
-    raise ValueError(f"unknown aggregate {aggregate!r}")
+    return jm_criterion([a, b], range(a.dim))
 
 
 def jm_criterion(stats, indices, aggregate: str = "mean") -> float:
     """Aggregate pairwise JM over all species pairs on a band subset."""
-    if len(stats) < 2:
-        raise DataError("need at least two species")
-    reduce = _aggregate(aggregate)
-    idx = np.asarray(sorted(indices), dtype=np.intp)
-    values = _pairwise_jm(
-        np.stack([s.mean[idx] for s in stats])[None],
-        np.stack([s.covariance[idx[:, None], idx] for s in stats])[None])[0]
-    return float(reduce(values))
+    return _Criterion(stats, aggregate).scores([tuple(sorted(indices))])[0]
 
 
 class _Criterion:
-    """`jm_criterion` for one search: every subset is scored once, and
-    the unscored subsets of one step are scored in one batch."""
+    """The JM criterion of one set of class statistics: every subset is
+    scored once, and the unscored subsets of one call are scored in one
+    batch."""
 
     def __init__(self, stats, aggregate: str):
         if len(stats) < 2:
             raise DataError("need at least two species")
-        self.reduce = _aggregate(aggregate)
+        if len({s.dim for s in stats}) != 1:
+            raise ValueError("class statistics have mismatched dimensions")
+        if aggregate not in ("mean", "min"):
+            raise ValueError(f"unknown aggregate {aggregate!r}")
+        self.reduce = np.mean if aggregate == "mean" else np.min
         self.means = np.stack([s.mean for s in stats])         # (S, dim)
         self.covs = np.stack([s.covariance for s in stats])    # (S, dim, dim)
         self.memo: dict[tuple[int, ...], float] = {}
 
-    def best(self, bands, subsets):
-        """(band, score) of the best-scoring subset, where subsets[i] is
-        a sorted index tuple of one size that goes with bands[i]; ties
-        keep the first band."""
+    def scores(self, subsets) -> list[float]:
+        """The score of each subset, a sorted band-index tuple; all
+        subsets have one size."""
         new = [s for s in subsets if s not in self.memo]
         if new:
             idx = np.array(new, dtype=np.intp)
@@ -272,9 +246,13 @@ class _Criterion:
                 .transpose(1, 0, 2, 3))
             for subset, pair_values in zip(new, values):
                 self.memo[subset] = float(self.reduce(pair_values))
+        return [self.memo[s] for s in subsets]
+
+    def best(self, bands, subsets):
+        """(band, score) of the best-scoring subset, where subsets[i]
+        goes with bands[i]; ties keep the first band."""
         best_band, best_score = None, -np.inf
-        for band, subset in zip(bands, subsets):
-            score = self.memo[subset]
+        for band, score in zip(bands, self.scores(subsets)):
             if score > best_score:
                 best_band, best_score = band, score
         return best_band, best_score
@@ -320,24 +298,22 @@ def sffs_select(stats, k: int, candidates=None,
     best-known score at the smaller size. Deterministic: criterion ties
     always resolve to the lowest band index. Returns the best subset of
     size k encountered, which by construction scores at least as high
-    as plain forward selection. Each step scores its candidates in one
-    batch and no subset is scored twice, so every score equals the
-    `jm_criterion` value of its subset.
+    as plain forward selection. Subsets are scored by the scorer behind
+    `jm_criterion`, each step's candidates in one batch and no subset
+    twice, so every score equals the `jm_criterion` value of its subset.
     """
     if k <= 0:
         raise ValueError("k must be >= 1")
-    if len(stats) < 2:
-        raise DataError("need at least two species")
+    criterion = _Criterion(stats, aggregate)
     pool = list(range(stats[0].dim)) if candidates is None else sorted(candidates)
     if k > len(pool):
         raise ValueError(f"k={k} exceeds the {len(pool)} candidate bands")
 
-    criterion = _Criterion(stats, aggregate)
     best: dict[int, tuple[float, tuple[int, ...]]] = {}
     for sel in _forward(criterion, pool, k):
         best[len(sel.indices)] = (sel.criterion_value, sel.indices)
 
-    current = list(best[min(2, k)][1]) if k >= 2 else list(best[1][1])
+    current = list(best[min(2, k)][1])
     for _ in range(MAX_SFFS_ROUNDS):
         if len(current) >= k:
             score, subset = best[k]

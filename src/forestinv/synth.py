@@ -23,8 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .allometry import DbhModel, SpeciesRegistry, agb_jucker, estimate_dbh, \
-    volume_double_entry
+from .allometry import DbhModel, SpeciesRegistry, allometry
 from .errors import DataError
 from .evaluate import PlotDefinition, PlotTotals, aggregate_plot, \
     write_plot_definitions, write_plot_totals
@@ -425,10 +424,8 @@ def _truth_trees(spec: SceneSpec, registry: SpeciesRegistry,
     out = []
     for i, tree in enumerate(spec.trees, start=1):
         cd = 2.0 * contour_radius(spec, tree)
-        dbh = estimate_dbh(tree.height, cd, dbh_model)
-        agb = agb_jucker(tree.height, cd, registry.group(tree.species))
-        params, _ = registry.volume_params(tree.species)
-        volume, _ = volume_double_entry(dbh, tree.height, params)
+        dbh, agb, volume, _, _ = allometry(tree.height, cd, tree.species,
+                                           registry, dbh_model)
         out.append(TreeTruth(i, tree.x, tree.y, tree.species, tree.height,
                              cd, dbh, volume, agb))
     return out

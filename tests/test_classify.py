@@ -383,10 +383,10 @@ class TestClassifyImage:
             train_labels.extend([sp] * 30)
         model = train_svm(np.vstack(train_px), train_labels, C=10.0,
                           bands=(0, 1, 2))
-        labels, legend = classify_image(cube, model)
-        pred = np.empty(truth.shape, dtype=object)
-        for code, sp in legend.items():
-            pred[labels.values == code] = sp
+        labels, species = classify_image(cube, model)
+        assert species == model.species
+        assert set(np.unique(labels.values)) <= {1, 2, 3}
+        pred = np.asarray(species)[labels.values.astype(int) - 1]
         accuracy = (pred == truth).mean()
         assert accuracy >= 0.99
 
@@ -520,12 +520,12 @@ class TestPredictionBlocks:
                                                     monkeypatch):
         cube, models = self._models(cube_from)
         for model in models:
-            full, legend = classify_image(cube, model)
+            full, species = classify_image(cube, model)
             width = self._width(model)
             for budget in (width - 1, width, 7 * width + 3, 10 ** 9):
                 monkeypatch.setattr(classify_mod, "_PREDICT_BUDGET", budget)
                 blocked, again = classify_image(cube, model)
-                assert again == legend
+                assert again == species
                 np.testing.assert_array_equal(blocked.values, full.values)
 
     def test_no_block_exceeds_the_budget(self, cube_from, monkeypatch):
@@ -565,9 +565,9 @@ def make_crown(cid):
                        crown_diameter=1.0)
 
 
-def reference_majority(label_grid, legend, crowns, owner):
+def reference_majority(label_grid, species, crowns, owner):
     """The per-cell loop the bincount replaced: species by crown id, or
-    None when the crown has no classified pixel in the legend."""
+    None when the crown has no classified pixel. Code c is species[c - 1]."""
     out = {}
     for crown in crowns:
         counts = {}
@@ -575,9 +575,8 @@ def reference_majority(label_grid, legend, crowns, owner):
             v = label_grid.values[r, c]
             if v == label_grid.nodata or np.isnan(v):
                 continue
-            sp = legend.get(int(v))
-            if sp is not None:
-                counts[sp] = counts.get(sp, 0) + 1
+            sp = species[int(v) - 1]
+            counts[sp] = counts.get(sp, 0) + 1
         out[crown.crown_id] = (min(counts, key=lambda sp: (-counts[sp], sp))
                                if counts else None)
     return out
@@ -594,7 +593,7 @@ class TestMajorityLabel:
         vals[1, :3] = 2  # B x3
         grid = self._label_grid(vals)
         crown = make_crown(1)
-        unlabeled = label_crowns_majority(grid, {1: "A", 2: "B"}, [crown],
+        unlabeled = label_crowns_majority(grid, ("A", "B"), [crown],
                                           np.ones((2, 8), dtype=np.int32))
         assert crown.species_code == "A"
         assert unlabeled == []
@@ -605,14 +604,14 @@ class TestMajorityLabel:
         vals[0, 4:] = 1
         grid = self._label_grid(vals)
         crown = make_crown(1)
-        label_crowns_majority(grid, {1: "A", 2: "B"}, [crown],
+        label_crowns_majority(grid, ("A", "B"), [crown],
                               np.ones((1, 8), dtype=np.int32))
         assert crown.species_code == "A"
 
     def test_all_nodata_reported(self):
         grid = self._label_grid(-9999.0 * np.ones((1, 4)))
         crown = make_crown(7)
-        unlabeled = label_crowns_majority(grid, {1: "A"}, [crown],
+        unlabeled = label_crowns_majority(grid, ("A", "B"), [crown],
                                           np.full((1, 4), 7, dtype=np.int32))
         assert crown.species_code is None
         assert unlabeled == [7]
@@ -623,22 +622,22 @@ class TestMajorityLabel:
     def test_matches_per_cell_reference(self, seed, nrows, ncols, n_crowns):
         rng = np.random.default_rng(seed)
         # non-contiguous crown ids, each owning at least one cell (as its
-        # apex does); legend codes with gaps, some codes on the grid
-        # missing from the legend, several codes per species
+        # apex does); the codes classify_image writes, 1..S for S sorted
+        # species, and nodata elsewhere
         n_crowns = min(n_crowns, nrows * ncols)
         ids = np.sort(rng.choice(np.arange(1, 40), n_crowns, replace=False))
         cells = rng.choice(np.concatenate(([0], ids)), nrows * ncols)
         cells[:n_crowns] = ids
         owner = rng.permutation(cells).reshape(nrows, ncols).astype(np.int32)
-        legend = {int(code): str(rng.choice(["PIAB", "FASY", "ABAL"]))
-                  for code in rng.choice([1, 2, 4, 7, 9], rng.integers(0, 5),
-                                         replace=False)}
-        values = rng.choice([-9999.0, np.nan, 1, 2, 3, 4, 5, 7, 9],
+        species = tuple(sorted(rng.choice(
+            ["ABAL", "FASY", "LADE", "PIAB", "QUPU"], rng.integers(1, 6),
+            replace=False).tolist()))
+        values = rng.choice([-9999.0, *range(1, len(species) + 1)],
                             (nrows, ncols))
         grid = self._label_grid(values)
         crowns = [make_crown(int(cid)) for cid in ids]
-        expected = reference_majority(grid, legend, crowns, owner)
-        unlabeled = label_crowns_majority(grid, legend, crowns, owner)
+        expected = reference_majority(grid, species, crowns, owner)
+        unlabeled = label_crowns_majority(grid, species, crowns, owner)
         assert {c.crown_id: c.species_code for c in crowns} == expected
         assert unlabeled == [cid for cid in expected if expected[cid] is None]
 

@@ -500,7 +500,6 @@ class TestSplit:
         labels = {1: "A", 2: "B", 3: "B"}
         res = split_train_test(labels, 0.65, seed=0)
         assert 1 in res.train_ids
-        assert res.singletons == (1,)
 
     def test_spruce_counts_near_field_campaign_split(self):
         # 176 Norway spruce individuals at a 65% split: 114 vs the

@@ -893,6 +893,12 @@ class TestCli:
         ("[spectral]\ndrop_head = -1\n", [], ("[spectral]", "drop_head")),
         ("", ["--threads", "0"], ("[run]", "threads")),
         ("", ["--seed", "-1"], ("[run]", "seed")),
+        *[(f"[spectral]\nmax_training_pixels_per_species = {cap}\n", [],
+           ("[spectral]", "max_training_pixels_per_species must be >= 2"))
+          for cap in (-1, 0, 1)],
+        ("[classify]\nc = inf\n", [], ("[classify]", "c must be finite")),
+        ("[classify]\ngamma = inf\n", [],
+         ("[classify]", "gamma must be finite")),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, text, flags, names):
         cfg = tmp_path / "scene.ini"

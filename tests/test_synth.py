@@ -146,6 +146,27 @@ class TestGenerate:
         assert t.volume == pytest.approx(
             volume_double_entry(t.dbh, 18.0, params)[0])
 
+    @pytest.mark.parametrize("species", ["PIAB", "QUPU"])
+    def test_inventory_and_truth_tables_agree_on_one_tree(self, species):
+        # a crown that measures as the tree does gets the tree's truth
+        # values bit for bit, also through a volume fallback
+        from forestinv.allometry import DbhModel, SpeciesRegistry, enrich_crowns
+        from forestinv.crowns import CrownRecord
+
+        tree = TreeSpec(15.25, 15.25, 18.0, 3.5, species)
+        spec = tiny_spec(trees=(tree,), signatures={species: np.ones(3)})
+        registry, dbh_model = SpeciesRegistry(), DbhModel(0.6, 0.8, 0.05)
+        data = generate_scene(spec, registry, dbh_model)
+        t = data.truth_trees[0]
+        crown = CrownRecord(1, 0, 0, t.apex_x, t.apex_y, t.height, 1.0,
+                            t.crown_diameter, species_code=species)
+        report = enrich_crowns([crown], registry, dbh_model)
+        assert (crown.dbh, crown.agb, crown.volume) == (t.dbh, t.agb,
+                                                        t.volume)
+        assert crown.volume > 0
+        assert crown.fallback_used == (None if species == "PIAB" else "FASY")
+        assert len(report) == (species != "PIAB")
+
     def test_plot_truth_radius_and_dbh_filter(self):
         spec = tiny_spec(plots=(PlotDefinition(1, 15.25, 15.25, radius=15.0),
                                 PlotDefinition(2, 2.0, 2.0, radius=5.0)))
