@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 GYMNOSPERM = "gymnosperm"
 ANGIOSPERM = "angiosperm"
@@ -186,11 +186,21 @@ def volume_double_entry(dbh: float, height: float,
 def allometry(height: float, crown_diameter: float, species: str,
               registry: SpeciesRegistry, dbh_model: DbhModel | None):
     """One tree's (dbh, agb, volume, fallback code or None, below-d0
-    flag) from its height, crown diameter and species."""
-    dbh = estimate_dbh(height, crown_diameter, dbh_model)
-    agb = agb_jucker(height, crown_diameter, registry.group(species))
+    flag) from its height, crown diameter and species; a dbh, agb or
+    volume beyond the float range raises NumericalError."""
+    group = registry.group(species)
     params, fallback = registry.volume_params(species)
-    volume, below = volume_double_entry(dbh, height, params)
+    try:
+        dbh = estimate_dbh(height, crown_diameter, dbh_model)
+        agb = agb_jucker(height, crown_diameter, group)
+        volume, below = volume_double_entry(dbh, height, params)
+        finite = all(map(math.isfinite, (dbh, agb, volume)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NumericalError(f"{species} tree of height {height:g} m and "
+                             f"crown diameter {crown_diameter:g} m: dbh, agb "
+                             f"or volume overflows")
     return dbh, agb, volume, fallback, below
 
 

@@ -324,8 +324,8 @@ def _vote_winner(votes: np.ndarray, margin: np.ndarray) -> np.ndarray:
 def classify_image(cube, model, mask: np.ndarray | None = None):
     """Per-pixel prediction over masked pixels.
 
-    `cube` is a cube view (a `CubeFile` or a `NormalizedCube`); only the
-    model's bands are read from it, once each, in the model's order.
+    `cube` is a `CubeFile` view, normalized or not; only the model's
+    bands are read from it, once each, in the model's order.
     `mask`, a boolean (rows, cols) array, marks the active pixels;
     inactive or NaN pixels become nodata. Returns (label Grid, the
     model's sorted species): a classified pixel holds the code index + 1

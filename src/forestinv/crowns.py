@@ -53,8 +53,6 @@ class CrownRecord:
     """One delineated tree crown."""
 
     crown_id: int
-    apex_row: int
-    apex_col: int
     apex_x: float
     apex_y: float
     tree_height: float
@@ -130,7 +128,7 @@ def detect_treetops(chm: Grid, params: ItcParams) -> list[Apex]:
     rows, cols, heights = rows[order], cols[order], heights[order]
     xs, ys = chm.cell_center(rows, cols)
     size = int(params.min_dist // chm.cellsize) + 1
-    min_d2 = params.min_dist ** 2
+    min_d2 = params.min_dist * params.min_dist
     buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
     apexes: list[Apex] = []
     for r, c, x, y, h in zip(rows.tolist(), cols.tolist(), xs.tolist(),
@@ -190,7 +188,8 @@ def grow_crowns(chm: Grid, apexes: list[Apex],
 
     sum_h = [0.0] + [apex.height for apex in apexes]
     count = [0] + [1] * len(apexes)
-    max_r2 = (params.max_dist / 2.0) ** 2
+    max_r = params.max_dist / 2.0
+    max_r2 = max_r * max_r
     cs = chm.cellsize
 
     # heap entries: (-cell height, -apex height, crown id, flat index);
@@ -230,7 +229,6 @@ def grow_crowns(chm: Grid, apexes: list[Apex],
         area = int(n_cells[k]) * cell_area
         crowns.append(CrownRecord(
             crown_id=k,
-            apex_row=apex.row, apex_col=apex.col,
             apex_x=apex.x, apex_y=apex.y,
             tree_height=apex.height,
             crown_area=area,

@@ -135,7 +135,7 @@ def aggregate_plot(crowns, plot: PlotDefinition) -> PlotTotals:
     volume = 0.0
     agb_kg = 0.0
     n = 0
-    r2 = plot.radius ** 2
+    r2 = plot.radius * plot.radius
     for crown in crowns:
         if crown.dbh is None or crown.volume is None or crown.agb is None:
             continue
@@ -152,18 +152,22 @@ def aggregate_plot(crowns, plot: PlotDefinition) -> PlotTotals:
 
 
 def pearson_r(observed, predicted) -> float:
-    """Sample Pearson correlation coefficient."""
+    """Sample Pearson correlation coefficient; a series with zero
+    variance, or sums beyond the float range, raise NumericalError."""
     x = np.asarray(observed, dtype=np.float64)
     y = np.asarray(predicted, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length series of >= 2 values")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
-    if sx == 0.0 or sy == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        yc = y - y.mean()
+        sxx, syy, sxy = float(xc @ xc), float(yc @ yc), float(xc @ yc)
+    if sxx == 0.0 or syy == 0.0:
         raise NumericalError("correlation undefined: a series has zero variance")
-    return float(xc @ yc) / (sx * sy)
+    r = sxy / (math.sqrt(sxx) * math.sqrt(syy))
+    if not math.isfinite(r):
+        raise NumericalError("correlation undefined: the sums overflow")
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,10 @@ class CubeFile:
 
     The view covers bands `first` to `first + nbands - 1` of the file at
     `path`, whose samples are `dtype` values in band, row, column order.
-    Only `band` reads samples, so a view holds none of them.
+    Only `band` reads samples, so a view holds none of them. `band`
+    divides what it reads by each (nrows, ncols) grid of `divisors` in
+    turn; `spectral.normalize_spectrum` adds one grid of per-pixel means
+    per pass, NaN at the pixels it cannot normalize.
     """
 
     path: str
@@ -182,6 +185,7 @@ class CubeFile:
     cellsize: float
     wavelengths: np.ndarray | None = None
     first: int = 0
+    divisors: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         if not self.cellsize > 0:
@@ -196,7 +200,8 @@ class CubeFile:
             object.__setattr__(self, "wavelengths", wl)
 
     def band(self, i: int) -> np.ndarray:
-        """Band `i` of the view as a new float64 (nrows, ncols) array."""
+        """Band `i` of the view over its divisors, as a new float64
+        (nrows, ncols) array."""
         if not 0 <= i < self.nbands:
             raise IndexError(f"band {i} outside the {self.nbands}-band view")
         size = self.nrows * self.ncols
@@ -205,7 +210,10 @@ class CubeFile:
         if raw.size != size:
             raise CubeFormatError(f"{self.path}: band {self.first + i} is "
                                   f"cut short")
-        return raw.astype(np.float64).reshape(self.nrows, self.ncols)
+        out = raw.astype(np.float64).reshape(self.nrows, self.ncols)
+        for divisor in self.divisors:
+            out /= divisor
+        return out
 
     def bands(self, start: int, stop: int) -> CubeFile:
         """Bands `start` to `stop - 1` of the view; reads nothing."""

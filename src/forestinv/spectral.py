@@ -9,7 +9,7 @@ driven by the Jeffries-Matusita separability between species pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -74,59 +74,14 @@ def trim_bands(cube: CubeFile, drop_head: int, drop_tail: int) -> CubeFile:
     return cube.bands(drop_head, cube.nbands - drop_tail)
 
 
-@dataclass(frozen=True)
-class NormalizedCube:
-    """`source` with every pixel divided by its own spectral mean, read
-    one band at a time through `band`, the view's only reader.
-
-    `safe` holds the per-pixel means, with 1.0 at the `bad` pixels
-    (mean 0 or not finite); those read as NaN on every band.
-    """
-
-    source: CubeFile | NormalizedCube
-    safe: np.ndarray
-    bad: np.ndarray
-
-    @property
-    def nbands(self) -> int:
-        return self.source.nbands
-
-    @property
-    def nrows(self) -> int:
-        return self.source.nrows
-
-    @property
-    def ncols(self) -> int:
-        return self.source.ncols
-
-    @property
-    def xll(self) -> float:
-        return self.source.xll
-
-    @property
-    def yll(self) -> float:
-        return self.source.yll
-
-    @property
-    def cellsize(self) -> float:
-        return self.source.cellsize
-
-    def band(self, i: int) -> np.ndarray:
-        """Band `i` of the source over `safe`, NaN at the bad pixels."""
-        out = self.source.band(i)
-        out /= self.safe
-        out[self.bad] = np.nan
-        return out
-
-
-def normalize_spectrum(cube: CubeFile | NormalizedCube
-                       ) -> tuple[NormalizedCube, int]:
+def normalize_spectrum(cube: CubeFile) -> tuple[CubeFile, int]:
     """Divide every pixel by its own spectral mean.
 
     Normalized pixels have spectral mean 1, so the operation is
     idempotent and insensitive to per-pixel illumination scaling.
     Pixels whose mean is 0 (or not finite) become NaN; their count is
-    returned alongside the normalized view.
+    returned alongside the normalized view, which is `cube` with the
+    grid of means added to its divisors, NaN at those pixels.
 
     The bands are read once and added in band order into one grid, so
     the means are bit for bit those of `samples.mean(axis=0)` while no
@@ -137,8 +92,9 @@ def normalize_spectrum(cube: CubeFile | NormalizedCube
         means += cube.band(i)
     means /= cube.nbands
     bad = ~np.isfinite(means) | (means == 0.0)
-    safe = np.where(bad, 1.0, means)
-    return NormalizedCube(cube, safe, bad), int(bad.sum())
+    means[bad] = np.nan
+    means.flags.writeable = False
+    return replace(cube, divisors=(*cube.divisors, means)), int(bad.sum())
 
 
 def class_statistics(spectra_by_species: dict[str, np.ndarray]):

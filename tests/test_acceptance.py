@@ -313,7 +313,7 @@ def test_criterion_09_itc_on_cone_scenes():
                                apexes[i].y - apexes[j].y)
                 assert d >= params.min_dist
 
-        crown_by_apex = {(c.apex_row, c.apex_col): c for c in crowns}
+        crown_by_apex = {(c.apex_x, c.apex_y): c for c in crowns}
         matched = 0
         for tree in spec.trees:
             cell = chm.cell_of(tree.x, tree.y)
@@ -322,7 +322,7 @@ def test_criterion_09_itc_on_cone_scenes():
             if len(near) != 1:
                 continue
             matched += 1
-            crown = crown_by_apex[(near[0].row, near[0].col)]
+            crown = crown_by_apex[(near[0].x, near[0].y)]
             analytic = math.pi * ((1.0 - params.thresh_seed)
                                   * tree.crown_radius) ** 2
             err = abs(crown.crown_area - analytic) / analytic

@@ -16,7 +16,7 @@ from forestinv.allometry import (
     volume_double_entry,
 )
 from forestinv.crowns import CrownRecord
-from forestinv.errors import DataError
+from forestinv.errors import DataError, NumericalError
 
 
 def reference_agb(h, cd, alpha_g, beta_g):
@@ -140,8 +140,8 @@ class TestVolume:
 
 
 def make_crown(cid, species, height=25.0, diameter=5.0):
-    return CrownRecord(crown_id=cid, apex_row=0, apex_col=0, apex_x=0.0,
-                       apex_y=0.0, tree_height=height, crown_area=1.0,
+    return CrownRecord(crown_id=cid, apex_x=0.0, apex_y=0.0,
+                       tree_height=height, crown_area=1.0,
                        crown_diameter=diameter, species_code=species)
 
 
@@ -183,6 +183,14 @@ class TestEnrichment:
         crown = make_crown(5, "ZZZZ")
         report = enrich_crowns([crown], reg)
         assert crown.volume is not None and report == []
+
+    @pytest.mark.parametrize("model", [DbhModel(coeff_b=400.0),
+                                       DbhModel(sigma=1e200),
+                                       DbhModel(coeff_a=1e308)])
+    def test_overflow_is_a_numerical_error(self, model):
+        crown = make_crown(6, "PIAB")
+        with pytest.raises(NumericalError, match="overflows"):
+            enrich_crowns([crown], SpeciesRegistry(), model)
 
 
 def test_registry_unknown_code():

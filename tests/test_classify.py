@@ -23,8 +23,8 @@ from forestinv.classify import (
 )
 from forestinv.crowns import CrownRecord
 from forestinv.errors import DataError, NumericalError
-from forestinv.geodata import Grid
-from forestinv.spectral import NormalizedCube, normalize_spectrum
+from forestinv.geodata import CubeFile, Grid
+from forestinv.spectral import normalize_spectrum
 
 
 def blobs(seed=0, centers=((0.0, 0.0), (5.0, 5.0)), n=20, radius=0.5):
@@ -420,13 +420,13 @@ class TestClassifyImage:
                               (4, 1, 3))
         selected = np.stack([cube.band(b) for b in model.bands])
         read = []
-        band = NormalizedCube.band
+        band = CubeFile.band
 
         def recording_band(self, i):
             read.append(i)
             return band(self, i)
 
-        monkeypatch.setattr(NormalizedCube, "band", recording_band)
+        monkeypatch.setattr(CubeFile, "band", recording_band)
         grid, _ = classify_image(cube, model)
         assert read == [4, 1, 3]
         pixels = selected.reshape(3, -1).T
@@ -560,9 +560,8 @@ class TestPredictionBlocks:
 
 
 def make_crown(cid):
-    return CrownRecord(crown_id=cid, apex_row=0, apex_col=0, apex_x=0.0,
-                       apex_y=0.0, tree_height=10.0, crown_area=1.0,
-                       crown_diameter=1.0)
+    return CrownRecord(crown_id=cid, apex_x=0.0, apex_y=0.0,
+                       tree_height=10.0, crown_area=1.0, crown_diameter=1.0)
 
 
 def reference_majority(label_grid, species, crowns, owner):

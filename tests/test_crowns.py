@@ -163,7 +163,6 @@ def reference_grow_crowns(chm, apexes, params):
         area = int(n_cells[k]) * cell_area
         crowns.append(CrownRecord(
             crown_id=k,
-            apex_row=apex.row, apex_col=apex.col,
             apex_x=apex.x, apex_y=apex.y,
             tree_height=apex.height,
             crown_area=area,
@@ -358,7 +357,7 @@ class TestGrowCrowns:
         assert crown.crown_area == pytest.approx(n_cells * CS * CS)
         assert crown.crown_diameter == pytest.approx(
             2 * math.sqrt(crown.crown_area / math.pi))
-        assert owner[crown.apex_row, crown.apex_col] == crown.crown_id
+        assert owner[chm.cell_of(crown.apex_x, crown.apex_y)] == crown.crown_id
 
 
 @st.composite
@@ -468,9 +467,9 @@ class TestSpatialJoin:
         chm = grid_from(np.full((6, 8), 10.0))
         owner = np.ones((6, 8), dtype=np.int32)
         x, y = chm.cell_center(2, 3)
-        crown = CrownRecord(crown_id=1, apex_row=2, apex_col=3,
-                            apex_x=float(x), apex_y=float(y), tree_height=10.0,
-                            crown_area=48 * CS * CS, crown_diameter=1.0)
+        crown = CrownRecord(crown_id=1, apex_x=float(x), apex_y=float(y),
+                            tree_height=10.0, crown_area=48 * CS * CS,
+                            crown_diameter=1.0)
         width, height = 8 * CS, 6 * CS
         outside = [GroundTruthPoint(-0.1, 1.0, "WEST"),
                    GroundTruthPoint(width + 0.1, 1.0, "EAST"),

@@ -32,8 +32,8 @@ REF_AGB_PR = [1.07, 1.45, 37.01, 8.99, 9.19, 2.68, 5.39, 9.53, 7.43,
 
 
 def crown_at(cid, x, y, species=None, dbh=None, volume=None, agb=None):
-    return CrownRecord(crown_id=cid, apex_row=0, apex_col=0, apex_x=x,
-                       apex_y=y, tree_height=20.0, crown_area=10.0,
+    return CrownRecord(crown_id=cid, apex_x=x, apex_y=y,
+                       tree_height=20.0, crown_area=10.0,
                        crown_diameter=3.0, species_code=species, dbh=dbh,
                        volume=volume, agb=agb)
 
@@ -168,6 +168,10 @@ class TestPearson:
     def test_zero_variance(self):
         with pytest.raises(NumericalError):
             pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    def test_sums_beyond_the_float_range(self):
+        with pytest.raises(NumericalError, match="overflow"):
+            pearson_r([1.7e308, 1.7e308, 1.0], [1.0, 2.0, 3.0])
 
     @given(a=st.floats(0.1, 50), b=st.floats(-100, 100),
            c=st.floats(0.1, 50), d=st.floats(-100, 100))

@@ -31,7 +31,6 @@ from forestinv.geodata import CubeFile, PointCloud, read_ascii_grid, \
     read_envi_cube
 from forestinv import pipeline as pipeline_mod
 from forestinv.pipeline import _training_pixels, run_pipeline
-from forestinv.spectral import NormalizedCube
 from forestinv.synth import SceneConfig, generate_scene, random_scene, \
     write_scene
 
@@ -377,9 +376,8 @@ class TestPipeline:
                                        "bands"}
         # the normalized cube is a view: one grid of means over the file
         cube = result.context["cube"]
-        assert isinstance(cube, NormalizedCube)
-        assert isinstance(cube.source, CubeFile)
-        assert cube.safe.shape == (cube.nrows, cube.ncols)
+        assert isinstance(cube, CubeFile)
+        assert [d.shape for d in cube.divisors] == [(cube.nrows, cube.ncols)]
         config = load_config(pipeline_ini, out_override=str(tmp_path / "b"))
         result = run_pipeline(config)
         # exactly the report stage's parameters
@@ -873,6 +871,59 @@ class TestCli:
                 "meet the CHM extent" in err), err
         assert "stage plots failed" in (out / "manifest.txt").read_text()
         assert not (out / "plot_totals.csv").exists()
+
+    @pytest.mark.parametrize("text, table, code, expect", [
+        ("[crowns]\nmax_dist = 1e200\n", None, 0, "R (volume) = "),
+        ("[crowns]\nmin_dist = 1e200\nmax_dist = 1e200\n", None, 3,
+         "stage statistics: fewer than two species"),
+        ("", ("plots.csv", "radius", "1e300", [1]), 0, "R (volume) = "),
+        ("[allometry]\ndbh_coeff_b = 400\n", None, 4, "overflows"),
+        ("[allometry]\ndbh_sigma = 1e200\n", None, 4, "overflows"),
+        ("[allometry]\ndbh_coeff_a = 1e308\n", None, 4, "overflows"),
+        ("", ("truth_plots.csv", "volume_m3", "1.7e308", [1, 2]), 0,
+         "R (volume) undefined: correlation undefined: the sums overflow"),
+    ], ids=["max_dist", "min_dist", "radius", "dbh_coeff_b", "dbh_sigma",
+            "dbh_coeff_a", "truth_volume"])
+    def test_extreme_finite_value_exits_with_a_code(self, tmp_path, capsys,
+                                                    text, table, code,
+                                                    expect):
+        # squares, powers and sums beyond the float range end in an exit
+        # code (4 if no result can be had) or a report line, never in a
+        # traceback or a NaN
+        pipeline_ini = make_scene(tmp_path)
+        with open(pipeline_ini, "a") as f:
+            f.write("\n" + text)
+        if table is not None:
+            name, column, value, rows = table
+            path = pipeline_ini.parent / name
+            lines = [line.split(",") for line in path.read_text().splitlines()]
+            for i in rows:
+                lines[i][lines[0].index(column)] = value
+            path.write_text("".join(",".join(c) + "\n" for c in lines))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(pipeline_ini),
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert expect in err, err
+            assert "status failed" in (out / "manifest.txt").read_text()
+        else:
+            report = (out / "report.txt").read_text()
+            assert expect in report and "nan" not in report, report
+
+    @pytest.mark.parametrize("text", ["dbh_coeff_b = 400",
+                                      "dbh_sigma = 1e200",
+                                      "dbh_coeff_a = 1e308"])
+    def test_synth_with_overflowing_allometry_exits_4(self, tmp_path, capsys,
+                                                      text):
+        cfg = tmp_path / "scene.ini"
+        cfg.write_text("[scene]\nn_trees = 4\nnbands = 4\nn_plots = 1\n"
+                       f"[run]\noutput_dir = scene\n[allometry]\n{text}\n")
+        assert main(["synth", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "overflows" in err, err
+        assert "Traceback" not in err
 
     def test_relative_out_resolves_against_the_cwd(self, tmp_path,
                                                    monkeypatch):

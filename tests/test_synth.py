@@ -158,7 +158,7 @@ class TestGenerate:
         registry, dbh_model = SpeciesRegistry(), DbhModel(0.6, 0.8, 0.05)
         data = generate_scene(spec, registry, dbh_model)
         t = data.truth_trees[0]
-        crown = CrownRecord(1, 0, 0, t.apex_x, t.apex_y, t.height, 1.0,
+        crown = CrownRecord(1, t.apex_x, t.apex_y, t.height, 1.0,
                             t.crown_diameter, species_code=species)
         report = enrich_crowns([crown], registry, dbh_model)
         assert (crown.dbh, crown.agb, crown.volume) == (t.dbh, t.agb,
