@@ -19,7 +19,7 @@ from .geodata import Grid, write_table
 
 LABEL_NODATA = -9999.0
 _KERNEL_BLOCK = 65536   # kernel entries per in-place block, ~512 KiB
-_PREDICT_BUDGET = 1 << 21   # kernel entries per prediction block, 16 MiB
+_PREDICT_ROWS = 512   # pixels per prediction block
 
 
 # ---------------------------------------------------------------------------
@@ -325,38 +325,32 @@ def classify_image(cube, model, mask: np.ndarray | None = None):
     """Per-pixel prediction over masked pixels.
 
     `cube` is a `CubeFile` view, normalized or not; only the model's
-    bands are read from it, once each, in the model's order.
-    `mask`, a boolean (rows, cols) array, marks the active pixels;
-    inactive or NaN pixels become nodata. Returns (label Grid, the
-    model's sorted species): a classified pixel holds the code index + 1
-    of its species, so code c is species[c - 1].
-
-    Pixels are predicted in blocks of at most _PREDICT_BUDGET kernel
-    entries: a block's rows times the support-vector union for the SVM,
-    times species x features for the centroid model.
+    bands are read from it, once each, in the model's order, and only
+    the masked pixels are kept. `mask`, a boolean (rows, cols) array,
+    marks the active pixels; inactive or NaN pixels become nodata.
+    Returns (label Grid, the model's sorted species): a classified pixel
+    holds the code index + 1 of its species, so code c is species[c - 1].
+    Pixels are predicted in blocks of _PREDICT_ROWS rows.
     """
-    data = np.empty((len(model.bands), cube.nrows, cube.ncols))
+    shape = (cube.nrows, cube.ncols)
+    if mask is None:
+        mask = np.ones(shape, dtype=bool)
+    elif mask.shape != shape:
+        raise DataError("mask is not aligned with the cube")
+    flat = np.flatnonzero(mask)
+    pixels = np.empty((len(flat), len(model.bands)))
     for j, b in enumerate(model.bands):
-        data[j] = cube.band(b)
-    active = ~np.isnan(data).any(axis=0)
-    if mask is not None:
-        if mask.shape != active.shape:
-            raise DataError("mask is not aligned with the cube")
-        active &= mask
-
-    out = np.full((cube.nrows, cube.ncols), LABEL_NODATA)
-    rows, cols = np.nonzero(active)
-    if isinstance(model, SvmModel):
-        index_of, width = _svm_index, len(model.union[0])
-    else:
-        index_of, width = _centroid_index, model.centroids.size
-    step = max(1, _PREDICT_BUDGET // max(1, width))
-    for start in range(0, len(rows), step):
-        r = rows[start:start + step]
-        c = cols[start:start + step]
-        out[r, c] = index_of(model, data[:, r, c].T) + 1
-    grid = Grid(out, cube.xll, cube.yll, cube.cellsize, LABEL_NODATA)
-    return grid, model.species
+        pixels[:, j] = cube.band(b).ravel()[flat]
+    valid = ~np.isnan(pixels).any(axis=1)
+    if not valid.all():
+        flat, pixels = flat[valid], pixels[valid]
+    index_of = _svm_index if isinstance(model, SvmModel) else _centroid_index
+    out = np.full(mask.size, LABEL_NODATA)
+    for start in range(0, len(flat), _PREDICT_ROWS):
+        block = slice(start, start + _PREDICT_ROWS)
+        out[flat[block]] = index_of(model, pixels[block]) + 1
+    return (Grid(out.reshape(shape), cube.xll, cube.yll, cube.cellsize,
+                 LABEL_NODATA), model.species)
 
 
 def label_crowns_majority(label_grid: Grid, species, crowns,

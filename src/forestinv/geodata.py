@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -453,8 +454,10 @@ def read_point_cloud(path) -> PointCloud:
         names = _table_header(path, f.readline(), _CLOUD_COLUMNS, 3,
                               PointCloudFormatError)
         try:
-            data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2,
-                              dtype=np.float64)
+            with warnings.catch_warnings():   # header only: refused below
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2,
+                                  dtype=np.float64)
         except ValueError:
             data = None
     if data is None or data.shape[1] != len(names):

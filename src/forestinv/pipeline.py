@@ -304,7 +304,10 @@ def _stage_statistics(out, config, cube, owner, truth_species, split):
     stats, skipped = spectral_mod.class_statistics(
         dict(zip(species.tolist(), blocks)))
     if len(stats) < 2:
-        raise DataError("fewer than two species have enough training pixels")
+        found = ", ".join(f"{sp} {len(b)}" for sp, b in zip(species, blocks))
+        raise DataError("fewer than two species have enough training pixels "
+                        f"(training crowns: {len(split.train_ids)}; valid "
+                        f"pixels: {found or 'none'})")
     counts = {f"valid_pixels.{s.species_code}": s.n_samples for s in stats}
     counts.update((f"skipped.{sp}", 1) for sp in skipped)
     return {"training": (x, labels), "class_stats": stats}, counts

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,8 +406,7 @@ class TestClassifyImage:
                               np.array([[1.0, 0.2, 0.2], [0.2, 1.0, 0.2]]),
                               (0, 1, 2))
         full, _ = classify_image(cube, model)
-        # 2 species x 3 features: blocks of 7 pixels
-        monkeypatch.setattr(classify_mod, "_PREDICT_BUDGET", 7 * 6)
+        monkeypatch.setattr(classify_mod, "_PREDICT_ROWS", 7)
         small_chunks, _ = classify_image(cube, model)
         np.testing.assert_array_equal(full.values, small_chunks.values)
 
@@ -510,20 +510,35 @@ class TestPredictionBlocks:
                 [train_svm(x, labels, C=10.0, bands=bands),
                  train_centroid(x, labels, bands=bands)])
 
-    @staticmethod
-    def _width(model):
-        if isinstance(model, SvmModel):
-            return len(model.union[0])
-        return model.centroids.size
+    def test_holds_the_masked_pixels_not_the_cube(self, cube_from):
+        k, nrows, ncols = 8, 300, 300
+        rng = np.random.default_rng(31)
+        cube = cube_from(rng.normal(0, 1, (k, nrows, ncols)))
+        mask = rng.random((nrows, ncols)) < 0.01
+        model = train_svm(rng.normal(0, 1, (60, k)),
+                          np.repeat(["A", "B", "C"], 20),
+                          bands=tuple(range(k)))
+        model.union   # derived on first use; not part of the prediction
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grid, _ = classify_image(cube, model, mask=mask)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grid.valid_mask().sum() == mask.sum()
+        # the output grid and one band read, not a (k, rows, cols) slab
+        assert peak < k * nrows * ncols * 8
 
     def test_labels_do_not_depend_on_the_block_size(self, cube_from,
                                                     monkeypatch):
         cube, models = self._models(cube_from)
         for model in models:
             full, species = classify_image(cube, model)
-            width = self._width(model)
-            for budget in (width - 1, width, 7 * width + 3, 10 ** 9):
-                monkeypatch.setattr(classify_mod, "_PREDICT_BUDGET", budget)
+            n = int(full.valid_mask().sum())
+            assert n == 30 * 40 - 1
+            for rows in (1, 7, n - 1, n, n + 1):
+                monkeypatch.setattr(classify_mod, "_PREDICT_ROWS", rows)
                 blocked, again = classify_image(cube, model)
                 assert again == species
                 np.testing.assert_array_equal(blocked.values, full.values)
@@ -537,12 +552,12 @@ class TestPredictionBlocks:
             return rbf_kernel(a, b, gamma)
 
         monkeypatch.setattr(classify_mod, "rbf_kernel", recording_kernel)
-        width = self._width(svm)
-        budget = 37 * width + 5
-        monkeypatch.setattr(classify_mod, "_PREDICT_BUDGET", budget)
+        rows = 37
+        monkeypatch.setattr(classify_mod, "_PREDICT_ROWS", rows)
         grid, _ = classify_image(cube, svm)
         assert len(kernel_rows) > 1
-        assert all(b == width and a * b <= budget for a, b in kernel_rows)
+        width = len(svm.union[0])
+        assert all(a <= rows and b == width for a, b in kernel_rows)
         assert sum(a for a, _ in kernel_rows) == grid.valid_mask().sum()
 
         centroid_rows = []
@@ -555,7 +570,7 @@ class TestPredictionBlocks:
         monkeypatch.setattr(classify_mod, "_centroid_index", recording_index)
         grid, _ = classify_image(cube, centroid)
         assert len(centroid_rows) > 1
-        assert max(centroid_rows) * centroid.centroids.size <= budget
+        assert max(centroid_rows) <= rows
         assert sum(centroid_rows) == grid.valid_mask().sum()
 
 

@@ -761,6 +761,25 @@ class TestCli:
         assert f"stage {FIRST_STAGE[name]} failed" in manifest
         assert "status failed" in manifest
 
+    def test_header_only_point_cloud_exits_3_without_a_warning(
+            self, tmp_path, capsys):
+        pipeline_ini = make_scene(tmp_path)
+        (pipeline_ini.parent / "points.csv").write_text(
+            "x,y,z,return_number,is_ground\n")
+        out = tmp_path / "bad_out"
+        # record, rather than let pytest collect, what would reach stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(pipeline_ini),
+                         "--out", str(out)]) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"data error: stage normalize: "
+            f"{pipeline_ini.parent / 'points.csv'}: no data lines"]
+        manifest = (out / "manifest.txt").read_text()
+        assert "stage normalize failed" in manifest
+
     @pytest.mark.parametrize("old, new, where", [
         # one wavelength more than there are bands
         ("wavelength = {", "wavelength = {0.001, ", "one wavelength per band"),
@@ -874,8 +893,11 @@ class TestCli:
 
     @pytest.mark.parametrize("text, table, code, expect", [
         ("[crowns]\nmax_dist = 1e200\n", None, 0, "R (volume) = "),
+        # one crown is left: the message counts the training crowns and
+        # each species' valid pixels
         ("[crowns]\nmin_dist = 1e200\nmax_dist = 1e200\n", None, 3,
-         "stage statistics: fewer than two species"),
+         "stage statistics: fewer than two species have enough training "
+         "pixels (training crowns: 1; valid pixels: FASY 241)"),
         ("", ("plots.csv", "radius", "1e300", [1]), 0, "R (volume) = "),
         ("[allometry]\ndbh_coeff_b = 400\n", None, 4, "overflows"),
         ("[allometry]\ndbh_sigma = 1e200\n", None, 4, "overflows"),
