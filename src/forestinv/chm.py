@@ -3,6 +3,8 @@
 The pit-free CHM triangulates the normalized cloud at several height
 thresholds, rasterizes each TIN at the cell centers after discarding
 long-edged triangles, and keeps the cell-wise maximum across layers.
+There is one point set, deduplicated and sorted by (x, y); a layer is a
+threshold over it, and its triangles are indices into it.
 
 A large layer is triangulated in tiles with a halo of max_edge. Every
 kept triangle of a tile is certified to be a triangle of the whole
@@ -133,8 +135,10 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     Each tile is one job: Qhull, then the certificate. With threads > 1,
     this thread runs every threads-th job and threads - 1 worker threads
     run the others; this thread rasterizes the results in tile order, so
-    the result does not depend on `threads`. Once a layer's last tile is
-    rasterized, nothing holds its points or its k-d tree any more.
+    the result does not depend on `threads`. A layer is a threshold over
+    the one point set: a tile keeps the points of its window at or above
+    it. Once a layer's last tile is rasterized, nothing holds its index
+    array or its k-d tree any more.
     """
     # scipy.spatial costs half a second to import, so only a CHM loads
     # it; it is imported here, before any worker thread starts
@@ -157,7 +161,9 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
         x, y, h = _subcircle(x, y, h, params.subcircle_radius)
 
     x, y, h = _dedup_lexicographic(x, y, h)
-    shift = (_exact_shift(x), _exact_shift(y))
+    sx, sy = _exact_shift(x), _exact_shift(y)
+    qx = x - sx if sx else x
+    qy = y - sy if sy else y
 
     res = params.resolution
     if xll is None:
@@ -174,16 +180,13 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     cx = xll + (cols + 0.5) * res
     cy = yll + (nrows - rows - 0.5) * res
 
-    # every layer keeps the (x, y) order of the deduplicated points;
-    # the layers hold all of them, so the whole arrays go
-    layers = [_Layer(x[sel], y[sel], h[sel], shift)
-              for sel in (h >= t for t in params.height_thresholds)]
-    del x, y, h
+    layers = [_Layer(t, h, qx, qy) for t in params.height_thresholds]
     acc = np.full((nrows, ncols), -np.inf)
     hull_mask = np.zeros((nrows, ncols), dtype=bool)
     if layers[0].n >= 3:
         try:
-            hull_mask = _inside_hull(layers[0].x, layers[0].y, cx, cy)
+            hull_mask = _inside_hull(x[layers[0].index], y[layers[0].index],
+                                     cx, cy)
         except QhullError:
             raise DataError("degenerate (collinear) point set at "
                             "threshold 0") from None
@@ -195,7 +198,8 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     # their tiles tie and fall back, or gain nothing, so they run whole
     tiled = params.subcircle_radius == 0
     cores = [[] if layer.n < 3
-             else _tile_cores(layer.qx, layer.qy) if tiled else [_WHOLE]
+             else _tile_cores(qx[layer.index], qy[layer.index]) if tiled
+             else [_WHOLE]
              for layer in layers]
 
     def tile(i, core):
@@ -206,16 +210,16 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
         layer = layers[i]
         if layer.fallback:
             return None
-        idx, tin = _triangulate(layer.qx, layer.qy, core, halo)
+        idx, tin = _triangulate(qx, qy, h, layer, core, halo)
         if core == _WHOLE:
-            return _whole(layer, i, idx, tin, max_edge), 0
-        kept = _certify(layer, idx, tin, core, halo, max_edge)
+            return _whole(x, y, layer, idx, tin, max_edge), 0
+        kept = _certify(qx, qy, layer, idx, tin, core, halo, max_edge)
         if kept is None:
             layer.fallback = True
         return kept
 
     # a job names its layer by index, so that once the layer's last tile
-    # is rasterized and its entry cleared, its points and k-d tree go
+    # is rasterized and its entry cleared, its index array and k-d tree go
     jobs = [(i, core) for i, layer_cores in enumerate(cores)
             for core in layer_cores]
     results = _lookahead(tile, jobs, threads)
@@ -236,14 +240,13 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
                     part.fill(-np.inf)
                     whole, layer.tiles = True, 1
                     layer.triangles = layer.dropped = 0
-                    result = _whole(layer, i, *_triangulate(
-                        layer.qx, layer.qy, _WHOLE, 0.0), max_edge), 0
+                    result = _whole(x, y, layer, *_triangulate(
+                        qx, qy, h, layer, _WHOLE, 0.0), max_edge), 0
                 kept, dropped = result
                 layer.triangles += len(kept)
                 layer.dropped += dropped
                 if len(kept):
-                    _rasterize_tin(layer.x, layer.y, layer.h, kept, xll, yll,
-                                   res, nrows, part)
+                    _rasterize_tin(x, y, h, kept, xll, yll, res, nrows, part)
             np.maximum(acc, part, out=acc)
             counts.update({f"layer{i}.points": layer.n,
                            f"layer{i}.triangles": layer.triangles,
@@ -259,48 +262,37 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     return ChmGrid(out, xll, yll, res, DEFAULT_NODATA, counts)
 
 
-@dataclass(eq=False)
 class _Layer:
-    """The points of one height layer and its work counts.
+    """One height layer: the shared points at or above its threshold,
+    named by their ascending indices, and its work counts.
 
-    x, y are map coordinates; qx, qy the same points less `shift`, an
-    exact translation that Qhull and the certificate work in. Tile jobs
+    The layer holds no coordinates: qx, qy are the shared points less
+    the exact shift that Qhull and the certificate work in. Tile jobs
     on several threads read a layer at once; only the calling thread
     writes its counts.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    h: np.ndarray
-    shift: tuple[float, float]
-    tiles: int = 0
-    triangles: int = 0
-    dropped: int = 0
-    fallback: bool = False
-
-    def __post_init__(self):
-        sx, sy = self.shift
-        self.qx = self.x - sx if sx else self.x
-        self.qy = self.y - sy if sy else self.y
+    def __init__(self, threshold, h, qx, qy):
+        self.threshold = threshold
+        self.index = np.flatnonzero(h >= threshold)
+        self.n = len(self.index)
         # Qhull's rounding of a power, in squared map units
-        self.roundoff = _QHULL_ROUNDOFF * float(
-            np.max(self.qx ** 2 + self.qy ** 2, initial=0.0))
+        self.roundoff = _QHULL_ROUNDOFF * float(np.max(
+            qx[self.index] ** 2 + qy[self.index] ** 2, initial=0.0))
+        self.tiles = self.triangles = self.dropped = 0
+        self.fallback = False
         self._tree = None
         self._tree_lock = threading.Lock()
 
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    @property
-    def tree(self):
-        """A k-d tree of (qx, qy), built once by the first job that
-        asks for it."""
+    def tree(self, qx, qy):
+        """A k-d tree of the layer's points, built once by the first job
+        that asks for it; its point i is the shared point index[i]."""
         with self._tree_lock:
             if self._tree is None:
                 from scipy.spatial import cKDTree
 
-                self._tree = cKDTree(np.column_stack([self.qx, self.qy]))
+                self._tree = cKDTree(np.column_stack(
+                    [qx[self.index], qy[self.index]]))
         return self._tree
 
 
@@ -336,18 +328,20 @@ def _tile_cores(px, py):
             for i in range(nx) for j in range(ny)]
 
 
-def _triangulate(px, py, core, halo):
-    """Layer indices of the points in the core box widened by the halo,
-    and their Delaunay triangulation as (simplices, neighbors, number of
-    coplanar points); None for fewer than 3 points, _FAILED if Qhull
-    fails. Runs on worker threads: it touches no shared state."""
+def _triangulate(px, py, h, layer, core, halo):
+    """Indices, ascending, of the layer's points in the core box widened
+    by the halo, and their Delaunay triangulation as (simplices,
+    neighbors, number of coplanar points); None for fewer than 3 points,
+    _FAILED if Qhull fails. px is sorted. Runs on worker threads: it
+    touches no shared state."""
     from scipy.spatial import Delaunay, QhullError
 
     x0, x1, y0, y1 = core
     lo = np.searchsorted(px, x0 - halo, "left")
     hi = np.searchsorted(px, x1 + halo, "right")
     ys = py[lo:hi]
-    idx = lo + np.flatnonzero((ys >= y0 - halo) & (ys <= y1 + halo))
+    idx = lo + np.flatnonzero((ys >= y0 - halo) & (ys <= y1 + halo)
+                              & (h[lo:hi] >= layer.threshold))
     if len(idx) < 3:
         return idx, None
     try:
@@ -388,16 +382,15 @@ def _lookahead(fn, jobs, threads):
         pool.shutdown(cancel_futures=True)
 
 
-def _whole(layer, index, idx, tin, max_edge):
-    """Kept triangles of one triangulation of all the layer's points, as
-    layer indices in canonical order."""
+def _whole(x, y, layer, idx, tin, max_edge):
+    """Kept triangles of one triangulation of all the layer's points, in
+    canonical order."""
     if tin is _FAILED:
-        if index == 0:
+        if layer.threshold == 0:
             raise DataError("degenerate (collinear) point set at "
                             "threshold 0")
         return np.empty((0, 3), dtype=np.intp)
-    return _canonical(_prune_long_edges(idx[tin[0]], layer.x, layer.y,
-                                        max_edge))
+    return _canonical(_prune_long_edges(idx[tin[0]], x, y, max_edge))
 
 
 def _canonical(simplices):
@@ -409,7 +402,7 @@ def _canonical(simplices):
         simplices, (first[:, None] + np.arange(3)) % 3, axis=1)
 
 
-def _certify(layer, idx, tin, core, halo, max_edge):
+def _certify(px, py, layer, idx, tin, core, halo, max_edge):
     """The kept triangles a tile owns that are triangles of the whole
     layer's Delaunay triangulation and the number of owned triangles
     dropped, or None if that cannot be proven.
@@ -429,7 +422,6 @@ def _certify(layer, idx, tin, core, halo, max_edge):
     simplices, neighbors, n_coplanar = tin
     if n_coplanar:
         return None
-    px, py = layer.qx, layer.qy
     x0, x1, y0, y1 = core
     s = idx[simplices]
 
@@ -479,9 +471,12 @@ def _certify(layer, idx, tin, core, halo, max_edge):
     if not len(check):
         return kept, 0
     tri = kept[check]
-    _, near4 = layer.tree.query(np.column_stack([ox[check], oy[check]]), k=4)
-    other = ((near4 < layer.n) & (near4 != tri[:, :1])
-             & (near4 != tri[:, 1:2]) & (near4 != tri[:, 2:]))
+    _, near4 = layer.tree(px, py).query(
+        np.column_stack([ox[check], oy[check]]), k=4)
+    found = near4 < layer.n
+    near4 = layer.index[np.where(found, near4, 0)]
+    other = (found & (near4 != tri[:, :1]) & (near4 != tri[:, 1:2])
+             & (near4 != tri[:, 2:]))
     rows, cols = np.nonzero(other)
     d, va, j = near4[rows, cols], tri[rows, 0], check[rows]
     # squared distance from the circumcenter, taken relative to vertex a

@@ -746,7 +746,8 @@ def terrain_derivatives(dtm: Grid, class_width: float = 100.0) -> dict[str, Grid
     of the 3x3 window is nodata. Aspect is degrees from north,
     clockwise, pointing downhill; it is undefined (nodata) on flat
     cells. Elevation class is floor(z / class_width) wherever the DTM
-    is valid.
+    is valid. A valid window whose differences overflow the float range
+    raises DataError naming its center cell.
     """
     if dtm.nrows < 3 or dtm.ncols < 3:
         raise ValueError("terrain derivatives need at least a 3x3 DTM")
@@ -765,8 +766,14 @@ def terrain_derivatives(dtm: Grid, class_width: float = 100.0) -> dict[str, Grid
             win_valid &= valid[rr:rr + a.shape[0], cc:cc + a.shape[1]]
 
     eight = 8.0 * dtm.cellsize
-    zx = ((c + 2 * f + i) - (a + 2 * d + g)) / eight          # d z / d east
-    zy = ((a + 2 * b + c) - (g + 2 * h + i)) / eight          # d z / d north
+    with np.errstate(over="ignore", invalid="ignore"):
+        zx = ((c + 2 * f + i) - (a + 2 * d + g)) / eight      # d z / d east
+        zy = ((a + 2 * b + c) - (g + 2 * h + i)) / eight      # d z / d north
+    overflow = win_valid & ~(np.isfinite(zx) & np.isfinite(zy))
+    if overflow.any():
+        row, col = np.argwhere(overflow)[0] + 2
+        raise DataError(f"the slope at row {row}, column {col} overflows: "
+                        f"elevations too large for cellsize {dtm.cellsize:g}")
 
     slope_deg = np.degrees(np.arctan(np.hypot(zx, zy)))
     flat = (zx == 0) & (zy == 0)

@@ -185,7 +185,10 @@ def _stage_terrain(out, config):
     if dtm.nrows >= 3 and dtm.ncols >= 3:
         from .geodata import terrain_derivatives
 
-        derivatives = terrain_derivatives(dtm)
+        try:
+            derivatives = terrain_derivatives(dtm)
+        except DataError as exc:
+            raise DataError(f"{config.paths['dtm']}: {exc}") from None
         write_ascii_grid(derivatives["slope"], os.path.join(out, "slope.asc"))
         write_ascii_grid(derivatives["aspect"], os.path.join(out, "aspect.asc"))
         write_ascii_grid(derivatives["elevation_class"],
@@ -213,6 +216,12 @@ def _stage_chm(out, config, cloud):
                 f"share one grid")
         kwargs = dict(xll=cube.xll, yll=cube.yll, ncols=cube.ncols,
                       nrows=cube.nrows)
+        if not (cube.xll <= cloud.x.max()
+                and cloud.x.min() <= cube.xll + cube.ncols * cube.cellsize
+                and cube.yll <= cloud.y.max()
+                and cloud.y.min() <= cube.yll + cube.nrows * cube.cellsize):
+            raise DataError(f"{config.paths['cube_header']}: the cube's grid "
+                            f"does not overlap the point cloud")
     grid = chm_mod.pitfree_chm(cloud, config.pitfree,
                                threads=config.run.threads, **kwargs)
     write_ascii_grid(grid, os.path.join(out, "chm.asc"))

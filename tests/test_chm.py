@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from forestinv import chm as chm_mod
 from forestinv.chm import PitfreeParams, normalize_heights, pitfree_chm
 from forestinv.errors import DataError
-from forestinv.geodata import Grid, PointCloud
+from forestinv.geodata import DEFAULT_NODATA, Grid, PointCloud
 
 
 def flat_dtm(value=100.0, n=30, cellsize=1.0):
@@ -400,12 +400,12 @@ def test_threads_do_not_change_the_chm(monkeypatch, kind, seed, tile_points):
 
 def test_a_fallen_back_layer_triangulates_no_more_tiles(monkeypatch):
     cloud, params = make_cloud("grid", 7, 10, monkeypatch)
-    calls = []   # (layer's x array, is the fallback's whole triangulation)
+    calls = []   # (layer, is the fallback's whole triangulation)
     triangulate = chm_mod._triangulate
 
-    def record(px, py, core, halo):
-        calls.append((id(px), core == chm_mod._WHOLE and halo == 0))
-        return triangulate(px, py, core, halo)
+    def record(px, py, h, layer, core, halo):
+        calls.append((layer, core == chm_mod._WHOLE and halo == 0))
+        return triangulate(px, py, h, layer, core, halo)
 
     monkeypatch.setattr(chm_mod, "_triangulate", record)
     grid = chm_with_tiles(monkeypatch, cloud, params, 10)
@@ -420,39 +420,52 @@ def test_a_fallen_back_layer_triangulates_no_more_tiles(monkeypatch):
 def test_a_finished_layer_is_freed_before_the_next_is_rasterized(
         monkeypatch, threads):
     cloud, params = make_cloud("jittered", 3, 25, monkeypatch)
-    # per layer: weak references to its x array, which names the layer
-    # in the rasterizer's calls, then to the layer, its other arrays and
-    # its k-d tree's data
+    # the points are shared by every layer; per layer: weak references
+    # to the layer and its index array, then to its k-d tree's data
     refs = []
 
     class Layer(chm_mod._Layer):
-        def __post_init__(self):
-            super().__post_init__()
-            refs.append([weakref.ref(v) for v in
-                         (self.x, self, self.y, self.h, self.qx, self.qy)])
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append([weakref.ref(self), weakref.ref(self.index)])
 
-        @property
-        def tree(self):
-            tree = super().tree
-            mine = next(r for r in refs if r[0]() is self.x)
+        def tree(self, *args):
+            tree = super().tree(*args)
+            mine = next(r for r in refs if r[0]() is self)
             mine.append(weakref.ref(tree.data))
             return tree
+
+    # the kept triangles of each tile, and the number of their layer
+    owners = []
+
+    def owned(fn):
+        def run(*args):
+            kept = fn(*args)
+            if kept is not None:
+                layer = args[2]
+                owners.append((kept[0] if isinstance(kept, tuple) else kept,
+                               next(i for i, r in enumerate(refs)
+                                    if r[0]() is layer)))
+            return kept
+        return run
 
     rasterized = []
     rasterize = chm_mod._rasterize_tin
 
-    def check(px, *args):
-        layer = next(i for i, r in enumerate(refs) if r[0]() is px)
+    def check(px, py, ph, simplices, *args):
+        layer = next(i for kept, i in owners if kept is simplices)
         rasterized.append(layer)
         assert all(ref() is None for r in refs[:layer] for ref in r)
-        return rasterize(px, *args)
+        return rasterize(px, py, ph, simplices, *args)
 
     monkeypatch.setattr(chm_mod, "_Layer", Layer)
+    monkeypatch.setattr(chm_mod, "_whole", owned(chm_mod._whole))
+    monkeypatch.setattr(chm_mod, "_certify", owned(chm_mod._certify))
     monkeypatch.setattr(chm_mod, "_rasterize_tin", check)
     grid = chm_with_tiles(monkeypatch, cloud, params, 25, threads=threads)
     assert grid.counts["layer0.tiles"] > 1
     assert len(set(rasterized)) == len(params.height_thresholds)
-    assert any(len(r) > 6 for r in refs)   # some layer built its tree
+    assert any(len(r) > 2 for r in refs)   # some layer built its tree
 
 
 class JobFailed(Exception):
@@ -466,12 +479,12 @@ def test_tiles_run_on_the_calling_thread_and_a_worker(monkeypatch, fail_on):
     idents = []
     triangulate = chm_mod._triangulate
 
-    def record(px, py, core, halo):
+    def record(*args):
         me = threading.get_ident()
         idents.append(me)
         if fail_on and (me == main) == (fail_on == "calling thread"):
             raise JobFailed(fail_on)
-        return triangulate(px, py, core, halo)
+        return triangulate(*args)
 
     monkeypatch.setattr(chm_mod, "_triangulate", record)
     before = set(threading.enumerate())
@@ -594,3 +607,106 @@ def test_blocked_hull_mask_equals_one_product(seed):
     mask = chm_mod._inside_hull(px, py, cx, cy)
     assert 0 < one_shot.sum() < one_shot.size
     assert np.array_equal(mask, one_shot)
+
+
+# ---------------------------------------------------------------------------
+# Layer edge cases: the raster bytes and every count, against a scene
+# that reaches the same layers another way
+# ---------------------------------------------------------------------------
+
+def jittered_cloud(seed, n=24, offset=(0.0, 0.0), heights=(0.5, 3.0, 7.0,
+                                                               12.0, 18.0)):
+    rng = np.random.default_rng(seed)
+    gx, gy = np.meshgrid(np.arange(n) * 0.5, np.arange(n) * 0.5)
+    x = gx.ravel() + rng.uniform(-0.2, 0.2, gx.size) + offset[0]
+    y = gy.ravel() + rng.uniform(-0.2, 0.2, gx.size) + offset[1]
+    return x, y, rng.choice(heights, x.size)
+
+
+def layer_counts(i, points, triangles=0, tiles=0, dropped=0):
+    return {f"layer{i}.points": points, f"layer{i}.triangles": triangles,
+            f"layer{i}.tiles": tiles, f"layer{i}.dropped": dropped}
+
+
+def assert_same_chm(a, b):
+    assert a.values.tobytes() == b.values.tobytes()
+    assert (a.xll, a.yll, a.values.shape) == (b.xll, b.yll, b.values.shape)
+
+
+@pytest.mark.parametrize("tile_points", [ONE_TILE, 60])
+def test_a_threshold_above_every_point_is_an_empty_layer(monkeypatch,
+                                                         tile_points):
+    x, y, h = jittered_cloud(1)
+    cloud = PointCloud.from_xyz(x, y, np.zeros_like(x), height=h)
+    base = chm_with_tiles(monkeypatch, cloud, PitfreeParams(), tile_points)
+    empty = chm_with_tiles(monkeypatch, cloud, PitfreeParams(
+        height_thresholds=(0.0, 2.0, 5.0, 10.0, 15.0, 100.0)), tile_points)
+    assert_same_chm(empty, base)
+    assert empty.counts == {**base.counts, **layer_counts(5, 0)}
+    assert (base.counts["layer0.tiles"] > 1) == (tile_points != ONE_TILE)
+
+
+@pytest.mark.parametrize("tile_points", [ONE_TILE, 60])
+def test_an_upper_layer_of_three_collinear_points_adds_nothing(
+        monkeypatch, tile_points):
+    x, y, h = jittered_cloud(2, heights=(0.5, 3.0))
+    # Qhull fails on the three points at or above 5 m, and on the two
+    # at or above 10 m the layer has no tile at all
+    tall = np.array([1.5, 3.0, 4.5])
+    x, y = np.append(x, tall), np.append(y, tall + 1.0)
+    h = np.append(h, [6.0, 12.0, 16.0])
+    cloud = PointCloud.from_xyz(x, y, np.zeros_like(x), height=h)
+    params = PitfreeParams(height_thresholds=(0.0, 2.0, 5.0, 10.0))
+    grid = chm_with_tiles(monkeypatch, cloud, params, tile_points)
+    lower = chm_with_tiles(monkeypatch, cloud, PitfreeParams(
+        height_thresholds=(0.0, 2.0)), tile_points)
+    assert_same_chm(grid, lower)
+    assert grid.counts == {**lower.counts, **layer_counts(2, 3, tiles=1),
+                           **layer_counts(3, 2)}
+    assert grid.counts["fallback_layers"] == 0
+
+
+@pytest.mark.parametrize("tile_points", [ONE_TILE, 60])
+def test_heights_below_zero_stay_out_of_layer_0_and_the_hull(monkeypatch,
+                                                             tile_points):
+    x, y, h = jittered_cloud(3)
+    # below-ground points inside the cloud and a ring of them around it,
+    # which would widen the hull mask if layer 0 took them
+    rng = np.random.default_rng(3)
+    ring = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+    bx = np.concatenate([rng.uniform(1, 10, 30), 5.75 + 9 * np.cos(ring)])
+    by = np.concatenate([rng.uniform(1, 10, 30), 5.75 + 9 * np.sin(ring)])
+    bh = -rng.uniform(0.1, 1.0, bx.size)
+    monkeypatch.setattr(chm_mod, "_TILE_POINTS", tile_points)
+    with_below, without = (
+        pitfree_chm(PointCloud.from_xyz(px, py, np.zeros_like(px),
+                                        height=ph), PitfreeParams(),
+                    xll=-4.0, yll=-4.0, ncols=40, nrows=40)
+        for px, py, ph in ((np.append(x, bx), np.append(y, by),
+                            np.append(h, bh)), (x, y, h)))
+    assert_same_chm(with_below, without)
+    assert with_below.counts == without.counts
+    assert with_below.counts["layer0.points"] == x.size
+    assert np.any(with_below.values == DEFAULT_NODATA)
+
+
+def test_a_tiled_scene_far_from_the_origin_with_every_return(monkeypatch):
+    x, y, h = jittered_cloud(4, n=40, offset=(5e5, 5e6))
+    returns = np.random.default_rng(4).integers(1, 3, x.size)
+    params = PitfreeParams(first_returns_only=False)
+    every = PointCloud.from_xyz(x, y, np.zeros_like(x),
+                                return_number=returns, height=h)
+    firsts = PointCloud.from_xyz(x, y, np.zeros_like(x), height=h)
+    tiled = chm_with_tiles(monkeypatch, every, params, 150)
+    first = chm_with_tiles(monkeypatch, firsts, PitfreeParams(), 150)
+    assert_same_chm(tiled, first)
+    assert tiled.counts == first.counts
+    # certified tiles, one of them with a dropped triangle, and no
+    # fallback: the same raster and triangles as one tile per layer
+    whole = chm_with_tiles(monkeypatch, every, params, ONE_TILE)
+    assert_same_chm(tiled, whole)
+    expected = {**whole.counts, "layer3.dropped": 1}
+    for i, tiles in enumerate((12, 9, 9, 6, 3)):
+        expected[f"layer{i}.tiles"] = tiles
+    assert tiled.counts == expected
+    assert whole.counts["fallback_layers"] == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import all_bands
 from forestinv.errors import (
     CubeFormatError,
+    DataError,
     GridFormatError,
     OutOfBoundsError,
     PointCloudFormatError,
@@ -478,3 +479,18 @@ class TestTerrain:
         # any window touching the hole is nodata
         assert (d["slope"].values[1:4, 1:4] == g.nodata).all()
         assert d["slope"].values[1, 1] == g.nodata
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_overflowing_differences_raise(self, value):
+        vals = np.full((5, 5), 10.0)
+        vals[3, 1] = value
+        with pytest.raises(DataError, match="row 3, column 2 overflows"):
+            terrain_derivatives(make_grid(vals))
+
+    def test_overflow_under_nodata_is_nodata(self):
+        # a nodata value far out of range overflows only masked windows
+        vals = np.full((5, 5), 10.0)
+        vals[2, 1] = -1e308
+        d = terrain_derivatives(make_grid(vals, nodata=-1e308))
+        assert (d["slope"].values[1:4, 1:3] == -1e308).all()
+        assert d["slope"].values[2, 3] == pytest.approx(0.0)

@@ -724,6 +724,10 @@ class TestCli:
                             "1,2.5,1.0,3\n2,2.5\n", "line 3"),
         ("dtm.asc", "NCOLS 1\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\n"
                     "CELLSIZE 0\n500\n", "cellsize must be > 0"),
+        # the Horn differences of the middle window overflow
+        ("dtm.asc", "NCOLS 3\nNROWS 3\nXLLCORNER 0\nYLLCORNER 0\n"
+                    "CELLSIZE 1\n500 500 500\n-1e308 500 500\n500 500 500\n",
+         "the slope at row 2, column 2 overflows"),
         # headers far larger than their data are refused before allocating
         ("dtm.asc", "NCOLS 1000000\nNROWS 1000000\nXLLCORNER 0\n"
                     "YLLCORNER 0\nCELLSIZE 1\n500\n",
@@ -785,6 +789,9 @@ class TestCli:
         ("wavelength = {", "wavelength = {0.001, ", "one wavelength per band"),
         # map info pixel size 0
         (", 0.5, 0.5}", ", 0, 0}", "cellsize must be > 0"),
+        # a reference pixel that puts the grid far north of the points
+        ("{projected, 1, 1,", "{projected, 1, 1e308,",
+         "does not overlap the point cloud"),
     ])
     def test_bad_cube_header_exits_3(self, tmp_path, capsys, old, new, where):
         pipeline_ini = make_scene(tmp_path)
@@ -1262,3 +1269,57 @@ def test_mutated_scene_file_fails_in_its_stage(fuzz_scene, data):
     failed = [ln.split()[1] for ln in manifest
               if ln.startswith("stage ") and ln.split()[2] == "failed:"]
     assert failed == [FIRST_STAGE[name]]
+
+
+# the values of the mutation sweep: non-finite, overflowing, subnormal,
+# signed zero, empty, text, beyond int32 and ordinary
+SWEEP_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "0", "-0", "-1",
+                "1e-320", "", "x", "1e30", "2147483648", "9" * 20, "0.5",
+                "-5e5", "3")
+SWEEP_FILES = ("dtm.asc", "points.csv", "cube.hdr", "ground_truth.csv",
+               "plots.csv", "truth_plots.csv", "pipeline.ini")
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"(?![\w.])")
+
+
+def test_mutation_sweep_ends_in_a_documented_exit(fuzz_scene, capsys):
+    """Every input file with one numeric token replaced by each sweep
+    value, the token drawn by a fixed seed: the run ends in exit 0, 2, 3
+    or 4 without a traceback or a warning, and a run that fails on its
+    data or its numbers names the failed stage in its manifest."""
+    rng = np.random.default_rng(8)
+    problems = []
+    for name in SWEEP_FILES:
+        raw = (fuzz_scene / name).read_text()
+        tokens = list(NUMBER.finditer(raw))
+        for value in SWEEP_VALUES:
+            token = tokens[rng.integers(len(tokens))]
+            trial = (f"{name}: {token.group()!r} at offset {token.start()} "
+                     f"-> {value!r}")
+            with tempfile.TemporaryDirectory(dir=fuzz_scene.parent) as tmp:
+                scene = Path(tmp) / "scene"
+                shutil.copytree(fuzz_scene, scene)
+                (scene / name).write_text(raw[:token.start()] + value
+                                          + raw[token.end():])
+                out = Path(tmp) / "out"
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main(["run", "--config",
+                                 str(scene / "pipeline.ini"),
+                                 "--out", str(out)])
+                err = capsys.readouterr().err
+                manifest = ((out / "manifest.txt").read_text().splitlines()
+                            if code in (0, 3, 4) else [])
+            failed = [ln for ln in manifest if ln.startswith("stage ")
+                      and ln.split()[2] == "failed:"]
+            if code not in (0, 2, 3, 4):
+                problems.append(f"{trial}: exit {code}")
+            if caught or "Traceback" in err or "Warning" in err:
+                problems.append(f"{trial}: {[str(w.message) for w in caught]}"
+                                f" {err!r}")
+            if code == 0 and manifest[-1:] != ["status ok"]:
+                problems.append(f"{trial}: exit 0 without status ok")
+            if code in (3, 4) and (manifest[-1:] != ["status failed"]
+                                   or len(failed) != 1):
+                problems.append(f"{trial}: exit {code}, manifest {failed}")
+    assert not problems, "\n".join(problems)
