@@ -106,11 +106,30 @@ _DEFAULT_ENTRIES = [
 
 
 class SpeciesRegistry:
-    """Species codes with functional groups and volume parameters."""
+    """Species codes with functional groups and volume parameters.
+
+    Every fallback chain is followed once, here: a chain that names a
+    code not in the registry, or comes back to a code it passed, raises
+    ValueError naming the species.
+    """
 
     def __init__(self, entries=None):
         entries = _DEFAULT_ENTRIES if entries is None else entries
         self._entries = {e.code: e for e in entries}
+        self._volume = {}
+        for code, entry in self._entries.items():
+            seen, fallback = {code}, None
+            while entry.volume_params is None:
+                fallback = entry.fallback
+                if fallback not in self._entries:
+                    raise ValueError(f"species {code!r}: fallback "
+                                     f"{fallback!r} is not in the registry")
+                if fallback in seen:
+                    raise ValueError(f"species {code!r}: fallback chain "
+                                     f"returns to {fallback!r}")
+                seen.add(fallback)
+                entry = self._entries[fallback]
+            self._volume[code] = entry.volume_params, fallback
 
     def __contains__(self, code: str) -> bool:
         return code in self._entries
@@ -125,20 +144,9 @@ class SpeciesRegistry:
         return self.entry(code).group
 
     def volume_params(self, code: str) -> tuple[VolumeParams, str | None]:
-        """Parameters for the species, following the fallback chain.
-
-        Returns (params, fallback_code_used_or_None).
-        """
-        seen = set()
-        entry = self.entry(code)
-        fallback_used = None
-        while entry.volume_params is None:
-            if entry.fallback is None or entry.fallback in seen:
-                raise DataError(f"species {code!r}: broken fallback chain")
-            seen.add(entry.code)
-            fallback_used = entry.fallback
-            entry = self.entry(entry.fallback)
-        return entry.volume_params, fallback_used
+        """(params, the fallback code whose parameters they are, or
+        None); an unknown code raises DataError, as in `entry`."""
+        return self._volume[self.entry(code).code]
 
     def with_overrides(self, extra_entries) -> "SpeciesRegistry":
         merged = dict(self._entries)
@@ -183,50 +191,43 @@ def volume_double_entry(dbh: float, height: float,
     return params.a * (dbh - params.d0) ** params.b * height ** params.c, False
 
 
-def allometry(height: float, crown_diameter: float, species: str,
-              registry: SpeciesRegistry, dbh_model: DbhModel | None):
-    """One tree's (dbh, agb, volume, fallback code or None, below-d0
-    flag) from its height, crown diameter and species; a dbh, agb or
-    volume beyond the float range raises NumericalError."""
-    group = registry.group(species)
-    params, fallback = registry.volume_params(species)
-    try:
-        dbh = estimate_dbh(height, crown_diameter, dbh_model)
-        agb = agb_jucker(height, crown_diameter, group)
-        volume, below = volume_double_entry(dbh, height, params)
-        finite = all(map(math.isfinite, (dbh, agb, volume)))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise NumericalError(f"{species} tree of height {height:g} m and "
-                             f"crown diameter {crown_diameter:g} m: dbh, agb "
-                             f"or volume overflows")
-    return dbh, agb, volume, fallback, below
-
-
 def enrich_crowns(crowns, registry: SpeciesRegistry,
                   dbh_model: DbhModel | None = None) -> list[str]:
-    """Fill dbh, agb and volume on labeled crowns in place.
+    """Fill dbh, agb and volume on labeled crowns in place; a dbh, agb
+    or volume beyond the float range raises NumericalError.
 
     Unlabeled crowns and unknown species are skipped; one report line
     per skipped crown, per fallback used and per zero volume is returned.
     """
     report = []
     for crown in crowns:
-        if crown.species_code is None:
+        species, h, cd = (crown.species_code, crown.tree_height,
+                          crown.crown_diameter)
+        if species is None:
             report.append(f"crown {crown.crown_id}: no species label, skipped")
             continue
-        if crown.species_code not in registry:
+        if species not in registry:
             report.append(f"crown {crown.crown_id}: unknown species "
-                          f"{crown.species_code!r}, skipped")
+                          f"{species!r}, skipped")
             continue
-        (crown.dbh, crown.agb, crown.volume, crown.fallback_used,
-         below) = allometry(crown.tree_height, crown.crown_diameter,
-                            crown.species_code, registry, dbh_model)
-        if crown.fallback_used is not None:
+        params, fallback = registry.volume_params(species)
+        try:
+            dbh = estimate_dbh(h, cd, dbh_model)
+            agb = agb_jucker(h, cd, registry.group(species))
+            volume, below = volume_double_entry(dbh, h, params)
+            finite = all(map(math.isfinite, (dbh, agb, volume)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise NumericalError(f"{species} tree of height {h:g} m and "
+                                 f"crown diameter {cd:g} m: dbh, agb or "
+                                 f"volume overflows")
+        crown.dbh, crown.agb, crown.volume, crown.fallback_used = (
+            dbh, agb, volume, fallback)
+        if fallback is not None:
             report.append(f"crown {crown.crown_id}: volume parameters "
-                          f"borrowed from {crown.fallback_used}")
+                          f"borrowed from {fallback}")
         if below:
-            report.append(f"crown {crown.crown_id}: dbh {crown.dbh:.2f} cm at "
+            report.append(f"crown {crown.crown_id}: dbh {dbh:.2f} cm at "
                           f"or below d0, volume 0")
     return report

@@ -396,7 +396,7 @@ def save_model(model, path) -> None:
         raise ValueError(f"cannot serialize {type(model).__name__}")
     # "%.17g" % v is byte-identical to format(float(v), ".17g")
     row = " ".join(["%.17g"] * width)
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(f"{_MODEL_MAGIC}\ntype {kind}\n")
         f.write("bands " + ",".join(str(b) for b in model.bands) + "\n")
         f.write("species " + ",".join(model.species) + "\n")

@@ -119,7 +119,7 @@ def _write_pipeline_config(config, paths, out_path) -> None:
         cp.add_section("run")
     cp["run"]["seed"] = str(config.run.seed)
     cp["run"]["output_dir"] = "run_out"
-    with open(out_path, "w") as f:
+    with open(out_path, "w", encoding="utf-8") as f:
         cp.write(f)
 
 

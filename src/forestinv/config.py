@@ -24,6 +24,7 @@ from .allometry import (
 from .chm import PitfreeParams
 from .crowns import ItcParams
 from .errors import ConfigError
+from .geodata import open_text
 from .spectral import MIN_CLASS_PIXELS
 from .synth import SceneConfig
 
@@ -102,6 +103,11 @@ class PipelineConfig:
                   if not os.path.exists(self.paths[n])]
         if absent:
             raise ConfigError("input file(s) not found: " + ", ".join(absent))
+        other = [self.paths[n] for n in names
+                 if not os.path.isfile(self.paths[n])]
+        if other:
+            raise ConfigError("input path(s) not a regular file: "
+                              + ", ".join(other))
 
 
 def _items(cp, section) -> dict[str, str]:
@@ -172,9 +178,11 @@ def load_config(path, seed_override=None, out_override=None,
                 threads_override=None) -> PipelineConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"config path not a regular file: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        with open(path, "r") as f:
+        with open_text(path, ConfigError) as f:
             text = f.read()
         cp.read_string(text)
     except configparser.Error as exc:
@@ -190,9 +198,12 @@ def load_config(path, seed_override=None, out_override=None,
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
-    registry = SpeciesRegistry().with_overrides(
-        [_parse_registry_entry(code, value)
-         for code, value in _items(cp, "registry").items()])
+    try:
+        registry = SpeciesRegistry().with_overrides(
+            [_parse_registry_entry(code, value)
+             for code, value in _items(cp, "registry").items()])
+    except ValueError as exc:
+        raise ConfigError(f"[registry] {exc}") from None
     scene = _read(cp, "scene", SceneConfig)
     unknown = [code for code in scene.species if code not in registry]
     if unknown:
@@ -241,12 +252,12 @@ def _parse_registry_entry(code: str, value: str) -> SpeciesEntry:
             except ValueError:
                 raise ConfigError(f"[registry] {code}: bad token {tok!r}") \
                     from None
-    if numeric:
-        if len(numeric) != 4:
-            raise ConfigError(f"[registry] {code}: need 4 volume parameters "
-                              f"(a, b, c, d0)")
-        params = VolumeParams(*numeric)
+    if numeric and len(numeric) != 4:
+        raise ConfigError(f"[registry] {code}: need 4 volume parameters "
+                          f"(a, b, c, d0)")
     try:
+        if numeric:
+            params = VolumeParams(*numeric)
         return SpeciesEntry(code.upper(), code.upper(), group, params, fallback)
     except ValueError as exc:
         raise ConfigError(f"[registry] {code}: {exc}") from None

@@ -12,6 +12,7 @@ to 10 significant digits; the cube writer stores float32 samples.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import warnings
@@ -240,6 +241,22 @@ class GroundTruthPoint:
 
 
 # ---------------------------------------------------------------------------
+# Text files: every input is read, and every output written, as UTF-8
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def open_text(path, error):
+    """`path` opened to read as UTF-8 text; bytes that are not UTF-8
+    raise `error` naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+# ---------------------------------------------------------------------------
 # ESRI ASCII grid I/O
 # ---------------------------------------------------------------------------
 
@@ -254,7 +271,7 @@ def read_ascii_grid(path) -> Grid:
     NODATA_VALUE is optional and defaults to -9999. There must be NROWS
     data lines, north row first, each holding exactly NCOLS values.
     """
-    with open(path, "r") as f:
+    with open_text(path, GridFormatError) as f:
         lines = f.read().splitlines()
 
     header: dict[str, float] = {}
@@ -331,7 +348,7 @@ def read_ascii_grid(path) -> Grid:
 
 def write_ascii_grid(grid: Grid, path) -> None:
     """Write an ESRI ASCII grid; one line per raster row, north first."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(f"NCOLS {grid.ncols}\nNROWS {grid.nrows}\n")
         for key, value in (("XLLCORNER", grid.xll), ("YLLCORNER", grid.yll),
                            ("CELLSIZE", grid.cellsize),
@@ -364,7 +381,7 @@ def read_table(path, columns, required, make, error=DataError) -> list:
     record from the stripped fields. A ValueError from `make` becomes
     `error`, naming the file and the line.
     """
-    with open(path, "r") as f:
+    with open_text(path, error) as f:
         nfields = len(_table_header(path, f.readline(), columns, required,
                                     error))
         records = []
@@ -414,7 +431,7 @@ def write_table(path, columns) -> None:
                           if isinstance(v, float) else str(v) for v in values]
         cells.append(values)
     row = ",".join(fields) + "\n"
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(columns) + "\n")
         for start in range(0, max(lengths, default=0), _TABLE_ROWS):
             part = [v[start:start + _TABLE_ROWS] for v in cells]
@@ -450,7 +467,7 @@ def read_point_cloud(path) -> PointCloud:
     Missing optional columns default to return_number=1, is_ground=0.
     A return number is an integer from 1 to 15 and is_ground is 0 or 1.
     """
-    with open(path, "r") as f:
+    with open_text(path, PointCloudFormatError) as f:
         names = _table_header(path, f.readline(), _CLOUD_COLUMNS, 3,
                               PointCloudFormatError)
         try:
@@ -627,7 +644,7 @@ def read_envi_cube(header_path, data_path) -> CubeFile:
 
 
 def _parse_envi_header(path) -> dict[str, str]:
-    with open(path, "r") as f:
+    with open_text(path, CubeFormatError) as f:
         text = f.read()
     fields: dict[str, str] = {}
     lines = text.splitlines()
@@ -684,7 +701,7 @@ def write_envi_cube(bands, shape, xll, yll, cellsize, wavelengths,
              + ", ".join(FLOAT_FORMAT % v for v in corner) + "}",
              "wavelength = {" + ", ".join(FLOAT_FORMAT % w
                                           for w in wavelengths) + "}"]
-    with open(header_path, "w") as f:
+    with open(header_path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 

@@ -142,7 +142,8 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Pipel
             result.completed.append(stage)
     finally:
         _write_manifest(config, result.completed, counts, failure, out)
-        with open(os.path.join(out, "timings.txt"), "w") as f:
+        with open(os.path.join(out, "timings.txt"), "w",
+                  encoding="utf-8") as f:
             for name, dt, rss in timings:
                 f.write(f"{name} {dt:.3f}s peak_rss {rss:.1f}MiB\n")
     return result
@@ -154,7 +155,7 @@ def _write_manifest(config, completed, counts, failure, out):
                  + hashlib.sha256(config.raw_text.encode()).hexdigest())
     for name in sorted(config.paths):
         path = config.paths[name]
-        if os.path.exists(path):
+        if os.path.isfile(path):
             lines.append(f"input {name} {os.path.basename(path)} "
                          f"sha256 {_sha256(path)}")
         else:
@@ -171,7 +172,8 @@ def _write_manifest(config, completed, counts, failure, out):
         else:
             lines.append(f"stage {stage} not-run")
     lines.append("status " + ("failed" if failure else "ok"))
-    with open(os.path.join(out, "manifest.txt"), "w") as f:
+    with open(os.path.join(out, "manifest.txt"), "w",
+              encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 
@@ -397,7 +399,8 @@ def _stage_score(out, config, crowns, split, truth_species):
         raise DataError("no test crown carries both a true and a predicted "
                         "species label")
     evaluate_mod.write_metrics_csv(cm, os.path.join(out, "metrics.csv"))
-    with open(os.path.join(out, "metrics.txt"), "w") as f:
+    with open(os.path.join(out, "metrics.txt"), "w",
+              encoding="utf-8") as f:
         f.write(evaluate_mod.format_metrics_table(
             cm, config.classify.classifier))
         f.write(f"excluded crowns {excluded}\n")
@@ -446,7 +449,8 @@ def _stage_report(out, config, crowns, truth_species, split, bands,
         lines.append("plot totals written to plot_totals.csv "
                      "(no observed values supplied)")
 
-    with open(os.path.join(out, "report.txt"), "w") as f:
+    with open(os.path.join(out, "report.txt"), "w",
+              encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
     return {}, {}
 

@@ -296,6 +296,6 @@ def sffs_select(stats, k: int, candidates=None,
 
 
 def write_band_selection(selection: BandSelection, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("indices," + ",".join(str(i) for i in selection.indices) + "\n")
         f.write(f"criterion,{FLOAT_FORMAT % selection.criterion_value}\n")

@@ -23,7 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .allometry import DbhModel, SpeciesRegistry, allometry
+from .allometry import DbhModel, SpeciesRegistry, enrich_crowns
+from .crowns import CrownRecord
 from .errors import DataError
 from .evaluate import PlotDefinition, PlotTotals, aggregate_plot, \
     write_plot_definitions, write_plot_totals
@@ -115,22 +116,12 @@ class SceneSpec:
     chm_resolution: float
 
 
-@dataclass(frozen=True)
-class TreeTruth:
-    tree_id: int
-    apex_x: float   # named as on a CrownRecord, for aggregate_plot
-    apex_y: float
-    species: str
-    height: float
-    crown_diameter: float
-    dbh: float
-    volume: float
-    agb: float
-
-
-# truth_trees.csv names the TreeTruth fields in order, the apex as x, y
-_TRUTH_TREE_COLUMNS = ("tree_id", "x", "y", "species", "height",
-                       "crown_diameter", "dbh", "volume", "agb")
+# truth_trees.csv: each column and the CrownRecord field it holds
+_TRUTH_TREE_COLUMNS = {
+    "tree_id": "crown_id", "x": "apex_x", "y": "apex_y",
+    "species": "species_code", "height": "tree_height",
+    "crown_diameter": "crown_diameter", "dbh": "dbh", "volume": "volume",
+    "agb": "agb"}
 
 
 @dataclass(frozen=True)
@@ -180,7 +171,7 @@ class SceneData:
     cube: SceneCube
     ground_truth: list[GroundTruthPoint]
     plots: tuple[PlotDefinition, ...]
-    truth_trees: list[TreeTruth]
+    truth_trees: list[CrownRecord]
     truth_plots: list[PlotTotals]
 
 
@@ -372,9 +363,14 @@ def random_scene(scene: SceneConfig, seed: int,
 def generate_scene(spec: SceneSpec, registry=SpeciesRegistry(),
                    dbh_model=DbhModel()) -> SceneData:
     """Render the scene: DTM, LiDAR cloud, the cube's painter,
-    ground-truth points, plots and truth tables. The truth tables use
-    `registry` and `dbh_model`, as the inventory does."""
+    ground-truth points, plots and truth tables. The truth trees are
+    crowns filled by `enrich_crowns` with `registry` and `dbh_model`,
+    as the inventory's are; a species not in `registry` raises
+    DataError."""
     for i, tree in enumerate(spec.trees):
+        if tree.species not in registry:
+            raise DataError(f"tree {i}: unknown species code "
+                            f"{tree.species!r}")
         if not (spec.xll <= tree.x <= spec.xll + spec.width
                 and spec.yll <= tree.y <= spec.yll + spec.height):
             raise DataError(f"tree {i} at ({tree.x}, {tree.y}) is outside "
@@ -420,14 +416,14 @@ def generate_scene(spec: SceneSpec, registry=SpeciesRegistry(),
 
 
 def _truth_trees(spec: SceneSpec, registry: SpeciesRegistry,
-                 dbh_model: DbhModel) -> list[TreeTruth]:
+                 dbh_model: DbhModel) -> list[CrownRecord]:
     out = []
     for i, tree in enumerate(spec.trees, start=1):
-        cd = 2.0 * contour_radius(spec, tree)
-        dbh, agb, volume, _, _ = allometry(tree.height, cd, tree.species,
-                                           registry, dbh_model)
-        out.append(TreeTruth(i, tree.x, tree.y, tree.species, tree.height,
-                             cd, dbh, volume, agb))
+        r = contour_radius(spec, tree)
+        out.append(CrownRecord(i, tree.x, tree.y, tree.height,
+                               math.pi * r * r, 2.0 * r,
+                               species_code=tree.species))
+    enrich_crowns(out, registry, dbh_model)
     return out
 
 
@@ -461,7 +457,7 @@ def write_scene(data: SceneData, outdir) -> dict[str, str]:
     write_ground_truth(data.ground_truth, paths["ground_truth"])
     write_plot_definitions(data.plots, paths["plots"])
     write_table(paths["truth_trees"], {
-        column: [getattr(t, field.name) for t in data.truth_trees]
-        for column, field in zip(_TRUTH_TREE_COLUMNS, fields(TreeTruth))})
+        column: [getattr(t, field) for t in data.truth_trees]
+        for column, field in _TRUTH_TREE_COLUMNS.items()})
     write_plot_totals(data.truth_plots, paths["truth_plots"])
     return {k: str(v) for k, v in paths.items()}

@@ -196,3 +196,27 @@ class TestEnrichment:
 def test_registry_unknown_code():
     with pytest.raises(DataError):
         SpeciesRegistry().entry("NOPE")
+    with pytest.raises(DataError):
+        SpeciesRegistry().volume_params("NOPE")
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([SpeciesEntry("ZZZZ", "z", GYMNOSPERM, fallback="NOPE")],
+     "species 'ZZZZ': fallback 'NOPE' is not in the registry"),
+    ([SpeciesEntry("AAAA", "a", GYMNOSPERM, fallback="BBBB"),
+      SpeciesEntry("BBBB", "b", GYMNOSPERM, fallback="AAAA")],
+     "species 'AAAA': fallback chain returns to 'AAAA'"),
+    ([SpeciesEntry("PIAB", "p", ANGIOSPERM, fallback="PIAB")],
+     "species 'PIAB': fallback chain returns to 'PIAB'"),
+])
+def test_registry_refuses_a_broken_fallback_chain(entries, message):
+    with pytest.raises(ValueError, match=message):
+        SpeciesRegistry().with_overrides(entries)
+
+
+def test_registry_follows_a_chain_to_its_parameters():
+    reg = SpeciesRegistry().with_overrides([
+        SpeciesEntry("AAAA", "a", GYMNOSPERM, fallback="BBBB"),
+        SpeciesEntry("BBBB", "b", GYMNOSPERM, fallback="OTHC")])
+    assert reg.volume_params("AAAA") == (reg.volume_params("PIAB")[0], "PIAB")
+    assert reg.volume_params("PIAB")[1] is None

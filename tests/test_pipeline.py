@@ -1271,6 +1271,99 @@ def test_mutated_scene_file_fails_in_its_stage(fuzz_scene, data):
     assert failed == [FIRST_STAGE[name]]
 
 
+def copy_fuzz_scene(fuzz_scene, tmp_path):
+    """A copy of the fuzz scene's inputs; returns its pipeline.ini."""
+    scene = tmp_path / "scene"
+    shutil.copytree(fuzz_scene, scene)
+    return scene / "pipeline.ini"
+
+
+def set_path(pipeline_ini, key, value):
+    text = pipeline_ini.read_text()
+    pipeline_ini.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}",
+                                   text))
+
+
+@pytest.mark.parametrize("key", ["dtm", "point_cloud", "cube_header",
+                                 "cube_data", "ground_truth", "plots",
+                                 "observed_plots"])
+def test_an_input_path_that_is_a_directory_exits_2(fuzz_scene, tmp_path,
+                                                   capsys, key):
+    pipeline_ini = copy_fuzz_scene(fuzz_scene, tmp_path)
+    folder = pipeline_ini.parent / "folder"
+    folder.mkdir()
+    set_path(pipeline_ini, key, "folder")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(pipeline_ini),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"input path(s) not a regular file: {folder}" in err, err
+    # the optional tables are checked by the stage that reads them
+    if key in ("plots", "observed_plots"):
+        manifest = (out / "manifest.txt").read_text()
+        assert f"input {key} folder missing" in manifest
+        assert "status failed" in manifest
+    else:
+        assert not out.exists()
+
+
+def test_a_directory_that_no_planned_stage_reads_is_missing(
+        fuzz_scene, tmp_path):
+    pipeline_ini = copy_fuzz_scene(fuzz_scene, tmp_path)
+    (pipeline_ini.parent / "folder").mkdir()
+    set_path(pipeline_ini, "plots", "folder")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(pipeline_ini), "--out", str(out),
+                 "--stage", "chm"]) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "input plots folder missing" in manifest
+    assert manifest[-1] == "status ok"
+
+
+@pytest.mark.parametrize("name", [*sorted(set(FIRST_STAGE) - {"cube.dat"}),
+                                  "pipeline.ini"])
+@pytest.mark.parametrize("where", ["head", "middle"])
+def test_a_byte_that_is_not_utf8_exits_naming_the_file(
+        fuzz_scene, tmp_path, capsys, name, where):
+    pipeline_ini = copy_fuzz_scene(fuzz_scene, tmp_path)
+    path = pipeline_ini.parent / name
+    raw = path.read_bytes()
+    at = 0 if where == "head" else len(raw) // 2
+    path.write_bytes(raw[:at] + b"\xff\xfe" + raw[at:])
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(pipeline_ini), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert f"{name}: not UTF-8 text" in err, err
+    if name == "pipeline.ini":
+        assert code == 2 and "configuration error" in err
+        assert not out.exists()
+    else:
+        assert code == 3 and "data error" in err
+        manifest = (out / "manifest.txt").read_text()
+        assert f"stage {FIRST_STAGE[name]} failed: {path}" in manifest
+        assert "status failed" in manifest
+
+
+@pytest.mark.parametrize("entries, names", [
+    ("zzzz = gymnosperm, fallback=NOPE", ("'ZZZZ'", "'NOPE'")),
+    ("aaaa = gymnosperm, fallback=BBBB\nbbbb = gymnosperm, fallback=AAAA",
+     ("'AAAA'", "returns to")),
+    ("piab = angiosperm, fallback=PIAB", ("'PIAB'", "returns to")),
+    ("zzzz = gymnosperm, -1, 1, 1, 1", ("zzzz", "need a, b, c > 0")),
+])
+def test_a_broken_registry_entry_exits_2_when_the_config_loads(
+        fuzz_scene, tmp_path, capsys, entries, names):
+    pipeline_ini = copy_fuzz_scene(fuzz_scene, tmp_path)
+    with open(pipeline_ini, "a") as f:
+        f.write(f"\n[registry]\n{entries}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(pipeline_ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: [registry]" in err, err
+    assert all(n in err for n in names), err
+    assert not out.exists()
+
+
 # the values of the mutation sweep: non-finite, overflowing, subnormal,
 # signed zero, empty, text, beyond int32 and ordinary
 SWEEP_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "0", "-0", "-1",
@@ -1280,46 +1373,109 @@ SWEEP_FILES = ("dtm.asc", "points.csv", "cube.hdr", "ground_truth.csv",
                "plots.csv", "truth_plots.csv", "pipeline.ini")
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"(?![\w.])")
+# the structural mutations of the sweep: of each text file, and of the
+# binary cube; "header only" applies to the tables and the grid
+TEXT_MUTATIONS = ("delete line", "duplicate line", "swap header",
+                  "header only", "empty", "whitespace only", "crlf", "bom",
+                  "not utf-8", "directory")
+CUBE_MUTATIONS = ("truncate", "one byte long", "empty", "directory")
+
+
+def restructure(op, name, raw, rng):
+    """`raw`, the bytes of scene file `name`, changed by the structural
+    mutation `op`, any line or offset drawn from `rng`; None stands for a
+    directory in the file's place."""
+    if op == "directory":
+        return None
+    if op == "empty":
+        return b""
+    if op == "truncate":
+        return raw[:rng.integers(len(raw))]
+    if op == "one byte long":
+        return raw + b"\0"
+    if op == "whitespace only":
+        return b" \n\t\n\n"
+    if op == "crlf":
+        return raw.replace(b"\n", b"\r\n")
+    if op == "bom":
+        return b"\xef\xbb\xbf" + raw
+    if op == "not utf-8":
+        at = rng.integers(len(raw) + 1)
+        return raw[:at] + b"\xff\xfe" + raw[at:]
+    lines = raw.decode().splitlines(keepends=True)
+    if op == "delete line":
+        del lines[rng.integers(len(lines))]
+    elif op == "duplicate line":
+        i = rng.integers(len(lines))
+        lines.insert(i, lines[i])
+    elif op == "swap header" and name.endswith(".csv"):
+        fields = lines[0].rstrip("\n").split(",")
+        fields[:2] = fields[1::-1]
+        lines[0] = ",".join(fields) + "\n"
+    elif op == "swap header":   # two neighbouring lines
+        i = rng.integers(len(lines) - 1)
+        lines[i:i + 2] = lines[i + 1], lines[i]
+    else:   # header only: the lines that start with a letter
+        lines = [ln for ln in lines if ln[0].isalpha()]
+    return "".join(lines).encode()
 
 
 def test_mutation_sweep_ends_in_a_documented_exit(fuzz_scene, capsys):
     """Every input file with one numeric token replaced by each sweep
-    value, the token drawn by a fixed seed: the run ends in exit 0, 2, 3
-    or 4 without a traceback or a warning, and a run that fails on its
-    data or its numbers names the failed stage in its manifest."""
+    value, then every input file changed by each structural mutation,
+    the token, line or offset drawn by a fixed seed: the run ends in exit
+    0, 2, 3 or 4 without a traceback or a warning, and a run that fails
+    on its data or its numbers names the failed stage in its manifest."""
     rng = np.random.default_rng(8)
-    problems = []
+    trials = []
     for name in SWEEP_FILES:
         raw = (fuzz_scene / name).read_text()
         tokens = list(NUMBER.finditer(raw))
         for value in SWEEP_VALUES:
             token = tokens[rng.integers(len(tokens))]
-            trial = (f"{name}: {token.group()!r} at offset {token.start()} "
-                     f"-> {value!r}")
-            with tempfile.TemporaryDirectory(dir=fuzz_scene.parent) as tmp:
-                scene = Path(tmp) / "scene"
-                shutil.copytree(fuzz_scene, scene)
-                (scene / name).write_text(raw[:token.start()] + value
-                                          + raw[token.end():])
-                out = Path(tmp) / "out"
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
+            trials.append((f"{name}: {token.group()!r} at offset "
+                           f"{token.start()} -> {value!r}", name,
+                           (raw[:token.start()] + value
+                            + raw[token.end():]).encode()))
+    for name in (*SWEEP_FILES, "cube.dat"):
+        raw = (fuzz_scene / name).read_bytes()
+        ops = CUBE_MUTATIONS if name == "cube.dat" else [
+            op for op in TEXT_MUTATIONS if op != "header only"
+            or name.endswith((".csv", ".asc"))]
+        trials += [(f"{name}: {op}", name, restructure(op, name, raw, rng))
+                   for op in ops]
+    problems = []
+    for trial, name, content in trials:
+        with tempfile.TemporaryDirectory(dir=fuzz_scene.parent) as tmp:
+            scene = Path(tmp) / "scene"
+            shutil.copytree(fuzz_scene, scene)
+            if content is None:
+                (scene / name).unlink()
+                (scene / name).mkdir()
+            else:
+                (scene / name).write_bytes(content)
+            out = Path(tmp) / "out"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
                     code = main(["run", "--config",
                                  str(scene / "pipeline.ini"),
                                  "--out", str(out)])
-                err = capsys.readouterr().err
-                manifest = ((out / "manifest.txt").read_text().splitlines()
-                            if code in (0, 3, 4) else [])
-            failed = [ln for ln in manifest if ln.startswith("stage ")
-                      and ln.split()[2] == "failed:"]
-            if code not in (0, 2, 3, 4):
-                problems.append(f"{trial}: exit {code}")
-            if caught or "Traceback" in err or "Warning" in err:
-                problems.append(f"{trial}: {[str(w.message) for w in caught]}"
-                                f" {err!r}")
-            if code == 0 and manifest[-1:] != ["status ok"]:
-                problems.append(f"{trial}: exit 0 without status ok")
-            if code in (3, 4) and (manifest[-1:] != ["status failed"]
-                                   or len(failed) != 1):
-                problems.append(f"{trial}: exit {code}, manifest {failed}")
+                except Exception as exc:   # a traceback on the command line
+                    code = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            manifest = ((out / "manifest.txt").read_text().splitlines()
+                        if code in (0, 3, 4) else [])
+        failed = [ln for ln in manifest if ln.startswith("stage ")
+                  and ln.split()[2] == "failed:"]
+        if code not in (0, 2, 3, 4):
+            problems.append(f"{trial}: exit {code}")
+        if caught or "Traceback" in err or "Warning" in err:
+            problems.append(f"{trial}: {[str(w.message) for w in caught]}"
+                            f" {err!r}")
+        if code == 0 and manifest[-1:] != ["status ok"]:
+            problems.append(f"{trial}: exit 0 without status ok")
+        if code in (3, 4) and (manifest[-1:] != ["status failed"]
+                               or len(failed) != 1):
+            problems.append(f"{trial}: exit {code}, manifest {failed}")
     assert not problems, "\n".join(problems)

@@ -158,7 +158,7 @@ class TestGenerate:
         registry, dbh_model = SpeciesRegistry(), DbhModel(0.6, 0.8, 0.05)
         data = generate_scene(spec, registry, dbh_model)
         t = data.truth_trees[0]
-        crown = CrownRecord(1, t.apex_x, t.apex_y, t.height, 1.0,
+        crown = CrownRecord(1, t.apex_x, t.apex_y, t.tree_height, 1.0,
                             t.crown_diameter, species_code=species)
         report = enrich_crowns([crown], registry, dbh_model)
         assert (crown.dbh, crown.agb, crown.volume) == (t.dbh, t.agb,
@@ -166,6 +166,26 @@ class TestGenerate:
         assert crown.volume > 0
         assert crown.fallback_used == (None if species == "PIAB" else "FASY")
         assert len(report) == (species != "PIAB")
+
+    def test_truth_trees_are_crowns_at_the_truth_contour(self):
+        from forestinv.crowns import CrownRecord
+
+        tree = TreeSpec(15.25, 15.25, 18.0, 3.5, "QUPU")
+        spec = tiny_spec(trees=(tree,), signatures={"QUPU": np.ones(3)})
+        (t,) = generate_scene(spec).truth_trees
+        r = contour_radius(spec, tree)
+        assert isinstance(t, CrownRecord)
+        assert (t.crown_id, t.apex_x, t.apex_y, t.tree_height,
+                t.species_code) == (1, 15.25, 15.25, 18.0, "QUPU")
+        assert (t.crown_area, t.crown_diameter) == (math.pi * r * r, 2 * r)
+        assert t.fallback_used == "FASY"
+
+    def test_a_species_not_in_the_registry_is_a_data_error(self):
+        # enrich_crowns would skip the tree and leave its truth empty
+        tree = TreeSpec(15.25, 15.25, 18.0, 3.5, "ZZZZ")
+        spec = tiny_spec(trees=(tree,), signatures={"ZZZZ": np.ones(3)})
+        with pytest.raises(DataError, match="unknown species code 'ZZZZ'"):
+            generate_scene(spec)
 
     def test_plot_truth_radius_and_dbh_filter(self):
         spec = tiny_spec(plots=(PlotDefinition(1, 15.25, 15.25, radius=15.0),
