@@ -31,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .geodata import DEFAULT_NODATA, Grid, PointCloud, bilinear_sample
 
 _TRI_CHUNK = 32768
@@ -174,6 +174,13 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
         ncols = max(1, math.ceil((x.max() - xll) / res))
     if nrows is None:
         nrows = max(1, math.ceil((y.max() - yll) / res))
+    try:
+        # the first raster: a grid numpy cannot allocate goes no further
+        acc = np.empty((nrows, ncols))
+    except (MemoryError, ValueError):
+        raise ConfigError(f"[chm] resolution {res} gives a {nrows:.4g} x "
+                          f"{ncols:.4g} grid, too large to allocate") from None
+    acc.fill(-np.inf)
 
     cols = np.arange(ncols)
     rows = np.arange(nrows)
@@ -181,7 +188,6 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     cy = yll + (nrows - rows - 0.5) * res
 
     layers = [_Layer(t, h, qx, qy) for t in params.height_thresholds]
-    acc = np.full((nrows, ncols), -np.inf)
     hull_mask = np.zeros((nrows, ncols), dtype=bool)
     if layers[0].n >= 3:
         try:

@@ -3,6 +3,7 @@
 Two classifiers are provided: a nearest-centroid minimum-distance
 classifier and a soft-margin RBF-kernel SVM trained from scratch with
 sequential minimal optimization, combined one-vs-one for multiclass.
+A model's `index(pixels)` is each row's index in its sorted `species`.
 Crowns receive the majority label of their classified pixels.
 """
 
@@ -15,9 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .geodata import Grid, write_table
+from .geodata import DEFAULT_NODATA, Grid
 
-LABEL_NODATA = -9999.0
 _KERNEL_BLOCK = 65536   # kernel entries per in-place block, ~512 KiB
 _PREDICT_ROWS = 512   # pixels per prediction block
 
@@ -40,6 +40,17 @@ class CentroidModel:
         arr.flags.writeable = False
         object.__setattr__(self, "centroids", arr)
 
+    def index(self, pixels: np.ndarray) -> np.ndarray:
+        """Index of the nearest centroid per row; ties go to the first,
+        which is the lexicographically smallest species code."""
+        if pixels.shape[1] != self.centroids.shape[1]:
+            raise ValueError("pixel dimension does not match the model")
+        # one species at a time: no (rows x species x features) temporary
+        d2 = np.empty((len(pixels), len(self.centroids)))
+        for j, c in enumerate(self.centroids):
+            d2[:, j] = ((pixels - c) ** 2).sum(axis=1)
+        return np.argmin(d2, axis=1)
+
 
 def _species_index(labels):
     """(sorted species, index of each label's species in them)."""
@@ -56,32 +67,6 @@ def train_centroid(pixels: np.ndarray, labels, bands=()) -> CentroidModel:
     cents = np.stack([pixels[index == i].mean(axis=0)
                       for i in range(len(species))])
     return CentroidModel(species, cents, tuple(bands))
-
-
-def _centroid_index(model: CentroidModel, pixels: np.ndarray) -> np.ndarray:
-    """Index of the nearest centroid per row; ties go to the first,
-    which is the lexicographically smallest species code."""
-    if pixels.shape[1] != model.centroids.shape[1]:
-        raise ValueError("pixel dimension does not match the model")
-    # one species at a time: no (rows x species x features) temporary
-    d2 = np.empty((len(pixels), len(model.centroids)))
-    for j, c in enumerate(model.centroids):
-        d2[:, j] = ((pixels - c) ** 2).sum(axis=1)
-    return np.argmin(d2, axis=1)
-
-
-def _predict(index_of, model, pixels):
-    """Species labels of one pixel or of the rows of a pixel array, from
-    a function that gives each row's species index."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    out = np.asarray(model.species)[index_of(model, np.atleast_2d(pixels))]
-    return out[0] if pixels.ndim == 1 else out
-
-
-def predict_centroid(model: CentroidModel, pixels: np.ndarray):
-    """Label of the nearest centroid; ties go to the lexicographically
-    smallest species code."""
-    return _predict(_centroid_index, model, pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +113,27 @@ class SvmModel:
         np.add.at(coef, (inverse.ravel(), column),
                   np.concatenate([p.coefficients for p in self.pairs]))
         return vectors, coef, np.array([p.bias for p in self.pairs])
+
+    def index(self, pixels: np.ndarray) -> np.ndarray:
+        """Species index per row by one-vs-one voting; vote ties break on
+        the summed decision margin, residual ties lexicographically."""
+        if pixels.shape[1] != self.scale_mean.size:
+            raise ValueError("pixel dimension does not match the model")
+        scaled = (pixels - self.scale_mean) / self.scale_std
+        decisions = _svm_decisions(self, scaled)
+
+        n = len(scaled)
+        index = {sp: i for i, sp in enumerate(self.species)}
+        votes = np.zeros((n, len(self.species)), dtype=np.int64)
+        margin = np.zeros((n, len(self.species)))
+        for pair, f in zip(self.pairs, decisions.T):
+            ia, ib = index[pair.pos], index[pair.neg]
+            pos_wins = f > 0
+            votes[pos_wins, ia] += 1
+            votes[~pos_wins, ib] += 1
+            margin[:, ia] += f
+            margin[:, ib] -= f
+        return _vote_winner(votes, margin)
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -282,33 +288,6 @@ def _svm_decisions(model: SvmModel, scaled_pixels: np.ndarray) -> np.ndarray:
     return decisions
 
 
-def _svm_index(model: SvmModel, pixels: np.ndarray) -> np.ndarray:
-    """Species index per row by one-vs-one voting (see predict_svm)."""
-    if pixels.shape[1] != model.scale_mean.size:
-        raise ValueError("pixel dimension does not match the model")
-    scaled = (pixels - model.scale_mean) / model.scale_std
-    decisions = _svm_decisions(model, scaled)
-
-    n = len(scaled)
-    index = {sp: i for i, sp in enumerate(model.species)}
-    votes = np.zeros((n, len(model.species)), dtype=np.int64)
-    margin = np.zeros((n, len(model.species)))
-    for pair, f in zip(model.pairs, decisions.T):
-        ia, ib = index[pair.pos], index[pair.neg]
-        pos_wins = f > 0
-        votes[pos_wins, ia] += 1
-        votes[~pos_wins, ib] += 1
-        margin[:, ia] += f
-        margin[:, ib] -= f
-    return _vote_winner(votes, margin)
-
-
-def predict_svm(model: SvmModel, pixels: np.ndarray):
-    """One-vs-one voting; vote ties break on the summed decision margin,
-    residual ties lexicographically."""
-    return _predict(_svm_index, model, pixels)
-
-
 def _vote_winner(votes: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """Per row: most votes, then largest margin, then first sorted species."""
     top = votes == votes.max(axis=1, keepdims=True)
@@ -337,20 +316,13 @@ def classify_image(cube, model, mask: np.ndarray | None = None):
         mask = np.ones(shape, dtype=bool)
     elif mask.shape != shape:
         raise DataError("mask is not aligned with the cube")
-    flat = np.flatnonzero(mask)
-    pixels = np.empty((len(flat), len(model.bands)))
-    for j, b in enumerate(model.bands):
-        pixels[:, j] = cube.band(b).ravel()[flat]
-    valid = ~np.isnan(pixels).any(axis=1)
-    if not valid.all():
-        flat, pixels = flat[valid], pixels[valid]
-    index_of = _svm_index if isinstance(model, SvmModel) else _centroid_index
-    out = np.full(mask.size, LABEL_NODATA)
+    flat, pixels = cube.gather(np.flatnonzero(mask), model.bands)
+    out = np.full(mask.size, DEFAULT_NODATA)
     for start in range(0, len(flat), _PREDICT_ROWS):
         block = slice(start, start + _PREDICT_ROWS)
-        out[flat[block]] = index_of(model, pixels[block]) + 1
-    return (Grid(out.reshape(shape), cube.xll, cube.yll, cube.cellsize,
-                 LABEL_NODATA), model.species)
+        out[flat[block]] = model.index(pixels[block]) + 1
+    return (Grid(out.reshape(shape), cube.xll, cube.yll, cube.cellsize),
+            model.species)
 
 
 def label_crowns_majority(label_grid: Grid, species, crowns,
@@ -373,11 +345,6 @@ def label_crowns_majority(label_grid: Grid, species, crowns,
         row = counts[crown.crown_id]
         crown.species_code = species[int(np.argmax(row))] if row.any() else None
     return [crown.crown_id for crown in crowns if crown.species_code is None]
-
-
-def write_legend(species, path) -> None:
-    """The label codes 1..len(species) and their species."""
-    write_table(path, {"code": range(1, len(species) + 1), "species": species})
 
 
 # ---------------------------------------------------------------------------

@@ -138,14 +138,21 @@ def _parse(tp, raw: str):
     return tp(raw)
 
 
+def _finite(value) -> bool:
+    """False for a float, or a tuple holding one, that is inf or nan."""
+    values = value if isinstance(value, tuple) else (value,)
+    return all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
 def _read(cp, section, cls, prefix="", **overrides):
     """Build `cls` from one INI section.
 
     Each dataclass field is the key `prefix + name`, cast by the field's
     annotation. An absent or empty key keeps the field's default (an
     empty list is `()`); a key that is no field is an error unless it
-    comes from [DEFAULT]. `overrides` that are not None replace file
-    values, and every value passes the constructor's checks.
+    comes from [DEFAULT], and so is a float key that is not finite.
+    `overrides` that are not None replace file values, and every value
+    passes the constructor's checks.
     """
     hints = typing.get_type_hints(cls)
     names = {prefix + f.name: f.name for f in fields(cls)}
@@ -159,10 +166,12 @@ def _read(cp, section, cls, prefix="", **overrides):
         if not raw and typing.get_origin(tp) is not tuple:
             continue
         try:
-            kwargs[names[key]] = _parse(tp, raw)
+            value = kwargs[names[key]] = _parse(tp, raw)
         except ValueError:
             raise ConfigError(f"[{section}] bad value for {key!r}: "
                               f"{raw!r}") from None
+        if not _finite(value):
+            raise ConfigError(f"[{section}] {key} must be finite")
     kwargs.update((k, v) for k, v in overrides.items() if v is not None)
     try:
         return cls(**kwargs)
@@ -255,6 +264,9 @@ def _parse_registry_entry(code: str, value: str) -> SpeciesEntry:
     if numeric and len(numeric) != 4:
         raise ConfigError(f"[registry] {code}: need 4 volume parameters "
                           f"(a, b, c, d0)")
+    if not _finite(tuple(numeric)):
+        raise ConfigError(f"[registry] {code}: volume parameters must be "
+                          f"finite")
     try:
         if numeric:
             params = VolumeParams(*numeric)

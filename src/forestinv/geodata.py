@@ -217,6 +217,18 @@ class CubeFile:
             out /= divisor
         return out
 
+    def gather(self, flat: np.ndarray, bands) -> tuple[np.ndarray, np.ndarray]:
+        """(the row-major cells `flat` whose pixel holds no NaN, their
+        pixels on `bands`, read once each in the given order): row i is
+        cell flat[i]. With no NaN, nothing is copied."""
+        pixels = np.empty((len(flat), len(bands)))
+        for j, b in enumerate(bands):
+            pixels[:, j] = self.band(b).ravel()[flat]
+        valid = ~np.isnan(pixels).any(axis=1)
+        if valid.all():
+            return flat, pixels
+        return flat[valid], pixels[valid]
+
     def bands(self, start: int, stop: int) -> CubeFile:
         """Bands `start` to `stop - 1` of the view; reads nothing."""
         wl = None if self.wavelengths is None else self.wavelengths[start:stop]

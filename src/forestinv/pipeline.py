@@ -301,14 +301,12 @@ def _stage_statistics(out, config, cube, owner, truth_species, split):
         config.spectral.max_training_pixels_per_species)
     species = np.unique(labels)
     # one read of each band serves every species. C order: the species
-    # means and covariances sum rows in order
-    x = np.empty((len(flat), cube.nbands))
-    for i in range(cube.nbands):
-        x[:, i] = cube.band(i).ravel()[flat]
-    # normalize_spectrum leaves every pixel all-NaN or all-finite, so
-    # dropping the rows with a NaN keeps the valid pixels on any bands
-    valid = ~np.isnan(x).any(axis=1)
-    x, labels = x[valid], labels[valid]
+    # means and covariances sum rows in order. normalize_spectrum leaves
+    # every pixel all-NaN or all-finite, so dropping the rows with a NaN
+    # keeps the valid pixels on any bands
+    kept, x = cube.gather(flat, range(cube.nbands))
+    # no cell is twice in `flat`, so each kept cell keeps its one label
+    labels = labels[np.isin(flat, kept, assume_unique=True)]
     # labels are grouped by species, so each species' rows are one block;
     # a species with no valid row keeps an empty one
     blocks = np.split(x, np.searchsorted(labels, species[1:]))
@@ -365,7 +363,8 @@ def _stage_classify(out, config, chm, cube, model):
     mask = chm.valid_mask() & (chm.values >= config.itc.height_threshold)
     label_grid, species = classify_mod.classify_image(cube, model, mask=mask)
     write_ascii_grid(label_grid, os.path.join(out, "species_labels.asc"))
-    classify_mod.write_legend(species, os.path.join(out, "species_legend.csv"))
+    write_table(os.path.join(out, "species_legend.csv"),
+                {"code": range(1, len(species) + 1), "species": species})
     counts = {"pixels_classified": int(label_grid.valid_mask().sum())}
     if isinstance(model, classify_mod.SvmModel):
         counts["support_vector_union"] = len(model.union[0])

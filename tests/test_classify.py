@@ -14,8 +14,6 @@ from forestinv.classify import (
     _vote_winner,
     classify_image,
     label_crowns_majority,
-    predict_centroid,
-    predict_svm,
     rbf_kernel,
     save_model,
     smo_solve,
@@ -272,24 +270,24 @@ class TestCentroid:
     def test_predict_nearest(self):
         model = CentroidModel(("A", "B"),
                               np.array([[0.0, 0.0], [10.0, 10.0]]), ())
-        assert predict_centroid(model, np.array([1.0, 1.0])) == "A"
+        assert model.index(np.array([1.0, 1.0])[None])[0] == 0
 
     def test_tie_lexicographic(self):
         model = CentroidModel(("A", "B"),
                               np.array([[0.0, 0.0], [2.0, 0.0]]), ())
-        assert predict_centroid(model, np.array([1.0, 0.0])) == "A"
+        assert model.index(np.array([1.0, 0.0])[None])[0] == 0
 
     def test_pixel_equal_to_centroid(self):
         model = CentroidModel(("A", "B"),
                               np.array([[0.0, 1.0], [5.0, 5.0]]), ())
-        assert predict_centroid(model, np.array([5.0, 5.0])) == "B"
+        assert model.index(np.array([5.0, 5.0])[None])[0] == 1
 
     @pytest.mark.parametrize("features", [1, 3, 8, 35])
     def test_index_equals_the_broadcast_formula(self, features):
         """Distances taken one species at a time pick, bit for bit, the
         centroid the (rows x species x features) broadcast picked, ties
-        included: integer-valued pixels tie exactly. classify_image
-        passes Fortran-ordered blocks, so both orders are checked."""
+        included: integer-valued pixels tie exactly. Both C- and
+        Fortran-ordered blocks are checked."""
         rng = np.random.default_rng(features)
         centroids = rng.integers(-2, 3, (5, features)).astype(float)
         centroids[4] = centroids[2]
@@ -300,16 +298,16 @@ class TestCentroid:
             d2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
             np.testing.assert_array_equal(
-                classify_mod._centroid_index(model, block),
+                model.index(block),
                 np.argmin(d2, axis=1))
 
     def test_rescaling_invariance(self):
         x, labels = blobs(seed=3)
         model = train_centroid(x, labels)
         probe = np.array([[1.0, 2.0], [4.0, 4.5]])
-        base = predict_centroid(model, probe)
+        base = model.index(probe)
         scaled = CentroidModel(model.species, model.centroids * 2.5, ())
-        again = predict_centroid(scaled, probe * 2.5)
+        again = scaled.index(probe * 2.5)
         assert (base == again).all()
 
 
@@ -317,7 +315,7 @@ class TestSvmMulticlass:
     def test_training_accuracy_three_classes(self):
         x, labels = blobs(seed=4, centers=((0, 0), (5, 5), (0, 6)))
         model = train_svm(x, labels, C=10.0)
-        assert (predict_svm(model, x) == labels).all()
+        assert (np.asarray(model.species)[model.index(x)] == labels).all()
 
     def test_two_class_reduces_to_binary_sign(self):
         x, labels = blobs(seed=5)
@@ -327,13 +325,13 @@ class TestSvmMulticlass:
         scaled = (x - model.scale_mean) / model.scale_std
         f = reference_decision(model, pair, scaled)
         by_sign = np.where(f > 0, pair.pos, pair.neg)
-        assert (predict_svm(model, x) == by_sign).all()
+        assert (np.asarray(model.species)[model.index(x)] == by_sign).all()
 
     def test_support_sample_deep_in_cluster(self):
         x, labels = blobs(seed=6)
         model = train_svm(x, labels, C=10.0)
         inside = x[labels == "S0"][0]
-        assert predict_svm(model, inside) == "S0"
+        assert model.species[model.index(inside[None])[0]] == "S0"
 
     def test_duplicating_samples_leaves_decision_unchanged(self):
         x, labels = blobs(seed=7)
@@ -353,8 +351,8 @@ class TestSvmMulticlass:
         model = train_svm(x, labels, C=10.0)
         rng = np.random.default_rng(10)
         probe = rng.uniform(-1, 5, (25, 2))
-        a = predict_svm(model, probe)
-        b = predict_svm(model, probe)
+        a = model.index(probe)
+        b = model.index(probe)
         assert (a == b).all()
 
     def test_needs_two_species(self):
@@ -433,8 +431,7 @@ class TestClassifyImage:
         valid = ~np.isnan(pixels).any(axis=1)
         assert not valid.all()
         expected = np.full(len(pixels), grid.nodata)
-        expected[valid] = classify_mod._centroid_index(model,
-                                                       pixels[valid]) + 1
+        expected[valid] = model.index(pixels[valid]) + 1
         np.testing.assert_array_equal(grid.values.ravel(), expected)
 
 
@@ -470,8 +467,8 @@ class TestUnionKernel:
             votes[f <= 0, ib] += 1
             margin[:, ia] += f
             margin[:, ib] -= f
-        expected = np.asarray(model.species)[_vote_winner(votes, margin)]
-        assert (predict_svm(model, probe) == expected).all()
+        np.testing.assert_array_equal(model.index(probe),
+                                      _vote_winner(votes, margin))
 
     def test_a_row_twice_in_one_pair_adds_its_coefficients(self):
         sv = np.array([[0.5, -1.0], [0.5, -1.0], [-0.3, 0.8]])
@@ -561,13 +558,13 @@ class TestPredictionBlocks:
         assert sum(a for a, _ in kernel_rows) == grid.valid_mask().sum()
 
         centroid_rows = []
-        index_of = classify_mod._centroid_index
+        index_of = CentroidModel.index
 
         def recording_index(model, pixels):
             centroid_rows.append(len(pixels))
             return index_of(model, pixels)
 
-        monkeypatch.setattr(classify_mod, "_centroid_index", recording_index)
+        monkeypatch.setattr(CentroidModel, "index", recording_index)
         grid, _ = classify_image(cube, centroid)
         assert len(centroid_rows) > 1
         assert max(centroid_rows) <= rows

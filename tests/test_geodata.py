@@ -13,6 +13,7 @@ from forestinv.errors import (
     PointCloudFormatError,
 )
 from forestinv.geodata import (
+    CubeFile,
     Grid,
     PointCloud,
     bilinear_sample,
@@ -381,6 +382,46 @@ class TestEnviCube:
 # ---------------------------------------------------------------------------
 # Bilinear sampling
 # ---------------------------------------------------------------------------
+
+
+class TestGather:
+    def _counting(self, cube_from, arr, monkeypatch):
+        """A view of `arr` and the list of the bands it reads."""
+        read = []
+        band = CubeFile.band
+
+        def counting_band(self, i):
+            read.append(i)
+            return band(self, i)
+
+        monkeypatch.setattr(CubeFile, "band", counting_band)
+        return cube_from(arr), read
+
+    def test_rows_in_flat_order_on_bands_in_the_given_order(self, cube_from,
+                                                            monkeypatch):
+        arr = np.random.default_rng(3).normal(size=(5, 4, 6))
+        cube, read = self._counting(cube_from, arr, monkeypatch)
+        flat = np.array([17, 0, 23, 5, 9])
+        bands = (3, 0, 4)
+        kept, pixels = cube.gather(flat, bands)
+        assert kept is flat
+        np.testing.assert_array_equal(
+            pixels, arr.reshape(5, -1)[list(bands)][:, flat].T)
+        assert read == [3, 0, 4]
+
+    def test_drops_exactly_the_rows_that_hold_a_nan(self, cube_from,
+                                                    monkeypatch):
+        arr = np.random.default_rng(4).normal(size=(4, 3, 5))
+        arr[1, 0, 2] = np.nan   # cell 2, on a gathered band
+        arr[3, 2, 4] = np.nan   # cell 14, likewise
+        arr[2, 1, 1] = np.nan   # cell 6, on a band not gathered
+        cube, read = self._counting(cube_from, arr, monkeypatch)
+        flat = np.array([14, 6, 2, 0, 7, 13])
+        kept, pixels = cube.gather(flat, [1, 3])
+        np.testing.assert_array_equal(kept, [6, 0, 7, 13])
+        np.testing.assert_array_equal(
+            pixels, arr.reshape(4, -1)[[1, 3]][:, kept].T)
+        assert read == [1, 3]
 
 
 class TestBilinear:

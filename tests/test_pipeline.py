@@ -979,6 +979,21 @@ class TestCli:
         ("[classify]\nc = inf\n", [], ("[classify]", "c must be finite")),
         ("[classify]\ngamma = inf\n", [],
          ("[classify]", "gamma must be finite")),
+        *[(f"[{section}]\n{key} = {value}\n", [],
+           (f"[{section}] {key} must be finite",))
+          for section, key, value in [
+              ("allometry", "dbh_coeff_a", "nan"),
+              ("allometry", "dbh_sigma", "inf"),
+              ("crowns", "height_threshold", "nan"),
+              ("crowns", "max_dist", "inf"),
+              ("crowns", "win_high_height", "inf"),
+              ("chm", "subcircle_radius", "nan"),
+              ("chm", "height_thresholds", "0, nan"),
+              ("chm", "max_edge", "inf"),
+              ("chm", "resolution", "inf")]],
+        *[(f"[registry]\nzzzz = gymnosperm, {params}\n", [],
+           ("[registry] zzzz: volume parameters must be finite",))
+          for params in ("nan, 1, 1, 1", "1, 1, 1, inf")],
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, text, flags, names):
         cfg = tmp_path / "scene.ini"
@@ -1362,6 +1377,27 @@ def test_a_broken_registry_entry_exits_2_when_the_config_loads(
     assert "configuration error: [registry]" in err, err
     assert all(n in err for n in names), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("resolution, shape", [
+    ("1e-300", "4.399e+301 x 4.399e+301"),
+    ("1e-6", "4.399e+07 x 4.399e+07")])
+def test_a_chm_grid_too_large_to_allocate_exits_2(fuzz_scene, tmp_path,
+                                                  capsys, resolution, shape):
+    """With no cube to fix the grid, the CHM grid is the cloud's extent
+    at [chm] resolution; one numpy cannot allocate ends the run in exit
+    2 at chm, before any raster is written."""
+    pipeline_ini = copy_fuzz_scene(fuzz_scene, tmp_path)
+    text = re.sub(r"(?m)^cube_.*\n", "", pipeline_ini.read_text())
+    pipeline_ini.write_text(text + f"\n[chm]\nresolution = {resolution}\n")
+    out = tmp_path / "out"
+    assert main(["chm", "--config", str(pipeline_ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"[chm] resolution {float(resolution)} gives a {shape} grid" in err
+    assert "Traceback" not in err
+    manifest = (out / "manifest.txt").read_text()
+    assert "stage chm failed: [chm] resolution" in manifest
+    assert not (out / "chm.asc").exists()
 
 
 # the values of the mutation sweep: non-finite, overflowing, subnormal,
