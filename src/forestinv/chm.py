@@ -22,7 +22,6 @@ distance from the origin; the rasterizer keeps the map coordinates.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -136,9 +135,10 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     this thread runs every threads-th job and threads - 1 worker threads
     run the others; this thread rasterizes the results in tile order, so
     the result does not depend on `threads`. A layer is a threshold over
-    the one point set: a tile keeps the points of its window at or above
-    it. Once a layer's last tile is rasterized, nothing holds its index
-    array or its k-d tree any more.
+    the one point set, which is sorted by x: a tile keeps the points of
+    its window at or above it, and the certificate tests a circle that
+    leaves its tile against those of the circle's x-strip. No layer
+    holds an array of its own.
     """
     # scipy.spatial costs half a second to import, so only a CHM loads
     # it; it is imported here, before any worker thread starts
@@ -166,14 +166,19 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     qy = y - sy if sy else y
 
     res = params.resolution
-    if xll is None:
-        xll = math.floor(x.min() / res) * res
-    if yll is None:
-        yll = math.floor(y.min() / res) * res
-    if ncols is None:
-        ncols = max(1, math.ceil((x.max() - xll) / res))
-    if nrows is None:
-        nrows = max(1, math.ceil((y.max() - yll) / res))
+    try:
+        with np.errstate(over="raise"):   # the extent in cells may overflow
+            if xll is None:
+                xll = math.floor(x.min() / res) * res
+            if yll is None:
+                yll = math.floor(y.min() / res) * res
+            if ncols is None:
+                ncols = max(1, math.ceil((x.max() - xll) / res))
+            if nrows is None:
+                nrows = max(1, math.ceil((y.max() - yll) / res))
+    except (FloatingPointError, OverflowError):
+        raise ConfigError(f"[chm] resolution {res} gives a grid of more "
+                          f"cells than a float can count") from None
     try:
         # the first raster: a grid numpy cannot allocate goes no further
         acc = np.empty((nrows, ncols))
@@ -191,8 +196,7 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     hull_mask = np.zeros((nrows, ncols), dtype=bool)
     if layers[0].n >= 3:
         try:
-            hull_mask = _inside_hull(x[layers[0].index], y[layers[0].index],
-                                     cx, cy)
+            hull_mask = _inside_hull(*layers[0].points(h, x, y), cx, cy)
         except QhullError:
             raise DataError("degenerate (collinear) point set at "
                             "threshold 0") from None
@@ -204,7 +208,7 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     # their tiles tie and fall back, or gain nothing, so they run whole
     tiled = params.subcircle_radius == 0
     cores = [[] if layer.n < 3
-             else _tile_cores(qx[layer.index], qy[layer.index]) if tiled
+             else _tile_cores(*layer.points(h, qx, qy)) if tiled
              else [_WHOLE]
              for layer in layers]
 
@@ -219,13 +223,13 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
         idx, tin = _triangulate(qx, qy, h, layer, core, halo)
         if core == _WHOLE:
             return _whole(x, y, layer, idx, tin, max_edge), 0
-        kept = _certify(qx, qy, layer, idx, tin, core, halo, max_edge)
+        kept = _certify(qx, qy, h, layer, idx, tin, core, halo, max_edge)
         if kept is None:
             layer.fallback = True
         return kept
 
     # a job names its layer by index, so that once the layer's last tile
-    # is rasterized and its entry cleared, its index array and k-d tree go
+    # is rasterized and its entry cleared, nothing holds the layer
     jobs = [(i, core) for i, layer_cores in enumerate(cores)
             for core in layer_cores]
     results = _lookahead(tile, jobs, threads)
@@ -269,37 +273,30 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
 
 
 class _Layer:
-    """One height layer: the shared points at or above its threshold,
-    named by their ascending indices, and its work counts.
+    """One height layer: a threshold over the shared points, Qhull's
+    rounding of a power on its points, and its work counts.
 
-    The layer holds no coordinates: qx, qy are the shared points less
-    the exact shift that Qhull and the certificate work in. Tile jobs
-    on several threads read a layer at once; only the calling thread
-    writes its counts.
+    The layer holds no array: `points` picks its points out of the
+    shared ones when they are needed. Tile jobs on several threads read
+    a layer at once; only the calling thread writes its counts.
     """
 
     def __init__(self, threshold, h, qx, qy):
         self.threshold = threshold
-        self.index = np.flatnonzero(h >= threshold)
-        self.n = len(self.index)
-        # Qhull's rounding of a power, in squared map units
-        self.roundoff = _QHULL_ROUNDOFF * float(np.max(
-            qx[self.index] ** 2 + qy[self.index] ** 2, initial=0.0))
+        lx, ly = self.points(h, qx, qy)
+        self.n = len(lx)
+        # in squared map units: qx, qy are the shared points less the
+        # exact shift that Qhull and the certificate work in
+        self.roundoff = _QHULL_ROUNDOFF * float(np.max(lx ** 2 + ly ** 2,
+                                                       initial=0.0))
         self.tiles = self.triangles = self.dropped = 0
         self.fallback = False
-        self._tree = None
-        self._tree_lock = threading.Lock()
 
-    def tree(self, qx, qy):
-        """A k-d tree of the layer's points, built once by the first job
-        that asks for it; its point i is the shared point index[i]."""
-        with self._tree_lock:
-            if self._tree is None:
-                from scipy.spatial import cKDTree
-
-                self._tree = cKDTree(np.column_stack(
-                    [qx[self.index], qy[self.index]]))
-        return self._tree
+    def points(self, h, px, py):
+        """The layer's points among the shared points px, py of heights
+        h, in their order."""
+        on = h >= self.threshold
+        return px[on], py[on]
 
 
 def _exact_shift(v):
@@ -408,7 +405,7 @@ def _canonical(simplices):
         simplices, (first[:, None] + np.arange(3)) % 3, axis=1)
 
 
-def _certify(px, py, layer, idx, tin, core, halo, max_edge):
+def _certify(px, py, h, layer, idx, tin, core, halo, max_edge):
     """The kept triangles a tile owns that are triangles of the whole
     layer's Delaunay triangulation and the number of owned triangles
     dropped, or None if that cannot be proven.
@@ -419,7 +416,9 @@ def _certify(px, py, layer, idx, tin, core, halo, max_edge):
     the tile's points; its empty circumcircle makes it a Delaunay
     triangle of the tile too. The tile's other owned triangles have a
     layer point outside the tile inside their circle and are dropped.
-    Near-cocircular points make the triangulation not unique: None.
+    Near-cocircular points make the triangulation not unique: None. A
+    circle that leaves the tile's box is tested against the layer points
+    in its box, found in one slice of the shared points, sorted by x.
     """
     if tin is None:
         return np.empty((0, 3), dtype=np.intp), 0
@@ -457,7 +456,8 @@ def _certify(px, py, layer, idx, tin, core, halo, max_edge):
         return kept, 0
 
     # circumcircles that stay inside the tile's box hold no layer point;
-    # the others are checked against their nearest layer points
+    # a point inside one of the others drops its triangle, and a point
+    # on it with none inside is a tie
     a, b, c = kept.T
     bx, by = px[b] - px[a], py[b] - py[a]
     qx, qy = px[c] - px[a], py[c] - py[a]
@@ -473,30 +473,27 @@ def _certify(px, py, layer, idx, tin, core, halo, max_edge):
     reach = r + _CIRCLE_TOL * (r + np.abs(ox) + np.abs(oy))
     inside = ((ox - reach > x0 - halo) & (ox + reach < x1 + halo)
               & (oy - reach > y0 - halo) & (oy + reach < y1 + halo))
-    check = np.flatnonzero(~inside)
-    if not len(check):
-        return kept, 0
-    tri = kept[check]
-    _, near4 = layer.tree(px, py).query(
-        np.column_stack([ox[check], oy[check]]), k=4)
-    found = near4 < layer.n
-    near4 = layer.index[np.where(found, near4, 0)]
-    other = (found & (near4 != tri[:, :1]) & (near4 != tri[:, 1:2])
-             & (near4 != tri[:, 2:]))
-    rows, cols = np.nonzero(other)
-    d, va, j = near4[rows, cols], tri[rows, 0], check[rows]
-    # squared distance from the circumcenter, taken relative to vertex a
-    d2 = (px[d] - px[va] - ux[j]) ** 2 + (py[d] - py[va] - uy[j]) ** 2
-    tol = np.maximum(_CIRCLE_TOL * r2[j], roundoff)
-    inner = np.zeros(len(check), dtype=bool)
-    inner[rows[d2 < r2[j] - tol]] = True
-    tied = np.zeros(len(check), dtype=bool)
-    tied[rows[np.abs(d2 - r2[j]) <= tol]] = True
-    if np.any(tied & ~inner):
-        return None
-    keep = np.ones(len(kept), dtype=bool)
-    keep[check[inner]] = False
-    return kept[keep], int(inner.sum())
+    inner = np.zeros(len(kept), dtype=bool)
+    for j in np.flatnonzero(~inside):
+        # a point the test below calls inside or tied lies within
+        # sqrt(r2 + tol) of the center; the strip's margin dwarfs the
+        # rounding of the test's coordinates
+        tol = max(_CIRCLE_TOL * r2[j], roundoff)
+        side = math.sqrt(r2[j] + tol)
+        side += _CIRCLE_TOL * (side + abs(ox[j]) + abs(oy[j]))
+        lo = np.searchsorted(px, ox[j] - side, "left")
+        hi = np.searchsorted(px, ox[j] + side, "right")
+        d = lo + np.flatnonzero((np.abs(py[lo:hi] - oy[j]) <= side)
+                                & (h[lo:hi] >= layer.threshold))
+        va = a[j]
+        d = d[(d != va) & (d != b[j]) & (d != c[j])]
+        # squared distance from the circumcenter, taken relative to vertex a
+        d2 = (px[d] - px[va] - ux[j]) ** 2 + (py[d] - py[va] - uy[j]) ** 2
+        if np.any(d2 < r2[j] - tol):
+            inner[j] = True
+        elif np.any(np.abs(d2 - r2[j]) <= tol):
+            return None
+    return kept[~inner], int(inner.sum())
 
 
 def _incircle(px, py, tri, d):

@@ -94,6 +94,10 @@ def detect_treetops(chm: Grid, params: ItcParams) -> list[Apex]:
         params.max_search_win - params.min_search_win)).astype(np.int64)
     sides += sides % 2 == 0
     sides = np.clip(sides, params.min_search_win, params.max_search_win)
+    # a window of side 2 max(nrows, ncols) + 1 (odd, and at least 3)
+    # covers the grid from every cell: a larger one tests the same cells
+    nrows, ncols = values.shape
+    sides = np.minimum(sides, 2 * max(nrows, ncols) + 1)
 
     # strict local max: taller than every other cell in its window. The
     # window maximum without the center is the running maximum of shifted
@@ -101,11 +105,10 @@ def detect_treetops(chm: Grid, params: ItcParams) -> list[Apex]:
     # offsets outside the previous side's window, up to the largest side
     # a candidate uses.
     is_strict = np.zeros(len(rows), dtype=bool)
-    nrows, ncols = values.shape
-    half = params.max_search_win // 2
+    half = int(sides.max(initial=1)) // 2
     padded = np.pad(values, half, constant_values=-np.inf)
     neighborhood_max = np.full(values.shape, -np.inf)
-    for side in range(3, int(sides.max(initial=1)) + 1, 2):
+    for side in range(3, 2 * half + 2, 2):
         r = side // 2
         for dr in range(-r, r + 1):
             step = 1 if abs(dr) == r else 2 * r

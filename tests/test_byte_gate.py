@@ -31,6 +31,19 @@ def test_the_paper_scale_case_is_paper_spectral_at_paper_scale():
     assert cp["run"]["seed"] == "7"
 
 
+def test_the_sparse_case_is_dense_stand_at_1_5_points_per_m2():
+    gate = load_gate()
+    cp = configparser.ConfigParser()
+    cp.read_string(gate.case_ini("sparse", 7))
+    base = configparser.ConfigParser()
+    base.read_string(gate.case_ini("dense-stand", 7))
+    assert cp["scene"]["point_density"] == "1.5"
+    assert base["scene"]["point_density"] == "4"
+    del cp["scene"]["point_density"], base["scene"]["point_density"]
+    assert {s: dict(cp[s]) for s in cp} == {s: dict(base[s]) for s in base}
+    assert cp["run"]["seed"] == "7"
+
+
 def test_two_runs_of_one_tree_are_identical_and_a_change_shows(tmp_path):
     gate = load_gate()
     sides = [tmp_path / "a", tmp_path / "b"]

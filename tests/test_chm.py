@@ -420,20 +420,14 @@ def test_a_fallen_back_layer_triangulates_no_more_tiles(monkeypatch):
 def test_a_finished_layer_is_freed_before_the_next_is_rasterized(
         monkeypatch, threads):
     cloud, params = make_cloud("jittered", 3, 25, monkeypatch)
-    # the points are shared by every layer; per layer: weak references
-    # to the layer and its index array, then to its k-d tree's data
+    # the points are shared by every layer and a layer holds no array of
+    # its own: a weak reference to each layer object
     refs = []
 
     class Layer(chm_mod._Layer):
         def __init__(self, *args):
             super().__init__(*args)
-            refs.append([weakref.ref(self), weakref.ref(self.index)])
-
-        def tree(self, *args):
-            tree = super().tree(*args)
-            mine = next(r for r in refs if r[0]() is self)
-            mine.append(weakref.ref(tree.data))
-            return tree
+            refs.append(weakref.ref(self))
 
     # the kept triangles of each tile, and the number of their layer
     owners = []
@@ -442,10 +436,10 @@ def test_a_finished_layer_is_freed_before_the_next_is_rasterized(
         def run(*args):
             kept = fn(*args)
             if kept is not None:
-                layer = args[2]
+                layer = next(a for a in args if isinstance(a, Layer))
                 owners.append((kept[0] if isinstance(kept, tuple) else kept,
-                               next(i for i, r in enumerate(refs)
-                                    if r[0]() is layer)))
+                               next(i for i, ref in enumerate(refs)
+                                    if ref() is layer)))
             return kept
         return run
 
@@ -455,7 +449,7 @@ def test_a_finished_layer_is_freed_before_the_next_is_rasterized(
     def check(px, py, ph, simplices, *args):
         layer = next(i for kept, i in owners if kept is simplices)
         rasterized.append(layer)
-        assert all(ref() is None for r in refs[:layer] for ref in r)
+        assert all(ref() is None for ref in refs[:layer])
         return rasterize(px, py, ph, simplices, *args)
 
     monkeypatch.setattr(chm_mod, "_Layer", Layer)
@@ -464,8 +458,145 @@ def test_a_finished_layer_is_freed_before_the_next_is_rasterized(
     monkeypatch.setattr(chm_mod, "_rasterize_tin", check)
     grid = chm_with_tiles(monkeypatch, cloud, params, 25, threads=threads)
     assert grid.counts["layer0.tiles"] > 1
-    assert len(set(rasterized)) == len(params.height_thresholds)
-    assert any(len(r) > 2 for r in refs)   # some layer built its tree
+    assert len(set(rasterized)) == len(refs) == len(params.height_thresholds)
+
+
+def reference_certify(px, py, h, layer, idx, tin, core, halo, max_edge,
+                      escaping):
+    """_certify as it was with a k-d tree per layer: a circle that
+    leaves the tile's box is tested against its four nearest layer
+    points. Appends the number of such circles to `escaping`."""
+    from scipy.spatial import cKDTree
+
+    if tin is None:
+        return np.empty((0, 3), dtype=np.intp), 0
+    if tin is chm_mod._FAILED:
+        return None
+    simplices, neighbors, n_coplanar = tin
+    if n_coplanar:
+        return None
+    x0, x1, y0, y1 = core
+    s = idx[simplices]
+    corners = s.T.copy()
+    tx, ty = px[corners], py[corners]
+    near = ((tx.max(axis=0) >= x0) & (tx.min(axis=0) <= x1)
+            & (ty.max(axis=0) >= y0) & (ty.min(axis=0) <= y1))
+    lower = neighbors > np.arange(len(s))[:, None]
+    t, k = np.nonzero(near[:, None] & (neighbors >= 0)
+                      & (lower | ~near[neighbors]))
+    nb = neighbors[t, k]
+    across = s[nb, np.argmax(neighbors[nb] == t[:, None], axis=1)]
+    det, perm, area2 = chm_mod._incircle(px, py, s[t], across)
+    roundoff = layer.roundoff
+    circle_tol = chm_mod._CIRCLE_TOL
+    if np.any(det >= -np.maximum(circle_tol * perm, roundoff * area2)):
+        return None
+
+    kept = chm_mod._canonical(chm_mod._prune_long_edges(s, px, py, max_edge))
+    a, b, c = kept.T
+    gx = (px[a] + px[b] + px[c]) / 3
+    gy = (py[a] + py[b] + py[c]) / 3
+    kept = kept[(gx >= x0) & (gx < x1) & (gy >= y0) & (gy < y1)]
+    if not len(kept):
+        return kept, 0
+    a, b, c = kept.T
+    bx, by = px[b] - px[a], py[b] - py[a]
+    qx, qy = px[c] - px[a], py[c] - py[a]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = 2.0 * (bx * qy - by * qx)
+        b2, q2 = bx * bx + by * by, qx * qx + qy * qy
+        ux = (qy * b2 - by * q2) / den
+        uy = (bx * q2 - qx * b2) / den
+    r2 = ux * ux + uy * uy
+    if not np.all(np.isfinite(r2)):
+        return None
+    ox, oy, r = px[a] + ux, py[a] + uy, np.sqrt(r2)
+    reach = r + circle_tol * (r + np.abs(ox) + np.abs(oy))
+    inside = ((ox - reach > x0 - halo) & (ox + reach < x1 + halo)
+              & (oy - reach > y0 - halo) & (oy + reach < y1 + halo))
+    check = np.flatnonzero(~inside)
+    escaping.append(len(check))
+    if not len(check):
+        return kept, 0
+    tri = kept[check]
+    index = np.flatnonzero(h >= layer.threshold)
+    tree = cKDTree(np.column_stack([px[index], py[index]]))
+    _, near4 = tree.query(np.column_stack([ox[check], oy[check]]), k=4)
+    found = near4 < len(index)
+    near4 = index[np.where(found, near4, 0)]
+    other = (found & (near4 != tri[:, :1]) & (near4 != tri[:, 1:2])
+             & (near4 != tri[:, 2:]))
+    rows, cols = np.nonzero(other)
+    d, va, j = near4[rows, cols], tri[rows, 0], check[rows]
+    d2 = (px[d] - px[va] - ux[j]) ** 2 + (py[d] - py[va] - uy[j]) ** 2
+    tol = np.maximum(circle_tol * r2[j], roundoff)
+    inner = np.zeros(len(check), dtype=bool)
+    inner[rows[d2 < r2[j] - tol]] = True
+    tied = np.zeros(len(check), dtype=bool)
+    tied[rows[np.abs(d2 - r2[j]) <= tol]] = True
+    if np.any(tied & ~inner):
+        return None
+    keep = np.ones(len(kept), dtype=bool)
+    keep[check[inner]] = False
+    return kept[keep], int(inner.sum())
+
+
+def test_certify_equals_the_nearest_four_reference(monkeypatch):
+    certify = chm_mod._certify
+    escaping, outcomes = [], set()
+
+    def both(*args):
+        got = certify(*args)
+        want = reference_certify(*args, escaping)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        outcomes.add("tie" if got is None else "drop" if got[1] else "keep")
+        return got
+
+    monkeypatch.setattr(chm_mod, "_certify", both)
+    rng = np.random.default_rng(29)
+    for kind in KINDS:
+        for offset in (0.0, 5e5):
+            for seed in rng.integers(0, 2**32, 6):
+                tile_points = int(rng.integers(4, 41))
+                cloud, params = make_cloud(kind, seed, tile_points,
+                                           monkeypatch, offset)
+                try:
+                    chm_with_tiles(monkeypatch, cloud, params, tile_points)
+                except DataError:
+                    pass
+    assert outcomes == {"tie", "drop", "keep"}
+    assert sum(escaping) > 100
+
+
+@pytest.mark.parametrize("others, expect", [
+    ([(-5.0, 0.0, 5.0)], None),                    # on the circle: a tie
+    ([(-5.0, 0.0, 5.0), (0.0, 0.0, 5.0)], 1),      # and one inside: dropped
+    ([(-5.5, 0.0, 5.0)], 0),                       # outside it: kept
+    ([(-5.0, 0.0, 0.5), (0.0, 0.0, 0.5)], 0)])     # below the layer: kept
+def test_an_escaping_circle_is_tested_against_the_points_off_the_tile(
+        others, expect):
+    # the tile holds the triangle (3, 4), (4, 3), (5, 0) alone; its
+    # circle, of radius 5 about the origin, leaves the tile's box
+    pts = sorted([(3.0, 4.0, 5.0), (4.0, 3.0, 5.0), (5.0, 0.0, 5.0)]
+                 + others)
+    px, py, h = (np.array(v) for v in zip(*pts))
+    layer = chm_mod._Layer(2.0, h, px, py)
+    core, halo = (2.0, np.inf, -np.inf, np.inf), 0.5
+    idx, tin = chm_mod._triangulate(px, py, h, layer, core, halo)
+    assert len(idx) == 3
+    got = chm_mod._certify(px, py, h, layer, idx, tin, core, halo, 5.0)
+    escaping = []
+    want = reference_certify(px, py, h, layer, idx, tin, core, halo, 5.0,
+                             escaping)
+    assert escaping == [1]
+    if expect is None:
+        assert got is None and want is None
+    else:
+        assert got[1] == want[1] == expect
+        assert len(got[0]) == 1 - expect
+        assert np.array_equal(got[0], want[0])
 
 
 class JobFailed(Exception):

@@ -221,6 +221,20 @@ class TestStrictMaxima:
         assert sorted(got) == sorted(brute_force_treetops(chm, params))
         assert len(got) > 5
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (12, 17)])
+    def test_a_window_wider_than_the_grid_vs_brute_force(self, shape):
+        # the tallest cells' windows reach far past the grid on every side
+        rng = np.random.default_rng(shape[1])
+        params = ItcParams(min_search_win=3, max_search_win=2000001,
+                           min_dist=0.1, max_dist=40.0, height_threshold=1.0,
+                           win_low_height=1.0, win_high_height=20.0)
+        v = rng.uniform(0, 22, shape)
+        v[rng.random(shape) < 0.1] = np.nan
+        chm = grid_from(v)
+        got = [(a.x, a.y) for a in detect_treetops(chm, params)]
+        assert sorted(got) == sorted(brute_force_treetops(chm, params))
+        assert got
+
     def test_importing_the_cli_leaves_out_scipy_ndimage(self):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ)

@@ -1400,6 +1400,43 @@ def test_a_chm_grid_too_large_to_allocate_exits_2(fuzz_scene, tmp_path,
     assert not (out / "chm.asc").exists()
 
 
+@pytest.mark.parametrize("resolution", ["1e-310", "5e-324"])
+def test_a_chm_resolution_whose_cell_count_overflows_exits_2(
+        fuzz_scene, tmp_path, capsys, resolution):
+    """A subnormal [chm] resolution makes the cloud's extent in cells
+    overflow a float: exit 2 at chm, with no warning on the way."""
+    pipeline_ini = copy_fuzz_scene(fuzz_scene, tmp_path)
+    text = re.sub(r"(?m)^cube_.*\n", "", pipeline_ini.read_text())
+    pipeline_ini.write_text(text + f"\n[chm]\nresolution = {resolution}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["chm", "--config", str(pipeline_ini),
+                     "--out", str(out)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert (f"[chm] resolution {float(resolution)} gives a grid of more "
+            f"cells than a float can count") in err
+    assert "Traceback" not in err and "Warning" not in err
+    manifest = (out / "manifest.txt").read_text()
+    assert "stage chm failed: [chm] resolution" in manifest
+    assert not (out / "chm.asc").exists()
+
+
+def test_a_search_window_wider_than_the_chm_runs(fuzz_scene, tmp_path,
+                                                 capsys):
+    """A [crowns] max_search_win far beyond the CHM's size pads the CHM
+    by no more than the grid needs."""
+    pipeline_ini = copy_fuzz_scene(fuzz_scene, tmp_path)
+    with open(pipeline_ini, "a") as f:
+        f.write("\n[crowns]\nmax_search_win = 2000001\n")
+    out = tmp_path / "out"
+    assert main(["crowns", "--config", str(pipeline_ini),
+                 "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "crowns.csv").exists()
+
+
 # the values of the mutation sweep: non-finite, overflowing, subnormal,
 # signed zero, empty, text, beyond int32 and ordinary
 SWEEP_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "0", "-0", "-1",

@@ -6,13 +6,15 @@
 PARENT_SRC and CHANGE_SRC are checkouts of this repository; each side
 runs `python -m forestinv.cli` as a child process with that checkout's
 `src` on PYTHONPATH. A case is one of the benchmark's workload scene
-configs (taken from perfbench/workloads.py) or `paper-scale`, the
-`paper-spectral` scene with 150 trees, k = 35 and 2,000 training pixels
-per species. For each case and seed, each side runs `forestinv synth`,
-then `forestinv run --threads N` for each N. Every file the two sides
-wrote is compared byte for byte, except `timings.txt`. One line per case
-and seed is printed; the exit status is 1 if any file differs, is
-missing on one side, or if a command's exit status differs.
+configs (taken from perfbench/workloads.py) or a variant of one:
+`paper-scale`, the `paper-spectral` scene with 150 trees, k = 35 and
+2,000 training pixels per species, or `sparse`, the `dense-stand` scene
+at 1.5 points/m2, which no workload covers. For each case and seed,
+each side runs `forestinv synth`, then `forestinv run --threads N` for
+each N. Every file the two sides wrote is compared byte for byte, except
+`timings.txt`. One line per case and seed is printed; the exit status
+is 1 if any file differs, is missing on one side, or if a command's exit
+status differs.
 
 Uses the standard library only.
 """
@@ -35,18 +37,23 @@ ROOT = Path(__file__).resolve().parents[1]
 _WORKLOADS = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
 WORKLOADS, scene_ini = _WORKLOADS["WORKLOADS"], _WORKLOADS["scene_ini"]
 SKIPPED = {"timings.txt"}
-PAPER_SCALE = {"scene": {"n_trees": "150"},
-               "spectral": {"k": "35",
-                            "max_training_pixels_per_species": "2000"}}
+# variant: (the workload it changes, the settings it overrides)
+VARIANTS = {
+    "paper-scale": ("paper-spectral", {
+        "scene": {"n_trees": "150"},
+        "spectral": {"k": "35", "max_training_pixels_per_species": "2000"}}),
+    "sparse": ("dense-stand", {"scene": {"point_density": "1.5"}}),
+}
 
 
 def case_ini(case: str, seed: int) -> str:
     """The scene config of `case` at `seed`."""
-    if case != "paper-scale":
+    if case not in VARIANTS:
         return scene_ini(WORKLOADS[case], seed)
+    workload, settings = VARIANTS[case]
     cp = configparser.ConfigParser()
-    cp.read_string(scene_ini(WORKLOADS["paper-spectral"], seed))
-    cp.read_dict(PAPER_SCALE)
+    cp.read_string(scene_ini(WORKLOADS[workload], seed))
+    cp.read_dict(settings)
     text = io.StringIO()
     cp.write(text)
     return text.getvalue()
@@ -94,8 +101,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="the parent checkout")
     parser.add_argument("change", type=Path, help="the changed checkout")
     parser.add_argument("--case", action="append",
-                        choices=[*WORKLOADS, "paper-scale"],
-                        help="a workload or paper-scale (repeatable; "
+                        choices=[*WORKLOADS, *VARIANTS],
+                        help="a workload or a variant (repeatable; "
                              "default: every workload)")
     parser.add_argument("--seeds", default="2024",
                         help="comma-separated scene seeds (default 2024)")
