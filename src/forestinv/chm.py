@@ -22,6 +22,7 @@ distance from the origin; the rasterizer keeps the map coordinates.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -41,6 +42,11 @@ _TRI_CHUNK = 32768
 _CELL_MARGIN = 1e-6
 # cells per block of the convex-hull test
 _HULL_BLOCK = 4096
+# float64 rasters pitfree_chm holds at once at most: the maximum and,
+# while the convex-hull test runs, its cell centers (two grids and their
+# two-column stack); at the end, the maximum, the current layer, the
+# output and its temporaries
+_RASTERS_AT_ONCE = 5
 # points per tile; a layer with fewer than twice this many is one tile.
 # Each thread has one tile's Qhull working set in flight, so smaller
 # tiles lower the CHM's peak memory (ROADMAP "Closed areas" has the sweep)
@@ -179,6 +185,13 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     except (FloatingPointError, OverflowError):
         raise ConfigError(f"[chm] resolution {res} gives a grid of more "
                           f"cells than a float can count") from None
+    memory = _physical_memory()
+    if memory is not None and _RASTERS_AT_ONCE * 8 * nrows * ncols > memory:
+        # numpy would allocate such a grid lazily, and filling it would
+        # get the process killed
+        raise ConfigError(f"[chm] resolution {res} gives a {nrows:.4g} x "
+                          f"{ncols:.4g} grid, too large for physical "
+                          f"memory")
     try:
         # the first raster: a grid numpy cannot allocate goes no further
         acc = np.empty((nrows, ncols))
@@ -270,6 +283,16 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     out[covered] = np.maximum(out[covered], 0.0)
     counts["fallback_layers"] = fallbacks
     return ChmGrid(out, xll, yll, res, DEFAULT_NODATA, counts)
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        size = os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
 
 
 class _Layer:

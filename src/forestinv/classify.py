@@ -19,7 +19,10 @@ from .errors import DataError, NumericalError
 from .geodata import DEFAULT_NODATA, Grid
 
 _KERNEL_BLOCK = 65536   # kernel entries per in-place block, ~512 KiB
-_PREDICT_ROWS = 512   # pixels per prediction block
+_ROW_BLOCK = 16         # training-kernel rows per gemm (at least 4)
+# pixels per prediction block: at 1,944 support vectors, one block's
+# kernel is 256 x 1,944 float64 entries, 4.0 MB
+_PREDICT_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +139,25 @@ class SvmModel:
         return _vote_winner(votes, margin)
 
 
+def _rbf_in_place(dots, aa, bb, gamma):
+    """Turn dot products a.b into exp(-gamma * max(aa + bb - 2 a.b, 0))
+    in place, in the order and with the values of that formula on whole
+    arrays; aa is a column and bb a row of squared norms."""
+    dots *= 2.0
+    np.subtract(aa + bb, dots, out=dots)
+    np.maximum(dots, 0.0, out=dots)
+    dots *= -gamma
+    np.exp(dots, out=dots)
+
+
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma * ||u - v||^2) for all row pairs.
 
-    One gemm gives a @ b.T; the rest of the formula then runs in place
-    on row blocks of about _KERNEL_BLOCK entries, so no temporary of the
-    full size is made, in the order and with the values of
-    exp(-gamma * max(aa + bb - 2 a.b, 0)) on whole arrays.
+    One gemm gives a @ b.T; `_rbf_in_place` then runs the rest of the
+    formula on row blocks of about _KERNEL_BLOCK entries, so no
+    temporary of the full size is made. Prediction calls it on pixel
+    blocks against the support vectors; training reads its kernel
+    through `KernelRows`, which uses the same helper.
 
     `rbf_kernel(x, x, gamma)` is exactly symmetric: numpy computes
     x @ x.T with one triangle mirrored, and the other terms commute.
@@ -152,26 +167,111 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     k = a @ b.T
     rows = max(1, _KERNEL_BLOCK // max(1, len(b)))
     for start in range(0, len(a), rows):
-        block = k[start:start + rows]
-        block *= 2.0
-        np.subtract(aa[start:start + rows] + bb, block, out=block)
-        np.maximum(block, 0.0, out=block)
-        block *= -gamma
-        np.exp(block, out=block)
+        _rbf_in_place(k[start:start + rows], aa[start:start + rows], bb,
+                      gamma)
     return k
 
 
-def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
+class KernelRows:
+    """The rows of rbf_kernel(x, x, gamma) that SMO reads; the n x n
+    kernel is never held.
+
+    The squared norms are computed once. The first read of a row
+    computes it in one gemm of _ROW_BLOCK rows, together with the rows
+    SMO is likely to read next: the rows not held yet with the highest
+    up scores and the lowest low scores, or repeats when too few are
+    left. Every gemm has this one shape, so a row's bits do not depend
+    on the rows that share its block; a one-row product would take
+    numpy's matrix-vector path, which rounds differently. The right
+    operand is x padded with zero rows to a multiple of 8, so that no
+    column falls in a partial BLAS tile: the rows form an exactly
+    symmetric matrix.
+
+    On the OpenBLAS the tests run on, the rows equal rbf_kernel(x, x,
+    gamma)'s rows bit for bit where len(x) is a multiple of 8 and the
+    block is not small enough for OpenBLAS's small-matrix kernel (which
+    takes it at 32 or more features and len(x) <= 72). At other sizes
+    x @ x.T, which computes one triangle and mirrors it, rounds entries
+    of its last len(x) % 8 columns (and so rows) differently, by the
+    last bit, and a model trained on these rows can differ from the
+    whole-kernel one in its last bits; the rows still match to
+    rounding and stay exactly symmetric. Tier-1 tests pin both cases.
+
+    The rows are kept in one buffer that grows by one gemm block at a
+    time, so it grows without copying a row. Sources that share the
+    `blocks` list reuse it in turn: train_svm hands one list to all its
+    pairs, so a pair writes into memory the earlier pairs already
+    touched, and a source overwrites the rows of the sources before it.
+    """
+
+    def __init__(self, x: np.ndarray, gamma: float,
+                 blocks: list[np.ndarray] | None = None):
+        n = len(x)
+        self.gamma = gamma
+        width = -(-n // 8) * 8
+        self.columns = np.zeros((width, x.shape[1]))
+        self.columns[:n] = x
+        self.norms = np.zeros(width)
+        self.norms[:n] = (x * x).sum(axis=1)
+        # row t and its diagonal entry once row t is computed; SMO's
+        # step loop reads both lists directly
+        self.held: list[np.ndarray | None] = [None] * n
+        self.diagonal = [0.0] * n
+        self.missing = np.ones(n, dtype=bool)
+        self.blocks = [] if blocks is None else blocks
+        self.used = 0                      # blocks written by this source
+        self.computed = 0                  # rows computed, repeats excluded
+
+    def compute(self, rows, up_scores=None, low_scores=None):
+        """Compute `rows`, which are not held yet, in one gemm; with the
+        working-set scores, add the likely next rows to the block."""
+        n, half = len(self.held), _ROW_BLOCK // 2
+        if up_scores is not None and n > half:
+            up = np.where(self.missing, up_scores, -np.inf)
+            low = np.where(self.missing, low_scores, np.inf)
+            top = np.argpartition(up, -half)[-half:]
+            bottom = np.argpartition(low, half)[:half]
+            rows = list(dict.fromkeys(rows + top[up[top] > -np.inf].tolist()
+                                      + bottom[low[bottom] < np.inf].tolist()))
+            rows = rows[:_ROW_BLOCK]
+        idx = rows + rows[:1] * (_ROW_BLOCK - len(rows))
+        size = _ROW_BLOCK * len(self.columns)
+        if self.used == len(self.blocks):
+            self.blocks.append(np.empty(size))
+        elif self.blocks[self.used].size < size:
+            self.blocks[self.used] = np.empty(size)
+        block = self.blocks[self.used][:size].reshape(_ROW_BLOCK, -1)
+        self.used += 1
+        np.matmul(self.columns[idx], self.columns.T, out=block)
+        _rbf_in_place(block, self.norms[idx, None], self.norms, self.gamma)
+        for t, row in zip(rows, block):
+            self.held[t] = row[:n]
+            self.diagonal[t] = float(row[t])
+        self.missing[rows] = False
+        self.computed += len(rows)
+
+    def row(self, t: int) -> np.ndarray:
+        """Row t, computed if it is not held yet."""
+        if self.held[t] is None:
+            self.compute([t])
+        return self.held[t]
+
+
+def smo_solve(rows: KernelRows, y: np.ndarray, C: float, tol: float = 1e-3,
               max_iter: int = 200_000, raise_on_limit: bool = True,
               counts: dict | None = None):
     """Solve the soft-margin SVM dual by SMO on the maximal
     KKT-violating pair, maintaining the dual gradient.
 
-    K must be exactly symmetric, as `rbf_kernel(x, x, gamma)` is: the
-    gradient update reads kernel rows, which are contiguous, in place of
-    the columns the formula names. The loop keeps yg = -y * grad, not
-    the gradient itself; since every y is +1 or -1, its update
-    yg -= step * (K[i] - K[j]) rounds exactly as the gradient's would.
+    The kernel is read from `rows`, a `KernelRows` of the training set:
+    each step reads rows i and j, which give the diagonal entries too,
+    and the source computes a row when it is first read. The gradient
+    update reads kernel rows, which are contiguous, in place of the
+    columns the formula names; that needs the rows to be exactly
+    symmetric, and they are at every size, as `KernelRows` says. The loop
+    keeps yg = -y * grad, not the gradient itself; since every y is +1
+    or -1, its update yg -= step * (K[i] - K[j]) rounds exactly as the
+    gradient's would.
 
     Returns (alpha, bias). Stops when the violation gap drops to tol; a
     gap still above tol after max_iter pair steps raises unless
@@ -196,7 +296,7 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
     alpha = alpha.tolist()
     y_of = yg.tolist()
     pos_of = pos.tolist()
-    k_diag = K.diagonal().tolist()
+    held, diagonal = rows.held, rows.diagonal
 
     iterations = 0
     while True:
@@ -213,7 +313,12 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
             break
         iterations += 1
 
-        eta = max(k_diag[i] + k_diag[j] - 2.0 * float(K[i, j]), 1e-12)
+        k_i, k_j = held[i], held[j]
+        if k_i is None or k_j is None:
+            rows.compute([t for t in dict.fromkeys((i, j))
+                          if held[t] is None], up_scores, low_scores)
+            k_i, k_j = held[i], held[j]
+        eta = max(diagonal[i] + diagonal[j] - 2.0 * float(k_i[j]), 1e-12)
         step = (m_up - m_low) / eta
         a_i, a_j = alpha[i], alpha[j]
         step = min(step,
@@ -222,7 +327,7 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
         a_i = min(max(a_i + y_of[i] * step, 0.0), C)   # guard drift at the
         a_j = min(max(a_j - y_of[j] * step, 0.0), C)   # box boundary
         alpha[i], alpha[j] = a_i, a_j
-        np.subtract(K[i], K[j], out=diff)
+        np.subtract(k_i, k_j, out=diff)
         diff *= step
         yg -= diff
         up_scores -= diff      # the infinities stay as they are
@@ -265,13 +370,14 @@ def train_svm(pixels: np.ndarray, labels, C: float = 10.0,
     scaled = (pixels - mean) / std
 
     pairs = []
+    blocks = []     # the kernel-row buffer, reused from pair to pair
     for a, b in combinations(range(len(species)), 2):
         sel = (index == a) | (index == b)
         x = scaled[sel]
         y = np.where(index[sel] == a, 1.0, -1.0)
         counts = {}
-        alpha, bias = smo_solve(rbf_kernel(x, x, gamma), y, C, tol=tol,
-                                counts=counts)
+        alpha, bias = smo_solve(KernelRows(x, gamma, blocks), y, C,
+                                tol=tol, counts=counts)
         keep = alpha > 1e-10 * C
         pairs.append(BinarySvm(species[a], species[b], x[keep],
                                alpha[keep] * y[keep], bias,

@@ -94,17 +94,30 @@ def detect_treetops(chm: Grid, params: ItcParams) -> list[Apex]:
         params.max_search_win - params.min_search_win)).astype(np.int64)
     sides += sides % 2 == 0
     sides = np.clip(sides, params.min_search_win, params.max_search_win)
-    # a window of side 2 max(nrows, ncols) + 1 (odd, and at least 3)
-    # covers the grid from every cell: a larger one tests the same cells
+
+    # a window of side 2 d + 1 or more, d the cell's distance in cells
+    # to its farthest grid edge, covers the grid: the cell is a strict
+    # local max if it is the one tallest cell of the grid. As 2 d + 1 is
+    # at least max(nrows, ncols), only windows that wide can cover it.
     nrows, ncols = values.shape
-    sides = np.minimum(sides, 2 * max(nrows, ncols) + 1)
+    wide = np.flatnonzero(sides >= max(nrows, ncols))
+    wr, wc = rows[wide], cols[wide]
+    reach = np.maximum(np.maximum(wr, nrows - 1 - wr),
+                       np.maximum(wc, ncols - 1 - wc))
+    covers = wide[sides[wide] >= 2 * reach + 1]
+    is_strict = np.zeros(len(rows), dtype=bool)
+    if len(covers):
+        top = values.max()
+        if np.count_nonzero(values == top) == 1:
+            is_strict[covers] = heights[covers] == top
 
     # strict local max: taller than every other cell in its window. The
     # window maximum without the center is the running maximum of shifted
     # views of the grid padded with -inf; each side adds the ring of
     # offsets outside the previous side's window, up to the largest side
-    # a candidate uses.
-    is_strict = np.zeros(len(rows), dtype=bool)
+    # that does not cover the grid; a covering window is done, and its
+    # side 0 takes no ring.
+    sides[covers] = 0
     half = int(sides.max(initial=1)) // 2
     padded = np.pad(values, half, constant_values=-np.inf)
     neighborhood_max = np.full(values.shape, -np.inf)

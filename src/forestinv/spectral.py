@@ -21,6 +21,7 @@ RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-9
 MIN_CLASS_PIXELS = 2        # a covariance needs two samples
 MAX_SFFS_ROUNDS = 10000     # inclusion rounds before SFFS gives up
+_JM_SUBSETS = 16            # band subsets per batched JM evaluation
 
 
 @dataclass(frozen=True)
@@ -137,27 +138,33 @@ def _pairwise_jm(means: np.ndarray, covs: np.ndarray) -> list[list[float]]:
     (n, S, k, k) covariances; one list of pair values per subset. B, the
     Bhattacharyya distance, is one eighth of the Mahalanobis term under
     the averaged covariance plus half the log-ratio of the averaged
-    determinant to the geometric mean of the two determinants. Only the
-    LAPACK calls are batched, so each value is bit-identical per pair.
+    determinant to the geometric mean of the two determinants. The
+    LAPACK calls and the Mahalanobis dot products are batched; numpy's
+    batched `solve` and `slogdet` call LAPACK once per matrix, and a
+    stacked (1, k) @ (k, 1) matmul rounds as the per-pair `diff @ sol`
+    does, so each value is bit-identical per pair. `math.exp` stays per
+    value: `np.exp` rounds differently.
     """
     first, second = map(list, zip(*combinations(range(means.shape[1]), 2)))
     diffs = means[:, first] - means[:, second]
     mids = 0.5 * (covs[:, first] + covs[:, second])
     try:
-        solved = np.linalg.solve(mids, diffs[..., None])[..., 0]
+        solved = np.linalg.solve(mids, diffs[..., None])
     except np.linalg.LinAlgError:
         raise NumericalError("singular mid-covariance in JM distance") from None
     sign_mid, logdet_mid = np.linalg.slogdet(mids)
     sign_cov, logdet_cov = np.linalg.slogdet(covs)
     if (sign_mid <= 0).any() or (sign_cov <= 0).any():
         raise NumericalError("non-positive-definite covariance in JM distance")
+    pairs = list(zip(first, second))
     out = []
-    for diff, sol, lmid, lcov in zip(diffs, solved, logdet_mid, logdet_cov):
+    quads = (diffs[..., None, :] @ solved)[..., 0, 0]
+    for row, lmid, lcov in zip(quads.tolist(), logdet_mid.tolist(),
+                               logdet_cov.tolist()):
         values = []
-        for p, (i, j) in enumerate(zip(first, second)):
-            quad = 0.125 * float(diff[p] @ sol[p])
-            logterm = 0.5 * (lmid[p] - 0.5 * (lcov[i] + lcov[j]))
-            bhatt = max(0.0, quad + logterm)
+        for quad, logmid, (i, j) in zip(row, lmid, pairs):
+            logterm = 0.5 * (logmid - 0.5 * (lcov[i] + lcov[j]))
+            bhatt = max(0.0, 0.125 * quad + logterm)
             values.append(min(2.0, 2.0 * (1.0 - math.exp(-bhatt))))
         out.append(values)
     return out
@@ -175,8 +182,8 @@ def jm_criterion(stats, indices, aggregate: str = "mean") -> float:
 
 class _Criterion:
     """The JM criterion of one set of class statistics: every subset is
-    scored once, and the unscored subsets of one call are scored in one
-    batch."""
+    scored once, and the unscored subsets of one call are scored in
+    batches of _JM_SUBSETS."""
 
     def __init__(self, stats, aggregate: str):
         if len(stats) < 2:
@@ -192,15 +199,17 @@ class _Criterion:
 
     def scores(self, subsets) -> list[float]:
         """The score of each subset, a sorted band-index tuple; all
-        subsets have one size."""
+        subsets have one size. The unscored ones are scored in chunks
+        of _JM_SUBSETS, so the stacked matrices stay a fixed size."""
         new = [s for s in subsets if s not in self.memo]
-        if new:
-            idx = np.array(new, dtype=np.intp)
+        for start in range(0, len(new), _JM_SUBSETS):
+            chunk = new[start:start + _JM_SUBSETS]
+            idx = np.array(chunk, dtype=np.intp)
             values = _pairwise_jm(
                 self.means[:, idx].transpose(1, 0, 2),
                 self.covs[:, idx[:, :, None], idx[:, None, :]]
                 .transpose(1, 0, 2, 3))
-            for subset, pair_values in zip(new, values):
+            for subset, pair_values in zip(chunk, values):
                 self.memo[subset] = float(self.reduce(pair_values))
         return [self.memo[s] for s in subsets]
 
@@ -255,8 +264,9 @@ def sffs_select(stats, k: int, candidates=None,
     always resolve to the lowest band index. Returns the best subset of
     size k encountered, which by construction scores at least as high
     as plain forward selection. Subsets are scored by the scorer behind
-    `jm_criterion`, each step's candidates in one batch and no subset
-    twice, so every score equals the `jm_criterion` value of its subset.
+    `jm_criterion`, each step's candidates in batches of _JM_SUBSETS
+    and no subset twice, so every score equals the `jm_criterion` value
+    of its subset.
     """
     if k <= 0:
         raise ValueError("k must be >= 1")

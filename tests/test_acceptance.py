@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import all_bands
-from forestinv.classify import rbf_kernel, smo_solve
+from forestinv.classify import KernelRows, rbf_kernel, smo_solve
 from forestinv.config import load_config
 from forestinv.evaluate import ConfusionMatrix, pearson_r, per_class_metrics, \
     format_metrics_table
@@ -162,7 +162,7 @@ def _svm_fixture_case(x, y, gamma):
     x = (x - x.mean(axis=0)) / x.std(axis=0)
     K = rbf_kernel(x, x, gamma)
     t0 = time.perf_counter()
-    alpha, bias = smo_solve(K, y, C=10.0, tol=1e-3)
+    alpha, bias = smo_solve(KernelRows(x, gamma), y, C=10.0, tol=1e-3)
     elapsed = time.perf_counter() - t0
     pred = np.sign(K @ (alpha * y) + bias)
     accuracy = (pred == y).mean()

@@ -44,6 +44,18 @@ def test_the_sparse_case_is_dense_stand_at_1_5_points_per_m2():
     assert cp["run"]["seed"] == "7"
 
 
+def test_the_odd_pairs_case_is_paper_spectral_at_499_pixels_per_species():
+    gate = load_gate()
+    cp = configparser.ConfigParser()
+    cp.read_string(gate.case_ini("odd-pairs", 7))
+    base = configparser.ConfigParser()
+    base.read_string(gate.case_ini("paper-spectral", 7))
+    key = "max_training_pixels_per_species"
+    assert (cp["spectral"][key], base["spectral"][key]) == ("499", "500")
+    del cp["spectral"][key], base["spectral"][key]
+    assert {s: dict(cp[s]) for s in cp} == {s: dict(base[s]) for s in base}
+
+
 def test_two_runs_of_one_tree_are_identical_and_a_change_shows(tmp_path):
     gate = load_gate()
     sides = [tmp_path / "a", tmp_path / "b"]

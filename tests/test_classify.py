@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 import forestinv.classify as classify_mod
 from forestinv.classify import (
     _KERNEL_BLOCK,
+    _ROW_BLOCK,
     BinarySvm,
     CentroidModel,
+    KernelRows,
     SvmModel,
     _vote_winner,
     classify_image,
@@ -119,6 +121,12 @@ def reference_smo_solve(K, y, C, tol=1e-3, max_iter=200_000):
     return alpha, bias
 
 
+def row_matrix(x, gamma):
+    """Every row of x's training kernel, as `KernelRows` computes them."""
+    rows = KernelRows(x, gamma)
+    return np.array([rows.row(t) for t in range(len(x))])
+
+
 def overlapping_pair(seed):
     """Two labelled Gaussian clouds whose overlap varies with the seed."""
     rng = np.random.default_rng(seed)
@@ -140,19 +148,28 @@ class TestSmoRowAccess:
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
+    def test_training_rows_are_symmetric(self, seed):
+        x, _, rng = overlapping_pair(seed)
+        K = row_matrix(x, gamma=float(rng.uniform(0.01, 5.0)))
+        assert np.array_equal(K, K.T)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
     def test_matches_column_access_reference(self, seed):
         x, y, rng = overlapping_pair(seed)
-        K = rbf_kernel(x, x, gamma=float(rng.uniform(0.01, 5.0)))
+        gamma = float(rng.uniform(0.01, 5.0))
+        K = row_matrix(x, gamma)
         C = float(10.0 ** rng.uniform(-1, 2))
         counts = {}
-        alpha, bias = smo_solve(K, y, C, tol=1e-3, counts=counts)
+        alpha, bias = smo_solve(KernelRows(x, gamma), y, C, tol=1e-3,
+                                counts=counts)
         ref_alpha, ref_bias = reference_smo_solve(K, y, C, tol=1e-3)
         assert np.array_equal(alpha, ref_alpha)
         assert bias == ref_bias
         # capped before convergence, the iterate so far is returned
         cap = int(rng.integers(0, counts["iterations"] + 1))
-        alpha, bias = smo_solve(K, y, C, tol=1e-3, max_iter=cap,
-                                raise_on_limit=False)
+        alpha, bias = smo_solve(KernelRows(x, gamma), y, C, tol=1e-3,
+                                max_iter=cap, raise_on_limit=False)
         ref_alpha, ref_bias = reference_smo_solve(K, y, C, tol=1e-3,
                                                   max_iter=cap)
         assert np.array_equal(alpha, ref_alpha)
@@ -160,14 +177,105 @@ class TestSmoRowAccess:
 
     def test_iteration_count(self):
         x, y, _ = overlapping_pair(3)
-        K = rbf_kernel(x, x, gamma=0.5)
         counts = {}
-        smo_solve(K, y, 10.0, counts=counts)
+        smo_solve(KernelRows(x, 0.5), y, 10.0, counts=counts)
         steps = counts["iterations"]
         assert steps > 0
-        smo_solve(K, y, 10.0, max_iter=steps)
+        smo_solve(KernelRows(x, 0.5), y, 10.0, max_iter=steps)
         with pytest.raises(NumericalError, match="did not converge"):
-            smo_solve(K, y, 10.0, max_iter=steps - 1)
+            smo_solve(KernelRows(x, 0.5), y, 10.0, max_iter=steps - 1)
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize("n, d", [(4000, 35), (96, 6)])
+    def test_rows_equal_the_whole_kernels_rows(self, n, d):
+        # bit identity holds on the reference OpenBLAS where n is a
+        # multiple of 8; a BLAS that rounds otherwise fails here rather
+        # than changing the trained models
+        rng = np.random.default_rng(n + d)
+        x = rng.normal(0, 1, (n, d))
+        gamma = 1.0 / d
+        K = rbf_kernel(x, x, gamma)
+        rows = KernelRows(x, gamma)
+        up, low = rng.normal(0, 1, n), rng.normal(0, 1, n)
+        up[rng.random(n) < 0.3] = -np.inf
+        low[rng.random(n) < 0.3] = np.inf
+        for t in rng.choice(n - 1, 6, replace=False).tolist():
+            if rows.held[t] is None:
+                rows.compute([t], up, low)  # with the likely next rows
+        rows.row(n - 1)                     # alone, padded by repeats
+        held = [t for t in range(n) if rows.held[t] is not None]
+        assert len(held) == rows.computed > _ROW_BLOCK
+        for t in held:
+            assert np.array_equal(rows.held[t], K[t])
+            assert rows.diagonal[t] == K[t, t]
+
+    @pytest.mark.parametrize("n, d", [(1003, 35), (997, 20), (45, 6)])
+    def test_rows_at_a_size_not_a_multiple_of_8(self, n, d):
+        # what holds at such a size: the rows are exactly symmetric, and
+        # they match the whole kernel's rows to rounding. On the
+        # reference OpenBLAS they are bit-equal outside the whole
+        # kernel's last n % 8 columns and rows, where x @ x.T rounds
+        # otherwise, so a model trained on such a pair may differ from
+        # the whole-kernel one in its last bits
+        rng = np.random.default_rng(n + d)
+        x = rng.normal(0, 1, (n, d))
+        gamma = 1.0 / d
+        K = rbf_kernel(x, x, gamma)
+        rows = row_matrix(x, gamma)
+        assert np.array_equal(rows, rows.T)
+        np.testing.assert_allclose(rows, K, rtol=1e-13, atol=0)
+        body = n - n % 8
+        assert np.array_equal(rows[:body, :body], K[:body, :body])
+
+    def test_blocks_have_one_shape(self, monkeypatch):
+        x, _, _ = overlapping_pair(5)
+        shapes = []
+        real = classify_mod._rbf_in_place
+
+        def recording(dots, aa, bb, gamma):
+            shapes.append(dots.shape)
+            real(dots, aa, bb, gamma)
+
+        monkeypatch.setattr(classify_mod, "_rbf_in_place", recording)
+        n = len(x)
+        rows = KernelRows(x, 0.5)
+        for t in range(n):
+            rows.row(t)
+        width = -(-n // 8) * 8
+        assert set(shapes) == {(_ROW_BLOCK, width)}
+        assert len(shapes) == n
+
+    def test_sources_sharing_blocks_reuse_them(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(0, 1, (40, 3)), rng.normal(0, 1, (24, 3))
+        blocks = []
+        first = KernelRows(a, 0.5, blocks)
+        for t in range(len(a)):
+            first.row(t)
+        kept = len(blocks)
+        second = KernelRows(b, 0.5, blocks)
+        fresh = KernelRows(b, 0.5)
+        for t in range(len(b)):
+            assert np.array_equal(second.row(t), fresh.row(t))
+        assert len(blocks) == kept == len(a)
+        assert second.used == len(b) < kept
+
+    def test_train_svm_holds_no_whole_kernel(self):
+        rng = np.random.default_rng(15)
+        n = 1500
+        pixels = np.vstack([rng.normal(0, 1, (n, 4)),
+                            rng.normal(4, 1, (n, 4))])
+        labels = np.repeat(["A", "B"], n)
+        tracemalloc.start()
+        try:
+            model = train_svm(pixels, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.pairs[0].iterations > 0
+        # the whole kernel would be (2n)^2 float64 entries, 72 MB
+        assert peak < (2 * n) ** 2 * 8 // 4
 
 
 class TestBlockedKernel:
@@ -203,7 +311,7 @@ class TestSmo:
         y = np.where(labels == "S0", 1.0, -1.0)
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         K = rbf_kernel(x, x, gamma=0.5)
-        alpha, bias = smo_solve(K, y, C=10.0, tol=1e-3)
+        alpha, bias = smo_solve(KernelRows(x, 0.5), y, C=10.0, tol=1e-3)
         pred = np.sign(K @ (alpha * y) + bias)
         assert (pred == y).all()
         assert kkt_violations(K, y, alpha, bias, 10.0).max() <= 1e-3
@@ -222,7 +330,7 @@ class TestSmo:
         y = np.array(ys)
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         K = rbf_kernel(x, x, gamma=1.0)
-        alpha, bias = smo_solve(K, y, C=10.0, tol=1e-3)
+        alpha, bias = smo_solve(KernelRows(x, 1.0), y, C=10.0, tol=1e-3)
         pred = np.sign(K @ (alpha * y) + bias)
         assert (pred == y).all()
         assert kkt_violations(K, y, alpha, bias, 10.0).max() <= 1e-3
@@ -242,8 +350,8 @@ class TestSmo:
 
         prev = -np.inf
         for cap in range(1, 60):
-            alpha, _ = smo_solve(K, y, C=10.0, tol=1e-12, max_iter=cap,
-                                 raise_on_limit=False)
+            alpha, _ = smo_solve(KernelRows(x, 0.5), y, C=10.0, tol=1e-12,
+                                 max_iter=cap, raise_on_limit=False)
             cur = dual(alpha)
             assert cur >= prev - 1e-12
             prev = cur

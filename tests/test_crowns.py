@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import forestinv.crowns as crowns_mod
 from forestinv.crowns import (
     Apex,
     CrownRecord,
@@ -234,6 +235,59 @@ class TestStrictMaxima:
         got = [(a.x, a.y) for a in detect_treetops(chm, params)]
         assert sorted(got) == sorted(brute_force_treetops(chm, params))
         assert got
+
+    @staticmethod
+    def count_shifted_views(monkeypatch):
+        """Counts the window-maximum updates detect_treetops makes: one
+        np.maximum into its running maximum per shifted view."""
+        calls = {"views": 0}
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def maximum(*args, **kwargs):
+                calls["views"] += "out" in kwargs
+                return np.maximum(*args, **kwargs)
+
+        monkeypatch.setattr(crowns_mod, "np", CountingNumpy())
+        return calls
+
+    @pytest.mark.parametrize("shape", [(1, 1), (9, 4), (60, 60)])
+    def test_windows_that_cover_the_grid_take_no_shifted_view(
+            self, shape, monkeypatch):
+        rng = np.random.default_rng(shape[0])
+        params = ItcParams(min_search_win=2000001, max_search_win=2000001,
+                           min_dist=0.1, max_dist=40.0, height_threshold=1.0)
+        v = rng.uniform(0, 22, shape)
+        v[rng.random(shape) < 0.1] = np.nan
+        chm = grid_from(v)
+        calls = self.count_shifted_views(monkeypatch)
+        got = [(a.x, a.y) for a in detect_treetops(chm, params)]
+        assert calls["views"] == 0
+        assert sorted(got) == sorted(brute_force_treetops(chm, params))
+
+    def test_only_windows_inside_the_grid_take_shifted_views(
+            self, monkeypatch):
+        # sides from 3 to far past the grid: the rings stop at the largest
+        # side that does not cover the grid, not at the grid's size
+        rng = np.random.default_rng(150)
+        params = ItcParams(min_search_win=3, max_search_win=2001,
+                           min_dist=0.1, max_dist=40.0, height_threshold=1.0,
+                           win_low_height=1.0, win_high_height=20.0)
+        v = rng.uniform(0, 22, (60, 60))
+        v[rng.random(v.shape) < 0.1] = np.nan
+        # side 3 at height 1; from 2.2 on, 129 or more, which covers the
+        # grid from every cell
+        v[v < 2.2] = 1.0
+        chm = grid_from(v)
+        calls = self.count_shifted_views(monkeypatch)
+        got = [(a.x, a.y) for a in detect_treetops(chm, params)]
+        # the ring of side 3 at most; up to the grid's 121 it would take
+        # 121 ** 2 - 1
+        assert calls["views"] <= 3 ** 2 - 1
+        assert sorted(got) == sorted(brute_force_treetops(chm, params))
 
     def test_importing_the_cli_leaves_out_scipy_ndimage(self):
         root = Path(__file__).resolve().parents[1]

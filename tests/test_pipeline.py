@@ -1400,6 +1400,55 @@ def test_a_chm_grid_too_large_to_allocate_exits_2(fuzz_scene, tmp_path,
     assert not (out / "chm.asc").exists()
 
 
+def test_a_chm_grid_too_large_for_physical_memory_exits_2(
+        fuzz_scene, tmp_path, capsys, monkeypatch):
+    """A grid numpy could allocate lazily but whose rasters exceed the
+    physical memory ends the run in exit 2 at chm, before the first
+    raster. The figure is patched low, so no large grid is made."""
+    pipeline_ini = copy_fuzz_scene(fuzz_scene, tmp_path)
+    text = re.sub(r"(?m)^cube_.*\n", "", pipeline_ini.read_text())
+    pipeline_ini.write_text(text + "\n[chm]\nresolution = 0.5\n")
+    sizes = []
+    real_empty = np.empty
+
+    def recording_empty(shape, *args, **kwargs):
+        sizes.append(shape)
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(chm_mod, "_physical_memory", lambda: 4096)
+    monkeypatch.setattr(chm_mod.np, "empty", recording_empty)
+    out = tmp_path / "out"
+    assert main(["chm", "--config", str(pipeline_ini), "--out", str(out)]) == 2
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    found = re.search(r"\[chm\] resolution 0\.5 gives a (\d+) x (\d+) grid, "
+                      r"too large for physical memory", err)
+    assert found, err
+    nrows, ncols = int(found[1]), int(found[2])
+    assert chm_mod._RASTERS_AT_ONCE * 8 * nrows * ncols > 4096
+    assert (nrows, ncols) not in sizes
+    manifest = (out / "manifest.txt").read_text()
+    assert "stage chm failed: [chm] resolution" in manifest
+    assert not (out / "chm.asc").exists()
+
+    # where the figure is unavailable, there is no check
+    monkeypatch.setattr(chm_mod, "_physical_memory", lambda: None)
+    assert main(["chm", "--config", str(pipeline_ini),
+                 "--out", str(tmp_path / "unchecked")]) == 0
+
+
+def test_physical_memory_is_none_where_the_system_does_not_say(monkeypatch):
+    assert chm_mod._physical_memory() is None or chm_mod._physical_memory() > 0
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(chm_mod.os, "sysconf", unknown)
+    assert chm_mod._physical_memory() is None
+    monkeypatch.setattr(chm_mod.os, "sysconf", lambda name: -1)
+    assert chm_mod._physical_memory() is None
+
+
 @pytest.mark.parametrize("resolution", ["1e-310", "5e-324"])
 def test_a_chm_resolution_whose_cell_count_overflows_exits_2(
         fuzz_scene, tmp_path, capsys, resolution):

@@ -508,6 +508,27 @@ class TestBatchedSffs:
         assert sel.indices == (0, 1, 2) and sel.criterion_value == 0.0
         assert sel == reference_sffs_select(stats, 3)
 
+    @pytest.mark.parametrize("aggregate", ["mean", "min"])
+    def test_batched_scores_equal_jm_criterion_across_a_batch_boundary(
+            self, monkeypatch, aggregate):
+        stats, _ = planted_problem(7, nbands=14, n_classes=4)
+        size = spectral._JM_SUBSETS
+        subsets = list(itertools.combinations(range(14), 3))[:2 * size + 3]
+        batches = []
+        real = spectral._pairwise_jm
+
+        def recording(means, covs):
+            batches.append(len(means))
+            return real(means, covs)
+
+        monkeypatch.setattr(spectral, "_pairwise_jm", recording)
+        scores = spectral._Criterion(stats, aggregate).scores(subsets)
+        assert batches == [size, size, 3]
+        monkeypatch.undo()
+        assert scores == [jm_criterion(stats, s, aggregate) for s in subsets]
+        assert scores == [reference_jm_criterion(stats, s, aggregate)
+                          for s in subsets]
+
     def test_each_subset_is_scored_once(self, monkeypatch):
         stats, _ = planted_problem(4, nbands=12, n_informative=5)
         scored = []

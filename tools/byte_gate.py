@@ -8,8 +8,10 @@ runs `python -m forestinv.cli` as a child process with that checkout's
 `src` on PYTHONPATH. A case is one of the benchmark's workload scene
 configs (taken from perfbench/workloads.py) or a variant of one:
 `paper-scale`, the `paper-spectral` scene with 150 trees, k = 35 and
-2,000 training pixels per species, or `sparse`, the `dense-stand` scene
-at 1.5 points/m2, which no workload covers. For each case and seed,
+2,000 training pixels per species, `sparse`, the `dense-stand` scene
+at 1.5 points/m2, which no workload covers, or `odd-pairs`, the
+`paper-spectral` scene at 499 training pixels per species, whose SVM
+pairs have 998 rows, not a multiple of 8. For each case and seed,
 each side runs `forestinv synth`, then `forestinv run --threads N` for
 each N. Every file the two sides wrote is compared byte for byte, except
 `timings.txt`. One line per case and seed is printed; the exit status
@@ -43,6 +45,8 @@ VARIANTS = {
         "scene": {"n_trees": "150"},
         "spectral": {"k": "35", "max_training_pixels_per_species": "2000"}}),
     "sparse": ("dense-stand", {"scene": {"point_density": "1.5"}}),
+    "odd-pairs": ("paper-spectral", {
+        "spectral": {"max_training_pixels_per_species": "499"}}),
 }
 
 
