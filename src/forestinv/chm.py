@@ -10,9 +10,11 @@ A large layer is triangulated in tiles with a halo of max_edge. Every
 kept triangle of a tile is certified to be a triangle of the whole
 layer's Delaunay triangulation, or dropped, or the layer falls back to
 one triangulation of all its points; so the raster equals the untiled
-one bit for bit. A tile's job is Qhull and then the certificate; with
-several threads, worker threads run most jobs while the calling thread
-runs its share and rasterizes every tile in order.
+one bit for bit. A tile's job is Qhull and then the certificate. Every
+Qhull call, the convex hull of the threshold-0 points included, runs in
+worker processes forked from the calling one, which queues the jobs and
+rasterizes every tile in order; so the calling process never loads
+scipy.
 
 Qhull and the certificate see the points moved next to the origin
 whenever that move is exact, since their rounding grows with the
@@ -22,16 +24,19 @@ distance from the origin; the rasterizer keeps the map coordinates.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, WorkerError
 from .geodata import DEFAULT_NODATA, Grid, PointCloud, bilinear_sample
 
 _TRI_CHUNK = 32768
@@ -42,13 +47,16 @@ _TRI_CHUNK = 32768
 _CELL_MARGIN = 1e-6
 # cells per block of the convex-hull test
 _HULL_BLOCK = 4096
-# float64 rasters pitfree_chm holds at once at most: the maximum and,
-# while the convex-hull test runs, its cell centers (two grids and their
-# two-column stack); at the end, the maximum, the current layer, the
-# output and its temporaries
-_RASTERS_AT_ONCE = 5
+# float64 rasters pitfree_chm holds at once at most, summed over its
+# processes: the calling one holds the maximum and the current layer,
+# then the maximum and the output, and two bool masks (the hull, the
+# covered cells); the hull's worker holds its bool mask and the pickle
+# that carries it back. That rounds up from 2.25. The other workers'
+# memory (scipy, one tile each) does not grow with the grid, and is
+# not counted.
+_RASTERS_AT_ONCE = 3
 # points per tile; a layer with fewer than twice this many is one tile.
-# Each thread has one tile's Qhull working set in flight, so smaller
+# Each worker has one tile's Qhull working set in flight, so smaller
 # tiles lower the CHM's peak memory (ROADMAP "Closed areas" has the sweep)
 _TILE_POINTS = 5_000
 # A point counts as off a triangle's circumcircle only if its power
@@ -101,7 +109,7 @@ class ChmGrid(Grid):
     Per layer i: `layer<i>.points`, `.triangles` (kept), `.tiles` and
     `.dropped` (tile triangles that are not in the layer's Delaunay
     triangulation); then `fallback_layers`. They do not depend on the
-    number of threads.
+    number of worker processes.
     """
 
     counts: dict = field(default_factory=dict, compare=False)
@@ -137,19 +145,17 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     the convex hull of the threshold-0 points and nodata outside it.
     A layer of at least 2 * _TILE_POINTS (10,000) points is cut into
     tiles of about _TILE_POINTS points; a smaller one is one tile.
-    Each tile is one job: Qhull, then the certificate. With threads > 1,
-    this thread runs every threads-th job and threads - 1 worker threads
-    run the others; this thread rasterizes the results in tile order, so
-    the result does not depend on `threads`. A layer is a threshold over
-    the one point set, which is sorted by x: a tile keeps the points of
-    its window at or above it, and the certificate tests a circle that
-    leaves its tile against those of the circle's x-strip. No layer
-    holds an array of its own.
+    Each tile is one job: Qhull, then the certificate. The convex hull
+    is the first job. `threads` worker processes, forked from this one
+    once the shared points exist, run the jobs; this process queues
+    them in tile order, two rounds of `threads` ahead of the result it
+    takes, and rasterizes the results in that order, so the result does
+    not depend on `threads` and this process never loads scipy. A layer
+    is a threshold over the one point set, which is sorted by x: a tile
+    keeps the points of its window at or above it, and the certificate
+    tests a circle that leaves its tile against those of the circle's
+    x-strip. No layer holds an array of its own.
     """
-    # scipy.spatial costs half a second to import, so only a CHM loads
-    # it; it is imported here, before any worker thread starts
-    from scipy.spatial import QhullError
-
     if len(cloud) == 0:
         raise DataError("empty point cloud")
     if not cloud.has_heights():
@@ -193,12 +199,13 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
                           f"{ncols:.4g} grid, too large for physical "
                           f"memory")
     try:
-        # the first raster: a grid numpy cannot allocate goes no further
+        # a grid numpy cannot allocate goes no further; the rasters are
+        # filled after the fork, so that no worker holds their pages
         acc = np.empty((nrows, ncols))
+        part = np.empty_like(acc)   # the TIN of the current layer
     except (MemoryError, ValueError):
         raise ConfigError(f"[chm] resolution {res} gives a {nrows:.4g} x "
                           f"{ncols:.4g} grid, too large to allocate") from None
-    acc.fill(-np.inf)
 
     cols = np.arange(ncols)
     rows = np.arange(nrows)
@@ -206,17 +213,6 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     cy = yll + (nrows - rows - 0.5) * res
 
     layers = [_Layer(t, h, qx, qy) for t in params.height_thresholds]
-    hull_mask = np.zeros((nrows, ncols), dtype=bool)
-    if layers[0].n >= 3:
-        try:
-            hull_mask = _inside_hull(*layers[0].points(h, x, y), cx, cy)
-        except QhullError:
-            raise DataError("degenerate (collinear) point set at "
-                            "threshold 0") from None
-
-    # a halo of max_edge holds every vertex of a kept triangle whose
-    # centroid lies in the tile's core
-    halo = max_edge = params.max_edge
     # subcircle splats ring each return with 8 points on one circle:
     # their tiles tie and fall back, or gain nothing, so they run whole
     tiled = params.subcircle_radius == 0
@@ -224,47 +220,44 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
              else _tile_cores(*layer.points(h, qx, qy)) if tiled
              else [_WHOLE]
              for layer in layers]
-
-    def tile(i, core):
-        """The kept triangles of one tile and its dropped count, or None
-        if the layer falls back. The tiles of a layer that fell back are
-        not needed any more; a job that reads the flag before another
-        sets it wastes one tile."""
-        layer = layers[i]
-        if layer.fallback:
-            return None
-        idx, tin = _triangulate(qx, qy, h, layer, core, halo)
-        if core == _WHOLE:
-            return _whole(x, y, layer, idx, tin, max_edge), 0
-        kept = _certify(qx, qy, h, layer, idx, tin, core, halo, max_edge)
-        if kept is None:
-            layer.fallback = True
-        return kept
-
     # a job names its layer by index, so that once the layer's last tile
-    # is rasterized and its entry cleared, nothing holds the layer
-    jobs = [(i, core) for i, layer_cores in enumerate(cores)
-            for core in layer_cores]
-    results = _lookahead(tile, jobs, threads)
-    part = np.empty_like(acc)   # the TIN of the current layer
+    # is rasterized and its entry cleared, nothing here holds the layer
+    todo = deque((i, core) for i, layer_cores in enumerate(cores)
+                 for core in layer_cores)
+    shared = _Shared(x, y, h, qx, qy, layers, cx, cy, params.max_edge)
     counts, fallbacks = {}, 0
-    with closing(results):
+    # no more workers than jobs, the hull's included
+    with _workers(min(threads, 1 + len(todo)), shared) as submit:
+        # first, so that its worker loads scipy while the rasters fill
+        hull = submit(None, None) if layers[0].n >= 3 else None
+        acc.fill(-np.inf)
+        ahead = deque()   # (layer, future) in tile order
         for i, layer_cores in enumerate(cores):
             layer = layers[i]
             part.fill(-np.inf)
             layer.tiles = len(layer_cores)
-            whole = False
-            for result in islice(results, len(layer_cores)):
-                if whole:
-                    continue
+            while True:
+                while todo and len(ahead) < 2 * threads:
+                    j, core = todo.popleft()
+                    if not layers[j].fallback:
+                        ahead.append((j, submit(j, core)))
+                if not ahead or ahead[0][0] != i:
+                    break
+                result = ahead.popleft()[1].result()
                 if result is None:
-                    # start the layer again from one triangulation of
-                    # all its points
+                    # start the layer again from one triangulation of all
+                    # its points, its own job; its other tiles are not
+                    # queued any more, and those queued are cancelled or
+                    # their results dropped
+                    layer.fallback = True
+                    for j, future in ahead:
+                        if j == i:
+                            future.cancel()   # unless a worker has it
+                    ahead = deque(job for job in ahead if job[0] != i)
+                    ahead.appendleft((i, submit(i, _WHOLE)))
                     part.fill(-np.inf)
-                    whole, layer.tiles = True, 1
-                    layer.triangles = layer.dropped = 0
-                    result = _whole(x, y, layer, *_triangulate(
-                        qx, qy, h, layer, _WHOLE, 0.0), max_edge), 0
+                    layer.tiles, layer.triangles, layer.dropped = 1, 0, 0
+                    continue
                 kept, dropped = result
                 layer.triangles += len(kept)
                 layer.dropped += dropped
@@ -277,12 +270,95 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
                            f"layer{i}.dropped": layer.dropped})
             fallbacks += layer.fallback
             layers[i] = layer = None
+        del part
+        hull_mask = (hull.result() if hull is not None
+                     else np.zeros((nrows, ncols), dtype=bool))
 
     covered = acc > -np.inf
-    out = np.where(covered, acc, np.where(hull_mask, 0.0, DEFAULT_NODATA))
-    out[covered] = np.maximum(out[covered], 0.0)
+    out = np.where(hull_mask, 0.0, DEFAULT_NODATA)
+    np.copyto(out, np.maximum(acc, 0.0, out=acc), where=covered)
     counts["fallback_layers"] = fallbacks
     return ChmGrid(out, xll, yll, res, DEFAULT_NODATA, counts)
+
+
+class _Shared(NamedTuple):
+    """What every job of one pitfree_chm call reads: the shared points,
+    moved (qx, qy) and not, their heights, the layers, the cell centers
+    and max_edge. Worker processes inherit it when they are forked."""
+
+    x: np.ndarray
+    y: np.ndarray
+    h: np.ndarray
+    qx: np.ndarray
+    qy: np.ndarray
+    layers: list
+    cx: np.ndarray
+    cy: np.ndarray
+    max_edge: float
+
+
+@contextmanager
+def _workers(n, shared):
+    """Yields submit(i, core), which queues the job _tile(shared, i,
+    core) and returns its future. The jobs run in n worker processes,
+    forked from this one at the first submit, so that they inherit
+    `shared` without a copy or a fresh import; the pool forks them all
+    before it starts its own thread (Python 3.11 and later). Jobs are
+    taken in the order queued. A job's exception is raised when its
+    result is taken, with its type; a worker that dies raises
+    WorkerError. On leaving, the jobs not started are cancelled and
+    every worker has exited."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise WorkerError("the CHM runs Qhull in worker processes started "
+                          "by fork, which this system does not offer")
+    pool = ProcessPoolExecutor(n, multiprocessing.get_context("fork"),
+                               initializer=_inherit, initargs=(shared,))
+    try:
+        yield partial(pool.submit, _job)
+    except BrokenProcessPool:
+        raise WorkerError("a worker process died before its job finished; "
+                          "the system may have killed it for lack of "
+                          "memory (fewer --threads use less)") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# in a worker process only: the _Shared of the pitfree_chm call that
+# forked it
+_inherited = None
+
+
+def _inherit(shared):
+    global _inherited
+    _inherited = shared
+
+
+def _job(i, core):
+    """A worker's job: _tile over the points the worker inherited."""
+    return _tile(_inherited, i, core)
+
+
+def _tile(shared, i, core):
+    """For i None, the cells inside the convex hull of the threshold-0
+    points. Else the kept triangles of layer i's tile `core` and the
+    number dropped, or None if the layer falls back; the core _WHOLE
+    triangulates all the layer's points and does not fall back."""
+    x, y, h, qx, qy, layers, cx, cy, max_edge = shared
+    if i is None:
+        from scipy.spatial import QhullError
+
+        try:
+            return _inside_hull(*layers[0].points(h, x, y), cx, cy)
+        except QhullError:
+            raise DataError("degenerate (collinear) point set at "
+                            "threshold 0") from None
+    # a halo of max_edge holds every vertex of a kept triangle whose
+    # centroid lies in the tile's core
+    layer, halo = layers[i], max_edge
+    idx, tin = _triangulate(qx, qy, h, layer, core, halo)
+    if core == _WHOLE:
+        return _whole(x, y, layer, idx, tin, max_edge), 0
+    return _certify(qx, qy, h, layer, idx, tin, core, halo, max_edge)
 
 
 def _physical_memory():
@@ -300,8 +376,9 @@ class _Layer:
     rounding of a power on its points, and its work counts.
 
     The layer holds no array: `points` picks its points out of the
-    shared ones when they are needed. Tile jobs on several threads read
-    a layer at once; only the calling thread writes its counts.
+    shared ones when they are needed. Each worker process reads its own
+    copy of a layer; only the calling process writes its counts and its
+    fallback flag.
     """
 
     def __init__(self, threshold, h, qx, qy):
@@ -358,8 +435,7 @@ def _triangulate(px, py, h, layer, core, halo):
     """Indices, ascending, of the layer's points in the core box widened
     by the halo, and their Delaunay triangulation as (simplices,
     neighbors, number of coplanar points); None for fewer than 3 points,
-    _FAILED if Qhull fails. px is sorted. Runs on worker threads: it
-    touches no shared state."""
+    _FAILED if Qhull fails. px is sorted."""
     from scipy.spatial import Delaunay, QhullError
 
     x0, x1, y0, y1 = core
@@ -375,37 +451,6 @@ def _triangulate(px, py, h, layer, core, halo):
     except QhullError:
         return idx, _FAILED
     return idx, (tri.simplices, tri.neighbors, len(tri.coplanar))
-
-
-def _lookahead(fn, jobs, threads):
-    """Yield fn(*job) for each job, in order. With threads > 1, the
-    calling thread runs every threads-th job when its turn comes, and
-    threads - 1 worker threads run the others, queued two rounds of
-    `threads` jobs ahead of the result being taken: so the workers' jobs
-    of a round are queued before the calling thread starts its own, and
-    few finished results wait. With 1, every job runs inline. A job's
-    exception is raised when its result is taken; the workers' jobs that
-    have not started are then cancelled, and no worker outlives the
-    generator."""
-    if threads <= 1 or len(jobs) < 2:
-        for job in jobs:
-            yield fn(*job)
-        return
-    pool = ThreadPoolExecutor(min(threads - 1, len(jobs)))
-    todo = enumerate(jobs)
-
-    def queue(n):
-        return [None if j % threads == 0 else pool.submit(fn, *job)
-                for j, job in islice(todo, n)]
-
-    try:
-        ahead = deque(queue(2 * threads))
-        for job in jobs:
-            ahead.extend(queue(1))
-            future = ahead.popleft()
-            yield fn(*job) if future is None else future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _whole(x, y, layer, idx, tin, max_edge):
@@ -573,8 +618,9 @@ def _prune_long_edges(simplices, px, py, max_edge):
 def _inside_hull(px, py, cx, cy):
     """Cells whose centers are inside the convex hull of the points.
 
-    The cells are tested in near-equal blocks of at most _HULL_BLOCK, so
-    the (cells x hull facets) matrix never holds more than one block.
+    The cells are tested in near-equal blocks of at most _HULL_BLOCK,
+    and a block's centers are built when it is tested, so neither they
+    nor the (cells x hull facets) matrix ever hold more than one block.
     No block has a single cell unless the grid does: numpy takes a
     one-row product down its matrix-vector path, whose rounding differs
     from the matrix product's.
@@ -582,14 +628,22 @@ def _inside_hull(px, py, cx, cy):
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(np.column_stack([px, py]))
-    gx, gy = np.meshgrid(cx, cy)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
     a = hull.equations[:, :2]
     b = hull.equations[:, 2]
-    blocks = np.array_split(pts, -(-len(pts) // _HULL_BLOCK))
-    inside = np.concatenate([np.all(block @ a.T + b <= 1e-9, axis=1)
-                             for block in blocks])
-    return inside.reshape(len(cy), len(cx))
+    ncols = len(cx)
+    n = ncols * len(cy)
+    inside = np.empty(n, dtype=bool)
+    # the blocks of np.array_split: the first n % k one cell larger
+    k = -(-n // _HULL_BLOCK)
+    size, larger = divmod(n, k)
+    lo = 0
+    for j in range(k):
+        hi = lo + size + (j < larger)
+        cell = np.arange(lo, hi)
+        block = np.column_stack([cx[cell % ncols], cy[cell // ncols]])
+        inside[lo:hi] = np.all(block @ a.T + b <= 1e-9, axis=1)
+        lo = hi
+    return inside.reshape(len(cy), ncols)
 
 
 def _rasterize_tin(px, py, ph, simplices, xll, yll, res, nrows, acc):

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numerical failure.
+4 numerical failure, 5 worker process failure.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import os
 import sys
 
 from .config import load_config
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, WorkerError
 from .evaluate import format_plot_table
 from .pipeline import STAGES, run_pipeline
 
@@ -47,9 +47,9 @@ def _add_common(parser, config_required=True):
     parser.add_argument("--seed", type=int,
                         help="random seed (overrides [run])")
     parser.add_argument("--threads", type=int,
-                        help="threads for the CHM stage: this thread and "
-                             "N - 1 workers triangulate and certify tiles, "
-                             "this thread rasterizes them; outputs do not "
+                        help="worker processes for the CHM stage: they "
+                             "triangulate and certify the tiles, this "
+                             "process rasterizes them; outputs do not "
                              "depend on N")
 
 
@@ -158,6 +158,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except WorkerError as exc:
+        print(f"worker process failure: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -31,3 +31,8 @@ class OutOfBoundsError(DataError):
 
 class NumericalError(ForestInvError):
     """Numerical failure such as a singular matrix (CLI exit code 4)."""
+
+
+class WorkerError(ForestInvError):
+    """A worker process could not be started or died before its job
+    finished (CLI exit code 5)."""

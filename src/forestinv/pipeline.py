@@ -72,8 +72,8 @@ def _libc_malloc_trim():
 
 
 # hands the heap that dropped entries freed back to the system; without
-# it glibc keeps the CHM's Qhull worker arena and fragmented tile
-# temporaries mapped for the rest of the run
+# it glibc keeps fragmented stage temporaries (the CHM's tile results and
+# rasterizer blocks among them) mapped for the rest of the run
 _MALLOC_TRIM = _libc_malloc_trim()
 
 
@@ -135,10 +135,11 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> Pipel
             except Exception as exc:
                 failure = (stage, f"{type(exc).__name__}: {exc}")
                 raise
-            # peak RSS of the process so far; ru_maxrss is in KiB on Linux
-            timings.append((stage, time.perf_counter() - t0,
-                            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                            / 1024.0))
+            # peak RSS so far of the process or of a child it has waited
+            # for, such as a CHM worker; ru_maxrss is in KiB on Linux
+            rss = max(resource.getrusage(who).ru_maxrss for who in
+                      (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+            timings.append((stage, time.perf_counter() - t0, rss / 1024.0))
             result.completed.append(stage)
     finally:
         _write_manifest(config, result.completed, counts, failure, out)

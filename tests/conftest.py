@@ -1,9 +1,14 @@
-"""Cube helpers shared by the test modules."""
+"""Cube helpers shared by the test modules, and scipy.spatial loaded
+before any test forks the CHM's workers."""
 
 import itertools
 
 import numpy as np
 import pytest
+# pitfree_chm runs Qhull in worker processes forked from the caller: with
+# scipy.spatial loaded here, each worker a test forks inherits it instead
+# of importing it (a third of a second or more a worker)
+import scipy.spatial  # noqa: F401
 
 from forestinv.geodata import CubeFile
 

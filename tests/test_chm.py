@@ -1,15 +1,18 @@
-import sys
-import threading
+import contextlib
+import hashlib
+import multiprocessing
+import os
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 from forestinv import chm as chm_mod
 from forestinv.chm import PitfreeParams, normalize_heights, pitfree_chm
-from forestinv.errors import DataError
+from forestinv.errors import DataError, WorkerError
 from forestinv.geodata import DEFAULT_NODATA, Grid, PointCloud
 
 
@@ -104,6 +107,7 @@ class TestPitfree:
                                     height=np.array([1.0, 1.0, 1.0]))
         with pytest.raises(DataError, match="collinear|degenerate"):
             pitfree_chm(cloud, PitfreeParams())
+        assert multiprocessing.active_children() == []
 
     def test_missing_heights_rejected(self):
         cloud = PointCloud.from_xyz([0.0, 1.0, 0.5], [0.0, 0.0, 1.0],
@@ -201,6 +205,19 @@ ONE_TILE = 10**9
 def chm_with_tiles(monkeypatch, cloud, params, tile_points, threads=1):
     monkeypatch.setattr(chm_mod, "_TILE_POINTS", tile_points)
     return pitfree_chm(cloud, params, threads=threads)
+
+
+def append_line(path, *fields):
+    """Append one line to `path`; from any process, since the CHM's jobs
+    run in worker processes. One short write in append mode per line, so
+    lines from several workers do not interleave."""
+    with open(path, "a") as f:
+        f.write(" ".join(map(str, fields)) + "\n")
+
+
+def read_lines(path):
+    return ([line.split() for line in path.read_text().splitlines()]
+            if path.exists() else [])
 
 
 def tile_cuts(x, y, tile_points, monkeypatch):
@@ -381,13 +398,8 @@ def test_exact_shift():
 def test_threads_do_not_change_the_chm(monkeypatch, kind, seed, tile_points):
     # the grid falls back while workers still triangulate its tiles
     cloud, params = make_cloud(kind, seed, tile_points, monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # interleave the threads finely
-    try:
-        grids = [chm_with_tiles(monkeypatch, cloud, params, tile_points,
-                                threads=t) for t in (1, 2, 3, 5)]
-    finally:
-        sys.setswitchinterval(interval)
+    grids = [chm_with_tiles(monkeypatch, cloud, params, tile_points,
+                            threads=t) for t in (1, 2, 3, 5)]
     if kind == "grid":
         assert grids[0].counts["fallback_layers"] >= 1
     else:
@@ -396,32 +408,75 @@ def test_threads_do_not_change_the_chm(monkeypatch, kind, seed, tile_points):
     for g in grids[1:]:
         assert np.array_equal(g.values, grids[0].values)
         assert g.counts == grids[0].counts
+    assert multiprocessing.active_children() == []
 
 
 def test_a_fallen_back_layer_triangulates_no_more_tiles(monkeypatch):
+    """Once the calling process takes a tile's None, it queues no other
+    tile of that layer, only the layer's whole triangulation, and it
+    cancels the layer's tiles already queued."""
     cloud, params = make_cloud("grid", 7, 10, monkeypatch)
-    calls = []   # (layer, is the fallback's whole triangulation)
-    triangulate = chm_mod._triangulate
+    events = []   # ("queued", layer, is whole) and ("fell back", layer)
+    tiles = []    # the number of tiles of each layer
+    seen = []     # every job queued
+    workers = chm_mod._workers
 
-    def record(px, py, h, layer, core, halo):
-        calls.append((layer, core == chm_mod._WHOLE and halo == 0))
-        return triangulate(px, py, h, layer, core, halo)
+    class Seen:
+        def __init__(self, i, whole, future):
+            self.i, self.whole, self.future = i, whole, future
+            self.taken = self.cancelled = False
 
-    monkeypatch.setattr(chm_mod, "_triangulate", record)
+        def result(self):
+            self.taken = True
+            result = self.future.result()
+            if result is None:
+                events.append(("fell back", self.i))
+            return result
+
+        def cancel(self):
+            self.cancelled = True
+            return self.future.cancel()
+
+    @contextlib.contextmanager
+    def recording(n, shared):
+        x, y, h, qx, qy, layers, *_ = shared
+        tiles.extend(len(chm_mod._tile_cores(*layer.points(h, qx, qy)))
+                     if layer.n >= 3 else 0 for layer in layers)
+        with workers(n, shared) as submit:
+            def queue(i, core):
+                whole = core == chm_mod._WHOLE
+                if i is not None:
+                    events.append(("queued", i, whole))
+                seen.append(Seen(i, whole, submit(i, core)))
+                return seen[-1]
+            yield queue
+
+    monkeypatch.setattr(chm_mod, "_workers", recording)
     grid = chm_with_tiles(monkeypatch, cloud, params, 10)
-    assert grid.counts["fallback_layers"] >= 1
-    fell_back = {layer: i for i, (layer, whole) in enumerate(calls) if whole}
-    assert len(fell_back) == grid.counts["fallback_layers"]
-    assert all(i <= fell_back.get(layer, i)
-               for i, (layer, _) in enumerate(calls))
+    fell_back = {e[1]: k for k, e in enumerate(events) if e[0] == "fell back"}
+    assert len(fell_back) == grid.counts["fallback_layers"] >= 1
+    for layer, k in fell_back.items():
+        queued = [e[2] for e in events if e[:2] == ("queued", layer)]
+        after = [e[2] for e in events[k:] if e[:2] == ("queued", layer)]
+        # the tiles queued before the fallback, then the whole layer
+        assert after == [True]
+        assert not any(queued[:-1]) and len(queued) - 1 < tiles[layer]
+        assert grid.counts[f"layer{layer}.tiles"] == 1
+    # a tile is cancelled when, and only when, its layer fell back
+    # before its result was taken
+    assert any(job.cancelled for job in seen)
+    for job in seen:
+        if job.i is not None and not job.whole:
+            assert job.cancelled == (job.i in fell_back and not job.taken)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_finished_layer_is_freed_before_the_next_is_rasterized(
-        monkeypatch, threads):
+        monkeypatch, tmp_path, threads):
     cloud, params = make_cloud("jittered", 3, 25, monkeypatch)
     # the points are shared by every layer and a layer holds no array of
-    # its own: a weak reference to each layer object
+    # its own: a weak reference to each layer object. A worker forked
+    # from this process finds its own copy of a layer through them.
     refs = []
 
     class Layer(chm_mod._Layer):
@@ -429,17 +484,22 @@ def test_a_finished_layer_is_freed_before_the_next_is_rasterized(
             super().__init__(*args)
             refs.append(weakref.ref(self))
 
-    # the kept triangles of each tile, and the number of their layer
-    owners = []
+    def digest(kept):
+        return hashlib.sha256(np.ascontiguousarray(kept).tobytes()).hexdigest()
+
+    # the kept triangles of each tile, by digest, and the number of their
+    # layer, written by the workers
+    owners = tmp_path / "owners"
 
     def owned(fn):
         def run(*args):
             kept = fn(*args)
             if kept is not None:
                 layer = next(a for a in args if isinstance(a, Layer))
-                owners.append((kept[0] if isinstance(kept, tuple) else kept,
-                               next(i for i, ref in enumerate(refs)
-                                    if ref() is layer)))
+                append_line(owners, digest(kept[0] if isinstance(kept, tuple)
+                                           else kept),
+                            next(i for i, ref in enumerate(refs)
+                                 if ref() is layer))
             return kept
         return run
 
@@ -447,7 +507,10 @@ def test_a_finished_layer_is_freed_before_the_next_is_rasterized(
     rasterize = chm_mod._rasterize_tin
 
     def check(px, py, ph, simplices, *args):
-        layer = next(i for kept, i in owners if kept is simplices)
+        # a tile of the same points in two layers may give the same
+        # triangles: the lowest of those layers is the weakest claim
+        layer = min(int(i) for d, i in read_lines(owners)
+                    if d == digest(simplices))
         rasterized.append(layer)
         assert all(ref() is None for ref in refs[:layer])
         return rasterize(px, py, ph, simplices, *args)
@@ -541,17 +604,21 @@ def reference_certify(px, py, h, layer, idx, tin, core, halo, max_edge,
     return kept[keep], int(inner.sum())
 
 
-def test_certify_equals_the_nearest_four_reference(monkeypatch):
+def test_certify_equals_the_nearest_four_reference(monkeypatch, tmp_path):
     certify = chm_mod._certify
-    escaping, outcomes = [], set()
+    # one line per certificate, written by the workers: its outcome and
+    # the number of its circles that leave the tile's box
+    seen = tmp_path / "seen"
 
     def both(*args):
         got = certify(*args)
+        escaping = []
         want = reference_certify(*args, escaping)
         assert (got is None) == (want is None)
         if got is not None:
             assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-        outcomes.add("tie" if got is None else "drop" if got[1] else "keep")
+        append_line(seen, "tie" if got is None else "drop" if got[1]
+                    else "keep", sum(escaping))
         return got
 
     monkeypatch.setattr(chm_mod, "_certify", both)
@@ -566,8 +633,9 @@ def test_certify_equals_the_nearest_four_reference(monkeypatch):
                     chm_with_tiles(monkeypatch, cloud, params, tile_points)
                 except DataError:
                     pass
-    assert outcomes == {"tie", "drop", "keep"}
-    assert sum(escaping) > 100
+    lines = read_lines(seen)
+    assert {outcome for outcome, _ in lines} == {"tie", "drop", "keep"}
+    assert sum(int(n) for _, n in lines) > 100
 
 
 @pytest.mark.parametrize("others, expect", [
@@ -603,30 +671,40 @@ class JobFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("fail_on", [None, "calling thread", "worker"])
-def test_tiles_run_on_the_calling_thread_and_a_worker(monkeypatch, fail_on):
+@pytest.mark.parametrize("fail_on", [None, "worker", "no fork"])
+def test_tiles_run_in_worker_processes(monkeypatch, tmp_path, fail_on):
+    """The jobs run in worker processes, never in this one; a job's
+    exception reaches the caller with its type; a system that cannot
+    fork gets WorkerError before any job runs; and no worker outlives
+    the CHM."""
     cloud, params = make_cloud("jittered", 3, 25, monkeypatch)
-    main = threading.get_ident()
-    idents = []
+    pids = tmp_path / "pids"
     triangulate = chm_mod._triangulate
 
     def record(*args):
-        me = threading.get_ident()
-        idents.append(me)
-        if fail_on and (me == main) == (fail_on == "calling thread"):
+        append_line(pids, os.getpid())
+        if fail_on:
             raise JobFailed(fail_on)
         return triangulate(*args)
 
     monkeypatch.setattr(chm_mod, "_triangulate", record)
-    before = set(threading.enumerate())
-    if fail_on:
+    if fail_on == "no fork":
+        monkeypatch.setattr(chm_mod.multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        with pytest.raises(WorkerError, match="fork"):
+            chm_with_tiles(monkeypatch, cloud, params, 25, threads=2)
+        assert read_lines(pids) == []
+    elif fail_on:
         with pytest.raises(JobFailed, match=fail_on):
             chm_with_tiles(monkeypatch, cloud, params, 25, threads=2)
+        ran = {int(pid) for pid, in read_lines(pids)}
+        assert ran and os.getpid() not in ran
     else:
         grid = chm_with_tiles(monkeypatch, cloud, params, 25, threads=2)
         assert grid.counts["layer0.tiles"] > 1
-        assert main in idents and len(set(idents)) == 2
-    assert set(threading.enumerate()) == before
+        ran = {int(pid) for pid, in read_lines(pids)}
+        assert os.getpid() not in ran and len(ran) == 2
+    assert multiprocessing.active_children() == []
 
 
 def reference_rasterize_tin(px, py, ph, simplices, xll, yll, res, nrows,
@@ -713,8 +791,6 @@ def test_canonical_rotation_keeps_orientation():
 def test_blocked_hull_mask_equals_one_product(seed):
     """_inside_hull tests the cells block by block; the mask equals the
     one-shot product over all cells bit for bit."""
-    from scipy.spatial import ConvexHull
-
     rng = np.random.default_rng(seed)
     ncols, nrows = (int(n) for n in rng.integers(60, 150, 2))
     if seed < 2:
@@ -738,6 +814,47 @@ def test_blocked_hull_mask_equals_one_product(seed):
     mask = chm_mod._inside_hull(px, py, cx, cy)
     assert 0 < one_shot.sum() < one_shot.size
     assert np.array_equal(mask, one_shot)
+
+
+def meshgrid_inside_hull(px, py, cx, cy):
+    """_inside_hull as it was, with the centers of every cell built at
+    once by meshgrid and tested in np.array_split's blocks."""
+    hull = ConvexHull(np.column_stack([px, py]))
+    gx, gy = np.meshgrid(cx, cy)
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    a = hull.equations[:, :2]
+    b = hull.equations[:, 2]
+    blocks = np.array_split(pts, -(-len(pts) // chm_mod._HULL_BLOCK))
+    inside = np.concatenate([np.all(block @ a.T + b <= 1e-9, axis=1)
+                             for block in blocks])
+    return inside.reshape(len(cy), len(cx))
+
+
+@pytest.mark.parametrize("ncols, nrows, block", [
+    (241, 60, None),    # 3 blocks of _HULL_BLOCK and a remainder
+    (97, 53, 500),      # 10 blocks and a remainder
+    (13, 11, 7),        # blocks of 7 and 8 cells
+    (1, 1, None)])      # a single cell
+def test_hull_centers_built_per_block_equal_the_meshgrid_ones(
+        monkeypatch, ncols, nrows, block):
+    if block:
+        monkeypatch.setattr(chm_mod, "_HULL_BLOCK", block)
+    assert ncols * nrows == 1 or ncols * nrows % chm_mod._HULL_BLOCK
+    rng = np.random.default_rng(ncols)
+    res = 0.5
+    cx = 3.0e5 + (np.arange(ncols) + 0.5) * res
+    cy = 5.1e6 + (nrows - np.arange(nrows) - 0.5) * res
+    px = rng.uniform(cx[0] - res, cx[-1] + res, 20)
+    py = rng.uniform(cy[-1] - res, cy[0] + res, 20)
+    # hull vertices on cell centers put cells on the hull's edges
+    px[::2] = 3.0e5 + (np.floor((px[::2] - 3.0e5) / res) + 0.5) * res
+    py[::2] = 5.1e6 + (np.floor((py[::2] - 5.1e6) / res) + 0.5) * res
+    want = meshgrid_inside_hull(px, py, cx, cy)
+    got = chm_mod._inside_hull(px, py, cx, cy)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if ncols * nrows > 1:
+        assert 0 < want.sum() < want.size
 
 
 # ---------------------------------------------------------------------------

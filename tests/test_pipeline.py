@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -663,31 +664,70 @@ def test_the_cli_and_synth_load_no_scipy(tmp_path):
     assert (tmp_path / "scene" / "pipeline.ini").exists()
 
 
-def test_chm_workers_start_after_scipy_is_imported(tmp_path):
-    """A fresh `run --threads 2` on a tiled scene imports scipy.spatial
-    on the calling thread before its pool starts."""
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_run_never_loads_scipy_in_its_main_process(tmp_path, threads):
+    """A fresh `run` on a tiled scene leaves every Qhull call to the CHM's
+    worker processes: its own process ends without scipy, and with no
+    worker left."""
     pipeline_ini = make_scene(tmp_path)
     out = tmp_path / "run"
     proc = fresh_python("-c", """if True:
+        import multiprocessing
         import sys
         from forestinv import chm
         from forestinv.cli import main
 
-        class Pool(chm.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                print("pool", "scipy.spatial" in sys.modules)
-                super().__init__(*args, **kwargs)
-
-        chm.ThreadPoolExecutor = Pool
         chm._TILE_POINTS = 300
-        print("start", "scipy" in sys.modules)
-        sys.exit(main(["run", "--config", sys.argv[1], "--out", sys.argv[2],
-                       "--threads", "2", "--stage", "chm"]))
-        """, str(pipeline_ini), str(out))
-    assert proc.stdout.splitlines()[:2] == ["start False", "pool True"]
+        code = main(["run", "--config", sys.argv[1], "--out", sys.argv[2],
+                     "--threads", sys.argv[3]])
+        print(code, "scipy" in sys.modules, multiprocessing.active_children())
+        """, str(pipeline_ini), str(out), str(threads))
+    assert proc.stdout.splitlines()[-1] == "0 False []", proc.stdout
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert "status ok" in manifest
     assert "count chm layer0.tiles 1" not in manifest
+
+
+def test_peak_rss_counts_the_children_waited_for(tmp_path):
+    """A child whose peak exceeds its parent's sets the stage's peak in
+    timings.txt, as the CHM's workers do."""
+    pipeline_ini = make_scene(tmp_path)
+    out = tmp_path / "out"
+    proc = fresh_python("-c", """if True:
+        import multiprocessing
+        import resource
+        import sys
+        import numpy as np
+        from forestinv import pipeline
+        from forestinv.config import load_config
+
+        def grow(kib):
+            # its parent's peak and 16 MiB more, over what it inherited
+            np.ones(((kib << 10) + (16 << 20)) // 8).sum()
+
+        terrain = pipeline._STAGE_FUNCS["terrain"]
+
+        def stage(*args, **kwargs):
+            produced = terrain(*args, **kwargs)
+            kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            child = multiprocessing.get_context("fork").Process(
+                target=grow, args=(kib,))
+            child.start()
+            child.join()
+            return produced
+
+        pipeline._STAGE_FUNCS["terrain"] = stage
+        pipeline.run_pipeline(load_config(sys.argv[1],
+                                          out_override=sys.argv[2]),
+                              stop_after="terrain")
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+            print(resource.getrusage(who).ru_maxrss / 1024.0)
+        """, str(pipeline_ini), str(out))
+    own, child = map(float, proc.stdout.split())
+    assert child > own + 16
+    line = (out / "timings.txt").read_text().split()
+    assert line[0] == "terrain" and line[2] == "peak_rss"
+    assert line[3] == f"{child:.1f}MiB"
 
 
 class TestCli:
@@ -1435,6 +1475,49 @@ def test_a_chm_grid_too_large_for_physical_memory_exits_2(
     monkeypatch.setattr(chm_mod, "_physical_memory", lambda: None)
     assert main(["chm", "--config", str(pipeline_ini),
                  "--out", str(tmp_path / "unchecked")]) == 0
+
+
+def test_a_collinear_threshold_0_layer_exits_3_from_the_workers(
+        fuzz_scene, tmp_path, capsys):
+    """Qhull fails in a worker process; its DataError reaches the run,
+    which exits 3 naming the stage, and no worker is left."""
+    pipeline_ini = copy_fuzz_scene(fuzz_scene, tmp_path)
+    points = pipeline_ini.parent / "points.csv"
+    header, *rows = points.read_text().splitlines()
+    # every point onto the line y = the first point's y
+    y = rows[0].split(",")[1]
+    points.write_text("\n".join([header] + [
+        ",".join(f[:1] + [y] + f[2:]) for f in (r.split(",") for r in rows)])
+        + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(pipeline_ini), "--out", str(out),
+                 "--threads", "2"]) == 3
+    assert "degenerate (collinear) point set at threshold 0" in (
+        capsys.readouterr().err)
+    manifest = (out / "manifest.txt").read_text()
+    assert "stage chm failed: degenerate (collinear)" in manifest
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_fails_stage_chm_and_exits_5(
+        fuzz_scene, tmp_path, monkeypatch, capsys):
+    """A CHM worker that dies mid-job (as one the system kills for lack
+    of memory would) ends the run with exit 5 and a message naming the
+    stage, no traceback, and no worker left."""
+    pipeline_ini = copy_fuzz_scene(fuzz_scene, tmp_path)
+    # patched before the workers fork, so that they inherit it
+    monkeypatch.setattr(chm_mod, "_triangulate", lambda *args: os._exit(1))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(pipeline_ini), "--out", str(out),
+                 "--threads", "2"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("worker process failure: stage chm: a worker "
+                          "process died before its job finished")
+    assert "Traceback" not in err
+    manifest = (out / "manifest.txt").read_text()
+    assert "stage chm failed: a worker process died" in manifest
+    assert not (out / "chm.asc").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_physical_memory_is_none_where_the_system_does_not_say(monkeypatch):
