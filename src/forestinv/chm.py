@@ -146,11 +146,12 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     A layer of at least 2 * _TILE_POINTS (10,000) points is cut into
     tiles of about _TILE_POINTS points; a smaller one is one tile.
     Each tile is one job: Qhull, then the certificate. The convex hull
-    is the first job. `threads` worker processes, forked from this one
-    once the shared points exist, run the jobs; this process queues
-    them in tile order, two rounds of `threads` ahead of the result it
+    is the first job. n worker processes, forked from this one once the
+    shared points exist, run the jobs, n being `threads` capped at the
+    CPUs this process may run on and at the number of jobs; this process
+    queues them in tile order, two rounds of n ahead of the result it
     takes, and rasterizes the results in that order, so the result does
-    not depend on `threads` and this process never loads scipy. A layer
+    not depend on n and this process never loads scipy. A layer
     is a threshold over the one point set, which is sorted by x: a tile
     keeps the points of its window at or above it, and the certificate
     tests a circle that leaves its tile against those of the circle's
@@ -226,8 +227,13 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
                  for core in layer_cores)
     shared = _Shared(x, y, h, qx, qy, layers, cx, cy, params.max_edge)
     counts, fallbacks = {}, 0
-    # no more workers than jobs, the hull's included
-    with _workers(min(threads, 1 + len(todo)), shared) as submit:
+    # no more workers than jobs, the hull's included, or than CPUs this
+    # process may run on: each worker imports scipy, and more workers
+    # than CPUs only contend for them
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n = min(threads, cpus, 1 + len(todo))
+    with _workers(n, shared) as submit:
         # first, so that its worker loads scipy while the rasters fill
         hull = submit(None, None) if layers[0].n >= 3 else None
         acc.fill(-np.inf)
@@ -237,7 +243,7 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
             part.fill(-np.inf)
             layer.tiles = len(layer_cores)
             while True:
-                while todo and len(ahead) < 2 * threads:
+                while todo and len(ahead) < 2 * n:
                     j, core = todo.popleft()
                     if not layers[j].fallback:
                         ahead.append((j, submit(j, core)))

@@ -220,7 +220,6 @@ class KernelRows:
         self.missing = np.ones(n, dtype=bool)
         self.blocks = [] if blocks is None else blocks
         self.used = 0                      # blocks written by this source
-        self.computed = 0                  # rows computed, repeats excluded
 
     def compute(self, rows, up_scores=None, low_scores=None):
         """Compute `rows`, which are not held yet, in one gemm; with the
@@ -248,7 +247,6 @@ class KernelRows:
             self.held[t] = row[:n]
             self.diagonal[t] = float(row[t])
         self.missing[rows] = False
-        self.computed += len(rows)
 
     def row(self, t: int) -> np.ndarray:
         """Row t, computed if it is not held yet."""

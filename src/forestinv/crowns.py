@@ -83,7 +83,11 @@ def detect_treetops(chm: Grid, params: ItcParams) -> list[Apex]:
     """
     values = _prepared_heights(chm, params)
 
-    rows, cols = np.nonzero(values >= params.height_threshold)
+    # strict local max: taller than every other cell in its window. Every
+    # window holds the 3 x 3 one, so the candidates are the strict maxima
+    # of that window at or above height_threshold
+    rows, cols = np.nonzero((values >= params.height_threshold)
+                            & (values > _around(values, 1)))
     heights = values[rows, cols]
 
     # window side grows linearly with height, rounded half-to-even to
@@ -95,46 +99,13 @@ def detect_treetops(chm: Grid, params: ItcParams) -> list[Apex]:
     sides += sides % 2 == 0
     sides = np.clip(sides, params.min_search_win, params.max_search_win)
 
-    # a window of side 2 d + 1 or more, d the cell's distance in cells
-    # to its farthest grid edge, covers the grid: the cell is a strict
-    # local max if it is the one tallest cell of the grid. As 2 d + 1 is
-    # at least max(nrows, ncols), only windows that wide can cover it.
-    nrows, ncols = values.shape
-    wide = np.flatnonzero(sides >= max(nrows, ncols))
-    wr, wc = rows[wide], cols[wide]
-    reach = np.maximum(np.maximum(wr, nrows - 1 - wr),
-                       np.maximum(wc, ncols - 1 - wc))
-    covers = wide[sides[wide] >= 2 * reach + 1]
-    is_strict = np.zeros(len(rows), dtype=bool)
-    if len(covers):
-        top = values.max()
-        if np.count_nonzero(values == top) == 1:
-            is_strict[covers] = heights[covers] == top
-
-    # strict local max: taller than every other cell in its window. The
-    # window maximum without the center is the running maximum of shifted
-    # views of the grid padded with -inf; each side adds the ring of
-    # offsets outside the previous side's window, up to the largest side
-    # that does not cover the grid; a covering window is done, and its
-    # side 0 takes no ring.
-    sides[covers] = 0
-    half = int(sides.max(initial=1)) // 2
-    padded = np.pad(values, half, constant_values=-np.inf)
-    neighborhood_max = np.full(values.shape, -np.inf)
-    for side in range(3, 2 * half + 2, 2):
-        r = side // 2
-        for dr in range(-r, r + 1):
-            step = 1 if abs(dr) == r else 2 * r
-            for dc in range(-r, r + 1, step):
-                np.maximum(neighborhood_max,
-                           padded[half + dr:half + dr + nrows,
-                                  half + dc:half + dc + ncols],
-                           out=neighborhood_max)
-        sel = sides == side
-        if sel.any():
-            is_strict[sel] = (heights[sel]
-                              > neighborhood_max[rows[sel], cols[sel]])
-    rows, cols, heights = rows[is_strict], cols[is_strict], heights[is_strict]
+    # past the grid's larger side, a window sees all of it from every cell
+    halves = np.minimum(sides // 2, max(values.shape))
+    keep = halves == 1                  # the 3 x 3 window, tested above
+    for r in set(halves.tolist()) - {1}:
+        sel = halves == r
+        keep[sel] = heights[sel] > _around(values, r)[rows[sel], cols[sel]]
+    rows, cols, heights = rows[keep], cols[keep], heights[keep]
 
     # tallest first, ties by (row, col). Accepted apexes are hashed into
     # buckets of size x size cells; cells two buckets apart are at least
@@ -157,6 +128,34 @@ def detect_treetops(chm: Grid, params: ItcParams) -> list[Apex]:
         buckets.setdefault((br, bc), []).append((x, y))
         apexes.append(Apex(r, c, x, y, h))
     return apexes
+
+
+def _around(values: np.ndarray, r: int) -> np.ndarray:
+    """Each cell's maximum over its window of half-width r, without the
+    cell itself, -inf outside the grid: the larger of the r cells beside
+    it on its row and the r rows beside it of the row windows' maxima."""
+    row = _beside(values.T, r).T
+    return np.maximum(row, _beside(np.maximum(row, values), r))
+
+
+def _beside(a: np.ndarray, r: int) -> np.ndarray:
+    """Row k's maximum over the r rows before and after it, -inf outside
+    `a`; rows len(a) or more away are all outside, so r stops there."""
+    r = min(r, len(a))
+    run = _running_max(np.pad(a, ((r, r), (0, 0)), constant_values=-np.inf), r)
+    return np.maximum(run[:len(a)], run[r + 1:])
+
+
+def _running_max(a: np.ndarray, width: int) -> np.ndarray:
+    """Row k is the maximum of rows k to k + width - 1 of `a`: maxima over
+    power-of-two spans, doubled while they fit in `width`, then the larger
+    of two overlapping spans (van Herk 1992; Gil & Werman 1993)."""
+    span = 1
+    while 2 * span <= width:
+        a = np.maximum(a[:-span], a[span:])
+        span *= 2
+    return a if span == width else np.maximum(a[:len(a) - width + span],
+                                              a[width - span:])
 
 
 def _prepared_heights(chm: Grid, params: ItcParams) -> np.ndarray:

@@ -44,6 +44,19 @@ def test_the_sparse_case_is_dense_stand_at_1_5_points_per_m2():
     assert cp["run"]["seed"] == "7"
 
 
+def test_the_large_area_case_is_dense_stand_at_3600_trees():
+    gate = load_gate()
+    cp = configparser.ConfigParser()
+    cp.read_string(gate.case_ini("large-area", 7))
+    base = configparser.ConfigParser()
+    base.read_string(gate.case_ini("dense-stand", 7))
+    assert cp["scene"]["n_trees"] == "3600"
+    assert base["scene"]["n_trees"] == "400"
+    del cp["scene"]["n_trees"], base["scene"]["n_trees"]
+    assert {s: dict(cp[s]) for s in cp} == {s: dict(base[s]) for s in base}
+    assert cp["run"]["seed"] == "7"
+
+
 def test_the_odd_pairs_case_is_paper_spectral_at_499_pixels_per_species():
     gate = load_gate()
     cp = configparser.ConfigParser()

@@ -411,6 +411,29 @@ def test_threads_do_not_change_the_chm(monkeypatch, kind, seed, tile_points):
     assert multiprocessing.active_children() == []
 
 
+def test_workers_are_capped_at_the_cpus_available(monkeypatch, tmp_path):
+    cloud, params = make_cloud("jittered", 3, 25, monkeypatch)
+    two = chm_with_tiles(monkeypatch, cloud, params, 25, threads=2)
+    # the pid of the worker that certified each tile
+    pids = tmp_path / "pids"
+    certify = chm_mod._certify
+
+    def recording(*args):
+        append_line(pids, os.getpid())
+        return certify(*args)
+
+    monkeypatch.setattr(chm_mod, "_certify", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    one = chm_with_tiles(monkeypatch, cloud, params, 25, threads=2)
+    workers = {pid for pid, in read_lines(pids)}
+    assert len(read_lines(pids)) >= one.counts["layer0.tiles"] > 1
+    assert len(workers) == 1 and workers != {str(os.getpid())}
+    assert np.array_equal(one.values, two.values)
+    assert one.counts == two.counts
+
+
 def test_a_fallen_back_layer_triangulates_no_more_tiles(monkeypatch):
     """Once the calling process takes a tile's None, it queues no other
     tile of that layer, only the layer's whole triangulation, and it

@@ -197,6 +197,14 @@ class TestKernelRows:
         gamma = 1.0 / d
         K = rbf_kernel(x, x, gamma)
         rows = KernelRows(x, gamma)
+        written = []                        # rows in the order computed
+
+        class Held(list):
+            def __setitem__(self, t, row):
+                written.append(t)
+                super().__setitem__(t, row)
+
+        rows.held = Held(rows.held)
         up, low = rng.normal(0, 1, n), rng.normal(0, 1, n)
         up[rng.random(n) < 0.3] = -np.inf
         low[rng.random(n) < 0.3] = np.inf
@@ -205,7 +213,9 @@ class TestKernelRows:
                 rows.compute([t], up, low)  # with the likely next rows
         rows.row(n - 1)                     # alone, padded by repeats
         held = [t for t in range(n) if rows.held[t] is not None]
-        assert len(held) == rows.computed > _ROW_BLOCK
+        assert held == np.flatnonzero(~rows.missing).tolist()
+        assert sorted(written) == held      # none computed twice
+        assert len(held) > _ROW_BLOCK
         for t in held:
             assert np.array_equal(rows.held[t], K[t])
             assert rows.diagonal[t] == K[t, t]

@@ -9,13 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import forestinv.crowns as crowns_mod
 from forestinv.crowns import (
     Apex,
     CrownRecord,
     ItcParams,
+    _around,
     _prepared_heights,
+    _running_max,
     crown_label_grid,
     detect_treetops,
     grow_crowns,
@@ -222,25 +225,51 @@ class TestStrictMaxima:
         assert sorted(got) == sorted(brute_force_treetops(chm, params))
         assert len(got) > 5
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (12, 17)])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (12, 17), (1, 200),
+                                       (200, 1), (3, 50)])
     def test_a_window_wider_than_the_grid_vs_brute_force(self, shape):
-        # the tallest cells' windows reach far past the grid on every side
+        # the tallest cells' windows reach far past the grid on every side,
+        # or past its short side only
         rng = np.random.default_rng(shape[1])
-        params = ItcParams(min_search_win=3, max_search_win=2000001,
-                           min_dist=0.1, max_dist=40.0, height_threshold=1.0,
-                           win_low_height=1.0, win_high_height=20.0)
-        v = rng.uniform(0, 22, shape)
+        v = np.round(rng.uniform(0, 22, shape), 2)   # some ties
         v[rng.random(shape) < 0.1] = np.nan
         chm = grid_from(v)
-        got = [(a.x, a.y) for a in detect_treetops(chm, params)]
-        assert sorted(got) == sorted(brute_force_treetops(chm, params))
-        assert got
+        for wins in [(3, 9), (3, 2000001), (2000001, 2000001)]:
+            params = ItcParams(min_search_win=wins[0], max_search_win=wins[1],
+                               min_dist=0.1, max_dist=40.0,
+                               height_threshold=1.0, win_low_height=1.0,
+                               win_high_height=20.0)
+            got = [(a.x, a.y) for a in detect_treetops(chm, params)]
+            assert sorted(got) == sorted(brute_force_treetops(chm, params))
+            assert got
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33])
+    def test_running_max_equals_the_sliding_window_max(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.integers(0, 9, (n, 5)).astype(float)
+        a[rng.random(a.shape) < 0.2] = -np.inf
+        for width in range(1, n + 1):
+            want = np.max(sliding_window_view(a, width, axis=0), axis=-1)
+            assert np.array_equal(_running_max(a, width), want)
+            assert np.array_equal(_running_max(a.T[0], width), want[:, 0])
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 7, 25, 40])
+    def test_around_equals_the_maximum_filter_without_the_center(self, r):
+        from scipy import ndimage
+
+        rng = np.random.default_rng(r)
+        v = rng.uniform(0, 9, (23, 31))
+        v[rng.random(v.shape) < 0.1] = -np.inf
+        footprint = np.ones((2 * r + 1, 2 * r + 1), dtype=bool)
+        footprint[r, r] = False
+        want = ndimage.maximum_filter(v, footprint=footprint,
+                                      mode="constant", cval=-np.inf)
+        assert np.array_equal(_around(v, r), want)
 
     @staticmethod
-    def count_shifted_views(monkeypatch):
-        """Counts the window-maximum updates detect_treetops makes: one
-        np.maximum into its running maximum per shifted view."""
-        calls = {"views": 0}
+    def count_maxima(monkeypatch):
+        """Counts the np.maximum calls detect_treetops makes."""
+        calls = {"maxima": 0}
 
         class CountingNumpy:
             def __getattr__(self, name):
@@ -248,14 +277,30 @@ class TestStrictMaxima:
 
             @staticmethod
             def maximum(*args, **kwargs):
-                calls["views"] += "out" in kwargs
+                calls["maxima"] += 1
                 return np.maximum(*args, **kwargs)
 
         monkeypatch.setattr(crowns_mod, "np", CountingNumpy())
         return calls
 
+    @staticmethod
+    def log_bound(v, params):
+        """4 sum(log2(2 r + 1)) over the window half-widths r of the cells
+        at or above height_threshold, clamped to the grid's larger side,
+        and r = 1, the 3 x 3 window every treetop is a strict maximum of:
+        a few running-maximum passes per distinct half-width."""
+        halves = {1}
+        for h in v[v >= params.height_threshold]:
+            frac = min(1.0, max(0.0, (h - params.win_low_height) / (
+                params.win_high_height - params.win_low_height)))
+            side = int(round(params.min_search_win + frac * (
+                params.max_search_win - params.min_search_win)))
+            side += side % 2 == 0
+            halves.add(min(side // 2, max(v.shape)))
+        return 4 * sum(math.log2(2 * r + 1) for r in halves)
+
     @pytest.mark.parametrize("shape", [(1, 1), (9, 4), (60, 60)])
-    def test_windows_that_cover_the_grid_take_no_shifted_view(
+    def test_windows_that_cover_the_grid_take_log_many_maxima(
             self, shape, monkeypatch):
         rng = np.random.default_rng(shape[0])
         params = ItcParams(min_search_win=2000001, max_search_win=2000001,
@@ -263,15 +308,16 @@ class TestStrictMaxima:
         v = rng.uniform(0, 22, shape)
         v[rng.random(shape) < 0.1] = np.nan
         chm = grid_from(v)
-        calls = self.count_shifted_views(monkeypatch)
+        calls = self.count_maxima(monkeypatch)
         got = [(a.x, a.y) for a in detect_treetops(chm, params)]
-        assert calls["views"] == 0
+        # two half-widths: 1, and the grid's larger side
+        assert calls["maxima"] <= self.log_bound(v, params)
         assert sorted(got) == sorted(brute_force_treetops(chm, params))
 
-    def test_only_windows_inside_the_grid_take_shifted_views(
+    def test_windows_from_3_to_past_the_grid_take_log_many_maxima(
             self, monkeypatch):
-        # sides from 3 to far past the grid: the rings stop at the largest
-        # side that does not cover the grid, not at the grid's size
+        # sides from 3 to far past the grid: a ring of offsets per side up
+        # to the grid's 121 would take 121 ** 2 - 1 calls
         rng = np.random.default_rng(150)
         params = ItcParams(min_search_win=3, max_search_win=2001,
                            min_dist=0.1, max_dist=40.0, height_threshold=1.0,
@@ -282,12 +328,25 @@ class TestStrictMaxima:
         # grid from every cell
         v[v < 2.2] = 1.0
         chm = grid_from(v)
-        calls = self.count_shifted_views(monkeypatch)
+        calls = self.count_maxima(monkeypatch)
         got = [(a.x, a.y) for a in detect_treetops(chm, params)]
-        # the ring of side 3 at most; up to the grid's 121 it would take
-        # 121 ** 2 - 1
-        assert calls["views"] <= 3 ** 2 - 1
+        assert calls["maxima"] <= self.log_bound(v, params) < 100
         assert sorted(got) == sorted(brute_force_treetops(chm, params))
+
+    def test_a_huge_max_search_win_on_150_x_150_takes_log_many_maxima(
+            self, monkeypatch):
+        # uniform heights at max_search_win 2000001: nearly every window
+        # reaches past the grid, and a few cells just above
+        # height_threshold have sides from 3 to the grid's size
+        rng = np.random.default_rng(2024)
+        params = ItcParams(min_search_win=3, max_search_win=2000001,
+                           min_dist=0.1)
+        v = rng.uniform(0, 22, (150, 150))
+        chm = grid_from(v)
+        calls = self.count_maxima(monkeypatch)
+        got = [(a.row, a.col) for a in detect_treetops(chm, params)]
+        assert calls["maxima"] <= self.log_bound(v, params) < 500
+        assert got == [np.unravel_index(np.argmax(v), v.shape)]
 
     def test_importing_the_cli_leaves_out_scipy_ndimage(self):
         root = Path(__file__).resolve().parents[1]

@@ -9,14 +9,15 @@ runs `python -m forestinv.cli` as a child process with that checkout's
 configs (taken from perfbench/workloads.py) or a variant of one:
 `paper-scale`, the `paper-spectral` scene with 150 trees, k = 35 and
 2,000 training pixels per species, `sparse`, the `dense-stand` scene
-at 1.5 points/m2, which no workload covers, or `odd-pairs`, the
+at 1.5 points/m2, which no workload covers, `odd-pairs`, the
 `paper-spectral` scene at 499 training pixels per species, whose SVM
-pairs have 998 rows, not a multiple of 8. For each case and seed,
-each side runs `forestinv synth`, then `forestinv run --threads N` for
-each N. Every file the two sides wrote is compared byte for byte, except
-`timings.txt`. One line per case and seed is printed; the exit status
-is 1 if any file differs, is missing on one side, or if a command's exit
-status differs.
+pairs have 998 rows, not a multiple of 8, or `large-area`, the
+`dense-stand` scene at 3,600 trees, nine times its area. For each case
+and seed, each side runs `forestinv synth`, then `forestinv run
+--threads N` for each N. Every file the two sides wrote is compared
+byte for byte, except `timings.txt`. One line per case and seed is
+printed; the exit status is 1 if any file differs, is missing on one
+side, or if a command's exit status differs.
 
 Uses the standard library only.
 """
@@ -47,6 +48,7 @@ VARIANTS = {
     "sparse": ("dense-stand", {"scene": {"point_density": "1.5"}}),
     "odd-pairs": ("paper-spectral", {
         "spectral": {"max_training_pixels_per_species": "499"}}),
+    "large-area": ("dense-stand", {"scene": {"n_trees": "3600"}}),
 }
 
 
