@@ -75,24 +75,21 @@ class SpeciesEntry:
                              f"a fallback")
 
 
-_MAIN_TAXA = {
-    "PIAB": VolumeParams(0.000177, 1.564254, 1.051565, 3.694650),
-    "ABAL": VolumeParams(0.000163, 1.706560, 0.941905, 3.694650),
-    "LADE": VolumeParams(0.000108, 1.407756, 1.341377, 3.694650),
-    "FASY": VolumeParams(0.000055, 1.942089, 1.006420, 4.009100),
-    "PISY": VolumeParams(0.000102, 1.918184, 0.830164, 3.694650),
-    "PICE": VolumeParams(0.000188, 1.613713, 0.985266, 3.694650),
-    "PINI": VolumeParams(0.000129, 1.763086, 0.938445, 3.694650),
-}
-
 _DEFAULT_ENTRIES = [
-    SpeciesEntry("PIAB", "Picea abies", GYMNOSPERM, _MAIN_TAXA["PIAB"]),
-    SpeciesEntry("ABAL", "Abies alba", GYMNOSPERM, _MAIN_TAXA["ABAL"]),
-    SpeciesEntry("LADE", "Larix decidua", GYMNOSPERM, _MAIN_TAXA["LADE"]),
-    SpeciesEntry("PISY", "Pinus sylvestris", GYMNOSPERM, _MAIN_TAXA["PISY"]),
-    SpeciesEntry("PINI", "Pinus nigra", GYMNOSPERM, _MAIN_TAXA["PINI"]),
-    SpeciesEntry("PICE", "Pinus cembra", GYMNOSPERM, _MAIN_TAXA["PICE"]),
-    SpeciesEntry("FASY", "Fagus sylvatica", ANGIOSPERM, _MAIN_TAXA["FASY"]),
+    SpeciesEntry("PIAB", "Picea abies", GYMNOSPERM,
+                 VolumeParams(0.000177, 1.564254, 1.051565, 3.694650)),
+    SpeciesEntry("ABAL", "Abies alba", GYMNOSPERM,
+                 VolumeParams(0.000163, 1.706560, 0.941905, 3.694650)),
+    SpeciesEntry("LADE", "Larix decidua", GYMNOSPERM,
+                 VolumeParams(0.000108, 1.407756, 1.341377, 3.694650)),
+    SpeciesEntry("PISY", "Pinus sylvestris", GYMNOSPERM,
+                 VolumeParams(0.000102, 1.918184, 0.830164, 3.694650)),
+    SpeciesEntry("PINI", "Pinus nigra", GYMNOSPERM,
+                 VolumeParams(0.000129, 1.763086, 0.938445, 3.694650)),
+    SpeciesEntry("PICE", "Pinus cembra", GYMNOSPERM,
+                 VolumeParams(0.000188, 1.613713, 0.985266, 3.694650)),
+    SpeciesEntry("FASY", "Fagus sylvatica", ANGIOSPERM,
+                 VolumeParams(0.000055, 1.942089, 1.006420, 4.009100)),
     SpeciesEntry("QUPU", "Quercus pubescens", ANGIOSPERM, fallback="FASY"),
     SpeciesEntry("QUCE", "Quercus cerris", ANGIOSPERM, fallback="FASY"),
     SpeciesEntry("OSCA", "Ostrya carpinifolia", ANGIOSPERM, fallback="FASY"),

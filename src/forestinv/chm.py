@@ -13,8 +13,8 @@ one triangulation of all its points; so the raster equals the untiled
 one bit for bit. A tile's job is Qhull and then the certificate. Every
 Qhull call, the convex hull of the threshold-0 points included, runs in
 worker processes forked from the calling one, which queues the jobs and
-rasterizes every tile in order; so the calling process never loads
-scipy.
+rasterizes every tile, in order, into the one maximum raster; so the
+calling process never loads scipy.
 
 Qhull and the certificate see the points moved next to the origin
 whenever that move is exact, since their rounding grows with the
@@ -48,12 +48,11 @@ _CELL_MARGIN = 1e-6
 # cells per block of the convex-hull test
 _HULL_BLOCK = 4096
 # float64 rasters pitfree_chm holds at once at most, summed over its
-# processes: the calling one holds the maximum and the current layer,
-# then the maximum and the output, and two bool masks (the hull, the
-# covered cells); the hull's worker holds its bool mask and the pickle
-# that carries it back. That rounds up from 2.25. The other workers'
-# memory (scipy, one tile each) does not grow with the grid, and is
-# not counted.
+# processes: the calling one holds the maximum, then the maximum and
+# the output, and two bool masks (the hull, the covered cells); the
+# hull's worker holds its bool mask and the pickle that carries it
+# back. That rounds up from 2.5. The other workers' memory (scipy, one
+# tile each) does not grow with the grid, and is not counted.
 _RASTERS_AT_ONCE = 3
 # points per tile; a layer with fewer than twice this many is one tile.
 # Each worker has one tile's Qhull working set in flight, so smaller
@@ -150,12 +149,12 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     shared points exist, run the jobs, n being `threads` capped at the
     CPUs this process may run on and at the number of jobs; this process
     queues them in tile order, two rounds of n ahead of the result it
-    takes, and rasterizes the results in that order, so the result does
-    not depend on n and this process never loads scipy. A layer
-    is a threshold over the one point set, which is sorted by x: a tile
-    keeps the points of its window at or above it, and the certificate
-    tests a circle that leaves its tile against those of the circle's
-    x-strip. No layer holds an array of its own.
+    takes, and rasterizes the results in that order into the one
+    maximum raster, so the result does not depend on n and this process
+    never loads scipy. A layer is a threshold over the one point set,
+    which is sorted by x: a tile keeps the points of its window at or
+    above it, and the certificate tests a circle that leaves its tile
+    against those of the circle's x-strip.
     """
     if len(cloud) == 0:
         raise DataError("empty point cloud")
@@ -200,10 +199,9 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
                           f"{ncols:.4g} grid, too large for physical "
                           f"memory")
     try:
-        # a grid numpy cannot allocate goes no further; the rasters are
-        # filled after the fork, so that no worker holds their pages
+        # a grid numpy cannot allocate goes no further; the maximum is
+        # filled after the fork, so that no worker holds its pages
         acc = np.empty((nrows, ncols))
-        part = np.empty_like(acc)   # the TIN of the current layer
     except (MemoryError, ValueError):
         raise ConfigError(f"[chm] resolution {res} gives a {nrows:.4g} x "
                           f"{ncols:.4g} grid, too large to allocate") from None
@@ -213,7 +211,7 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
     cx = xll + (cols + 0.5) * res
     cy = yll + (nrows - rows - 0.5) * res
 
-    layers = [_Layer(t, h, qx, qy) for t in params.height_thresholds]
+    layers = [_Layer.over(t, h, qx, qy) for t in params.height_thresholds]
     # subcircle splats ring each return with 8 points on one circle:
     # their tiles tie and fall back, or gain nothing, so they run whole
     tiled = params.subcircle_radius == 0
@@ -221,8 +219,6 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
              else _tile_cores(*layer.points(h, qx, qy)) if tiled
              else [_WHOLE]
              for layer in layers]
-    # a job names its layer by index, so that once the layer's last tile
-    # is rasterized and its entry cleared, nothing here holds the layer
     todo = deque((i, core) for i, layer_cores in enumerate(cores)
                  for core in layer_cores)
     shared = _Shared(x, y, h, qx, qy, layers, cx, cy, params.max_edge)
@@ -234,19 +230,16 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
             else os.cpu_count() or 1)
     n = min(threads, cpus, 1 + len(todo))
     with _workers(n, shared) as submit:
-        # first, so that its worker loads scipy while the rasters fill
+        # first, so that its worker loads scipy while the maximum fills
         hull = submit(None, None) if layers[0].n >= 3 else None
         acc.fill(-np.inf)
         ahead = deque()   # (layer, future) in tile order
         for i, layer_cores in enumerate(cores):
-            layer = layers[i]
-            part.fill(-np.inf)
-            layer.tiles = len(layer_cores)
+            tiles, triangles, dropped = len(layer_cores), 0, 0
             while True:
                 while todo and len(ahead) < 2 * n:
                     j, core = todo.popleft()
-                    if not layers[j].fallback:
-                        ahead.append((j, submit(j, core)))
+                    ahead.append((j, submit(j, core)))
                 if not ahead or ahead[0][0] != i:
                     break
                 result = ahead.popleft()[1].result()
@@ -254,29 +247,28 @@ def pitfree_chm(cloud: PointCloud, params: PitfreeParams,
                     # start the layer again from one triangulation of all
                     # its points, its own job; its other tiles are not
                     # queued any more, and those queued are cancelled or
-                    # their results dropped
-                    layer.fallback = True
+                    # their results dropped. The tiles already in the
+                    # maximum are triangles of that triangulation, and a
+                    # maximum is exact and order-free: no cell changes.
+                    fallbacks += 1
+                    while todo and todo[0][0] == i:
+                        todo.popleft()
                     for j, future in ahead:
                         if j == i:
                             future.cancel()   # unless a worker has it
                     ahead = deque(job for job in ahead if job[0] != i)
                     ahead.appendleft((i, submit(i, _WHOLE)))
-                    part.fill(-np.inf)
-                    layer.tiles, layer.triangles, layer.dropped = 1, 0, 0
+                    tiles, triangles, dropped = 1, 0, 0
                     continue
-                kept, dropped = result
-                layer.triangles += len(kept)
-                layer.dropped += dropped
+                kept, tile_dropped = result
+                triangles += len(kept)
+                dropped += tile_dropped
                 if len(kept):
-                    _rasterize_tin(x, y, h, kept, xll, yll, res, nrows, part)
-            np.maximum(acc, part, out=acc)
-            counts.update({f"layer{i}.points": layer.n,
-                           f"layer{i}.triangles": layer.triangles,
-                           f"layer{i}.tiles": layer.tiles,
-                           f"layer{i}.dropped": layer.dropped})
-            fallbacks += layer.fallback
-            layers[i] = layer = None
-        del part
+                    _rasterize_tin(x, y, h, kept, xll, yll, res, nrows, acc)
+            counts.update({f"layer{i}.points": layers[i].n,
+                           f"layer{i}.triangles": triangles,
+                           f"layer{i}.tiles": tiles,
+                           f"layer{i}.dropped": dropped})
         hull_mask = (hull.result() if hull is not None
                      else np.zeros((nrows, ncols), dtype=bool))
 
@@ -377,26 +369,27 @@ def _physical_memory():
     return pages * size if pages > 0 and size > 0 else None
 
 
-class _Layer:
-    """One height layer: a threshold over the shared points, Qhull's
-    rounding of a power on its points, and its work counts.
+class _Layer(NamedTuple):
+    """One height layer: a threshold over the shared points, their
+    number, and Qhull's rounding of a power on its points.
 
     The layer holds no array: `points` picks its points out of the
-    shared ones when they are needed. Each worker process reads its own
-    copy of a layer; only the calling process writes its counts and its
-    fallback flag.
+    shared ones when they are needed.
     """
 
-    def __init__(self, threshold, h, qx, qy):
-        self.threshold = threshold
-        lx, ly = self.points(h, qx, qy)
-        self.n = len(lx)
-        # in squared map units: qx, qy are the shared points less the
-        # exact shift that Qhull and the certificate work in
-        self.roundoff = _QHULL_ROUNDOFF * float(np.max(lx ** 2 + ly ** 2,
-                                                       initial=0.0))
-        self.tiles = self.triangles = self.dropped = 0
-        self.fallback = False
+    threshold: float
+    n: int
+    # in squared map units: the shared points less the exact shift that
+    # Qhull and the certificate work in
+    roundoff: float
+
+    @classmethod
+    def over(cls, threshold, h, qx, qy):
+        """The layer of the points qx, qy of heights h at `threshold`."""
+        on = h >= threshold
+        lx, ly = qx[on], qy[on]
+        return cls(threshold, len(lx), _QHULL_ROUNDOFF
+                   * float(np.max(lx ** 2 + ly ** 2, initial=0.0)))
 
     def points(self, h, px, py):
         """The layer's points among the shared points px, py of heights

@@ -161,16 +161,22 @@ def _running_max(a: np.ndarray, width: int) -> np.ndarray:
 def _prepared_heights(chm: Grid, params: ItcParams) -> np.ndarray:
     values = np.where(chm.valid_mask(), chm.values, -np.inf)
     if params.smooth_chm:
-        from scipy import ndimage
-
+        # each finite cell's mean over the finite cells of its 3 x 3
+        # window. A finite cell counts itself; the floor of 1 only spares
+        # the other cells, whose mean is dropped, a division by zero
         finite = np.isfinite(values)
-        padded = np.where(finite, values, 0.0)
-        counts = ndimage.uniform_filter(finite.astype(float), size=3,
-                                        mode="constant", cval=0.0)
-        sums = ndimage.uniform_filter(padded, size=3, mode="constant", cval=0.0)
-        smoothed = np.where(counts > 0, sums / np.maximum(counts, 1e-30), -np.inf)
-        values = np.where(finite, smoothed, -np.inf)
+        sums = _window_sum(np.where(finite, values, 0.0))
+        counts = _window_sum(finite.astype(np.intp))
+        values = np.where(finite, sums / np.maximum(counts, 1), -np.inf)
     return values
+
+
+def _window_sum(a: np.ndarray) -> np.ndarray:
+    """Each cell's sum over its 3 x 3 window, 0 outside `a`: three
+    shifted rows, then three shifted columns of those."""
+    p = np.pad(a, 1)
+    rows = p[:-2] + p[1:-1] + p[2:]
+    return rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]
 
 
 def grow_crowns(chm: Grid, apexes: list[Apex],

@@ -44,6 +44,19 @@ def test_the_sparse_case_is_dense_stand_at_1_5_points_per_m2():
     assert cp["run"]["seed"] == "7"
 
 
+def test_the_smooth_case_is_acceptance_with_a_smoothed_chm():
+    gate = load_gate()
+    cp = configparser.ConfigParser()
+    cp.read_string(gate.case_ini("smooth", 7))
+    base = configparser.ConfigParser()
+    base.read_string(gate.case_ini("acceptance", 7))
+    assert cp["crowns"]["smooth_chm"] == "true"
+    assert "crowns" not in base
+    del cp["crowns"]
+    assert {s: dict(cp[s]) for s in cp} == {s: dict(base[s]) for s in base}
+    assert cp["run"]["seed"] == "7"
+
+
 def test_the_large_area_case_is_dense_stand_at_3600_trees():
     gate = load_gate()
     cp = configparser.ConfigParser()

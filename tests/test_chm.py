@@ -1,8 +1,6 @@
 import contextlib
-import hashlib
 import multiprocessing
 import os
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -332,11 +330,51 @@ def test_tiled_chm_equals_one_tile(monkeypatch):
                         "certify far from the origin"}
 
 
-def test_cocircular_clouds_fall_back(monkeypatch):
-    cloud, params = make_cloud("grid", 7, 10, monkeypatch)
+@pytest.mark.parametrize("kind, seed, tile_points, late", [
+    pytest.param("grid", 7, 10, False, id="early"),
+    pytest.param("grid", 8, 5, True, id="late")])
+def test_cocircular_clouds_fall_back(monkeypatch, kind, seed, tile_points,
+                                     late):
+    """A layer that falls back is rasterized whole into the maximum. A
+    late fallback comes after some of the layer's tiles are already in
+    it: those are triangles of the whole layer, so no cell changes."""
+    cloud, params = make_cloud(kind, seed, tile_points, monkeypatch)
     whole = chm_with_tiles(monkeypatch, cloud, params, ONE_TILE)
-    tiled = chm_with_tiles(monkeypatch, cloud, params, 10)
-    assert tiled.counts["fallback_layers"] >= 1
+    events = []   # ("taken", layer, is None) and ("rasterized",), in order
+    workers, rasterize = chm_mod._workers, chm_mod._rasterize_tin
+
+    class Taken:
+        def __init__(self, i, future):
+            self.i, self.future = i, future
+
+        def result(self):
+            result = self.future.result()
+            events.append(("taken", self.i, result is None))
+            return result
+
+        def cancel(self):
+            return self.future.cancel()
+
+    @contextlib.contextmanager
+    def recording(n, shared):
+        with workers(n, shared) as submit:
+            yield lambda i, core: Taken(i, submit(i, core))
+
+    def rasterizing(*args):
+        events.append(("rasterized",))
+        return rasterize(*args)
+
+    monkeypatch.setattr(chm_mod, "_workers", recording)
+    monkeypatch.setattr(chm_mod, "_rasterize_tin", rasterizing)
+    tiled = chm_with_tiles(monkeypatch, cloud, params, tile_points)
+    fell_back = {e[1]: k for k, e in enumerate(events) if e[0] == "taken"
+                 and e[2]}
+    # the fallen-back layers with a tile rasterized before their None
+    fell_late = {events[k - 1][1] for k, e in enumerate(events)
+                 if e[0] == "rasterized" and events[k - 1][1] in fell_back
+                 and k < fell_back[events[k - 1][1]]}
+    assert len(fell_back) == tiled.counts["fallback_layers"] >= 1
+    assert bool(fell_late) == late
     assert whole.counts["fallback_layers"] == 0
     assert np.array_equal(tiled.values, whole.values)
 
@@ -493,60 +531,6 @@ def test_a_fallen_back_layer_triangulates_no_more_tiles(monkeypatch):
             assert job.cancelled == (job.i in fell_back and not job.taken)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_a_finished_layer_is_freed_before_the_next_is_rasterized(
-        monkeypatch, tmp_path, threads):
-    cloud, params = make_cloud("jittered", 3, 25, monkeypatch)
-    # the points are shared by every layer and a layer holds no array of
-    # its own: a weak reference to each layer object. A worker forked
-    # from this process finds its own copy of a layer through them.
-    refs = []
-
-    class Layer(chm_mod._Layer):
-        def __init__(self, *args):
-            super().__init__(*args)
-            refs.append(weakref.ref(self))
-
-    def digest(kept):
-        return hashlib.sha256(np.ascontiguousarray(kept).tobytes()).hexdigest()
-
-    # the kept triangles of each tile, by digest, and the number of their
-    # layer, written by the workers
-    owners = tmp_path / "owners"
-
-    def owned(fn):
-        def run(*args):
-            kept = fn(*args)
-            if kept is not None:
-                layer = next(a for a in args if isinstance(a, Layer))
-                append_line(owners, digest(kept[0] if isinstance(kept, tuple)
-                                           else kept),
-                            next(i for i, ref in enumerate(refs)
-                                 if ref() is layer))
-            return kept
-        return run
-
-    rasterized = []
-    rasterize = chm_mod._rasterize_tin
-
-    def check(px, py, ph, simplices, *args):
-        # a tile of the same points in two layers may give the same
-        # triangles: the lowest of those layers is the weakest claim
-        layer = min(int(i) for d, i in read_lines(owners)
-                    if d == digest(simplices))
-        rasterized.append(layer)
-        assert all(ref() is None for ref in refs[:layer])
-        return rasterize(px, py, ph, simplices, *args)
-
-    monkeypatch.setattr(chm_mod, "_Layer", Layer)
-    monkeypatch.setattr(chm_mod, "_whole", owned(chm_mod._whole))
-    monkeypatch.setattr(chm_mod, "_certify", owned(chm_mod._certify))
-    monkeypatch.setattr(chm_mod, "_rasterize_tin", check)
-    grid = chm_with_tiles(monkeypatch, cloud, params, 25, threads=threads)
-    assert grid.counts["layer0.tiles"] > 1
-    assert len(set(rasterized)) == len(refs) == len(params.height_thresholds)
-
-
 def reference_certify(px, py, h, layer, idx, tin, core, halo, max_edge,
                       escaping):
     """_certify as it was with a k-d tree per layer: a circle that
@@ -673,7 +657,7 @@ def test_an_escaping_circle_is_tested_against_the_points_off_the_tile(
     pts = sorted([(3.0, 4.0, 5.0), (4.0, 3.0, 5.0), (5.0, 0.0, 5.0)]
                  + others)
     px, py, h = (np.array(v) for v in zip(*pts))
-    layer = chm_mod._Layer(2.0, h, px, py)
+    layer = chm_mod._Layer.over(2.0, h, px, py)
     core, halo = (2.0, np.inf, -np.inf, np.inf), 0.5
     idx, tin = chm_mod._triangulate(px, py, h, layer, core, halo)
     assert len(idx) == 3

@@ -664,12 +664,19 @@ def test_the_cli_and_synth_load_no_scipy(tmp_path):
     assert (tmp_path / "scene" / "pipeline.ini").exists()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_a_run_never_loads_scipy_in_its_main_process(tmp_path, threads):
+@pytest.mark.parametrize("threads, smooth", [
+    pytest.param(1, False, id="1"), pytest.param(2, False, id="2"),
+    pytest.param(2, True, id="2-smooth")])
+def test_a_run_never_loads_scipy_in_its_main_process(tmp_path, threads,
+                                                     smooth):
     """A fresh `run` on a tiled scene leaves every Qhull call to the CHM's
     worker processes: its own process ends without scipy, and with no
-    worker left."""
+    worker left. Smoothing the CHM before crown delineation loads no
+    scipy either."""
     pipeline_ini = make_scene(tmp_path)
+    if smooth:
+        with open(pipeline_ini, "a") as f:
+            f.write("\n[crowns]\nsmooth_chm = true\n")
     out = tmp_path / "run"
     proc = fresh_python("-c", """if True:
         import multiprocessing

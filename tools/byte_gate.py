@@ -11,8 +11,9 @@ configs (taken from perfbench/workloads.py) or a variant of one:
 2,000 training pixels per species, `sparse`, the `dense-stand` scene
 at 1.5 points/m2, which no workload covers, `odd-pairs`, the
 `paper-spectral` scene at 499 training pixels per species, whose SVM
-pairs have 998 rows, not a multiple of 8, or `large-area`, the
-`dense-stand` scene at 3,600 trees, nine times its area. For each case
+pairs have 998 rows, not a multiple of 8, `large-area`, the
+`dense-stand` scene at 3,600 trees, nine times its area, or `smooth`,
+the `acceptance` scene with `[crowns] smooth_chm = true`. For each case
 and seed, each side runs `forestinv synth`, then `forestinv run
 --threads N` for each N. Every file the two sides wrote is compared
 byte for byte, except `timings.txt`. One line per case and seed is
@@ -49,6 +50,7 @@ VARIANTS = {
     "odd-pairs": ("paper-spectral", {
         "spectral": {"max_training_pixels_per_species": "499"}}),
     "large-area": ("dense-stand", {"scene": {"n_trees": "3600"}}),
+    "smooth": ("acceptance", {"crowns": {"smooth_chm": "true"}}),
 }
 
 
